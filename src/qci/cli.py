@@ -3,9 +3,8 @@
 All I/O is JSON with schema version "v": 1.  Output is canonical (sorted
 keys, compact separators), so identical inputs give identical bytes.  Exit
 codes: 0 success, 1 a validation failure with a witness, 2 malformed or
-unsupported input.  QCI_THREADS caps internal parallelism; --seed only
-randomizes test-harness data (random cochains in corpus-verify), never an
-invariant computation.
+unsupported input.  --seed only randomizes test-harness data (random
+cochains in corpus-verify), never an invariant computation.
 """
 
 import argparse
@@ -331,9 +330,8 @@ def build_parser():
     c.add_argument("--file", required=True)
     c.add_argument("--quandle", help="quandle file (module/cocycle checks)")
     c.add_argument("--spec", default="1,1", help="l,r differential weights")
-    c.add_argument("--quandle-flag", action="store_true",
-                   help="degenerate-vanishing condition (the default)")
-    c.add_argument("--no-quandle-flag", action="store_true")
+    c.add_argument("--no-quandle-flag", action="store_true",
+                   help="drop the degenerate-vanishing condition")
     c.set_defaults(fn=cmd_check)
 
     c = add("orbits", "orbit decomposition of a quandle")
@@ -359,9 +357,8 @@ def build_parser():
     c.add_argument("--coeff", required=True, help="moduli like 3 or 2,4")
     c.add_argument("--spec", default="1,1")
     c.add_argument("--degree", type=int, default=2)
-    c.add_argument("--quandle-flag", action="store_true",
-                   help="degenerate-vanishing condition (the default)")
-    c.add_argument("--no-quandle-flag", action="store_true")
+    c.add_argument("--no-quandle-flag", action="store_true",
+                   help="drop the degenerate-vanishing condition")
     c.add_argument("--contains", help="cochain file to test for membership")
     c.set_defaults(fn=cmd_cohomology)
 

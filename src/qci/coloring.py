@@ -176,9 +176,7 @@ def act(diagram, quandle, shadow, c, sign=1):
 def component_orbits(diagram, arc_colors, orbit_map):
     """Orbit id of the colors on each component, as a tuple over components."""
     out = []
-    for comp in range(diagram.n_components):
-        arcs = [a for a in range(diagram.n_arcs)
-                if diagram.arc_component(a) == comp]
+    for arcs in diagram.component_arcs:
         ids = {orbit_map.of(arc_colors[a]) for a in arcs}
         if len(ids) != 1:
             raise StructureError("component carries colors from two orbits")

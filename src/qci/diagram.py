@@ -268,6 +268,24 @@ class Diagram:
         self._loop_arc = {
             j: len(self._crossing_arcs) + j for j in range(len(self.free_loops))}
 
+        # diagram-only data that colorings are checked against, built once
+        comp_arcs = [[] for _ in self.components]
+        for a in range(len(self.arcs)):
+            comp_arcs[self.arc_component(a)].append(a)
+        self.component_arcs = tuple(tuple(arcs) for arcs in comp_arcs)
+        steps = []
+        for sa in self.semiarcs:
+            steps.append((self.side_region(sa, RIGHT),
+                          self.side_region(sa, LEFT),
+                          self.arc_of[sa], self.comp_of[sa]))
+        for j, orient in enumerate(self.free_loops):
+            disk, ext = self._loop_region[j], self.exterior_region
+            if orient == 1:   # ccw: interior on the left
+                steps.append((ext, disk, self._loop_arc[j], self._loop_component[j]))
+            else:
+                steps.append((disk, ext, self._loop_arc[j], self._loop_component[j]))
+        self._region_steps = tuple(steps)
+
     # -- queries -----------------------------------------------------------
 
     @property
@@ -308,18 +326,7 @@ class Diagram:
     def region_steps(self):
         """Directed adjacency (from, to, arc, component): crossing the
         semi-arc (or loop) along its normal, right side to left side."""
-        steps = []
-        for sa in self.semiarcs:
-            steps.append((self.side_region(sa, RIGHT),
-                          self.side_region(sa, LEFT),
-                          self.arc_of[sa], self.comp_of[sa]))
-        for j, orient in enumerate(self.free_loops):
-            disk, ext = self._loop_region[j], self.exterior_region
-            if orient == 1:   # ccw: interior on the left
-                steps.append((ext, disk, self._loop_arc[j], self._loop_component[j]))
-            else:
-                steps.append((disk, ext, self._loop_arc[j], self._loop_component[j]))
-        return steps
+        return list(self._region_steps)
 
     def to_json(self):
         data = {"v": 1,

@@ -1,29 +1,34 @@
 """Weight sums over colored diagrams and the invariant multisets.
 
-Every flavor is a signed sum over crossings of cocycle values at the local
-colors; the flavors differ in the sign rule and in the twisting factor:
+Every flavor is one signed, twisted sum over the crossings,
 
-- classical:      sign(x) * w(a, b)
-- shadow:         sign(x) * w(m(x), a, b), m(x) the source-region color
-- positive:       sign_pos(x) * w(a, b), sign_pos from the checkerboard
-- twisted:        sign(x) * alpha^-i(x) * w(a, b)
-- shadow_twisted: sign(x) * alpha^-i(x) * w(m(x), a, b)
-- link_twisted:   sign(x) * prod_j alpha_{orbit(j)}^-i_j(x) * w(a, b)
+    sum_x  s(x) * prod_j u_j^(-e_j(x)) * w(m(x), a, b),
 
-Here a is the under color on the source-region side, b the over color,
-i(x) the index of the source region.  The invariant is the multiset of
-weights over all colorings (with the exterior region color pinned for
-shadow flavors).
+with a the under color on the source-region side, b the over color and
+i(x) the index of the source region.  The flavors differ only in what
+fills the slots:
+
+- classical:      s = sign(x), no units, m = 0
+- shadow:         s = sign(x), no units, m = the source-region color
+- positive:       s = sign_pos(x) from the checkerboard, no units, m = 0
+- twisted:        s = sign(x), e = i(x) with unit alpha, m = 0
+- shadow_twisted: as twisted, with m = the source-region color
+- link_twisted:   s = sign(x), e_j = the component-j index of the source
+                  region with the unit of component j's color orbit, m = 0
+
+So a diagram is compiled once per flavor into a plan holding, per
+crossing, the sign, the two arc slots, the source region and the exponent
+vector; one loop weighs every coloring from it.  The invariant is the
+multiset of weights over all colorings (with the exterior region color
+pinned for shadow flavors).
 """
 
-import os
 from dataclasses import dataclass, field
 
 from .algebra import (IntegerShadowModule, IntUnit, ProductModule, Scalar,
                       StructureError, orbits)
 from .cohomology import (DifferentialSpec, is_cocycle,
-                         is_link_twisted_cocycle,
-                         shadow_twisted_product_cochain)
+                         is_link_twisted_cocycle)
 from .coloring import (component_orbits, enumerate_colorings,
                        propagate_shadow)
 from .diagram import checkerboard, compute_indices, crossing_geometry
@@ -110,145 +115,128 @@ def _as_scalar(coeff, alpha):
     return IntUnit(coeff, alpha)
 
 
+# -- the compiled state sum -------------------------------------------------
+
+def _compile(diagram, flavor, indices=None):
+    """Per crossing (sign, a_arc, b_arc, source region, exponent vector):
+    everything the flavor's sum needs that depends on the diagram alone."""
+    geometry = crossing_geometry(diagram)
+    if indices is None and flavor not in ("classical", "shadow"):
+        indices = compute_indices(diagram)
+    if flavor == "positive":
+        colors = checkerboard(diagram, indices)
+    terms = []
+    for g in geometry:
+        sign, exps = g.sign, ()
+        if flavor == "positive":
+            # + where the quadrant pair flanking the over-strand is white
+            sign = 1 if colors[g.quadrants[0]] == 0 else -1
+        elif flavor in ("twisted", "shadow_twisted"):
+            exps = (-indices.totals[g.source_region],)
+        elif flavor == "link_twisted":
+            exps = tuple(-e for e in indices.per_component[g.source_region])
+        terms.append((sign, g.a_arc, g.b_arc, g.source_region, exps))
+    return tuple(terms)
+
+
+class _Plan:
+    """A flavor's state sum compiled once for one diagram and cochain.
+
+    Construction normalises the twisting units, runs the cocycle gate when
+    ``check`` is set and compiles the diagram; calling the plan weighs one
+    coloring (a ShadowColoring for the shadow flavors).  The exponent
+    vector of a crossing pairs with the units: (alpha,) for the twisted
+    flavors, and for link_twisted the unit of each component's color orbit.
+    """
+
+    def __init__(self, diagram, flavor, omega, check, *, alpha=None,
+                 alphas=None, orbit_map=None):
+        if flavor not in FLAVORS:
+            raise StructureError(f"unknown flavor {flavor!r}")
+        coeff = omega.coeff
+        self.alpha = self.alphas = None
+        self.units = ()
+        if flavor in ("twisted", "shadow_twisted"):
+            self.alpha = _as_scalar(coeff, alpha)
+            self.units = (self.alpha,)
+        if flavor == "link_twisted":
+            if orbit_map is None:
+                orbit_map = orbits(omega.quandle)
+            self.alphas = [_as_scalar(coeff, a) for a in alphas]
+            if len(self.alphas) != orbit_map.count:
+                raise StructureError("need one unit per quandle orbit")
+        if check:
+            validate_cocycle(flavor, omega, alpha=self.alpha,
+                             alphas=self.alphas, orbit_map=orbit_map)
+        self.diagram = diagram
+        self.orbit_map = orbit_map
+        self.omega = omega
+        self.shadow = flavor in ("shadow", "shadow_twisted")
+        self.terms = _compile(diagram, flavor)
+
+    def __call__(self, coloring):
+        arcs, regions = coloring, None
+        if self.shadow:
+            arcs, regions = coloring.arcs, coloring.regions
+        units = self.units
+        if self.alphas is not None:
+            units = tuple(self.alphas[o] for o in component_orbits(
+                self.diagram, arcs, self.orbit_map))
+        coeff, at = self.omega.coeff, self.omega.at
+        total = coeff.zero()
+        for sign, a, b, src, exps in self.terms:
+            term = at(0 if regions is None else regions[src],
+                      (arcs[a], arcs[b]))
+            for unit, e in zip(units, exps):
+                if e:
+                    term = unit.apply(term, e)
+            total = coeff.add(total, term if sign > 0 else coeff.neg(term))
+        return total
+
+
 # -- per-coloring weights ----------------------------------------------------
-
-def _geometry(diagram):
-    return crossing_geometry(diagram)
-
 
 def weight_classical(diagram, coloring, omega, check=True):
     """Signed sum of w(a, b) over the crossings."""
-    if check:
-        validate_cocycle("classical", omega)
-    coeff = omega.coeff
-    total = coeff.zero()
-    for g in _geometry(diagram):
-        term = omega.at(0, (coloring[g.a_arc], coloring[g.b_arc]))
-        total = coeff.add(total, term if g.sign > 0 else coeff.neg(term))
-    return total
+    return _Plan(diagram, "classical", omega, check)(coloring)
 
 
 def weight_shadow(diagram, shadow, omega, check=True):
     """Signed sum of w(source color, a, b)."""
-    if check and not isinstance(omega.module, (IntegerShadowModule,
-                                               ProductModule)):
-        validate_cocycle("shadow", omega)
-    coeff = omega.coeff
-    total = coeff.zero()
-    for g in _geometry(diagram):
-        term = omega.at(shadow.regions[g.source_region],
-                        (shadow.arcs[g.a_arc], shadow.arcs[g.b_arc]))
-        total = coeff.add(total, term if g.sign > 0 else coeff.neg(term))
-    return total
+    check = check and not isinstance(omega.module, (IntegerShadowModule,
+                                                    ProductModule))
+    return _Plan(diagram, "shadow", omega, check)(shadow)
 
 
 def positive_signs(diagram, indices=None):
     """Checkerboard sign per crossing: + where the quadrant pair flanking
     the over-strand is white."""
-    colors = checkerboard(diagram, indices)
-    return tuple(1 if colors[g.quadrants[0]] == 0 else -1
-                 for g in _geometry(diagram))
+    return tuple(t[0] for t in _compile(diagram, "positive", indices))
 
 
 def weight_positive(diagram, coloring, omega, check=True):
     """Sum of sign_pos(x) * w(a, b) with checkerboard-based signs."""
-    if check:
-        validate_cocycle("positive", omega)
-    coeff = omega.coeff
-    total = coeff.zero()
-    signs = positive_signs(diagram)
-    for g, s in zip(_geometry(diagram), signs):
-        term = omega.at(0, (coloring[g.a_arc], coloring[g.b_arc]))
-        total = coeff.add(total, term if s > 0 else coeff.neg(term))
-    return total
+    return _Plan(diagram, "positive", omega, check)(coloring)
 
 
 def weight_twisted(diagram, coloring, omega, alpha, check=True):
     """Sum of sign(x) * alpha^-i(x) * w(a, b)."""
-    alpha = _as_scalar(omega.coeff, alpha)
-    if check:
-        validate_cocycle("twisted", omega, alpha=alpha)
-    coeff = omega.coeff
-    idx = compute_indices(diagram)
-    total = coeff.zero()
-    for g in _geometry(diagram):
-        term = omega.at(0, (coloring[g.a_arc], coloring[g.b_arc]))
-        term = alpha.apply(term, -idx.totals[g.source_region])
-        total = coeff.add(total, term if g.sign > 0 else coeff.neg(term))
-    return total
+    return _Plan(diagram, "twisted", omega, check, alpha=alpha)(coloring)
 
 
 def weight_shadow_twisted(diagram, shadow, omega, alpha, check=True):
-    """Twisted shadow weight, computed twice: by the direct formula and
-    through the product module M x Z, which must agree."""
-    alpha = _as_scalar(omega.coeff, alpha)
-    if check:
-        validate_cocycle("shadow_twisted", omega, alpha=alpha)
-    coeff = omega.coeff
-    idx = compute_indices(diagram)
-    total = coeff.zero()
-    for g in _geometry(diagram):
-        term = omega.at(shadow.regions[g.source_region],
-                        (shadow.arcs[g.a_arc], shadow.arcs[g.b_arc]))
-        term = alpha.apply(term, -idx.totals[g.source_region])
-        total = coeff.add(total, term if g.sign > 0 else coeff.neg(term))
-
-    product = ProductModule(omega.module, IntegerShadowModule(omega.quandle))
-    paired = shadow.__class__(
-        arcs=shadow.arcs,
-        regions=tuple((m, idx.totals[r])
-                      for r, m in enumerate(shadow.regions)),
-        module=product)
-    lifted = shadow_twisted_product_cochain(omega, alpha, product)
-    cross = weight_shadow(diagram, paired, lifted, check=False)
-    if cross != total:
-        raise StructureError("product-module route disagrees with the "
-                             "direct twisted shadow weight")
-    return total
+    """Sum of sign(x) * alpha^-i(x) * w(source color, a, b)."""
+    return _Plan(diagram, "shadow_twisted", omega, check, alpha=alpha)(shadow)
 
 
 def weight_link_twisted(diagram, coloring, omega, alphas, orbit_map=None,
                         check=True):
     """Per-component twisted weight with one unit per quandle orbit."""
-    coeff = omega.coeff
-    if orbit_map is None:
-        orbit_map = orbits(omega.quandle)
-    alphas = [_as_scalar(coeff, a) for a in alphas]
-    if len(alphas) != orbit_map.count:
-        raise StructureError("need one unit per quandle orbit")
-    if check:
-        validate_cocycle("link_twisted", omega, alphas=alphas,
-                         orbit_map=orbit_map)
-    idx = compute_indices(diagram)
-    comp_orbs = component_orbits(diagram, coloring, orbit_map)
-    total = coeff.zero()
-    for g in _geometry(diagram):
-        term = omega.at(0, (coloring[g.a_arc], coloring[g.b_arc]))
-        for j, orb in enumerate(comp_orbs):
-            e = idx.per_component[g.source_region][j]
-            if e:
-                term = alphas[orb].apply(term, -e)
-        total = coeff.add(total, term if g.sign > 0 else coeff.neg(term))
-    return total
+    return _Plan(diagram, "link_twisted", omega, check, alphas=alphas,
+                 orbit_map=orbit_map)(coloring)
 
 
 # -- invariant multisets ------------------------------------------------------
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("QCI_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    n = _threads()
-    if n <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
 
 def invariant_multiset(diagram, quandle, flavor, omega, *, module=None,
                        alpha=None, alphas=None, exterior=None, check=True):
@@ -257,21 +245,8 @@ def invariant_multiset(diagram, quandle, flavor, omega, *, module=None,
     Shadow flavors pin the exterior region color to ``exterior`` and extend
     each arc coloring to the unique compatible region coloring.
     """
-    if flavor not in FLAVORS:
-        raise StructureError(f"unknown flavor {flavor!r}")
-    coeff = omega.coeff
-    orbit_map = None
-    if flavor == "link_twisted":
-        orbit_map = orbits(quandle)
-        alphas = [_as_scalar(coeff, a) for a in alphas]
-    if flavor in ("twisted", "shadow_twisted"):
-        alpha = _as_scalar(coeff, alpha)
-    if check:
-        validate_cocycle(flavor, omega, alpha=alpha, alphas=alphas,
-                         orbit_map=orbit_map)
-
-    shadow_flavor = flavor in ("shadow", "shadow_twisted")
-    if shadow_flavor:
+    plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas)
+    if plan.shadow:
         mod = module if module is not None else omega.module
         if mod is None:
             raise StructureError(f"{flavor} needs a module")
@@ -279,33 +254,20 @@ def invariant_multiset(diagram, quandle, flavor, omega, *, module=None,
             raise StructureError(f"{flavor} needs an exterior region color")
 
     colorings = enumerate_colorings(diagram, quandle)
-
-    def one(coloring):
-        if flavor == "classical":
-            return weight_classical(diagram, coloring, omega, check=False)
-        if flavor == "positive":
-            return weight_positive(diagram, coloring, omega, check=False)
-        if flavor == "twisted":
-            return weight_twisted(diagram, coloring, omega, alpha, check=False)
-        if flavor == "link_twisted":
-            return weight_link_twisted(diagram, coloring, omega, alphas,
-                                       orbit_map, check=False)
-        shadow = propagate_shadow(diagram, coloring, mod, exterior)
-        if flavor == "shadow":
-            return weight_shadow(diagram, shadow, omega, check=False)
-        return weight_shadow_twisted(diagram, shadow, omega, alpha,
-                                     check=False)
+    weights = (plan(propagate_shadow(diagram, c, mod, exterior)
+                    if plan.shadow else c) for c in colorings)
 
     meta = {"flavor": flavor, "colorings": len(colorings),
             "crossings": len(diagram.crossings), "quandle": quandle.n}
-    if alpha is not None and isinstance(alpha, IntUnit):
-        meta["alpha"] = alpha.value
-    if alphas is not None:
-        meta["alphas"] = [a.value for a in alphas if isinstance(a, IntUnit)]
+    if isinstance(plan.alpha, IntUnit):
+        meta["alpha"] = plan.alpha.value
+    if plan.alphas is not None:
+        meta["alphas"] = [a.value for a in plan.alphas
+                          if isinstance(a, IntUnit)]
     if exterior is not None:
         meta["exterior"] = list(exterior) if isinstance(exterior, tuple) \
             else exterior
-    return WeightMultiset.from_values(_map(one, colorings), meta)
+    return WeightMultiset.from_values(weights, meta)
 
 
 def orbit_refined_multisets(diagram, quandle, flavor, omega, *, alpha=None,
@@ -313,28 +275,13 @@ def orbit_refined_multisets(diagram, quandle, flavor, omega, *, alpha=None,
     """The flavor multiset split by the tuple of component color orbits."""
     if flavor not in ("classical", "twisted", "link_twisted", "positive"):
         raise StructureError("orbit refinement applies to arc-coloring flavors")
-    coeff = omega.coeff
     orbit_map = orbits(quandle)
-    if flavor == "link_twisted":
-        alphas = [_as_scalar(coeff, a) for a in alphas]
-    if flavor == "twisted":
-        alpha = _as_scalar(coeff, alpha)
-    if check:
-        validate_cocycle(flavor, omega, alpha=alpha, alphas=alphas,
-                         orbit_map=orbit_map)
+    plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas,
+                 orbit_map=orbit_map)
     buckets = {}
     for coloring in enumerate_colorings(diagram, quandle):
         key = component_orbits(diagram, coloring, orbit_map)
-        if flavor == "classical":
-            w = weight_classical(diagram, coloring, omega, check=False)
-        elif flavor == "positive":
-            w = weight_positive(diagram, coloring, omega, check=False)
-        elif flavor == "twisted":
-            w = weight_twisted(diagram, coloring, omega, alpha, check=False)
-        else:
-            w = weight_link_twisted(diagram, coloring, omega, alphas,
-                                    orbit_map, check=False)
-        buckets.setdefault(key, []).append(w)
+        buckets.setdefault(key, []).append(plan(coloring))
     return {key: WeightMultiset.from_values(vals, {"flavor": flavor,
                                                    "orbits": list(key)})
             for key, vals in sorted(buckets.items())}

@@ -197,23 +197,6 @@ def test_corpus_verify():
     assert payload["passed"] and payload["checks"] > 20
 
 
-def test_thread_cap_does_not_change_output(files):
-    args = ("invariant", "--flavor", "shadow",
-            "--diagram", str(files["diagram"]),
-            "--quandle", str(files["quandle"]),
-            "--cocycle", str(files["cocycle"]), "--exterior", "0")
-    proc1 = subprocess.run([sys.executable, "-m", "qci.cli", *args],
-                           capture_output=True, text=True,
-                           env={"PYTHONPATH": str(REPO / "src"),
-                                "PATH": "/usr/bin:/bin", "QCI_THREADS": "1"})
-    proc4 = subprocess.run([sys.executable, "-m", "qci.cli", *args],
-                           capture_output=True, text=True,
-                           env={"PYTHONPATH": str(REPO / "src"),
-                                "PATH": "/usr/bin:/bin", "QCI_THREADS": "4"})
-    assert proc1.returncode == proc4.returncode == 0
-    assert proc1.stdout == proc4.stdout
-
-
 def test_shadow_over_symbolic_module_cli(files):
     # shadow flavor over the integer module: the cocycle file carries the
     # twisted table, the transport happens inside the command; exterior 0

@@ -3,8 +3,8 @@
 Every random diagram must satisfy the sphere Euler count, consistent index
 propagation, the quadrant ladder around each crossing, checkerboard
 adjacency, the coloring-count stability under rewrites, and the
-twisted/shadow weight identity.  Seeds are fixed; failures are
-reproducible.
+twisted/shadow and link-twisted/orbit-shadow weight identities.  Seeds
+are fixed; failures are reproducible.
 """
 
 import random
@@ -12,13 +12,15 @@ import random
 import pytest
 
 from qci.algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
-                         make_dihedral)
+                         OrbitShadowModule, make_dihedral, orbits)
 from qci.cohomology import DifferentialSpec, cocycle_basis, \
+    link_twisted_cocycle_basis, transport_link_twisted_to_shadow, \
     transport_twisted_to_shadow
 from qci.coloring import enumerate_colorings, propagate_shadow
 from qci.diagram import (Diagram, checkerboard, compute_indices,
                          crossing_geometry, r1_insert, r2_insert)
-from qci.invariants import positive_signs, weight_shadow, weight_twisted
+from qci.invariants import (positive_signs, weight_link_twisted,
+                            weight_shadow, weight_twisted)
 
 
 def braid_closure_records(word, strands):
@@ -149,3 +151,27 @@ def test_twisted_shadow_identity_on_random_diagrams(diagrams):
             ind = propagate_shadow(d, col, z, 0)
             assert weight_twisted(d, col, omega, alpha, check=False) == \
                 weight_shadow(d, ind, lazy, check=False)
+
+
+def test_link_twisted_orbit_shadow_identity_on_random_diagrams(diagrams):
+    # on the corpus links and most random ones every weight is the same
+    # whichever orbit's unit twists which component; this 2-component
+    # closure has colorings where the choice matters
+    records, exterior = braid_closure_records([1, -2, -1, -1, -2], 3)
+    q = make_dihedral(4)
+    A = CoeffGroup((5,))
+    om = orbits(q)
+    alphas = [IntUnit(A, 2), IntUnit(A, 3)]
+    basis = link_twisted_cocycle_basis(q, A, alphas, om)
+    orbit_mod = OrbitShadowModule(q, om)
+    for d in [Diagram(records, (), exterior)] + diagrams:
+        if d.n_components < 2:
+            continue
+        cols = enumerate_colorings(d, q)
+        for omega in basis:
+            lazy = transport_link_twisted_to_shadow(omega, alphas, om)
+            for col in cols:
+                sh = propagate_shadow(d, col, orbit_mod, orbit_mod.zero())
+                assert weight_link_twisted(d, col, omega, alphas, om,
+                                           check=False) == \
+                    weight_shadow(d, sh, lazy, check=False)

@@ -6,15 +6,17 @@ import pytest
 
 from qci import corpus
 from qci.algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
-                         OrbitShadowModule, ShiftUnit, make_dihedral,
-                         make_trivial, orbits, quandle_as_module,
-                         trivial_module, Quandle)
+                         OrbitShadowModule, ProductModule, ShiftUnit,
+                         make_dihedral, make_trivial, orbits,
+                         quandle_as_module, trivial_module, Quandle)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             differential, link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
+                            shadow_twisted_product_cochain,
                             transport_link_twisted_to_shadow,
                             transport_twisted_to_shadow, zero_cochain)
-from qci.coloring import act, enumerate_colorings, propagate_shadow
+from qci.coloring import (ShadowColoring, act, enumerate_colorings,
+                          propagate_shadow)
 from qci.diagram import compute_indices, crossing_geometry
 from qci.invariants import (CocycleError, WeightMultiset, invariant_multiset,
                             orbit_refined_multisets, positive_signs,
@@ -163,6 +165,34 @@ def test_shadow_twisted_reductions():
             sh = propagate_shadow(d, col, triv, 0)
             assert weight_shadow_twisted(d, sh, lifted, 2, check=False) == \
                 weight_twisted(d, col, omega, 2, check=False)
+
+
+def test_shadow_twisted_equals_shadow_over_product_module():
+    # twisting a shadow cocycle is the plain shadow weight over M x Z, the
+    # region colors paired with their total region index
+    A = CoeffGroup((5,))
+    alpha = IntUnit(A, 2)
+    for q in (make_dihedral(3), make_dihedral(4)):
+        mod = quandle_as_module(q)
+        product = ProductModule(mod, IntegerShadowModule(q))
+        basis = cocycle_basis(DifferentialSpec.twisted(A, 2), q, mod, A, 2)
+        assert basis
+        lifted = [shadow_twisted_product_cochain(omega, alpha, product)
+                  for omega in basis[:3]]
+        for name in corpus.names():
+            d = corpus.load(name)
+            totals = compute_indices(d).totals
+            for col in enumerate_colorings(d, q):
+                sh = propagate_shadow(d, col, mod, 1)
+                paired = ShadowColoring(
+                    arcs=sh.arcs, module=product,
+                    regions=tuple((m, totals[r])
+                                  for r, m in enumerate(sh.regions)))
+                assert paired == propagate_shadow(d, col, product, (1, 0))
+                for omega, lift in zip(basis, lifted):
+                    assert weight_shadow(d, paired, lift, check=False) == \
+                        weight_shadow_twisted(d, sh, omega, alpha,
+                                              check=False)
 
 
 def test_link_twisted_reductions_and_transport():
@@ -450,3 +480,34 @@ def test_positive_weights_have_order_two_with_central_element():
                 nonzero |= v != A.zero()
                 assert A.scale(2, v) == A.zero()
     assert nonzero
+
+
+def test_multiset_compiles_the_diagram_once(monkeypatch):
+    import qci.invariants as inv
+    calls = {}
+    for name in ("crossing_geometry", "compute_indices", "checkerboard"):
+        def counted(*args, _orig=getattr(inv, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args)
+        monkeypatch.setattr(inv, name, counted)
+    q = make_dihedral(4)
+    A = CoeffGroup((5,))
+    d = corpus.load("link_r3a")
+    assert len(enumerate_colorings(d, q)) >= 8
+    omega = zero_cochain(q, None, A, 2)
+    shadow_omega = zero_cochain(q, quandle_as_module(q), A, 2)
+    units = {"twisted": {"alpha": 2}, "link_twisted": {"alphas": [2, 3]},
+             "shadow": {"exterior": 0},
+             "shadow_twisted": {"alpha": 2, "exterior": 0}}
+    for flavor in ("classical", "shadow", "positive", "twisted",
+                   "shadow_twisted", "link_twisted"):
+        w = shadow_omega if flavor.startswith("shadow") else omega
+        calls.clear()
+        invariant_multiset(d, q, flavor, w, **units.get(flavor, {}))
+        assert calls["crossing_geometry"] == 1
+        assert all(c == 1 for c in calls.values()), (flavor, calls)
+        if not flavor.startswith("shadow"):
+            calls.clear()
+            orbit_refined_multisets(d, q, flavor, w, **units.get(flavor, {}))
+            assert calls["crossing_geometry"] == 1
+            assert all(c == 1 for c in calls.values()), (flavor, calls)
