@@ -125,11 +125,7 @@ def validate_shadow(diagram, quandle, shadow):
 def propagate_shadow(diagram, arc_colors, module, exterior_color):
     """The unique region coloring extending arc_colors with the given
     exterior color; every adjacency is verified on the way out."""
-    steps = diagram.region_steps()
-    adj = {}
-    for frm, to, arc, _comp in steps:
-        adj.setdefault(frm, []).append((to, arc, True))
-        adj.setdefault(to, []).append((frm, arc, False))
+    adj = diagram.region_adjacency
     regions = {diagram.exterior_region: exterior_color}
     frontier = [diagram.exterior_region]
     while frontier:
@@ -151,7 +147,7 @@ def propagate_shadow(diagram, arc_colors, module, exterior_color):
                             regions=tuple(regions[r]
                                           for r in range(diagram.n_regions)),
                             module=module)
-    for frm, to, arc, _comp in steps:
+    for frm, to, arc, _comp in diagram.region_steps():
         if module.act(shadow.regions[frm], shadow.arcs[arc]) != shadow.regions[to]:
             raise StructureError("inconsistent region propagation")
     return shadow

@@ -285,6 +285,13 @@ class Diagram:
             else:
                 steps.append((disk, ext, self._loop_arc[j], self._loop_component[j]))
         self._region_steps = tuple(steps)
+        # region -> ((neighbour, arc, forward), ...): the undirected view
+        # of the steps that shadow colorings propagate along
+        adj = {}
+        for frm, to, arc, _comp in steps:
+            adj.setdefault(frm, []).append((to, arc, True))
+            adj.setdefault(to, []).append((frm, arc, False))
+        self.region_adjacency = {r: tuple(nbrs) for r, nbrs in adj.items()}
 
     # -- queries -----------------------------------------------------------
 

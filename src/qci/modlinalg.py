@@ -3,9 +3,12 @@
 Matrices are plain lists of int rows.  Over a composite modulus, ordinary
 row echelon is not enough: the Howell form is the canonical strong echelon
 form whose rows generate every span vector supported on a coordinate
-suffix, which is exactly what kernel extraction and membership tests need.
-Integer Hermite and Smith forms cover lattice quotients (invariant factors
-of cohomology groups).
+suffix, which is exactly what kernel extraction, membership tests and
+coordinates need.  Quotients over Z/n (invariant factors of cohomology
+groups) present the kernel span on its Howell rows and take a Smith form
+whose entries are reduced mod n after every step, so no integer grows past
+about n^2.  Integer Hermite forms and the unreduced Smith form serve only
+the quotients over Z.
 
 Everything here is written for desk-scale matrices (a few hundred rows);
 clarity and exactness win over speed.
@@ -109,32 +112,37 @@ def howell(rows, n, width=None):
     return basis
 
 
-def howell_member(basis, v, n):
-    """True iff v lies in the Z/n span described by a Howell basis."""
+def _howell_coords(basis, v, n):
+    """Coefficients of v over the rows of a Howell basis, or None when v
+    lies outside their Z/n span."""
     v = [x % n for x in v]
+    coords = []
     for row in basis:
         j = _first_nonzero(row)
-        if v[j] % row[j] == 0:
-            q = v[j] // row[j]
-            v = [(a - q * b) % n for a, b in zip(v, row)]
-    return not any(v)
+        q, rem = divmod(v[j], row[j])
+        if rem:
+            return None
+        coords.append(q)
+        v = [(a - q * b) % n for a, b in zip(v, row)]
+    return None if any(v) else coords
+
+
+def howell_member(basis, v, n):
+    """True iff v lies in the Z/n span described by a Howell basis."""
+    return _howell_coords(basis, v, n) is not None
+
+
+def _augmented(rows, ncols):
+    """[M^T | I]: Howell/Hermite forms of it expose the kernel of M."""
+    return [[r[c] for r in rows] + [int(k == c) for k in range(ncols)]
+            for c in range(ncols)]
 
 
 def kernel_mod(rows, ncols, n):
     """Basis of {x in (Z/n)^ncols : M x == 0} for the matrix with `rows`."""
     nr = len(rows)
-    aug = []
-    for c in range(ncols):
-        row = [rows[r][c] for r in range(nr)] + [0] * ncols
-        row[nr + c] = 1
-        aug.append(row)
-    basis = howell(aug, n, width=nr + ncols)
-    out = []
-    for row in basis:
-        if any(row[:nr]):
-            continue
-        out.append(row[nr:])
-    return out
+    basis = howell(_augmented(rows, ncols), n, width=nr + ncols)
+    return [row[nr:] for row in basis if not any(row[:nr])]
 
 
 def hnf(rows, width=None):
@@ -204,106 +212,97 @@ def solve_in_hnf(basis, v):
 def kernel_int(rows, ncols):
     """Basis of the integer kernel {x in Z^ncols : M x == 0}."""
     nr = len(rows)
-    aug = []
-    for c in range(ncols):
-        row = [rows[r][c] for r in range(nr)] + [0] * ncols
-        row[nr + c] = 1
-        aug.append(row)
-    basis = hnf(aug, width=nr + ncols)
+    basis = hnf(_augmented(rows, ncols), width=nr + ncols)
     return [row[nr:] for row in basis if not any(row[:nr])]
 
 
-def snf_diagonal(rows, width=None):
-    """Diagonal of the Smith normal form (nonneg, divisibility chain)."""
+def _mod(row, n):
+    """The row reduced mod n; over Z (n == 0) the row itself."""
+    return [v % n for v in row] if n else row
+
+
+def _clear_first_column(a, n):
+    """Unimodular row operations zeroing a[i][0] for i > 0; True if the
+    pivot a[0][0] changed on the way (entries reduced mod n when n > 0)."""
+    changed = False
+    for i in range(1, len(a)):
+        p, b = a[0][0], a[i][0]
+        if not b:
+            continue
+        if b % p == 0:
+            a[i] = _mod([v - (b // p) * u for u, v in zip(a[0], a[i])], n)
+        else:
+            g, x, y = xgcd(p, b)
+            a[0], a[i] = (_mod([x * u + y * v for u, v in zip(a[0], a[i])], n),
+                          _mod([(p // g) * v - (b // g) * u
+                                for u, v in zip(a[0], a[i])], n))
+            changed = True
+    return changed
+
+
+def snf_diagonal(rows, width=None, n=0):
+    """Diagonal of the Smith normal form (nonneg, divisibility chain).
+
+    With n > 0 the matrix is read over Z/n: entries are reduced mod n after
+    every step and each diagonal entry d is reported as gcd(d, n), its
+    associate dividing n.  Columns left without a pivot are not reported.
+    """
     if width is None:
         width = max((len(r) for r in rows), default=0)
-    a = [list(r) + [0] * (width - len(r)) for r in rows]
+    a = [_mod(list(r) + [0] * (width - len(r)), n) for r in rows]
     diag = []
-    top = 0
-    ncols = width
-    col0 = 0
     while True:
-        entries = [(abs(a[i][j]), i, j)
-                   for i in range(top, len(a))
-                   for j in range(col0, ncols) if a[i][j]]
+        entries = [(abs(v), i, j) for i, r in enumerate(a)
+                   for j, v in enumerate(r) if v]
         if not entries:
-            break
+            return diag
         _, pi, pj = min(entries)
-        a[top], a[pi] = a[pi], a[top]
+        a[0], a[pi] = a[pi], a[0]
         for r in a:
-            r[col0], r[pj] = r[pj], r[col0]
-        # clear column and row below/right of the pivot
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(top + 1, len(a)):
-                b = a[i][col0]
-                if not b:
-                    continue
-                p = a[top][col0]
-                if b % p == 0:
-                    q = b // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                else:
-                    g, x, y = xgcd(p, b)
-                    newt = [x * u + y * v for u, v in zip(a[top], a[i])]
-                    a[i] = [(p // g) * v - (b // g) * u
-                            for u, v in zip(a[top], a[i])]
-                    a[top] = newt
-                    dirty = True
-            for j in range(col0 + 1, ncols):
-                b = a[top][j]
-                if not b:
-                    continue
-                p = a[top][col0]
-                if b % p == 0:
-                    q = b // p
-                    for r in a:
-                        r[j] -= q * r[col0]
-                else:
-                    g, x, y = xgcd(p, b)
-                    for r in a:
-                        u, v = r[col0], r[j]
-                        r[col0] = x * u + y * v
-                        r[j] = (p // g) * v - (b // g) * u
-                    dirty = True
-        # enforce divisibility: pivot must divide every remaining entry
-        p = abs(a[top][col0])
-        offender = None
-        for i in range(top + 1, len(a)):
-            for j in range(col0 + 1, ncols):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
+            r[0], r[pj] = r[pj], r[0]
+        # clear the pivot's column, then (transposed) its row, until stable
+        while True:
+            dirty = _clear_first_column(a, n)
+            a = [list(c) for c in zip(*a)]
+            dirty = _clear_first_column(a, n) or dirty
+            a = [list(c) for c in zip(*a)]
+            if not dirty:
                 break
+        # enforce divisibility: the pivot must divide every remaining entry
+        p = gcd(a[0][0], n)
+        offender = next((r for r in a[1:] if any(v % p for v in r[1:])), None)
         if offender is not None:
-            a[top] = [x + y for x, y in zip(a[top], a[offender])]
+            a[0] = _mod([x + y for x, y in zip(a[0], offender)], n)
             continue
         diag.append(p)
-        top += 1
-        col0 += 1
-        if top >= len(a) or col0 >= ncols:
-            break
-    return diag
+        a = [r[1:] for r in a[1:]]
 
 
 def quotient_invariant_factors(ker_rows, im_rows, n, dim):
-    """Invariant factors (> 1) of (<ker> + nZ^dim) / (<im> + nZ^dim)."""
-    stack = [list(r) for r in ker_rows]
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = n
-        stack.append(e)
-    basis = hnf(stack, width=dim)
-    gens = [list(r) for r in im_rows]
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = n
-        gens.append(e)
-    coeffs = [solve_in_hnf(basis, g) for g in gens]
-    diag = snf_diagonal(coeffs, width=len(basis))
-    return [d for d in diag if d > 1]
+    """Invariant factors (> 1) of (<ker> + nZ^dim) / (<im> + nZ^dim).
+
+    Both lattices contain nZ^dim, so this is K/M inside (Z/n)^dim and all
+    of it is done mod n.  K is presented on the rows h_j of its Howell
+    basis.  With p_j the pivot of h_j, (n/p_j)*h_j vanishes up to its pivot
+    column, so the strong echelon property puts it in the span of the later
+    rows; these annihilator syzygies generate every relation among the h_j.
+    Each image generator adds its own coordinates as one more relation.
+    """
+    basis = howell(ker_rows, n, dim)
+    rels = []
+    for j, row in enumerate(basis):
+        t = n // row[_first_nonzero(row)]
+        if t < n:   # a unit pivot's syzygy is zero
+            syz = _howell_coords(basis, [t * v for v in row], n)
+            syz[j] -= t
+            rels.append(syz)
+    for g in im_rows:
+        coords = _howell_coords(basis, g, n)
+        if coords is None:
+            raise ValueError("image vector outside the kernel span")
+        rels.append(coords)
+    diag = snf_diagonal(rels, len(basis), n)
+    return [d for d in diag + [n] * (len(basis) - len(diag)) if d > 1]
 
 
 def quotient_over_int(ker_rows, im_rows, dim):

@@ -31,6 +31,53 @@ def rref_rank_mod_p(rows, p):
     return rank
 
 
+def brute_span(rows, n, width):
+    """Every Z/n combination of the rows, the slow way."""
+    seen = {tuple([0] * width)}
+    frontier = [tuple([0] * width)]
+    while frontier:
+        v = frontier.pop()
+        for r in rows:
+            w = tuple((a + b) % n for a, b in zip(v, r))
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def brute_invariant_factors(ker, im, n, dim):
+    """Invariant factors (> 1) of span(ker)/span(im) inside (Z/n)^dim.
+
+    Both spans are enumerated as sets.  For the quotient G and each prime
+    power p^i, |G[p^i]| (elements killed by p^i) is counted from the
+    spans; the number of cyclic factors of p-exponent >= i is
+    log_p(|G[p^i]| / |G[p^(i-1)]|), and the chain is assembled from those.
+    """
+    K, M = brute_span(ker, n, dim), brute_span(im, n, dim)
+    if not M <= K:
+        raise ValueError("im does not lie in the span of ker")
+
+    def killed_by(k):   # |G[k]|: cosets x + M with k*x in M
+        return sum(tuple(k * a % n for a in x) in M for x in K) // len(M)
+
+    factors = {}          # j -> product of p^(exponent of j-th factor)
+    for p in range(2, n + 1):
+        if n % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        prev, i = 1, 1
+        while True:
+            cur = killed_by(p ** i)
+            count = 0
+            while prev * p ** (count + 1) <= cur:
+                count += 1
+            if count == 0:
+                break
+            for j in range(count):
+                factors[j] = factors.get(j, 1) * p
+            prev, i = cur, i + 1
+    return sorted(factors.values())
+
+
 def classical_condition_holds(op, vals, n, modulus):
     """Direct check of the classical degree-2 conditions on a flat table.
 

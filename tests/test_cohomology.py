@@ -5,10 +5,11 @@ from itertools import product
 
 import pytest
 
+from qci import modlinalg
 from qci.algebra import (CoeffGroup, IntegerShadowModule, IntUnit,
                          ShiftUnit, UnsupportedCarrierError,
-                         cyclic_shadow_module, make_dihedral, make_trivial,
-                         orbits, quandle_as_module)
+                         cyclic_shadow_module, make_alexander, make_dihedral,
+                         make_trivial, orbits, quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec, LazyCochain,
                             cohomology_basis, d_left, d_right, differential,
                             is_cocycle, is_in_span,
@@ -401,6 +402,58 @@ def test_known_cohomology_groups_dihedral3():
     sh = cohomology_basis(spec, q, quandle_as_module(q), A, 2)
     assert (len(sh.cocycles), len(sh.coboundaries)) == (7, 6)
     assert sh.torsion == [3] and sh.free_rank == 0
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_mochizuki_degree3_anchor(p):
+    """H^3_Q(R_p; Z/p) = Z/p (Mochizuki, J. Pure Appl. Algebra 179, 2003).
+
+    The cocycle and coboundary counts are checked against ranks from the
+    independent dense row reduction.  D7 takes about 6 s on a 2-CPU
+    machine, almost all of it in kernel_mod and in the rank oracle.
+    """
+    from qci.cohomology import _differential_rows, _degenerate_rows
+    q = make_dihedral(p)
+    A = CoeffGroup((p,))
+    spec = DifferentialSpec.quandle(A)
+    basis = cohomology_basis(spec, q, None, A, 3)
+    assert basis.torsion == [p] and basis.free_rank == 0
+    rows = _differential_rows(spec, q, None, A, 3)
+    rows += _degenerate_rows(q, None, A, 3)
+    assert len(basis.cocycles) == p ** 3 - rref_rank_mod_p(rows, p)
+    # coboundaries: the degree-2 differential on non-degenerate cochains
+    rows2 = _differential_rows(spec, q, None, A, 2)
+    image = [[r[c] for r in rows2] for c in range(p * p) if c // p != c % p]
+    assert len(basis.coboundaries) == rref_rank_mod_p(image, p)
+    assert len(basis.cocycles) - len(basis.coboundaries) == 1
+
+
+def test_quotients_over_z_n_stay_bounded(monkeypatch):
+    # the integer Hermite route once grew xgcd operands past 600,000 bits
+    # on these two; over Z/n every operand stays below n^2 and no Hermite
+    # form is taken
+    xgcd = modlinalg.xgcd
+    bound = {}
+
+    def recorded(a, b):
+        assert abs(a) < bound["n"] ** 2 and abs(b) < bound["n"] ** 2, (a, b)
+        return xgcd(a, b)
+
+    def no_hnf(*args, **kwargs):
+        raise AssertionError("Hermite form taken on a Z/n path")
+
+    monkeypatch.setattr(modlinalg, "xgcd", recorded)
+    monkeypatch.setattr(modlinalg, "hnf", no_hnf)
+    monkeypatch.setattr(modlinalg, "solve_in_hnf", no_hnf)
+    d5, a83 = make_dihedral(5), make_alexander(8, 3)
+    for q, module, n, degree, torsion in (
+            (d5, None, 5, 3, [5]),
+            (a83, cyclic_shadow_module(a83, 2), 4, 2, [2, 4, 4, 4, 4, 4])):
+        bound["n"] = n
+        A = CoeffGroup((n,))
+        basis = cohomology_basis(DifferentialSpec.quandle(A), q, module, A,
+                                 degree)
+        assert basis.torsion == torsion
 
 
 def test_cochain_json_accepts_plain_ints():

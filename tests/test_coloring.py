@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from itertools import product
 
 import pytest
 
@@ -79,6 +80,26 @@ def test_integer_shadow_reproduces_indices():
         for col in enumerate_colorings(d, q):
             s = propagate_shadow(d, col, z, 0)
             assert s.regions == idx.totals
+
+
+def test_propagation_rejects_non_colorings():
+    # the region adjacency is built once per diagram; propagating along it
+    # still catches every arc coloring that is not a quandle coloring
+    q = make_dihedral(3)
+    d = corpus.load("trefoil")
+    want = {}
+    for frm, to, arc, _comp in d.region_steps():
+        want.setdefault(frm, set()).add((to, arc, True))
+        want.setdefault(to, set()).add((frm, arc, False))
+    assert {r: set(v) for r, v in d.region_adjacency.items()} == want
+    good = set(enumerate_colorings(d, q))
+    m = quandle_as_module(q)
+    for col in product(range(3), repeat=d.n_arcs):
+        if col in good:
+            propagate_shadow(d, col, m, 0)
+        else:
+            with pytest.raises(StructureError, match="inconsistent"):
+                propagate_shadow(d, col, m, 0)
 
 
 def test_one_element_module_constant():

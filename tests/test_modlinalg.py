@@ -6,20 +6,7 @@ from itertools import product
 import pytest
 
 from qci import modlinalg as ml
-
-
-def brute_span(rows, n, width):
-    """Every Z/n combination of the rows, the slow way."""
-    seen = {tuple([0] * width)}
-    frontier = [tuple([0] * width)]
-    while frontier:
-        v = frontier.pop()
-        for r in rows:
-            w = tuple((a + b) % n for a, b in zip(v, r))
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
+from tests.oracle_utils import brute_invariant_factors, brute_span
 
 
 def test_xgcd():
@@ -113,6 +100,45 @@ def test_quotient_invariant_factors():
     assert ml.quotient_invariant_factors([[1]], [[1]], 6, 1) == []
     # <2> / <4> inside Z_8 is Z_2
     assert ml.quotient_invariant_factors([[2]], [[4]], 8, 1) == [2]
+    # Z_6^2 / <(2,0), (0,3)> = Z_3 x Z_2 = Z_6: the mod-6 Smith form has to
+    # merge the non-chained diagonal 2, 3
+    assert ml.snf_diagonal([[2, 0], [0, 3]], 2, 6) == [1]
+    assert ml.quotient_invariant_factors(
+        [[1, 0], [0, 1]], [[2, 0], [0, 3]], 6, 2) == [6]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
+def test_quotient_invariant_factors_match_bruteforce(n):
+    # 6 and 12 have ideals that are not a chain (<2> and <3>)
+    rng = random.Random(300 + n)
+
+    def combos(rows, dim, count):
+        out = []
+        for _ in range(count):
+            v = [0] * dim
+            for r in rows:
+                q = rng.randrange(n)
+                v = [(a + q * b) % n for a, b in zip(v, r)]
+            out.append(v)
+        return out
+
+    for trial in range(12):
+        dim = rng.randrange(1, 4)
+        ker = [[rng.randrange(n) for _ in range(dim)]
+               for _ in range(rng.randrange(1, 4))]
+        if trial % 4 == 0:
+            im = []
+        elif trial % 4 == 1:
+            im = [list(r) for r in ker]
+        else:
+            im = combos(ker, dim, rng.randrange(1, 3))
+        want = brute_invariant_factors(ker, im, n, dim)
+        assert ml.quotient_invariant_factors(ker, im, n, dim) == want
+        # cohomology passes the image as its Howell basis
+        assert ml.quotient_invariant_factors(
+            ker, ml.howell(im, n, dim), n, dim) == want
+    # the unit vectors with an empty image: the whole of (Z/n)^dim
+    assert brute_invariant_factors([[1, 0], [0, 1]], [], n, 2) == [n, n]
 
 
 def test_quotient_over_int():
