@@ -10,6 +10,14 @@ Shadow cochains over the symbolic integer module cannot be tabulated, so
 they are wrapped lazily and cocycle conditions are checked on a window of
 region colors; invertibility of the unit makes a single value sufficient,
 the window is defensive.
+
+Cohomology is computed on flattened (index, coordinate) vectors.  The
+coefficient group splits into pieces (_blocks): one piece of all
+coordinates when the moduli agree, else one piece per coordinate.  Each
+piece is solved over its own ring through modlinalg's kernel, span_basis,
+in_span and quotient, and the answers are summed.  Cocycles are the kernel
+of the differential matrix; coboundaries are spanned by the columns of the
+matrix one degree down.
 """
 
 from dataclasses import dataclass
@@ -91,14 +99,7 @@ class Cochain:
 
     def domain(self):
         """All (m, args) pairs in table order."""
-        n = self.quandle.n
-        mods = range(_mod_size(self.module))
-        args_space = [()]
-        for _ in range(self.degree):
-            args_space = [t + (a,) for t in args_space for a in range(n)]
-        for m in mods:
-            for args in args_space:
-                yield m, args
+        return _domain(self.quandle, self.module, self.degree)
 
     def is_zero(self):
         zero = self.coeff.zero()
@@ -422,12 +423,13 @@ def _flat_dim(quandle, module, degree, d):
     return _mod_size(module) * quandle.n ** degree * d
 
 
-def _flat_index(quandle, module, degree, d, m, args, coord):
+def _flat_index(quandle, module, m, args):
+    """Table position of (m, args); its d coordinates start at d times it."""
     n = quandle.n
     idx = m if module is not None else 0
     for a in args:
         idx = idx * n + a
-    return idx * d + coord
+    return idx
 
 
 def _vector_to_cochain(quandle, module, coeff, degree, vec):
@@ -441,35 +443,35 @@ def _cochain_to_vector(phi):
     return [x for v in phi.values for x in v]
 
 
+def _add_block(block_rows, mat, sign, base):
+    """Add sign * mat to the d equations of one output value, in the d
+    columns of the input value whose first flattened column is base."""
+    for row, mrow in zip(block_rows, mat):
+        for cj, x in enumerate(mrow):
+            if x:
+                row[base + cj] += sign * x
+
+
 def _differential_rows(spec, quandle, module, coeff, degree):
     """Integer matrix of the spec differential C^degree -> C^{degree+1},
     acting on flattened (index, coordinate) vectors."""
-    n = quandle.n
     d = coeff.d
     in_dim = _flat_dim(quandle, module, degree, d)
     ml = spec.alpha_l.int_matrix()
     mr = spec.alpha_r.int_matrix()
+
+    def col(mm, aa):
+        return d * _flat_index(quandle, module, mm, aa)
+
     rows = []
-    out = zero_cochain(quandle, module, coeff, degree + 1)
-    for m, args in out.domain():
+    for m, args in _domain(quandle, module, degree + 1):
         block_rows = [[0] * in_dim for _ in range(d)]
-
-        def add_block(mat, sign, mm, aa):
-            for ci in range(d):
-                for cj in range(d):
-                    if mat[ci][cj]:
-                        j = _flat_index(quandle, module, degree, d, mm, aa, cj)
-                        block_rows[ci][j] += sign * mat[ci][cj]
-
-        k1 = len(args)
-        for i in range(1, k1 + 1):
+        for i in range(1, len(args) + 1):
             sign = 1 if i % 2 else -1
             ai = args[i - 1]
-            lm = _act(module, m, ai)
             largs = tuple(quandle.apply(args[j], ai) for j in range(i - 1)) + args[i:]
-            add_block(ml, sign, lm, largs)
-            rargs = args[:i - 1] + args[i:]
-            add_block(mr, -sign, m, rargs)
+            _add_block(block_rows, ml, sign, col(_act(module, m, ai), largs))
+            _add_block(block_rows, mr, -sign, col(m, args[:i - 1] + args[i:]))
         rows.extend(block_rows)
     return rows
 
@@ -479,60 +481,60 @@ def _degenerate_rows(quandle, module, coeff, degree):
     d = coeff.d
     in_dim = _flat_dim(quandle, module, degree, d)
     rows = []
-    probe = zero_cochain(quandle, module, coeff, degree)
-    for m, args in probe.domain():
+    for i, (m, args) in enumerate(_domain(quandle, module, degree)):
         if _degenerate_args(args):
             for c in range(d):
                 row = [0] * in_dim
-                row[_flat_index(quandle, module, degree, d, m, args, c)] = 1
+                row[i * d + c] = 1
                 rows.append(row)
     return rows
 
 
-def _split_by_modulus(coeff):
-    """Groups of coordinate indices sharing a modulus requirement."""
-    return list(enumerate(coeff.moduli))
+def _blocks(coeff):
+    """The (coordinates, modulus) pieces that the linear algebra solves apart.
 
-
-def _kernel_vectors(rows, dim, coeff, uniform_ok=True):
-    """Kernel of integer rows acting on Z_{n_1} x ... vectors (flattened).
-
-    When the moduli are uniform the system is solved in one piece (this is
-    what coordinate-mixing shift units need); otherwise coordinate blocks
-    are solved separately, which is valid exactly when rows never mix
-    coordinates with different moduli.
+    Uniform moduli make one piece of all coordinates, which is what
+    coordinate-mixing shift units need; mixed moduli make one piece per
+    coordinate, valid exactly when no equation mixes coordinates.
     """
-    mods = set(coeff.moduli)
-    if len(mods) == 1:
-        n = coeff.moduli[0]
-        if n == 0:
-            return modlinalg.kernel_int(rows, dim)
-        return modlinalg.kernel_mod([[v % n for v in r] for r in rows], dim, n)
-    # mixed moduli: solve per coordinate class
+    if len(set(coeff.moduli)) == 1:
+        return [(tuple(range(coeff.d)), coeff.moduli[0])]
+    return [((c,), n) for c, n in enumerate(coeff.moduli)]
+
+
+def _restrict(vec, coords, d):
+    """The entries of a flattened vector on a piece's coordinates.  Applied
+    to a system whose rows come in blocks of d (one equation per output
+    coordinate) it picks the piece's equations.  A piece of all
+    coordinates gets the vector itself, uncopied."""
+    if len(coords) == d:
+        return vec
+    return [vec[i + c] for i in range(0, len(vec), d) for c in coords]
+
+
+def _extend(vec, coords, d):
+    """Inverse of _restrict: zeros on the coordinates outside the piece."""
+    if len(coords) == d:
+        return vec
+    out = [0] * (len(vec) // len(coords) * d)
+    for k, x in enumerate(vec):
+        i, c = divmod(k, len(coords))
+        out[i * d + coords[c]] = x
+    return out
+
+
+def _kernel_vectors(rows, dim, coeff):
+    """Kernel of integer rows acting on Z_{n_1} x ... vectors (flattened),
+    solved piece by piece; rows come in blocks of d, one per coordinate."""
     d = coeff.d
-    base = dim // d
     out = []
-    for coord, n in _split_by_modulus(coeff):
-        sub_rows = []
-        for r_i in range(0, len(rows), d):
-            row = rows[r_i + coord]
-            sub = [row[j * d + coord] for j in range(base)]
-            for j in range(base):
-                for c2 in range(d):
-                    if c2 != coord and rows[r_i + coord][j * d + c2]:
-                        raise StructureError(
-                            "mixed-modulus system with coordinate mixing")
-            sub_rows.append(sub)
-        if n == 0:
-            vecs = modlinalg.kernel_int(sub_rows, base)
-        else:
-            vecs = modlinalg.kernel_mod([[v % n for v in r] for r in sub_rows],
-                                        base, n)
-        for v in vecs:
-            big = [0] * dim
-            for j, x in enumerate(v):
-                big[j * d + coord] = x
-            out.append(big)
+    for coords, n in _blocks(coeff):
+        equations = _restrict(rows, coords, d)
+        piece = [_restrict(r, coords, d) for r in equations]
+        if any(_extend(p, coords, d) != r for p, r in zip(piece, equations)):
+            raise StructureError("mixed-modulus system with coordinate mixing")
+        out += [_extend(v, coords, d)
+                for v in modlinalg.kernel(piece, dim // d * len(coords), n)]
     return out
 
 
@@ -597,61 +599,31 @@ def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
     dim = _flat_dim(quandle, module, degree, d)
     rows = _differential_rows(spec, quandle, module, coeff, degree)
     if quandle_flag:
-        rows = rows + _degenerate_rows(quandle, module, coeff, degree)
+        rows += _degenerate_rows(quandle, module, coeff, degree)
     kernel = _kernel_vectors(rows, dim, coeff)
     cocycles = [_vector_to_cochain(quandle, module, coeff, degree, v)
                 for v in kernel]
 
-    # image of the previous differential
-    lower = degree - 1
-    image_rows = []
-    probe = zero_cochain(quandle, module, coeff, lower)
-    for m, args in _domain(quandle, module, lower):
-        if quandle_flag and _degenerate_args(args):
-            continue
-        for c in range(d):
-            basis_vec = [coeff.zero()] * len(probe.values)
-            e = [0] * d
-            e[c] = 1
-            basis_vec[probe.index(m, args)] = tuple(e)
-            theta = Cochain(quandle, module, coeff, lower, basis_vec)
-            image_rows.append(_cochain_to_vector(differential(spec, theta)))
+    # the image of the previous differential is spanned by the columns of
+    # its matrix, less those of degenerate inputs when flagged
+    keep = [not (quandle_flag and _degenerate_args(args))
+            for _m, args in _domain(quandle, module, degree - 1)
+            for _c in range(d)]
+    rows = _differential_rows(spec, quandle, module, coeff, degree - 1)
+    image = [col for col, k in zip(zip(*rows), keep) if k]
 
-    mods = set(coeff.moduli)
     cob_vectors = []
     factor_lists = []
     free_rank = 0
-    if len(mods) == 1:
-        n = coeff.moduli[0]
-        if n == 0:
-            cob_basis = modlinalg.hnf(image_rows, width=dim)
-            cob_vectors = cob_basis
-            fr, tor = modlinalg.quotient_over_int(kernel, cob_basis, dim)
-            free_rank, factor_lists = fr, [tor]
-        else:
-            cob_vectors = modlinalg.howell(image_rows, n, width=dim)
-            factor_lists = [modlinalg.quotient_invariant_factors(
-                kernel, cob_vectors, n, dim)]
-    else:
-        base = dim // d
-        for coord, n in _split_by_modulus(coeff):
-            sub_img = [[r[j * d + coord] for j in range(base)] for r in image_rows]
-            sub_ker = [[v[j * d + coord] for j in range(base)] for v in kernel]
-            if n == 0:
-                cb = modlinalg.hnf(sub_img, width=base)
-                fr, tor = modlinalg.quotient_over_int(sub_ker, cb, base)
-                free_rank += fr
-                factor_lists.append(tor)
-            else:
-                cb = modlinalg.howell([[v % n for v in r] for r in sub_img],
-                                      n, width=base)
-                factor_lists.append(modlinalg.quotient_invariant_factors(
-                    sub_ker, cb, n, base))
-            for v in cb:
-                big = [0] * dim
-                for j, x in enumerate(v):
-                    big[j * d + coord] = x
-                cob_vectors.append(big)
+    for coords, n in _blocks(coeff):
+        width = dim // d * len(coords)
+        basis = modlinalg.span_basis([_restrict(g, coords, d) for g in image],
+                                     n, width)
+        fr, tor = modlinalg.quotient([_restrict(v, coords, d) for v in kernel],
+                                     basis, n, width)
+        free_rank += fr
+        factor_lists.append(tor)
+        cob_vectors += [_extend(v, coords, d) for v in basis]
 
     coboundaries = [_vector_to_cochain(quandle, module, coeff, degree, v)
                     for v in cob_vectors]
@@ -668,39 +640,15 @@ def cocycle_basis(spec, quandle, module, coeff, degree=2, quandle_flag=True):
 
 def is_in_span(basis_cochains, phi):
     """Membership of phi in the Z-span of dense cochains (same shape)."""
-    if not basis_cochains:
-        return phi.is_zero()
-    coeff = phi.coeff
-    mods = set(coeff.moduli)
+    d = phi.coeff.d
     rows = [_cochain_to_vector(b) for b in basis_cochains]
     target = _cochain_to_vector(phi)
-    if len(mods) == 1 and coeff.moduli[0] != 0:
-        n = coeff.moduli[0]
-        hb = modlinalg.howell(rows, n, width=len(target))
-        return modlinalg.howell_member(hb, target, n)
-    if len(mods) == 1:
-        hb = modlinalg.hnf(rows, width=len(target))
-        try:
-            modlinalg.solve_in_hnf(hb, target)
-            return True
-        except ValueError:
+    for coords, n in _blocks(phi.coeff):
+        t = _restrict(target, coords, d)
+        basis = modlinalg.span_basis([_restrict(r, coords, d) for r in rows],
+                                     n, len(t))
+        if not modlinalg.in_span(basis, t, n):
             return False
-    d = coeff.d
-    base = len(target) // d
-    for coord, n in _split_by_modulus(coeff):
-        sub_rows = [[r[j * d + coord] for j in range(base)] for r in rows]
-        sub_t = [target[j * d + coord] for j in range(base)]
-        if n == 0:
-            hb = modlinalg.hnf(sub_rows, width=base)
-            try:
-                modlinalg.solve_in_hnf(hb, sub_t)
-            except ValueError:
-                return False
-        else:
-            hb = modlinalg.howell([[v % n for v in r] for r in sub_rows],
-                                  n, width=base)
-            if not modlinalg.howell_member(hb, sub_t, n):
-                return False
     return True
 
 
@@ -713,33 +661,23 @@ def link_twisted_cocycle_basis(quandle, coeff, alphas, orbit_map):
     inv_mats = {o: alphas[o].int_matrix(-1) for o in range(orbit_map.count)}
     ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
 
-    def idx(a, b, c):
-        return (a * n + b) * d + c
+    def col(a, b):
+        return (a * n + b) * d
 
     rows = []
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 block_rows = [[0] * dim for _ in range(d)]
-
-                def add(mat, sign, aa, bb):
-                    for ci in range(d):
-                        for cj in range(d):
-                            if mat[ci][cj]:
-                                block_rows[ci][idx(aa, bb, cj)] += sign * mat[ci][cj]
-
-                add(inv_mats[orbit_map.of(c)], 1,
-                    quandle.apply(a, c), quandle.apply(b, c))
-                add(ident, -1, a, b)
-                add(inv_mats[orbit_map.of(b)], -1, quandle.apply(a, b), c)
-                add(ident, 1, a, c)
-                add(inv_mats[orbit_map.of(a)], 1, b, c)
-                add(ident, -1, b, c)
+                _add_block(block_rows, inv_mats[orbit_map.of(c)], 1,
+                           col(quandle.apply(a, c), quandle.apply(b, c)))
+                _add_block(block_rows, ident, -1, col(a, b))
+                _add_block(block_rows, inv_mats[orbit_map.of(b)], -1,
+                           col(quandle.apply(a, b), c))
+                _add_block(block_rows, ident, 1, col(a, c))
+                _add_block(block_rows, inv_mats[orbit_map.of(a)], 1, col(b, c))
+                _add_block(block_rows, ident, -1, col(b, c))
                 rows.extend(block_rows)
-    for a in range(n):
-        for c in range(d):
-            row = [0] * dim
-            row[idx(a, a, c)] = 1
-            rows.append(row)
+    rows += _degenerate_rows(quandle, None, coeff, 2)
     kernel = _kernel_vectors(rows, dim, coeff)
     return [_vector_to_cochain(quandle, None, coeff, 2, v) for v in kernel]

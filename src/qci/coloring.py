@@ -124,7 +124,9 @@ def validate_shadow(diagram, quandle, shadow):
 
 def propagate_shadow(diagram, arc_colors, module, exterior_color):
     """The unique region coloring extending arc_colors with the given
-    exterior color; every adjacency is verified on the way out."""
+    exterior color.  Every region is popped once and checks each of its
+    steps, forward ones included, so once all regions are reached every
+    adjacency has been verified."""
     adj = diagram.region_adjacency
     regions = {diagram.exterior_region: exterior_color}
     frontier = [diagram.exterior_region]
@@ -143,14 +145,10 @@ def propagate_shadow(diagram, arc_colors, module, exterior_color):
                 frontier.append(to)
     if len(regions) != diagram.n_regions:
         raise StructureError("region adjacency graph is disconnected")
-    shadow = ShadowColoring(arcs=tuple(arc_colors),
-                            regions=tuple(regions[r]
-                                          for r in range(diagram.n_regions)),
-                            module=module)
-    for frm, to, arc, _comp in diagram.region_steps():
-        if module.act(shadow.regions[frm], shadow.arcs[arc]) != shadow.regions[to]:
-            raise StructureError("inconsistent region propagation")
-    return shadow
+    return ShadowColoring(arcs=tuple(arc_colors),
+                          regions=tuple(regions[r]
+                                        for r in range(diagram.n_regions)),
+                          module=module)
 
 
 def act(diagram, quandle, shadow, c, sign=1):

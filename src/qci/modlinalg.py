@@ -10,6 +10,10 @@ whose entries are reduced mod n after every step, so no integer grows past
 about n^2.  Integer Hermite forms and the unreduced Smith form serve only
 the quotients over Z.
 
+Callers pick no route: `kernel`, `span_basis`, `in_span` and `quotient`
+take the modulus n, with n == 0 meaning Z, and choose between the Howell
+(Z/n) and Hermite (Z) machinery themselves.
+
 Everything here is written for desk-scale matrices (a few hundred rows);
 clarity and exactness win over speed.
 """
@@ -316,3 +320,34 @@ def quotient_over_int(ker_rows, im_rows, dim):
     diag = snf_diagonal(coeffs, width=len(basis))
     nz = [d for d in diag if d]
     return len(basis) - len(nz), [d for d in nz if d > 1]
+
+
+# -- the four ring entry points: n > 0 works in Z/n, n == 0 in Z ------------
+
+def kernel(rows, ncols, n):
+    """Basis of the kernel of the matrix with `rows`, over Z/n or Z."""
+    return kernel_mod(rows, ncols, n) if n else kernel_int(rows, ncols)
+
+
+def span_basis(rows, n, width):
+    """Canonical basis of the row span: Howell over Z/n, Hermite over Z."""
+    return howell(rows, n, width) if n else hnf(rows, width)
+
+
+def in_span(basis, v, n):
+    """True iff v lies in the span described by a span_basis result."""
+    if n:
+        return howell_member(basis, v, n)
+    try:
+        solve_in_hnf(basis, v)
+    except ValueError:
+        return False
+    return True
+
+
+def quotient(ker_rows, im_rows, n, dim):
+    """(free_rank, torsion factors > 1) of <ker>/<im> for image rows inside
+    the kernel span; over Z/n the quotient is finite and free_rank is 0."""
+    if n:
+        return 0, quotient_invariant_factors(ker_rows, im_rows, n, dim)
+    return quotient_over_int(ker_rows, im_rows, dim)

@@ -320,6 +320,21 @@ def test_cohomology_over_integers():
     assert len(basis.coboundaries) == 0
 
 
+def _prime_powers(factors):
+    """The elementary divisors of a direct sum of cyclic groups, sorted."""
+    out = []
+    for f in factors:
+        p = 2
+        while f > 1:
+            q = 1
+            while f % p == 0:
+                f, q = f // p, q * p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
 def test_mixed_moduli_cohomology():
     q = make_dihedral(3)
     A = CoeffGroup((2, 3))
@@ -329,6 +344,63 @@ def test_mixed_moduli_cohomology():
         assert is_cocycle(spec, c)
     for c in basis.coboundaries:
         assert is_cocycle(spec, c)
+    # H^2(R4; Z/2) = (Z/2)^4, H^2(R4; Z/3) = (Z/3)^2, H^2(R4; Z/4) =
+    # (Z/2)^2 + (Z/4)^2 and H^2(R4; Z) has free rank 2: every mixed group
+    # gives the direct sum of its single-modulus groups
+    q = make_dihedral(4)
+    for moduli in ((2, 3), (0, 4), (2, 4)):
+        A = CoeffGroup(moduli)
+        mixed = cohomology_basis(DifferentialSpec.quandle(A), q, None, A, 2)
+        parts = [cohomology_basis(DifferentialSpec.quandle(CoeffGroup((n,))),
+                                  q, None, CoeffGroup((n,)), 2)
+                 for n in moduli]
+        assert mixed.torsion
+        assert _prime_powers(mixed.torsion) == _prime_powers(
+            [f for p in parts for f in p.torsion])
+        assert mixed.free_rank == sum(p.free_rank for p in parts)
+        assert len(mixed.cocycles) == sum(len(p.cocycles) for p in parts)
+        assert len(mixed.coboundaries) == sum(len(p.coboundaries)
+                                              for p in parts)
+    # membership on Z x Z/4: a coboundary is in both spans, a cochain that
+    # is not a cocycle in neither
+    A = CoeffGroup((0, 4))
+    spec = DifferentialSpec.quandle(A)
+    basis = cohomology_basis(spec, q, None, A, 2)
+    rng = random.Random(23)
+    db = differential(spec, random_cochain(rng, q, None, A, 1))
+    assert not db.is_zero()
+    assert is_in_span(basis.coboundaries, db)
+    assert is_in_span(basis.cocycles, db)
+    phi = random_cochain(rng, q, None, A, 2)
+    assert not is_cocycle(spec, phi, quandle_flag=False)
+    assert not is_in_span(basis.cocycles, phi)
+    assert not is_in_span(basis.coboundaries, phi)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_differential_rows_match_pointwise_differential(k):
+    # cohomology_basis reads the image off the columns of this matrix, so
+    # the pointwise differential is the image's independent reference
+    from qci.cohomology import _differential_rows
+    q = make_dihedral(3)
+    rng = random.Random(30 + k)
+    for moduli, make_spec in (
+            ((5,), lambda A: DifferentialSpec.twisted(A, 2)),
+            ((0,), DifferentialSpec.quandle),
+            ((2, 3), DifferentialSpec.positive),
+            ((3, 3, 3, 3), lambda A: DifferentialSpec(IntUnit(A, 1),
+                                                      ShiftUnit(A)))):
+        A = CoeffGroup(moduli)
+        spec = make_spec(A)
+        for module in (None, quandle_as_module(q), cyclic_shadow_module(q, 2)):
+            theta = random_cochain(rng, q, module, A, k)
+            x = [c for v in theta.values for c in v]
+            rows = _differential_rows(spec, q, module, A, k)
+            got = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            mods = moduli * (len(got) // len(moduli))
+            got = [v % n if n else v for v, n in zip(got, mods)]
+            want = [c for v in differential(spec, theta).values for c in v]
+            assert got == want, (moduli, module, k)
 
 
 def test_cyclotomic_truncation_mode():
