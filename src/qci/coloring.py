@@ -5,6 +5,12 @@ under-strand color steps by the over color: outgoing = incoming |> over at
 a positive crossing and incoming = outgoing |> over at a negative one.
 Region colors extend an arc coloring uniquely once the exterior color is
 fixed; crossing a strand along its normal acts by the strand's arc color.
+
+The coloring search is compiled once per call into a static plan of
+levels.  A level colors one free arc, derives every arc that color pins
+(a crossing that knows its over color and one under color pins the
+other), and lists the crossings it completes as checks; the search is a
+plain recursion over the levels.
 """
 
 from dataclasses import dataclass, field
@@ -35,71 +41,101 @@ def is_coloring(diagram, quandle, colors):
                for ui, uo, b, s in _crossing_constraints(diagram))
 
 
+def _search_plan(n_arcs, constraints, first=()):
+    """The levels ``(arc, steps, checks)`` of a coloring search.
+
+    The arcs of ``first`` form the first levels, in order; every later
+    level colors the free arc whose coloring pins the most further arcs
+    (ties to the lowest index).  An arc is pinned by a crossing that knows
+    its over color and its other under color; an arc of ``first`` is never
+    derived, because a level of its own fixes it.  Each level lists its
+    derivation steps in the order the closure found them, and as checks
+    the crossings it completes without using them.  Steps and checks are
+    ``(target, known_under, over, forward)``: a step sets target =
+    known_under |> over (forward) or known_under |>^-1 over, and a check
+    tests that equation.  Every crossing is used once, as a step or a
+    check.
+    """
+    by_arc = [[] for _ in range(n_arcs)]
+    for idx, (ui, uo, b, _s) in enumerate(constraints):
+        for a in {ui, uo, b}:
+            by_arc[a].append(idx)
+    pending = set(first)
+
+    def closure(arc, known, settled):
+        # fix arc; known (arcs) and settled (crossing ids) grow in place
+        known.add(arc)
+        steps, checks, queue = [], [], [arc]
+        for a in queue:
+            for idx in by_arc[a]:
+                ui, uo, b, s = constraints[idx]
+                if idx in settled or b not in known:
+                    continue
+                if ui in known and uo in known:
+                    checks.append((uo, ui, b, s > 0))
+                elif ui in known and uo not in pending:
+                    steps.append((uo, ui, b, s > 0))
+                    known.add(uo)
+                    queue.append(uo)
+                elif uo in known and ui not in pending:
+                    steps.append((ui, uo, b, s < 0))
+                    known.add(ui)
+                    queue.append(ui)
+                else:
+                    continue
+                settled.add(idx)
+        return steps, checks
+
+    known, settled, plan = set(), set(), []
+    for arc in first:
+        pending.discard(arc)
+        plan.append((arc,) + closure(arc, known, settled))
+    while len(known) < n_arcs:
+        free = [a for a in range(n_arcs) if a not in known]
+        arc = max(free, key=lambda a: (
+            len(closure(a, set(known), set(settled))[0]), -a))
+        plan.append((arc,) + closure(arc, known, settled))
+    return plan
+
+
 def enumerate_colorings(diagram, quandle, preset=None):
     """All arc colorings, in sorted (lexicographic) order.
 
-    Backtracking with constraint propagation: seed the lowest unresolved
-    arc, push colors through crossings in both directions, undo on clash.
-    ``preset`` pins chosen arcs before the search starts.
+    The search is compiled once into a static plan (``_search_plan``): a
+    sequence of levels, each coloring one arc, then deriving the arcs that
+    color pins through straight-line quandle operations and checking the
+    crossings it completes.  The search recurses over the levels, trying
+    every color at each and descending only when its checks pass.
+    ``preset`` pins chosen arcs: they form the first levels with their one
+    color, and a crossing that would derive one checks it instead.
     """
-    n_arcs = diagram.n_arcs
-    cons = _crossing_constraints(diagram)
-    by_arc = {}
-    for idx, (ui, uo, b, s) in enumerate(cons):
-        for a in (ui, uo, b):
-            by_arc.setdefault(a, set()).add(idx)
-    colors = [None] * n_arcs
+    preset = preset or {}
+    plan = _search_plan(diagram.n_arcs, _crossing_constraints(diagram),
+                        sorted(preset))
+    ops = (quandle.unapply, quandle.apply)
+    levels = [(arc, (preset[arc],) if arc in preset else range(quandle.n),
+               [(t, u, o, ops[f]) for t, u, o, f in steps],
+               [(t, u, o, ops[f]) for t, u, o, f in checks])
+              for arc, steps, checks in plan]
+    colors = [None] * diagram.n_arcs
     found = []
 
-    def propagate(arc, trail):
-        queue = [arc]
-        while queue:
-            a = queue.pop()
-            for idx in by_arc.get(a, ()):
-                ui, uo, b, s = cons[idx]
-                cu, co, cb = colors[ui], colors[uo], colors[b]
-                if cb is None:
-                    continue
-                if cu is not None and co is not None:
-                    if not _relation_holds(quandle, cu, co, cb, s):
-                        return False
-                elif cu is not None:
-                    val = quandle.apply(cu, cb) if s > 0 else quandle.unapply(cu, cb)
-                    colors[uo] = val
-                    trail.append(uo)
-                    queue.append(uo)
-                elif co is not None:
-                    val = quandle.unapply(co, cb) if s > 0 else quandle.apply(co, cb)
-                    colors[ui] = val
-                    trail.append(ui)
-                    queue.append(ui)
-        return True
-
-    def search():
-        try:
-            arc = colors.index(None)
-        except ValueError:
+    def descend(depth):
+        if depth == len(levels):
             found.append(tuple(colors))
             return
-        for c in range(quandle.n):
-            trail = [arc]
+        arc, choices, steps, checks = levels[depth]
+        for c in choices:
             colors[arc] = c
-            if propagate(arc, trail):
-                search()
-            for a in trail:
-                colors[a] = None
+            for target, under, over, op in steps:
+                colors[target] = op(colors[under], colors[over])
+            for target, under, over, op in checks:
+                if colors[target] != op(colors[under], colors[over]):
+                    break
+            else:
+                descend(depth + 1)
 
-    if preset:
-        trail = []
-        for arc, c in sorted(preset.items()):
-            if colors[arc] is None:
-                colors[arc] = c
-                trail.append(arc)
-                if not propagate(arc, trail):
-                    return []
-            elif colors[arc] != c:
-                return []
-    search()
+    descend(0)
     found.sort()
     return found
 

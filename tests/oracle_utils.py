@@ -202,3 +202,32 @@ def oracle_weight_sum(records, arc_of, colors, omega_at, modulus_add,
             term = twist(term, ci)
         total = modulus_add(total, term if sign > 0 else neg(term))
     return total
+
+
+def braid_push_colorings(word, strands, op, inv):
+    """Colorings of a braid closure, found by pushing colors down the braid.
+
+    Strands run downwards; letter +-i crosses positions i and i+1 (1-based)
+    and the strand entering from the right passes over at a positive
+    letter, from the left at a negative one.  So a positive letter sends
+    the colors (x, y) to (y, x |> y) and a negative one to (y |>^-1 x, x).
+    Every choice of top colors is pushed through the word and kept when
+    the bottom colors equal the top ones.  A coloring is returned as the
+    tuple over the letters of (under-in, over, under-out) colors.
+    """
+    found = []
+    for top in product(range(len(op)), repeat=strands):
+        row = list(top)
+        seen = []
+        for letter in word:
+            i = abs(letter) - 1
+            x, y = row[i], row[i + 1]
+            if letter > 0:
+                row[i], row[i + 1] = y, op[x][y]
+                seen.append((x, y, op[x][y]))
+            else:
+                row[i], row[i + 1] = inv[y][x], x
+                seen.append((y, x, inv[y][x]))
+        if tuple(row) == top:
+            found.append(tuple(seen))
+    return found

@@ -2,19 +2,22 @@
 
 import json
 import pathlib
+import random
 from itertools import product
 
 import pytest
 
 from qci import corpus
 from qci.algebra import (IntegerShadowModule, OrbitShadowModule,
-                         StructureError, cyclic_shadow_module, make_dihedral,
-                         make_trivial, orbits, quandle_as_module,
-                         trivial_module)
-from qci.coloring import (ShadowColoring, act, component_orbits,
-                          enumerate_colorings, is_coloring, propagate_shadow,
-                          transport_coloring, validate_shadow)
+                         StructureError, cyclic_shadow_module, make_alexander,
+                         make_conjugation, make_dihedral, make_trivial,
+                         orbits, quandle_as_module, trivial_module)
+from qci.coloring import (ShadowColoring, _crossing_constraints, _search_plan,
+                          act, component_orbits, enumerate_colorings,
+                          is_coloring, propagate_shadow, transport_coloring,
+                          validate_shadow)
 from qci.diagram import compute_indices, r1_insert, r2_insert
+from tests.groups import symmetric_3
 from tests.oracle_utils import brute_force_colorings
 
 GOLDEN = json.loads(
@@ -184,8 +187,20 @@ def test_component_orbit_pairs_trivial_quandle():
 @pytest.mark.parametrize("name", ["trefoil", "figure_eight", "hopf_pos",
                                   "unlink2", "unknot"])
 def test_coloring_bijection_under_rmoves(name):
-    q = make_dihedral(3)
-    base = corpus.load(name)
+    _check_rmove_bijection(corpus.load(name), make_dihedral(3))
+
+
+@pytest.mark.parametrize("q", [make_dihedral(4), make_alexander(8, 3),
+                               make_conjugation(symmetric_3())],
+                         ids=["D4", "Alex8_3", "S3conj"])
+def test_transport_completes_uniquely_for_non_latin_quandles(q):
+    # transport_coloring presets every arc but the poked one; the search
+    # must still complete each transported coloring exactly once
+    for name in ("trefoil", "hopf_pos", "unlink2"):
+        _check_rmove_bijection(corpus.load(name), q)
+
+
+def _check_rmove_bijection(base, q):
     cols = enumerate_colorings(base, q)
     moves = []
     if base.crossings:
@@ -203,6 +218,48 @@ def test_coloring_bijection_under_rmoves(name):
         assert len(new_cols) == len(cols)
         transported = sorted(transport_coloring(res, c, q) for c in cols)
         assert transported == new_cols
+
+
+@pytest.mark.parametrize("name,q", [("trefoil", make_dihedral(3)),
+                                    ("figure_eight", make_dihedral(5)),
+                                    ("hopf_pos", make_dihedral(4)),
+                                    ("link_r3a", make_dihedral(3)),
+                                    ("unlink2", make_alexander(8, 3)),
+                                    ("trefoil_r3a", make_dihedral(3))],
+                         ids=["trefoil-D3", "figure_eight-D5", "hopf_pos-D4",
+                              "link_r3a-D3", "unlink2-Alex8_3",
+                              "trefoil_r3a-D3"])
+def test_preset_filters_the_full_enumeration(name, q):
+    d = corpus.load(name)
+    full = enumerate_colorings(d, q)
+    rng = random.Random(11)
+    for trial in range(40):
+        arcs = rng.sample(range(d.n_arcs), rng.randrange(1, d.n_arcs + 1))
+        if trial % 2:   # restrict a coloring, so the preset is consistent
+            base = rng.choice(full)
+            preset = {a: base[a] for a in arcs}
+        else:
+            preset = {a: rng.randrange(q.n) for a in arcs}
+        want = [c for c in full if all(c[a] == v for a, v in preset.items())]
+        assert enumerate_colorings(d, q, preset) == want
+
+
+def test_preset_arc_pinned_by_earlier_presets():
+    # on the trefoil, arcs 0 and 1 pin arc 2; as a preset, arc 2 is never
+    # derived but checked at its own level against its preset color
+    d = corpus.load("trefoil")
+    q = make_dihedral(3)
+    cons = _crossing_constraints(d)
+    plan = _search_plan(d.n_arcs, cons, [0, 1])
+    assert 2 in [t for _arc, steps, _checks in plan for t, *_ in steps]
+    plan = _search_plan(d.n_arcs, cons, [0, 1, 2])
+    assert [arc for arc, _s, _c in plan] == [0, 1, 2]
+    assert all(not steps for _arc, steps, _checks in plan)
+    assert len(plan[2][2]) == len(cons)
+    assert enumerate_colorings(d, q, {0: 0, 1: 1, 2: 2}) == [(0, 1, 2)]
+    assert enumerate_colorings(d, q, {0: 0, 1: 1, 2: 1}) == []
+    assert enumerate_colorings(d, q, {0: 0, 1: 0, 2: 1}) == []
+    assert enumerate_colorings(d, q, {0: 1, 1: 1}) == [(1, 1, 1)]
 
 
 def _cobordering_partner(d):

@@ -2,8 +2,9 @@
 
 Every random diagram must satisfy the sphere Euler count, consistent index
 propagation, the quadrant ladder around each crossing, checkerboard
-adjacency, the coloring-count stability under rewrites, and the
-twisted/shadow and link-twisted/orbit-shadow weight identities.  Seeds
+adjacency, the coloring-count stability under rewrites, the coloring
+search against two oracles, and the twisted/shadow and
+link-twisted/orbit-shadow weight identities.  Seeds
 are fixed; failures are reproducible.
 """
 
@@ -12,15 +13,19 @@ import random
 import pytest
 
 from qci.algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
-                         OrbitShadowModule, make_dihedral, orbits)
+                         OrbitShadowModule, Quandle, make_alexander,
+                         make_conjugation, make_dihedral, make_trivial,
+                         orbits)
 from qci.cohomology import DifferentialSpec, cocycle_basis, \
     link_twisted_cocycle_basis, transport_link_twisted_to_shadow, \
     transport_twisted_to_shadow
-from qci.coloring import enumerate_colorings, propagate_shadow
+from qci.coloring import enumerate_colorings, is_coloring, propagate_shadow
 from qci.diagram import (Diagram, checkerboard, compute_indices,
                          crossing_geometry, r1_insert, r2_insert)
 from qci.invariants import (positive_signs, weight_link_twisted,
                             weight_shadow, weight_twisted)
+from tests.groups import symmetric_3
+from tests.oracle_utils import braid_push_colorings, brute_force_colorings
 
 
 def braid_closure_records(word, strands):
@@ -175,3 +180,96 @@ def test_link_twisted_orbit_shadow_identity_on_random_diagrams(diagrams):
                 assert weight_link_twisted(d, col, omega, alphas, om,
                                            check=False) == \
                     weight_shadow(d, sh, lazy, check=False)
+
+
+# D4, Alex(8,3) and the conjugation quandle of S3 are not latin: the two
+# under colors at a crossing do not fix its over color
+ORACLE_QUANDLES = {"trivial3": make_trivial(3), "D3": make_dihedral(3),
+                   "D4": make_dihedral(4), "Alex8_3": make_alexander(8, 3),
+                   "S3conj": make_conjugation(symmetric_3())}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_QUANDLES))
+def test_enumeration_matches_brute_force_on_small_closures(name):
+    q = ORACLE_QUANDLES[name]
+    rng = random.Random(1505)
+    cases = [(braid_closure_records([1], 2), ()),          # one kinked crossing
+             (braid_closure_records([1, 1, 1], 2), (1,))]  # trefoil, free loop
+    cases += [(braid_closure_records(word, strands), ())
+              for word, strands in random_words(rng, 30) if strands >= 3]
+    checked = 0
+    for (records, exterior), loops in cases:
+        d = Diagram(records, loops, exterior)
+        if d.n_arcs > 7 or q.n ** d.n_arcs > 50_000:
+            continue
+        want = brute_force_colorings(records, d.arc_of, d.n_arcs, q.op, q.inv)
+        assert enumerate_colorings(d, q) == sorted(want)
+        checked += 1
+    assert checked >= 8
+
+
+def test_braid_push_oracle_matches_brute_force():
+    # the two oracles agree crossing by crossing on small closures, so the
+    # push oracle's crossing convention is the diagrams' one
+    rng = random.Random(2)
+    for word, strands in random_words(rng, 12):
+        records, exterior = braid_closure_records(word, strands)
+        d = Diagram(records, (), exterior)
+        for q in (make_alexander(5, 2), ORACLE_QUANDLES["S3conj"]):
+            if q.n ** d.n_arcs > 50_000:
+                continue
+            brute = brute_force_colorings(records, d.arc_of, d.n_arcs,
+                                          q.op, q.inv)
+            at_crossings = sorted(
+                tuple((c[d.arc_of[r["rot"][0]]],
+                       c[d.arc_of[r["rot"][r["over"]]]],
+                       c[d.arc_of[r["rot"][2]]]) for r in records)
+                for c in brute)
+            assert sorted(braid_push_colorings(word, strands, q.op,
+                                               q.inv)) == at_crossings
+
+
+# 5-strand closures of 32-36 crossings with non-constant colorings
+LONG_CLOSURES = {
+    "D5": (make_dihedral(5),
+           [-1, -3, -2, -4, 3, -4, 1, -4, -2, 4, -3, -2, -1, -4, 4, 1, 3, 1,
+            1, 2, 2, -2, -3, 3, -3, -2, 4, 3, -3, -2, 3, -3]),
+    "D7": (make_dihedral(7),
+           [-2, -2, -1, 1, 4, 1, -1, 1, -2, 1, -1, -2, 4, 3, -2, 3, -3, 2,
+            3, -3, -1, -3, 4, 3, -2, -4, 3, 2, -3, 3, 1, -2, 2, 2, 4, 2]),
+    "Alex8_3": (make_alexander(8, 3),
+                [-3, -3, -4, 2, 4, 3, 1, -2, 4, -1, -3, -4, -3, -2, 2, 4, -2,
+                 1, 4, 2, -2, -4, -2, -3, -2, -3, 4, 3, 2, -2, -3, 3, -4,
+                 -1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_CLOSURES))
+def test_long_closure_counts_match_braid_push(name):
+    q, word = LONG_CLOSURES[name]
+    records, exterior = braid_closure_records(word, 5)
+    d = Diagram(records, (), exterior)
+    cols = enumerate_colorings(d, q)
+    assert len(cols) == len(braid_push_colorings(word, 5, q.op, q.inv))
+    assert len(cols) > q.n
+    assert all(is_coloring(d, q, c) for c in cols)
+    assert cols == sorted(set(cols))
+
+
+def test_search_cost_per_coloring(monkeypatch):
+    # an Alex(8,3) knot from the benchmark's slowest search stratum; a
+    # search branching on the lowest unresolved arc spends about 154,000
+    # quandle operations per coloring on it
+    word = [3, -2, -1, -2, 2, 2, 1, 4, 4, 3, -3, 3, 3, -1, 2, 1, 1, 4, 4, 3,
+            2, -3, -3, -4, -3, -1, 4, 2, -1, -4, 2, 4, -2, 2, -3, -4]
+    calls = [0]
+    for op in ("apply", "unapply"):
+        def counted(self, a, b, _orig=getattr(Quandle, op)):
+            calls[0] += 1
+            return _orig(self, a, b)
+        monkeypatch.setattr(Quandle, op, counted)
+    records, exterior = braid_closure_records(word, 5)
+    cols = enumerate_colorings(Diagram(records, (), exterior),
+                               make_alexander(8, 3))
+    assert cols
+    assert 0 < calls[0] < 50_000 * len(cols)
