@@ -22,13 +22,14 @@ from .algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
                       module_from_json, orbits)
 from .cohomology import (Cochain, DifferentialSpec, cohomology_basis,
                          is_cocycle, is_in_span, random_cochain,
+                         transport_link_twisted_to_shadow,
                          transport_twisted_to_shadow)
 from .coloring import enumerate_colorings, propagate_shadow
 from .diagram import (checkerboard, compute_indices, parse_diagram,
                       r1_insert, r2_insert)
-from .invariants import (CocycleError, invariant_multiset,
-                         orbit_refined_multisets, weight_shadow,
-                         weight_twisted)
+from .invariants import (CocycleError, WeightMultiset, invariant_multiset,
+                         orbit_refined_multisets, validate_cocycle,
+                         weight_shadow, weight_twisted)
 
 
 class _Inputs:
@@ -188,26 +189,35 @@ def cmd_invariant(args, inputs):
     symbolic = module is not None and not module.is_finite
     omega = Cochain.from_json(inputs.read_json(args.cocycle), q,
                               None if symbolic else module)
+    kwargs = {"check": not args.force}
     if symbolic and args.flavor == "shadow":
         # a dense table cannot carry a symbolic-module cochain, so the file
-        # holds a twisted cocycle and twisting is folded into the transport
+        # holds a twisted (per-orbit twisted) cocycle and twisting is folded
+        # into the transport.  Transport maps cocycles to cocycles both
+        # ways, so gating the file decides the shadow condition exactly.
         if isinstance(module, IntegerShadowModule):
             if args.alpha is None:
                 raise StructureError("--module Z needs --alpha to transport")
-            omega = transport_twisted_to_shadow(
-                omega, IntUnit(omega.coeff, args.alpha))
+            unit = IntUnit(omega.coeff, args.alpha)
+            lazy = transport_twisted_to_shadow(omega, unit)
+            if kwargs["check"]:
+                validate_cocycle("twisted", omega, alpha=unit)
         elif isinstance(module, OrbitShadowModule):
             if not args.alpha_per_orbit:
                 raise StructureError(
                     "--module orbitZ needs --alpha-per-orbit to transport")
             units = [IntUnit(omega.coeff, int(x))
                      for x in args.alpha_per_orbit.split(",")]
-            from .cohomology import transport_link_twisted_to_shadow
-            omega = transport_link_twisted_to_shadow(omega, units,
-                                                     module.orbit_map)
+            if len(units) != module.dims:
+                raise StructureError("need one unit per quandle orbit")
+            lazy = transport_link_twisted_to_shadow(omega, units,
+                                                    module.orbit_map)
+            if kwargs["check"]:
+                validate_cocycle("link_twisted", omega, alphas=units,
+                                 orbit_map=module.orbit_map)
         else:
             raise StructureError("unsupported symbolic module")
-    kwargs = {"check": not args.force}
+        omega, kwargs["check"] = lazy, False
     if args.flavor in ("shadow", "shadow_twisted"):
         if module is None:
             module = omega.module
@@ -223,18 +233,24 @@ def cmd_invariant(args, inputs):
         if not args.alpha_per_orbit:
             raise StructureError("link_twisted needs --alpha-per-orbit")
         kwargs["alphas"] = [int(x) for x in args.alpha_per_orbit.split(",")]
-    ms = invariant_multiset(d, q, args.flavor, omega, **kwargs)
-    # flavor-specific arguments stay out of the payload so that flavors
-    # that provably coincide produce identical bytes
-    payload = {"v": 1, "total": ms.total(),
-               "weights": ms.to_json()["weights"]}
+    payload = {"v": 1}
     if args.refine_orbits:
+        # one coloring pass: the whole multiset is the sum of the parts
         parts = orbit_refined_multisets(
             d, q, args.flavor, omega, alpha=kwargs.get("alpha"),
-            alphas=kwargs.get("alphas"), check=False)
+            alphas=kwargs.get("alphas"), check=kwargs["check"])
         payload["refined"] = [
             {"orbits": list(key), "weights": part.to_json()["weights"]}
             for key, part in parts.items()]
+        ms = WeightMultiset.from_values(
+            v for part in parts.values() for v, m in part.weights
+            for _ in range(m))
+    else:
+        ms = invariant_multiset(d, q, args.flavor, omega, **kwargs)
+    # flavor-specific arguments stay out of the payload so that flavors
+    # that provably coincide produce identical bytes
+    payload["total"] = ms.total()
+    payload["weights"] = ms.to_json()["weights"]
     return 0, payload
 
 

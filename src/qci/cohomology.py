@@ -7,9 +7,10 @@ combine into alpha_l * d_left - alpha_r * d_right; the classical quandle,
 positive, and twisted theories are the specs (1,1), (1,-1) and (1,alpha).
 
 Shadow cochains over the symbolic integer module cannot be tabulated, so
-they are wrapped lazily and cocycle conditions are checked on a window of
-region colors; invertibility of the unit makes a single value sufficient,
-the window is defensive.
+they are wrapped lazily (LazyCochain) and evaluated pointwise.  No cocycle
+condition is decided on them: transport maps twisted (per-orbit twisted)
+cocycles to shadow cocycles over Z (orbitZ) and back, so the exact gate is
+the one on the dense source cochain.
 
 Cohomology is computed on flattened (index, coordinate) vectors.  The
 coefficient group splits into pieces (_blocks): one piece of all
@@ -26,8 +27,6 @@ from .algebra import (AxiomReport, CoeffGroup, IntegerShadowModule, IntUnit,
                       OrbitShadowModule, Scalar, StructureError,
                       UnsupportedCarrierError)
 from . import modlinalg
-
-DEFAULT_WINDOW = range(-2, 3)
 
 
 class DifferentialSpec:
@@ -247,18 +246,9 @@ def _degenerate_args(args):
     return any(args[i] == args[i + 1] for i in range(len(args) - 1))
 
 
-def is_degenerate_free(phi, window=DEFAULT_WINDOW):
+def is_degenerate_free(phi):
     """True iff phi vanishes whenever two adjacent quandle arguments agree."""
     zero = phi.coeff.zero()
-    if isinstance(phi, LazyCochain):
-        n = phi.quandle.n
-        if phi.degree < 2:
-            return True, ()
-        for m in _lazy_window(phi.module, window):
-            for args in _args_space(n, phi.degree):
-                if _degenerate_args(args) and phi.at(m, args) != zero:
-                    return False, (m,) + args
-        return True, ()
     for m, args in phi.domain():
         if _degenerate_args(args) and phi.at(m, args) != zero:
             return False, (m,) + args
@@ -272,48 +262,27 @@ def _args_space(n, k):
     return space
 
 
-def _lazy_window(module, window):
-    if isinstance(module, IntegerShadowModule):
-        return list(window)
-    if isinstance(module, OrbitShadowModule):
-        zero = module.zero()
-        out = [zero]
-        for w in window:
-            if w == 0:
-                continue
-            for i in range(module.dims):
-                out.append(tuple(w if j == i else 0 for j in range(module.dims)))
-        return out
-    if module is None:
-        return [0]
-    if module.is_finite:
-        return list(module.elements())
-    raise UnsupportedCarrierError("no evaluation window for this carrier")
-
-
-def is_cocycle(spec, phi, quandle_flag=True, window=DEFAULT_WINDOW):
+def is_cocycle(spec, phi, quandle_flag=True):
     """Does the spec differential kill phi (plus the degeneracy condition)?
 
-    Dense cochains are checked exhaustively; lazy shadow cochains on the
-    window of region colors.  Returns an AxiomReport whose witness is the
-    offending (m, a_1, ..., a_{k+1}) tuple.
+    Decided exhaustively on a dense cochain.  A lazy cochain raises
+    UnsupportedCarrierError: gate the dense cochain it was transported
+    from instead.  Returns an AxiomReport whose witness is the offending
+    (m, a_1, ..., a_{k+1}) tuple.
     """
+    if isinstance(phi, LazyCochain):
+        raise UnsupportedCarrierError(
+            "cocycle gate of a lazy cochain; gate its dense source cochain")
     if spec.group != phi.coeff:
         raise StructureError("spec and cochain coefficient groups differ")
     zero = phi.coeff.zero()
     if quandle_flag:
-        ok, wit = is_degenerate_free(phi, window)
+        ok, wit = is_degenerate_free(phi)
         if not ok:
             return AxiomReport(False, "degenerate-vanishing", wit)
-    n = phi.quandle.n
-    if isinstance(phi, LazyCochain):
-        ms = _lazy_window(phi.module, window)
-    else:
-        ms = range(_mod_size(phi.module))
-    for m in ms:
-        for args in _args_space(n, phi.degree + 1):
-            if differential_at(spec, phi, phi.module, m, args) != zero:
-                return AxiomReport(False, "cocycle", (m,) + args)
+    for m, args in _domain(phi.quandle, phi.module, phi.degree + 1):
+        if differential_at(spec, phi, phi.module, m, args) != zero:
+            return AxiomReport(False, "cocycle", (m,) + args)
     return AxiomReport(True)
 
 

@@ -25,8 +25,7 @@ pinned for shadow flavors).
 
 from dataclasses import dataclass, field
 
-from .algebra import (IntegerShadowModule, IntUnit, ProductModule, Scalar,
-                      StructureError, orbits)
+from .algebra import IntUnit, Scalar, StructureError, orbits
 from .cohomology import (DifferentialSpec, is_cocycle,
                          is_link_twisted_cocycle)
 from .coloring import (component_orbits, enumerate_colorings,
@@ -91,15 +90,11 @@ def validate_cocycle(flavor, omega, *, alpha=None, alphas=None,
                      orbit_map=None):
     """Raise CocycleError unless omega satisfies the flavor's condition."""
     coeff = omega.coeff
-    if flavor == "classical":
-        report = is_cocycle(DifferentialSpec.quandle(coeff), omega)
-    elif flavor == "shadow":
+    if flavor in ("classical", "shadow"):
         report = is_cocycle(DifferentialSpec.quandle(coeff), omega)
     elif flavor == "positive":
         report = is_cocycle(DifferentialSpec.positive(coeff), omega)
-    elif flavor == "twisted":
-        report = is_cocycle(DifferentialSpec.twisted(coeff, alpha), omega)
-    elif flavor == "shadow_twisted":
+    elif flavor in ("twisted", "shadow_twisted"):
         report = is_cocycle(DifferentialSpec.twisted(coeff, alpha), omega)
     elif flavor == "link_twisted":
         report = is_link_twisted_cocycle(omega, alphas, orbit_map)
@@ -203,8 +198,6 @@ def weight_classical(diagram, coloring, omega, check=True):
 
 def weight_shadow(diagram, shadow, omega, check=True):
     """Signed sum of w(source color, a, b)."""
-    check = check and not isinstance(omega.module, (IntegerShadowModule,
-                                                    ProductModule))
     return _Plan(diagram, "shadow", omega, check)(shadow)
 
 

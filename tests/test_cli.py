@@ -2,14 +2,18 @@
 
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-from qci import corpus
-from qci.algebra import CoeffGroup, make_dihedral, quandle_as_module
-from qci.cohomology import DifferentialSpec, cocycle_basis
+from qci import cli, corpus, invariants
+from qci.algebra import (CoeffGroup, IntUnit, make_dihedral, orbits,
+                         quandle_as_module)
+from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
+                            differential_at, link_twisted_cocycle_basis,
+                            random_cochain)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -215,6 +219,115 @@ def test_shadow_over_symbolic_module_cli(files):
                                "--exterior", "0", *base)
     assert code1 == 0 and code2 == 0, err
     assert out1 == out2
+    # over the orbit-counting module the file carries the per-orbit
+    # twisted table, and the multiset is link_twisted's
+    lt = link_twisted_cocycle_basis(q, A, [IntUnit(A, 2)], orbits(q))[0]
+    path.write_text(json.dumps(lt.to_json()))
+    code1, out1, _ = run_cli("invariant", "--flavor", "link_twisted",
+                             "--alpha-per-orbit", "2", *base)
+    code2, out2, err = run_cli("invariant", "--flavor", "shadow",
+                               "--module", "orbitZ", "--alpha-per-orbit", "2",
+                               "--exterior", "0", *base)
+    assert code1 == 0 and code2 == 0, err
+    assert out1 == out2
+
+
+def _bad_d4_source(files):
+    """D4 files and a Z/5 cochain that vanishes on degenerate pairs but
+    is neither twisted (alpha 2) nor per-orbit twisted (units 2, 3)."""
+    q = make_dihedral(4)
+    A = CoeffGroup((5,))
+    omega = random_cochain(random.Random(3), q, None, A, 2)
+    omega = Cochain(q, None, A, 2,
+                    [A.zero() if a == b else omega.at(0, (a, b))
+                     for a in range(4) for b in range(4)])
+    qfile = files["tmp"] / "d4.json"
+    qfile.write_text(json.dumps(q.to_json()))
+    dfile = files["tmp"] / "hopf.json"
+    dfile.write_text(json.dumps(corpus.load_json("hopf_pos")))
+    wfile = files["tmp"] / "bad_source.json"
+    wfile.write_text(json.dumps(omega.to_json()))
+    base = ("invariant", "--flavor", "shadow", "--diagram", str(dfile),
+            "--quandle", str(qfile), "--cocycle", str(wfile))
+    return q, A, omega, base
+
+
+def _link_twisted_defect(q, omega, units, a, b, c):
+    """Left side of the per-orbit twisted condition at (a, b, c), with
+    units[o] the unit of orbit o, written out from its definition."""
+    om = orbits(q)
+    w = lambda x, y: omega.at(0, (x, y))[0]
+    inv = lambda x, y: pow(units[om.of(x)], -1, 5) * y
+    total = (inv(c, w(q.apply(a, c), q.apply(b, c))) - w(a, b)
+             - inv(b, w(q.apply(a, b), c)) + w(a, c)
+             + inv(a, w(b, c)) - w(b, c))
+    return total % 5
+
+
+def test_shadow_over_z_gates_the_twisted_source(files):
+    q, A, omega, base = _bad_d4_source(files)
+    args = base + ("--module", "Z", "--alpha", "2", "--exterior", "0")
+    code, out, _ = run_cli(*args)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["flavor"] == "twisted"
+    assert payload["axiom"] == "cocycle"
+    m, *abc = payload["witness"]
+    value = differential_at(DifferentialSpec.twisted(A, 2), omega, None, m,
+                            tuple(abc))
+    assert value != A.zero()
+    code, _, err = run_cli(*args, "--force")
+    assert code == 0, err
+
+
+def test_shadow_over_orbitz_gates_the_link_twisted_source(files):
+    q, A, omega, base = _bad_d4_source(files)
+    args = base + ("--module", "orbitZ", "--alpha-per-orbit", "2,3",
+                   "--exterior", "0,0")
+    code, out, _ = run_cli(*args)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["flavor"] == "link_twisted"
+    assert payload["axiom"] == "cocycle"
+    assert _link_twisted_defect(q, omega, [2, 3], *payload["witness"]) != 0
+    code, _, err = run_cli(*args, "--force")
+    assert code == 0, err
+    # one unit per orbit, no more and no fewer
+    for units in ("2", "2,3,4"):
+        code, _, err = run_cli(*base, "--module", "orbitZ",
+                               "--alpha-per-orbit", units, "--exterior", "0,0")
+        assert code == 2 and "one unit per quandle orbit" in err
+
+
+def test_refine_orbits_colors_once(files, monkeypatch, capsys):
+    # --refine-orbits weighs every coloring in one pass, and its whole
+    # multiset is the one the plain command prints
+    q = make_dihedral(4)
+    A = CoeffGroup((2,))
+    omega = cocycle_basis(DifferentialSpec.quandle(A), q, None, A, 2)[0]
+    qfile = files["tmp"] / "d4.json"
+    qfile.write_text(json.dumps(q.to_json()))
+    wfile = files["tmp"] / "cl.json"
+    wfile.write_text(json.dumps(omega.to_json()))
+    base = ["invariant", "--flavor", "classical", "--diagram",
+            "corpus:hopf_pos", "--quandle", str(qfile), "--cocycle",
+            str(wfile)]
+    calls = []
+    search = invariants.enumerate_colorings
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "enumerate_colorings", counted)
+    assert cli.main(base + ["--refine-orbits"]) == 0
+    refined = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert len(refined["refined"]) > 1
+    assert cli.main(base) == 0
+    plain = json.loads(capsys.readouterr().out)
+    for key in ("total", "weights"):
+        assert json.dumps(refined[key]) == json.dumps(plain[key])
 
 
 def test_check_module_missing_quandle_is_structural():

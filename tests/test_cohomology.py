@@ -5,19 +5,21 @@ from itertools import product
 
 import pytest
 
-from qci import modlinalg
+from qci import corpus, modlinalg
 from qci.algebra import (CoeffGroup, IntegerShadowModule, IntUnit,
                          ShiftUnit, UnsupportedCarrierError,
                          cyclic_shadow_module, make_alexander, make_dihedral,
                          make_trivial, orbits, quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec, LazyCochain,
                             cohomology_basis, d_left, d_right, differential,
-                            is_cocycle, is_in_span,
+                            differential_at, is_cocycle, is_in_span,
                             is_link_twisted_cocycle, lazy_differential,
                             link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
                             transport_to_shadow, transport_twisted_to_shadow,
                             zero_cochain)
+from qci.coloring import enumerate_colorings, propagate_shadow
+from qci.invariants import weight_shadow
 from tests.oracle_utils import (classical_condition_holds,
                                 enumerate_classical_cocycles,
                                 positive_condition_holds, rref_rank_mod_p,
@@ -226,26 +228,41 @@ def test_transport_basics():
 
 def test_transport_cocycle_equivalence():
     # twisted condition for omega <=> shadow condition for its transport,
-    # checked on the window m in -2..2 over dihedral 3, Z_5, alpha = 2
+    # over dihedral 3, Z_5, alpha = 2.  The transport is lazy, so its shadow
+    # condition is evaluated pointwise on region colors m in -3..3, once
+    # with the degeneracy condition and once without.
     q = make_dihedral(3)
     A = CoeffGroup((5,))
     alpha = IntUnit(A, 2)
     tw = DifferentialSpec.twisted(A, 2)
     sh = DifferentialSpec.quandle(A)
+    zero = A.zero()
     rng = random.Random(12)
+
+    def differential_vanishes(lazy):
+        return all(differential_at(sh, lazy, lazy.module, m, args) == zero
+                   for m in range(-3, 4)
+                   for args in product(range(q.n), repeat=3))
+
+    def degenerate_free(lazy):
+        return all(lazy.at(m, (a, a)) == zero
+                   for m in range(-3, 4) for a in range(q.n))
+
     seen_true = seen_false = 0
     for _ in range(40):
         omega = random_cochain(rng, q, None, A, 2)
         lazy = transport_twisted_to_shadow(omega, alpha)
-        a = bool(is_cocycle(tw, omega))
-        b = bool(is_cocycle(sh, lazy))
+        a = bool(is_cocycle(tw, omega, quandle_flag=False))
+        b = differential_vanishes(lazy)
         assert a == b
+        assert bool(is_cocycle(tw, omega)) == (b and degenerate_free(lazy))
         seen_true += a
         seen_false += (not a)
     # make the equivalence non-vacuous with a guaranteed cocycle
     theta = random_cochain(rng, q, None, A, 1)
     omega = differential(tw, theta)
-    assert is_cocycle(sh, transport_twisted_to_shadow(omega, alpha))
+    lazy = transport_twisted_to_shadow(omega, alpha)
+    assert differential_vanishes(lazy) and degenerate_free(lazy)
     assert seen_false > 0
 
 
@@ -450,6 +467,13 @@ def test_dense_rejects_symbolic():
         d_left(lazy)
     with pytest.raises(UnsupportedCarrierError):
         differential(DifferentialSpec.quandle(A), lazy)
+    # no cocycle gate samples a lazy cochain or silently skips it
+    with pytest.raises(UnsupportedCarrierError):
+        is_cocycle(DifferentialSpec.quandle(A), lazy)
+    d = corpus.load("trefoil")
+    sh = propagate_shadow(d, enumerate_colorings(d, q)[0], lazy.module, 0)
+    with pytest.raises(UnsupportedCarrierError):
+        weight_shadow(d, sh, lazy)
 
 
 def test_cochain_json_roundtrip():
