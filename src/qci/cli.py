@@ -430,15 +430,21 @@ def main(argv=None):
         sys.stderr.write(_dump({"v": 1, "error": str(exc)}))
         return 2
     text = _dump(payload)
-    sys.stdout.write(text)
     if getattr(args, "manifest", None):
+        # written before the payload, so that an unwritable path is exit 2
+        # with nothing on stdout
         manifest = {"v": 1, "command": argv if argv is not None else sys.argv[1:],
                     "inputs": inputs.digests,
                     "library_version": __version__,
                     "output_sha256": hashlib.sha256(text.encode()).hexdigest(),
                     "wall_time_s": round(time.monotonic() - start, 6)}
-        with open(args.manifest, "w") as fh:
-            fh.write(_dump(manifest))
+        try:
+            with open(args.manifest, "w") as fh:
+                fh.write(_dump(manifest))
+        except OSError as exc:
+            sys.stderr.write(_dump({"v": 1, "error": str(exc)}))
+            return 2
+    sys.stdout.write(text)
     return code
 
 

@@ -2,9 +2,15 @@
 
 A degree-k cochain is a map M x Q^k -> A stored as a dense table in
 lexicographic order of (m, a_1, ..., a_k); a trivial module (module=None)
-drops the m slot.  The two anti-commuting differentials d_left and d_right
-combine into alpha_l * d_left - alpha_r * d_right; the classical quandle,
-positive, and twisted theories are the specs (1,1), (1,-1) and (1,alpha).
+drops the m slot.  Every theory here is one shadow-type differential
+(DifferentialSpec): d_left weighted by a matrix of each term's acting
+color, minus d_right under a constant weight.
+
+Each cocycle condition is one integer matrix on flattened (index,
+coordinate) vectors, written down in _differential_rows alone.  The gates
+report its first nonzero entry on a table (after the degenerate entries),
+the dense differentials are its product with a table, the cocycle bases
+are its kernel, and its columns one degree down span the coboundaries.
 
 Shadow cochains over the symbolic integer module cannot be tabulated, so
 they are wrapped lazily (LazyCochain) and evaluated pointwise.  No cocycle
@@ -12,16 +18,14 @@ condition is decided on them: transport maps twisted (per-orbit twisted)
 cocycles to shadow cocycles over Z (orbitZ) and back, so the exact gate is
 the one on the dense source cochain.
 
-Cohomology is computed on flattened (index, coordinate) vectors.  The
-coefficient group splits into pieces (_blocks): one piece of all
+The coefficient group splits into pieces (_blocks): one piece of all
 coordinates when the moduli agree, else one piece per coordinate.  Each
 piece is solved over its own ring through modlinalg's kernel, span_basis,
-in_span and quotient, and the answers are summed.  Cocycles are the kernel
-of the differential matrix; coboundaries are spanned by the columns of the
-matrix one degree down.
+in_span and quotient, and the answers are summed.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .algebra import (AxiomReport, CoeffGroup, IntegerShadowModule, IntUnit,
                       OrbitShadowModule, Scalar, StructureError,
@@ -30,16 +34,24 @@ from . import modlinalg
 
 
 class DifferentialSpec:
-    """The pair of unit scalars weighting the left and right differentials."""
+    """The two integer-matrix weights of a shadow-type differential.
+
+    ``left(a)`` weights the d_left term whose acting color is a, ``right``
+    every d_right term; both are d x d matrices on residue vectors.  The
+    classical quandle, positive and twisted theories are the constant
+    pairs (1,1), (1,-1) and (1,alpha); the per-orbit twisted theory weights
+    the term acting by a with the inverse unit of a's orbit, the rest by 1.
+    """
 
     def __init__(self, alpha_l, alpha_r):
         if not isinstance(alpha_l, Scalar) or not isinstance(alpha_r, Scalar):
             raise StructureError("spec coefficients must be Scalars")
         if alpha_l.group != alpha_r.group:
             raise StructureError("spec coefficients act on different groups")
-        self.alpha_l = alpha_l
-        self.alpha_r = alpha_r
         self.group = alpha_l.group
+        left = alpha_l.int_matrix()
+        self.left = lambda a: left
+        self.right = alpha_r.int_matrix()
 
     @classmethod
     def quandle(cls, group):
@@ -55,8 +67,15 @@ class DifferentialSpec:
             alpha = IntUnit(group, alpha)
         return cls(IntUnit(group, 1), alpha)
 
-    def __repr__(self):
-        return f"DifferentialSpec({self.alpha_l!r}, {self.alpha_r!r})"
+    @classmethod
+    def link_twisted(cls, alphas, orbit_map):
+        """alphas maps each orbit id of orbit_map to a unit scalar."""
+        if len(alphas) != orbit_map.count:
+            raise StructureError("need one unit per quandle orbit")
+        spec = cls.quandle(alphas[0].group)
+        inverses = [u.int_matrix(-1) for u in alphas]
+        spec.left = lambda a: inverses[orbit_map.of(a)]
+        return spec
 
 
 def _mod_size(module):
@@ -87,14 +106,10 @@ class Cochain:
         self.values = values
 
     def index(self, m, args):
-        n = self.quandle.n
-        idx = m if self.module is not None else 0
-        for a in args:
-            idx = idx * n + a
-        return idx
+        return _flat_index(self.quandle, self.module, m, args)
 
     def at(self, m, args=()):
-        return self.values[self.index(m, args)]
+        return self.values[_flat_index(self.quandle, self.module, m, args)]
 
     def domain(self):
         """All (m, args) pairs in table order."""
@@ -166,40 +181,6 @@ def _act(module, m, a):
     return m if module is None else module.act(m, a)
 
 
-def d_left_at(phi, module, m, args):
-    """(d_l phi)(m, a_1..a_{k+1}): the i-th term acts everything to the
-    left of position i by a_i and drops a_i, with alternating signs."""
-    q = phi.quandle
-    coeff = phi.coeff
-    total = coeff.zero()
-    k1 = len(args)
-    for i in range(1, k1 + 1):
-        ai = args[i - 1]
-        new_m = _act(module, m, ai)
-        new_args = tuple(q.apply(args[j], ai) for j in range(i - 1)) + args[i:]
-        term = phi.at(new_m, new_args)
-        total = coeff.add(total, term if i % 2 else coeff.neg(term))
-    return total
-
-
-def d_right_at(phi, module, m, args):
-    """(d_r phi)(m, a_1..a_{k+1}): the i-th term deletes a_i."""
-    coeff = phi.coeff
-    total = coeff.zero()
-    k1 = len(args)
-    for i in range(1, k1 + 1):
-        new_args = args[:i - 1] + args[i:]
-        term = phi.at(m, new_args)
-        total = coeff.add(total, term if i % 2 else coeff.neg(term))
-    return total
-
-
-def differential_at(spec, phi, module, m, args):
-    left = spec.alpha_l.apply(d_left_at(phi, module, m, args))
-    right = spec.alpha_r.apply(d_right_at(phi, module, m, args))
-    return phi.coeff.sub(left, right)
-
-
 def _domain(quandle, module, degree):
     n = quandle.n
     args_space = _args_space(n, degree)
@@ -208,51 +189,48 @@ def _domain(quandle, module, degree):
             yield m, args
 
 
-def _dense_map(phi, point_fn):
+def _image(spec, phi):
+    """The dense cochain rows . values of the spec differential."""
     if isinstance(phi, LazyCochain):
         raise UnsupportedCarrierError("dense differential of a lazy cochain")
-    values = [point_fn(phi, phi.module, m, args)
-              for m, args in _domain(phi.quandle, phi.module, phi.degree + 1)]
-    return Cochain(phi.quandle, phi.module, phi.coeff, phi.degree + 1, values)
+    rows = _differential_rows(spec, phi.quandle, phi.module, phi.coeff,
+                              phi.degree)
+    x = _cochain_to_vector(phi)
+    return _vector_to_cochain(phi.quandle, phi.module, phi.coeff,
+                              phi.degree + 1,
+                              [sum(map(mul, row, x)) for row in rows])
+
+
+def _one_side(coeff, k_left, k_right):
+    """The spec weighting the two sides by k_left and k_right times the
+    identity; (1, 0) is d_left alone and (0, -1) d_right alone."""
+    d = coeff.d
+    spec = DifferentialSpec.quandle(coeff)
+    left = [[k_left * (i == j) for j in range(d)] for i in range(d)]
+    spec.left = lambda a: left
+    spec.right = [[k_right * (i == j) for j in range(d)] for i in range(d)]
+    return spec
 
 
 def d_left(phi):
-    """Dense left differential; raises on symbolic carriers."""
-    return _dense_map(phi, d_left_at)
+    """Dense left differential, the weights (1, 0); raises on symbolic
+    carriers."""
+    return _image(_one_side(phi.coeff, 1, 0), phi)
 
 
 def d_right(phi):
-    """Dense right differential; raises on symbolic carriers."""
-    return _dense_map(phi, d_right_at)
+    """Dense right differential, the weights (0, -1); raises on symbolic
+    carriers."""
+    return _image(_one_side(phi.coeff, 0, -1), phi)
 
 
 def differential(spec, phi):
-    """alpha_l * d_left(phi) - alpha_r * d_right(phi), dense."""
-    if isinstance(phi, LazyCochain):
-        raise UnsupportedCarrierError("dense differential of a lazy cochain")
-    values = [differential_at(spec, phi, phi.module, m, args)
-              for m, args in _domain(phi.quandle, phi.module, phi.degree + 1)]
-    return Cochain(phi.quandle, phi.module, phi.coeff, phi.degree + 1, values)
-
-
-def lazy_differential(spec, phi):
-    """Differential of a lazy cochain, evaluated on demand."""
-    def fn(m, args):
-        return differential_at(spec, phi, phi.module, m, args)
-    return LazyCochain(phi.quandle, phi.module, phi.coeff, phi.degree + 1, fn)
+    """The spec differential of phi, dense; raises on symbolic carriers."""
+    return _image(spec, phi)
 
 
 def _degenerate_args(args):
     return any(args[i] == args[i + 1] for i in range(len(args) - 1))
-
-
-def is_degenerate_free(phi):
-    """True iff phi vanishes whenever two adjacent quandle arguments agree."""
-    zero = phi.coeff.zero()
-    for m, args in phi.domain():
-        if _degenerate_args(args) and phi.at(m, args) != zero:
-            return False, (m,) + args
-    return True, ()
 
 
 def _args_space(n, k):
@@ -265,10 +243,11 @@ def _args_space(n, k):
 def is_cocycle(spec, phi, quandle_flag=True):
     """Does the spec differential kill phi (plus the degeneracy condition)?
 
-    Decided exhaustively on a dense cochain.  A lazy cochain raises
-    UnsupportedCarrierError: gate the dense cochain it was transported
-    from instead.  Returns an AxiomReport whose witness is the offending
-    (m, a_1, ..., a_{k+1}) tuple.
+    Decided exhaustively on a dense cochain, in table order: the degenerate
+    entries first (when flagged), then the entries of the differential.  A
+    lazy cochain raises UnsupportedCarrierError: gate the dense cochain it
+    was transported from instead.  Returns an AxiomReport whose witness is
+    the offending (m, a_1, ...) tuple.
     """
     if isinstance(phi, LazyCochain):
         raise UnsupportedCarrierError(
@@ -277,11 +256,12 @@ def is_cocycle(spec, phi, quandle_flag=True):
         raise StructureError("spec and cochain coefficient groups differ")
     zero = phi.coeff.zero()
     if quandle_flag:
-        ok, wit = is_degenerate_free(phi)
-        if not ok:
-            return AxiomReport(False, "degenerate-vanishing", wit)
-    for m, args in _domain(phi.quandle, phi.module, phi.degree + 1):
-        if differential_at(spec, phi, phi.module, m, args) != zero:
+        for (m, args), v in zip(phi.domain(), phi.values):
+            if v != zero and _degenerate_args(args):
+                return AxiomReport(False, "degenerate-vanishing", (m,) + args)
+    image = _image(spec, phi)
+    for (m, args), v in zip(image.domain(), image.values):
+        if v != zero:
             return AxiomReport(False, "cocycle", (m,) + args)
     return AxiomReport(True)
 
@@ -291,53 +271,20 @@ def is_link_twisted_cocycle(phi, alphas, orbit_map, quandle_flag=True):
 
     ``alphas`` maps each quandle orbit id to a unit scalar; the condition
     weights each term by the inverse unit of the acting color's orbit.
+    The witness drops the trivial module's slot: (a, a) or (a, b, c).
     """
     if phi.degree != 2 or phi.module is not None:
         raise StructureError("orbit-twisted cocycles are degree-2 with trivial module")
-    coeff = phi.coeff
-    zero = coeff.zero()
-    q = phi.quandle
-    if quandle_flag:
-        for a in range(q.n):
-            if phi.at(0, (a, a)) != zero:
-                return AxiomReport(False, "degenerate-vanishing", (a, a))
-
-    def inv(o, x):
-        return alphas[o].apply(x, -1)
-
-    for a in range(q.n):
-        for b in range(q.n):
-            for c in range(q.n):
-                total = inv(orbit_map.of(c), phi.at(0, (q.apply(a, c), q.apply(b, c))))
-                total = coeff.sub(total, phi.at(0, (a, b)))
-                total = coeff.sub(total, inv(orbit_map.of(b), phi.at(0, (q.apply(a, b), c))))
-                total = coeff.add(total, phi.at(0, (a, c)))
-                extra = coeff.sub(inv(orbit_map.of(a), phi.at(0, (b, c))), phi.at(0, (b, c)))
-                total = coeff.add(total, extra)
-                if total != zero:
-                    return AxiomReport(False, "cocycle", (a, b, c))
-    return AxiomReport(True)
+    report = is_cocycle(DifferentialSpec.link_twisted(alphas, orbit_map), phi,
+                        quandle_flag)
+    return AxiomReport(report.passed, report.axiom, report.witness[1:])
 
 
 def link_twisted_coboundary(theta, alphas, orbit_map):
     """Degree-2 coboundary of theta: Q -> A in the orbit-twisted theory."""
     if theta.degree != 1 or theta.module is not None:
         raise StructureError("need a degree-1 cochain with trivial module")
-    q = theta.quandle
-    coeff = theta.coeff
-
-    def inv(o, x):
-        return alphas[o].apply(x, -1)
-
-    values = []
-    for a in range(q.n):
-        for b in range(q.n):
-            v = inv(orbit_map.of(a), theta.at(0, (b,)))
-            v = coeff.sub(v, inv(orbit_map.of(b), theta.at(0, (q.apply(a, b),))))
-            v = coeff.sub(v, theta.at(0, (b,)))
-            v = coeff.add(v, theta.at(0, (a,)))
-            values.append(v)
-    return Cochain(q, None, coeff, 2, values)
+    return _image(DifferentialSpec.link_twisted(alphas, orbit_map), theta)
 
 
 def transport_to_shadow(phi, alpha):
@@ -423,11 +370,14 @@ def _add_block(block_rows, mat, sign, base):
 
 def _differential_rows(spec, quandle, module, coeff, degree):
     """Integer matrix of the spec differential C^degree -> C^{degree+1},
-    acting on flattened (index, coordinate) vectors."""
+    acting on flattened (index, coordinate) vectors.  The d rows of
+    (m, a_1..a_{k+1}) are, with alternating signs over i, left(a_i) at
+    (m |> a_i, a_1 |> a_i, .., a_{i-1} |> a_i, a_{i+1}, ..) minus right at
+    (m, a_1, .., a_{i-1}, a_{i+1}, ..).  This is the only place a cocycle
+    condition is written down."""
     d = coeff.d
     in_dim = _flat_dim(quandle, module, degree, d)
-    ml = spec.alpha_l.int_matrix()
-    mr = spec.alpha_r.int_matrix()
+    left = [spec.left(a) for a in range(quandle.n)]
 
     def col(mm, aa):
         return d * _flat_index(quandle, module, mm, aa)
@@ -439,8 +389,10 @@ def _differential_rows(spec, quandle, module, coeff, degree):
             sign = 1 if i % 2 else -1
             ai = args[i - 1]
             largs = tuple(quandle.apply(args[j], ai) for j in range(i - 1)) + args[i:]
-            _add_block(block_rows, ml, sign, col(_act(module, m, ai), largs))
-            _add_block(block_rows, mr, -sign, col(m, args[:i - 1] + args[i:]))
+            _add_block(block_rows, left[ai], sign,
+                       col(_act(module, m, ai), largs))
+            _add_block(block_rows, spec.right, -sign,
+                       col(m, args[:i - 1] + args[i:]))
         rows.extend(block_rows)
     return rows
 
@@ -624,29 +576,8 @@ def is_in_span(basis_cochains, phi):
 def link_twisted_cocycle_basis(quandle, coeff, alphas, orbit_map):
     """Kernel basis of the orbit-twisted degree-2 condition (plus the
     degeneracy rows); alphas maps orbit id -> unit scalar."""
-    d = coeff.d
-    n = quandle.n
-    dim = n * n * d
-    inv_mats = {o: alphas[o].int_matrix(-1) for o in range(orbit_map.count)}
-    ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-    def col(a, b):
-        return (a * n + b) * d
-
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                block_rows = [[0] * dim for _ in range(d)]
-                _add_block(block_rows, inv_mats[orbit_map.of(c)], 1,
-                           col(quandle.apply(a, c), quandle.apply(b, c)))
-                _add_block(block_rows, ident, -1, col(a, b))
-                _add_block(block_rows, inv_mats[orbit_map.of(b)], -1,
-                           col(quandle.apply(a, b), c))
-                _add_block(block_rows, ident, 1, col(a, c))
-                _add_block(block_rows, inv_mats[orbit_map.of(a)], 1, col(b, c))
-                _add_block(block_rows, ident, -1, col(b, c))
-                rows.extend(block_rows)
+    rows = _differential_rows(DifferentialSpec.link_twisted(alphas, orbit_map),
+                              quandle, None, coeff, 2)
     rows += _degenerate_rows(quandle, None, coeff, 2)
-    kernel = _kernel_vectors(rows, dim, coeff)
+    kernel = _kernel_vectors(rows, _flat_dim(quandle, None, 2, coeff.d), coeff)
     return [_vector_to_cochain(quandle, None, coeff, 2, v) for v in kernel]

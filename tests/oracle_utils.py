@@ -132,6 +132,54 @@ def twisted_condition_holds(op, vals, n, modulus, alpha):
     return True
 
 
+def pointwise_differential(at, act, op, left, right, moduli, m, args):
+    """(d phi)(m, a_1..a_{k+1}) from the definition, one point at a time:
+
+        sum_i (-1)^(i+1) [left[a_i] phi(m.a_i, a_1|>a_i, .., a_{i-1}|>a_i,
+                                        a_{i+1}, ..)
+                          - right phi(m, a_1, .., a_{i-1}, a_{i+1}, ..)]
+
+    at(m, args) gives phi's value as a tuple of ints, act(m, a) the module
+    action (lambda m, a: m for a trivial module) and op(a, b) = a |> b.
+    left[a] and right are integer matrices acting on value tuples; the
+    result is reduced by each coordinate's modulus (0 leaves Z alone).
+    """
+    d = len(moduli)
+    total = [0] * d
+    for i in range(1, len(args) + 1):
+        sign = 1 if i % 2 else -1
+        ai = args[i - 1]
+        pulled = tuple(op(x, ai) for x in args[:i - 1]) + tuple(args[i:])
+        for mat, value in ((left[ai], at(act(m, ai), pulled)),
+                           ([[-x for x in r] for r in right],
+                            at(m, tuple(args[:i - 1]) + tuple(args[i:])))):
+            for c in range(d):
+                total[c] += sign * sum(mat[c][j] * value[j] for j in range(d))
+    return tuple(x % n if n else x for x, n in zip(total, moduli))
+
+
+def first_failure(at, act, op, left, right, moduli, n, module_size, degree,
+                  quandle_flag):
+    """The first violated cocycle condition in table order, or None.
+
+    With quandle_flag the degenerate entries (two equal neighbouring
+    arguments) are scanned first, then every point of degree + 1.  Returns
+    (axiom, (m, a_1, ...)) with the axiom names the program reports.
+    """
+    if quandle_flag:
+        for m in range(module_size):
+            for args in product(range(n), repeat=degree):
+                if any(x == y for x, y in zip(args, args[1:])) and \
+                        any(at(m, args)):
+                    return "degenerate-vanishing", (m,) + args
+    for m in range(module_size):
+        for args in product(range(n), repeat=degree + 1):
+            if any(pointwise_differential(at, act, op, left, right, moduli,
+                                          m, args)):
+                return "cocycle", (m,) + args
+    return None
+
+
 def enumerate_classical_cocycles(op, n, modulus):
     """All flat value tables satisfying the classical conditions (tiny n)."""
     out = []

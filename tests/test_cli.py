@@ -12,8 +12,8 @@ from qci import cli, corpus, invariants
 from qci.algebra import (CoeffGroup, IntUnit, make_dihedral, orbits,
                          quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
-                            differential_at, link_twisted_cocycle_basis,
-                            random_cochain)
+                            link_twisted_cocycle_basis, random_cochain)
+from tests.oracle_utils import pointwise_differential
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -194,6 +194,17 @@ def test_manifest_reproducibility(files):
     assert m1["library_version"] == m2["library_version"]
 
 
+def test_unwritable_manifest_is_exit_2(files):
+    # the payload is not printed when its manifest cannot be written
+    missing = files["tmp"] / "no" / "such" / "dir" / "m.json"
+    code, out, err = run_cli("orbits", "--quandle", str(files["quandle"]),
+                             "--manifest", str(missing))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["v"] == 1 and json.loads(err)["error"]
+    assert "Traceback" not in err
+
+
 def test_corpus_verify():
     code, out, _ = run_cli("corpus-verify", "--seed", "7", "--samples", "2")
     assert code == 0
@@ -273,8 +284,9 @@ def test_shadow_over_z_gates_the_twisted_source(files):
     assert payload["flavor"] == "twisted"
     assert payload["axiom"] == "cocycle"
     m, *abc = payload["witness"]
-    value = differential_at(DifferentialSpec.twisted(A, 2), omega, None, m,
-                            tuple(abc))
+    value = pointwise_differential(omega.at, lambda m, a: m, q.apply,
+                                   [[[1]]] * q.n, [[2]], A.moduli, m,
+                                   tuple(abc))
     assert value != A.zero()
     code, _, err = run_cli(*args, "--force")
     assert code == 0, err

@@ -12,8 +12,7 @@ from qci.algebra import (CoeffGroup, IntegerShadowModule, IntUnit,
                          make_trivial, orbits, quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec, LazyCochain,
                             cohomology_basis, d_left, d_right, differential,
-                            differential_at, is_cocycle, is_in_span,
-                            is_link_twisted_cocycle, lazy_differential,
+                            is_cocycle, is_in_span, is_link_twisted_cocycle,
                             link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
                             transport_to_shadow, transport_twisted_to_shadow,
@@ -21,7 +20,8 @@ from qci.cohomology import (Cochain, DifferentialSpec, LazyCochain,
 from qci.coloring import enumerate_colorings, propagate_shadow
 from qci.invariants import weight_shadow
 from tests.oracle_utils import (classical_condition_holds,
-                                enumerate_classical_cocycles,
+                                enumerate_classical_cocycles, first_failure,
+                                pointwise_differential,
                                 positive_condition_holds, rref_rank_mod_p,
                                 twisted_condition_holds)
 
@@ -235,12 +235,15 @@ def test_transport_cocycle_equivalence():
     A = CoeffGroup((5,))
     alpha = IntUnit(A, 2)
     tw = DifferentialSpec.twisted(A, 2)
-    sh = DifferentialSpec.quandle(A)
     zero = A.zero()
     rng = random.Random(12)
 
+    one = [[1]]
+
     def differential_vanishes(lazy):
-        return all(differential_at(sh, lazy, lazy.module, m, args) == zero
+        return all(pointwise_differential(lazy.at, lazy.module.act, q.apply,
+                                          [one] * q.n, one, A.moduli, m,
+                                          args) == zero
                    for m in range(-3, 4)
                    for args in product(range(q.n), repeat=3))
 
@@ -272,15 +275,18 @@ def test_transport_commutes_with_differential():
     A = CoeffGroup((5,))
     alpha = IntUnit(A, 2)
     tw = DifferentialSpec.twisted(A, 2)
-    sh = DifferentialSpec.quandle(A)
     rng = random.Random(13)
     theta = random_cochain(rng, q, None, A, 1)
     left = transport_to_shadow(differential(tw, theta), alpha)
-    right = lazy_differential(sh, transport_to_shadow(theta, alpha))
+    shadow = transport_to_shadow(theta, alpha)
+    one = [[1]]
     for m in range(-2, 3):
         for a in range(3):
             for b in range(3):
-                assert left.at(m, (a, b)) == alpha.apply(right.at(m, (a, b)))
+                right = pointwise_differential(
+                    shadow.at, shadow.module.act, q.apply, [one] * q.n, one,
+                    A.moduli, m, (a, b))
+                assert left.at(m, (a, b)) == alpha.apply(right)
 
 
 def test_cohomology_trivial_quandle_size1():
@@ -394,30 +400,90 @@ def test_mixed_moduli_cohomology():
     assert not is_in_span(basis.coboundaries, phi)
 
 
+def _matrix(unit, power=1):
+    """The integer matrix of a unit, read off its action on unit vectors."""
+    d = unit.group.d
+    cols = [unit.apply(tuple(int(i == j) for i in range(d)), power)
+            for j in range(d)]
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+def _scaled_identity(d, k):
+    return [[k * (i == j) for j in range(d)] for i in range(d)]
+
+
+def _oracle_image(theta, left, right, module=None):
+    """The degree k+1 values of theta's differential, flattened, from the
+    qci-free pointwise evaluator."""
+    q = theta.quandle
+    act = module.act if module is not None else (lambda m, a: m)
+    size = module.size if module is not None else 1
+    return [c for m in range(size)
+            for args in product(range(q.n), repeat=theta.degree + 1)
+            for c in pointwise_differential(theta.at, act, q.apply, left,
+                                            right, theta.coeff.moduli, m,
+                                            args)]
+
+
+def _flat(phi):
+    return [c for v in phi.values for c in v]
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_differential_rows_match_pointwise_differential(k):
-    # cohomology_basis reads the image off the columns of this matrix, so
-    # the pointwise differential is the image's independent reference
+    # every gate, dense differential and basis reads this one matrix, so
+    # the qci-free pointwise evaluator is its independent reference; the
+    # weights are read off each unit's action, not off the spec
     from qci.cohomology import _differential_rows
+
+    def matrix_image(spec, theta):
+        x = _flat(theta)
+        rows = _differential_rows(spec, theta.quandle, theta.module,
+                                  theta.coeff, theta.degree)
+        got = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        mods = theta.coeff.moduli * (len(got) // theta.coeff.d)
+        return [v % n if n else v for v, n in zip(got, mods)]
+
     q = make_dihedral(3)
     rng = random.Random(30 + k)
-    for moduli, make_spec in (
-            ((5,), lambda A: DifferentialSpec.twisted(A, 2)),
-            ((0,), DifferentialSpec.quandle),
-            ((2, 3), DifferentialSpec.positive),
-            ((3, 3, 3, 3), lambda A: DifferentialSpec(IntUnit(A, 1),
-                                                      ShiftUnit(A)))):
+    for moduli, units in (
+            ((5,), lambda A: (IntUnit(A, 1), IntUnit(A, 2))),
+            ((0,), lambda A: (IntUnit(A, 1), IntUnit(A, 1))),
+            ((2, 3), lambda A: (IntUnit(A, 1), IntUnit(A, -1))),
+            ((3, 3, 3, 3), lambda A: (IntUnit(A, 1), ShiftUnit(A)))):
         A = CoeffGroup(moduli)
-        spec = make_spec(A)
+        alpha_l, alpha_r = units(A)
+        spec = DifferentialSpec(alpha_l, alpha_r)
+        left, right = [_matrix(alpha_l)] * q.n, _matrix(alpha_r)
+        eye, zero = _scaled_identity(A.d, 1), _scaled_identity(A.d, 0)
+        neg = _scaled_identity(A.d, -1)
         for module in (None, quandle_as_module(q), cyclic_shadow_module(q, 2)):
             theta = random_cochain(rng, q, module, A, k)
-            x = [c for v in theta.values for c in v]
-            rows = _differential_rows(spec, q, module, A, k)
-            got = [sum(a * b for a, b in zip(row, x)) for row in rows]
-            mods = moduli * (len(got) // len(moduli))
-            got = [v % n if n else v for v, n in zip(got, mods)]
-            want = [c for v in differential(spec, theta).values for c in v]
-            assert got == want, (moduli, module, k)
+            want = _oracle_image(theta, left, right, module)
+            assert matrix_image(spec, theta) == want, (moduli, module, k)
+            assert _flat(differential(spec, theta)) == want
+            assert _flat(d_left(theta)) == _oracle_image(
+                theta, [eye] * q.n, zero, module)
+            assert _flat(d_right(theta)) == _oracle_image(
+                theta, [zero] * q.n, neg, module)
+    # the per-orbit twisted spec: the term acting by a is weighted by the
+    # inverse unit of a's orbit, every deleting term by 1
+    for q, moduli, units in (
+            (make_dihedral(4), (5,), lambda A: [IntUnit(A, 2), IntUnit(A, 3)]),
+            (make_alexander(8, 3), (4,),
+             lambda A: [IntUnit(A, 3), IntUnit(A, 1)]),
+            (make_alexander(8, 3), (3, 3, 3),
+             lambda A: [ShiftUnit(A), ShiftUnit(A, 2)])):
+        A = CoeffGroup(moduli)
+        om = orbits(q)
+        alphas = units(A)
+        spec = DifferentialSpec.link_twisted(alphas, om)
+        left = [_matrix(alphas[om.of(a)], -1) for a in range(q.n)]
+        theta = random_cochain(rng, q, None, A, k)
+        want = _oracle_image(theta, left, _scaled_identity(A.d, 1))
+        assert matrix_image(spec, theta) == want, (q.n, moduli, k)
+        if k == 1:
+            assert _flat(link_twisted_coboundary(theta, alphas, om)) == want
 
 
 def test_cyclotomic_truncation_mode():
@@ -456,6 +522,88 @@ def test_link_twisted_cocycles():
         phi = random_cochain(rng, q, None, A, 2)
         assert bool(is_link_twisted_cocycle(phi, same, om)) == bool(
             is_cocycle(spec, phi))
+
+
+def _zero_degenerate(phi, rng=None):
+    """phi with its degenerate entries zeroed; given rng, one of them, at
+    a random place, keeps a nonzero value."""
+    zero = phi.coeff.zero()
+    degenerate = [i for i, (_m, args) in enumerate(phi.domain())
+                  if any(x == y for x, y in zip(args, args[1:]))]
+    values = list(phi.values)
+    for i in degenerate:
+        values[i] = zero
+    if rng is not None and degenerate:
+        values[rng.choice(degenerate)] = (1,) * phi.coeff.d
+    return Cochain(phi.quandle, phi.module, phi.coeff, phi.degree, values)
+
+
+def test_gate_witness_matches_oracle_first_failure():
+    # seeded random non-cocycles, some with the degenerate entries zeroed
+    # so that the differential's rows are reached, some with one of them
+    # left nonzero at a random place, plus coboundaries: the gates report
+    # the verdict, axiom and witness of the qci-free oracle's first
+    # failure in table order
+    rng = random.Random(61)
+    seen = set()
+
+    def compare(report, want, strip=0):
+        assert report.passed == (want is None)
+        if want is not None:
+            assert (report.axiom, report.witness) == (want[0],
+                                                      want[1][strip:])
+            seen.add(want[0])
+        else:
+            seen.add("pass")
+
+    q = make_dihedral(3)
+    for moduli, units in (
+            ((0,), lambda A: (IntUnit(A, 1), IntUnit(A, -1))),
+            ((2, 4), lambda A: (IntUnit(A, 1), IntUnit(A, 3))),
+            ((3, 3, 3), lambda A: (IntUnit(A, 1), ShiftUnit(A)))):
+        A = CoeffGroup(moduli)
+        alpha_l, alpha_r = units(A)
+        spec = DifferentialSpec(alpha_l, alpha_r)
+        left, right = [_matrix(alpha_l)] * q.n, _matrix(alpha_r)
+        for module in (None, quandle_as_module(q), cyclic_shadow_module(q, 2)):
+            act = module.act if module is not None else (lambda m, a: m)
+            size = module.size if module is not None else 1
+            for degree in (1, 2):
+                for trial in range(6):
+                    phi = random_cochain(rng, q, module, A, degree)
+                    if trial % 2:
+                        phi = _zero_degenerate(phi, rng if trial == 5 else None)
+                    if trial == 4:
+                        phi = differential(spec, random_cochain(
+                            rng, q, module, A, degree - 1))
+                    for flag in (True, False):
+                        want = first_failure(phi.at, act, q.apply, left,
+                                             right, moduli, q.n, size, degree,
+                                             flag)
+                        compare(is_cocycle(spec, phi, quandle_flag=flag),
+                                want)
+    for q, moduli, units in (
+            (make_dihedral(4), (5,), lambda A: [IntUnit(A, 2), IntUnit(A, 3)]),
+            (make_alexander(8, 3), (2, 4),
+             lambda A: [IntUnit(A, 3), IntUnit(A, 1)])):
+        A = CoeffGroup(moduli)
+        om = orbits(q)
+        alphas = units(A)
+        left = [_matrix(alphas[om.of(a)], -1) for a in range(q.n)]
+        basis = link_twisted_cocycle_basis(q, A, alphas, om)
+        for trial in range(6):
+            phi = random_cochain(rng, q, None, A, 2)
+            if trial % 2:
+                phi = _zero_degenerate(phi, rng if trial == 5 else None)
+            if trial == 4:
+                phi = basis[-1]
+            for flag in (True, False):
+                want = first_failure(phi.at, lambda m, a: m, q.apply, left,
+                                     _scaled_identity(A.d, 1), moduli, q.n, 1,
+                                     2, flag)
+                compare(is_link_twisted_cocycle(phi, alphas, om, flag), want,
+                        strip=1)
+    assert seen == {"pass", "cocycle", "degenerate-vanishing"}
 
 
 def test_dense_rejects_symbolic():
