@@ -419,6 +419,18 @@ def main(argv=None):
     start = time.monotonic()
     try:
         code, payload = args.fn(args, inputs)
+        text = _dump(payload)
+        if getattr(args, "manifest", None):
+            # written before the payload, so that an unwritable path is
+            # exit 2 with nothing on stdout
+            manifest = {"v": 1,
+                        "command": argv if argv is not None else sys.argv[1:],
+                        "inputs": inputs.digests,
+                        "library_version": __version__,
+                        "output_sha256": hashlib.sha256(text.encode()).hexdigest(),
+                        "wall_time_s": round(time.monotonic() - start, 6)}
+            with open(args.manifest, "w") as fh:
+                fh.write(_dump(manifest))
     except CocycleError as exc:
         out = _dump({"v": 1, "passed": False, "error": "cocycle",
                      "flavor": exc.flavor, "axiom": exc.report.axiom,
@@ -429,21 +441,6 @@ def main(argv=None):
             ValueError, TypeError) as exc:
         sys.stderr.write(_dump({"v": 1, "error": str(exc)}))
         return 2
-    text = _dump(payload)
-    if getattr(args, "manifest", None):
-        # written before the payload, so that an unwritable path is exit 2
-        # with nothing on stdout
-        manifest = {"v": 1, "command": argv if argv is not None else sys.argv[1:],
-                    "inputs": inputs.digests,
-                    "library_version": __version__,
-                    "output_sha256": hashlib.sha256(text.encode()).hexdigest(),
-                    "wall_time_s": round(time.monotonic() - start, 6)}
-        try:
-            with open(args.manifest, "w") as fh:
-                fh.write(_dump(manifest))
-        except OSError as exc:
-            sys.stderr.write(_dump({"v": 1, "error": str(exc)}))
-            return 2
     sys.stdout.write(text)
     return code
 

@@ -6,11 +6,12 @@ drops the m slot.  Every theory here is one shadow-type differential
 (DifferentialSpec): d_left weighted by a matrix of each term's acting
 color, minus d_right under a constant weight.
 
-Each cocycle condition is one integer matrix on flattened (index,
-coordinate) vectors, written down in _differential_rows alone.  The gates
-report its first nonzero entry on a table (after the degenerate entries),
-the dense differentials are its product with a table, the cocycle bases
-are its kernel, and its columns one degree down span the coboundaries.
+Each cocycle condition is written down once, as each point's weighted
+table entries (_point_terms).  The gates evaluate it point by point and
+stop at the first failing one, the dense differentials evaluate it at every
+point, and _differential_rows lays it out as the integer matrix whose
+kernel is the cocycle basis and whose columns one degree down span the
+coboundaries.
 
 Shadow cochains over the symbolic integer module cannot be tabulated, so
 they are wrapped lazily (LazyCochain) and evaluated pointwise.  No cocycle
@@ -25,6 +26,7 @@ in_span and quotient, and the answers are summed.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from operator import mul
 
 from .algebra import (AxiomReport, CoeffGroup, IntegerShadowModule, IntUnit,
@@ -48,10 +50,19 @@ class DifferentialSpec:
             raise StructureError("spec coefficients must be Scalars")
         if alpha_l.group != alpha_r.group:
             raise StructureError("spec coefficients act on different groups")
-        self.group = alpha_l.group
         left = alpha_l.int_matrix()
-        self.left = lambda a: left
-        self.right = alpha_r.int_matrix()
+        self._weigh(alpha_l.group, lambda a: left, alpha_r.int_matrix())
+
+    def _weigh(self, group, left, right):
+        self.group, self.left, self.right = group, left, right
+
+    @classmethod
+    def _of(cls, group, left, right):
+        """The spec with the weights left (a map from acting colors to
+        d x d integer matrices) and right (one such matrix)."""
+        spec = cls.__new__(cls)
+        spec._weigh(group, left, right)
+        return spec
 
     @classmethod
     def quandle(cls, group):
@@ -72,10 +83,10 @@ class DifferentialSpec:
         """alphas maps each orbit id of orbit_map to a unit scalar."""
         if len(alphas) != orbit_map.count:
             raise StructureError("need one unit per quandle orbit")
-        spec = cls.quandle(alphas[0].group)
+        group = alphas[0].group
         inverses = [u.int_matrix(-1) for u in alphas]
-        spec.left = lambda a: inverses[orbit_map.of(a)]
-        return spec
+        return cls._of(group, lambda a: inverses[orbit_map.of(a)],
+                       IntUnit(group, 1).int_matrix())
 
 
 def _mod_size(module):
@@ -112,7 +123,6 @@ class Cochain:
         return self.values[_flat_index(self.quandle, self.module, m, args)]
 
     def domain(self):
-        """All (m, args) pairs in table order."""
         return _domain(self.quandle, self.module, self.degree)
 
     def is_zero(self):
@@ -182,45 +192,36 @@ def _act(module, m, a):
 
 
 def _domain(quandle, module, degree):
-    n = quandle.n
-    args_space = _args_space(n, degree)
-    for m in range(_mod_size(module)):
-        for args in args_space:
-            yield m, args
+    """All (m, args) pairs in table order."""
+    return ((m, args) for m in range(_mod_size(module))
+            for args in product(range(quandle.n), repeat=degree))
 
 
 def _image(spec, phi):
     """The dense cochain rows . values of the spec differential."""
     if isinstance(phi, LazyCochain):
         raise UnsupportedCarrierError("dense differential of a lazy cochain")
-    rows = _differential_rows(spec, phi.quandle, phi.module, phi.coeff,
-                              phi.degree)
-    x = _cochain_to_vector(phi)
-    return _vector_to_cochain(phi.quandle, phi.module, phi.coeff,
-                              phi.degree + 1,
-                              [sum(map(mul, row, x)) for row in rows])
+    values = [_value(terms, phi.values, phi.coeff.d) for _m, _args, terms
+              in _point_terms(spec, phi.quandle, phi.module, phi.degree)]
+    return Cochain(phi.quandle, phi.module, phi.coeff, phi.degree + 1, values)
 
 
 def _one_side(coeff, k_left, k_right):
     """The spec weighting the two sides by k_left and k_right times the
     identity; (1, 0) is d_left alone and (0, -1) d_right alone."""
     d = coeff.d
-    spec = DifferentialSpec.quandle(coeff)
     left = [[k_left * (i == j) for j in range(d)] for i in range(d)]
-    spec.left = lambda a: left
-    spec.right = [[k_right * (i == j) for j in range(d)] for i in range(d)]
-    return spec
+    right = [[k_right * (i == j) for j in range(d)] for i in range(d)]
+    return DifferentialSpec._of(coeff, lambda a: left, right)
 
 
 def d_left(phi):
-    """Dense left differential, the weights (1, 0); raises on symbolic
-    carriers."""
+    """Dense d_left, the weights (1, 0); raises on symbolic carriers."""
     return _image(_one_side(phi.coeff, 1, 0), phi)
 
 
 def d_right(phi):
-    """Dense right differential, the weights (0, -1); raises on symbolic
-    carriers."""
+    """Dense d_right, the weights (0, -1); raises on symbolic carriers."""
     return _image(_one_side(phi.coeff, 0, -1), phi)
 
 
@@ -231,13 +232,6 @@ def differential(spec, phi):
 
 def _degenerate_args(args):
     return any(args[i] == args[i + 1] for i in range(len(args) - 1))
-
-
-def _args_space(n, k):
-    space = [()]
-    for _ in range(k):
-        space = [t + (a,) for t in space for a in range(n)]
-    return space
 
 
 def is_cocycle(spec, phi, quandle_flag=True):
@@ -259,9 +253,9 @@ def is_cocycle(spec, phi, quandle_flag=True):
         for (m, args), v in zip(phi.domain(), phi.values):
             if v != zero and _degenerate_args(args):
                 return AxiomReport(False, "degenerate-vanishing", (m,) + args)
-    image = _image(spec, phi)
-    for (m, args), v in zip(image.domain(), image.values):
-        if v != zero:
+    for m, args, terms in _point_terms(spec, phi.quandle, phi.module,
+                                       phi.degree):
+        if phi.coeff.reduce(_value(terms, phi.values, phi.coeff.d)) != zero:
             return AxiomReport(False, "cocycle", (m,) + args)
     return AxiomReport(True)
 
@@ -359,40 +353,52 @@ def _cochain_to_vector(phi):
     return [x for v in phi.values for x in v]
 
 
-def _add_block(block_rows, mat, sign, base):
-    """Add sign * mat to the d equations of one output value, in the d
-    columns of the input value whose first flattened column is base."""
-    for row, mrow in zip(block_rows, mat):
-        for cj, x in enumerate(mrow):
-            if x:
-                row[base + cj] += sign * x
-
-
-def _differential_rows(spec, quandle, module, coeff, degree):
-    """Integer matrix of the spec differential C^degree -> C^{degree+1},
-    acting on flattened (index, coordinate) vectors.  The d rows of
-    (m, a_1..a_{k+1}) are, with alternating signs over i, left(a_i) at
+def _point_terms(spec, quandle, module, degree):
+    """The spec differential C^degree -> C^{degree+1}, point by point in
+    table order: (m, a_1..a_{k+1}, terms), where the value at the point is
+    the sum of sign * weight . values[position] over the terms.  With
+    alternating signs over i, the terms are left(a_i) at
     (m |> a_i, a_1 |> a_i, .., a_{i-1} |> a_i, a_{i+1}, ..) minus right at
     (m, a_1, .., a_{i-1}, a_{i+1}, ..).  This is the only place a cocycle
     condition is written down."""
-    d = coeff.d
-    in_dim = _flat_dim(quandle, module, degree, d)
     left = [spec.left(a) for a in range(quandle.n)]
-
-    def col(mm, aa):
-        return d * _flat_index(quandle, module, mm, aa)
-
-    rows = []
     for m, args in _domain(quandle, module, degree + 1):
-        block_rows = [[0] * in_dim for _ in range(d)]
+        terms = []
         for i in range(1, len(args) + 1):
             sign = 1 if i % 2 else -1
             ai = args[i - 1]
             largs = tuple(quandle.apply(args[j], ai) for j in range(i - 1)) + args[i:]
-            _add_block(block_rows, left[ai], sign,
-                       col(_act(module, m, ai), largs))
-            _add_block(block_rows, spec.right, -sign,
-                       col(m, args[:i - 1] + args[i:]))
+            terms.append((left[ai], sign, _flat_index(
+                quandle, module, _act(module, m, ai), largs)))
+            terms.append((spec.right, -sign, _flat_index(
+                quandle, module, m, args[:i - 1] + args[i:])))
+        yield m, args, terms
+
+
+def _value(terms, values, d):
+    """One point's unreduced differential value (see _point_terms)."""
+    total = [0] * d
+    for mat, sign, pos in terms:
+        v = values[pos]
+        for r, mrow in enumerate(mat):
+            total[r] += sign * sum(map(mul, mrow, v))
+    return total
+
+
+def _differential_rows(spec, quandle, module, coeff, degree):
+    """Integer matrix of the spec differential C^degree -> C^{degree+1}
+    acting on flattened (index, coordinate) vectors: the d rows of each
+    point hold its _point_terms."""
+    d = coeff.d
+    in_dim = _flat_dim(quandle, module, degree, d)
+    rows = []
+    for _m, _args, terms in _point_terms(spec, quandle, module, degree):
+        block_rows = [[0] * in_dim for _ in range(d)]
+        for mat, sign, pos in terms:
+            for row, mrow in zip(block_rows, mat):
+                for c, x in enumerate(mrow):
+                    if x:
+                        row[d * pos + c] += sign * x
         rows.extend(block_rows)
     return rows
 

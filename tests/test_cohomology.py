@@ -606,6 +606,46 @@ def test_gate_witness_matches_oracle_first_failure():
     assert seen == {"pass", "cocycle", "degenerate-vanishing"}
 
 
+def test_gates_and_dense_maps_read_the_condition_point_by_point(monkeypatch):
+    # the gates and the dense differentials never build the rows x columns
+    # matrix (32768 x 4096 entries for the degree-3 table below), and a
+    # gate stops at the first failing point in table order
+    from qci import cohomology
+
+    def no_matrix(*args):
+        raise AssertionError("dense differential matrix built")
+
+    evaluated = []
+    value = cohomology._value
+
+    def counted(terms, values, d):
+        evaluated.append(1)
+        return value(terms, values, d)
+
+    monkeypatch.setattr(cohomology, "_differential_rows", no_matrix)
+    monkeypatch.setattr(cohomology, "_value", counted)
+    q = make_alexander(8, 3)
+    A = CoeffGroup((4,))
+    module = quandle_as_module(q)
+    spec = DifferentialSpec.quandle(A)
+    rng = random.Random(5)
+    report = is_cocycle(spec, random_cochain(rng, q, module, A, 3),
+                        quandle_flag=False)
+    assert report.axiom == "cocycle"
+    position = 0
+    for x in report.witness:
+        position = position * q.n + x
+    assert len(evaluated) == position + 1
+    theta = random_cochain(rng, q, module, A, 1)
+    assert is_cocycle(spec, differential(spec, theta))
+    assert d_left(theta).quandle is q and d_right(theta).degree == 2
+    om = orbits(q)
+    alphas = [IntUnit(A, 3), IntUnit(A, 1)]
+    cob = link_twisted_coboundary(random_cochain(rng, q, None, A, 1), alphas,
+                                  om)
+    assert is_link_twisted_cocycle(cob, alphas, om, quandle_flag=False)
+
+
 def test_dense_rejects_symbolic():
     q = make_dihedral(3)
     A = CoeffGroup((5,))
