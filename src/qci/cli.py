@@ -8,6 +8,7 @@ cochains in corpus-verify), never an invariant computation.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -328,7 +329,10 @@ def cmd_corpus_verify(args, inputs):
     return (0 if not failures else 1), payload
 
 
+@functools.cache
 def build_parser():
+    # built on first use and kept: argparse parsers are not changed by
+    # parse_args, and building one takes milliseconds
     p = argparse.ArgumentParser(prog="qci",
                                 description="quandle cocycle invariants")
     p.add_argument("--version", action="version", version=__version__)

@@ -1,21 +1,32 @@
 """Exact linear algebra over Z/nZ (composite n allowed) and over Z.
 
-Matrices are plain lists of int rows.  Over a composite modulus, ordinary
-row echelon is not enough: the Howell form is the canonical strong echelon
-form whose rows generate every span vector supported on a coordinate
-suffix, which is exactly what kernel extraction, membership tests and
-coordinates need.  Quotients over Z/n (invariant factors of cohomology
-groups) present the kernel span on its Howell rows and take a Smith form
-whose entries are reduced mod n after every step, so no integer grows past
-about n^2.  Integer Hermite forms and the unreduced Smith form serve only
-the quotients over Z.
+Matrices cross the public boundary as plain lists of int rows.  Over a
+composite modulus, ordinary row echelon is not enough: the Howell form is
+the canonical strong echelon form whose rows generate every span vector
+supported on a coordinate suffix, which is exactly what kernel extraction,
+membership tests and coordinates need.
+
+Inside, the Z/n elimination works on sparse rows, dicts from column to a
+value nonzero mod n: a cocycle condition touches a handful of table
+entries, so differential rows have a few nonzeros in hundreds of columns.
+`howell` and `kernel_mod` share that one elimination.  The kernel of M is
+read off the Howell form of [H^T | I], where H are the echelon rows of M
+itself: H has the row span of M, hence its kernel, and at most `ncols`
+rows (one per pivot column), so the augmented matrix is len(H) + ncols
+wide instead of nrows + ncols.  Only the rows whose pivot lies in the
+identity part reach the output, so only those are reduced above their
+pivots.  The Howell form is canonical, so the kernel basis does not
+depend on this route.
+
+Quotients over Z/n (invariant factors of cohomology groups) present the
+kernel span on its Howell rows and take a Smith form whose entries are
+reduced mod n after every step, so no integer grows past about n^2.
+Integer Hermite forms and the unreduced Smith form serve only the
+quotients over Z.
 
 Callers pick no route: `kernel`, `span_basis`, `in_span` and `quotient`
 take the modulus n, with n == 0 meaning Z, and choose between the Howell
 (Z/n) and Hermite (Z) machinery themselves.
-
-Everything here is written for desk-scale matrices (a few hundred rows);
-clarity and exactness win over speed.
 """
 
 from math import gcd
@@ -56,6 +67,107 @@ def _first_nonzero(row):
     return None
 
 
+# -- sparse rows: {column: value} with every value in 1..n-1 ----------------
+
+def _sparse(row, n):
+    return {j: v % n for j, v in enumerate(row) if v % n}
+
+
+def _dense(row, width, shift=0):
+    out = [0] * width
+    for j, v in row.items():
+        out[j - shift] = v
+    return out
+
+
+def _scaled(row, u, n):
+    """u * row mod n, as a new row."""
+    out = {}
+    for j, v in row.items():
+        w = u * v % n
+        if w:
+            out[j] = w
+    return out
+
+
+def _add_multiple(row, q, other, n):
+    """row += q * other mod n, in place."""
+    get = row.get
+    for j, v in other.items():
+        w = (get(j, 0) + q * v) % n
+        if w:
+            row[j] = w
+        else:
+            row.pop(j, None)
+
+
+def _combination(x, r, y, s, n):
+    """x * r + y * s mod n, as a new row."""
+    out = _scaled(r, x, n)
+    _add_multiple(out, y, s, n)
+    return out
+
+
+def _check_modulus(n):
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+
+
+def _echelon(queue, n):
+    """Strong echelon rows {pivot column: row} with the Z/n span of the
+    sparse rows in `queue` (which it consumes and may modify).
+
+    Each pivot is normalized to gcd(pivot, n), a divisor of n, and the
+    annihilator row (n/pivot) * row is queued too, so every span vector
+    supported on a column suffix is a combination of the rows pivoting in
+    that suffix.  Entries above later pivots are left unreduced.
+    """
+    piv = {}
+
+    def install(row, j):
+        u = _unit_for(row[j], n)
+        if u != 1:
+            row = _scaled(row, u, n)
+        piv[j] = row
+        t = n // row[j]
+        if t < n:   # a unit pivot's annihilator is zero
+            queue.append(_scaled(row, t, n))
+
+    while queue:
+        r = queue.pop()
+        while r:
+            j = min(r)
+            p = piv.get(j)
+            if p is None:
+                install(r, j)
+                break
+            a, b = p[j], r[j]
+            if b % a == 0:
+                _add_multiple(r, -(b // a), p, n)
+            else:
+                g, x, y = xgcd(a, b)
+                newp = _combination(x, p, y, r, n)
+                r = _combination(a // g, r, -(b // g), p, n)
+                install(newp, j)
+    return piv
+
+
+def _reduce_above(piv, n):
+    """Reduce every row of an echelon {pivot column: row} modulo the
+    pivots after its own, in place; returns the pivot columns in order."""
+    cols = sorted(piv)
+    # subtracting a row changes only columns from its pivot on, so the
+    # later pivots, taken in increasing order, leave the ones already
+    # reduced alone; bottom-up, each row is reduced by final rows only
+    for i in range(len(cols) - 2, -1, -1):
+        row = piv[cols[i]]
+        for j in cols[i + 1:]:
+            q = row.get(j, 0) // piv[j][j]
+            if q:
+                _add_multiple(row, -q, piv[j], n)
+    return cols
+
+
 def howell(rows, n, width=None):
     """Canonical Howell basis of the Z/n row span of `rows`.
 
@@ -63,57 +175,11 @@ def howell(rows, n, width=None):
     dividing n, and entries above each pivot reduced modulo it.  The form
     is unique for a given span, so it doubles as a span fingerprint.
     """
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
+    _check_modulus(n)
     if width is None:
         width = max((len(r) for r in rows), default=0)
-    piv = {}
-    queue = []
-    for r in rows:
-        rr = [v % n for v in r] + [0] * (width - len(r))
-        if any(rr):
-            queue.append(rr)
-
-    def install(row, j):
-        # normalize pivot to gcd(row[j], n), record, and queue the
-        # annihilator row that witnesses torsion below this pivot
-        u = _unit_for(row[j], n)
-        row = [(u * v) % n for v in row]
-        piv[j] = row
-        t = n // gcd(row[j], n)
-        ann = [(t * v) % n for v in row]
-        if any(ann):
-            queue.append(ann)
-
-    while queue:
-        r = queue.pop()
-        j = _first_nonzero(r)
-        while j is not None:
-            if j not in piv:
-                install(r, j)
-                break
-            p = piv[j]
-            a, b = p[j], r[j]
-            if b % a == 0:
-                q = b // a
-                r = [(rv - q * pv) % n for rv, pv in zip(r, p)]
-            else:
-                g, x, y = xgcd(a, b)
-                newp = [(x * pv + y * rv) % n for pv, rv in zip(p, r)]
-                r = [((a // g) * rv - (b // g) * pv) % n
-                     for pv, rv in zip(p, r)]
-                install(newp, j)
-            j = _first_nonzero(r)
-
-    cols = sorted(piv)
-    basis = [piv[j] for j in cols]
-    # back-reduce entries sitting above later pivots
-    for i, row in enumerate(basis):
-        for j2, p2 in zip(cols[i + 1:], basis[i + 1:]):
-            q = row[j2] // p2[j2]
-            if q:
-                basis[i] = row = [(rv - q * pv) % n for rv, pv in zip(row, p2)]
-    return basis
+    piv = _echelon([_sparse(r, n) for r in rows], n)
+    return [_dense(piv[j], width) for j in _reduce_above(piv, n)]
 
 
 def _howell_coords(basis, v, n):
@@ -137,16 +203,27 @@ def howell_member(basis, v, n):
 
 
 def _augmented(rows, ncols):
-    """[M^T | I]: Howell/Hermite forms of it expose the kernel of M."""
+    """[M^T | I]: Hermite forms of it expose the kernel of M over Z."""
     return [[r[c] for r in rows] + [int(k == c) for k in range(ncols)]
             for c in range(ncols)]
 
 
 def kernel_mod(rows, ncols, n):
-    """Basis of {x in (Z/n)^ncols : M x == 0} for the matrix with `rows`."""
-    nr = len(rows)
-    basis = howell(_augmented(rows, ncols), n, width=nr + ncols)
-    return [row[nr:] for row in basis if not any(row[:nr])]
+    """Basis of {x in (Z/n)^ncols : M x == 0} for the matrix with `rows`.
+
+    The Howell basis of the kernel: the rows of the Howell form of
+    [H^T | I] that vanish on the H^T part, for H the echelon rows of M.
+    """
+    _check_modulus(n)
+    h = _echelon([_sparse(r, n) for r in rows], n).values()
+    left = len(h)   # columns 0..left-1 hold H^T, the rest the identity
+    aug = [{left + c: 1} for c in range(ncols)]
+    for k, row in enumerate(h):
+        for c, v in row.items():
+            aug[c][k] = v
+    piv = _echelon(aug, n)
+    tail = {j: row for j, row in piv.items() if j >= left}
+    return [_dense(tail[j], ncols, left) for j in _reduce_above(tail, n)]
 
 
 def hnf(rows, width=None):

@@ -45,6 +45,38 @@ def brute_span(rows, n, width):
     return seen
 
 
+def is_howell_basis(rows, n, width):
+    """Do `rows` have the shape of the Howell basis of their Z/n span?
+
+    Checks that every row has `width` entries in [0, n), that the pivots
+    (first nonzero entries) sit in strictly increasing columns, that each
+    pivot divides n and that every entry above a pivot is smaller than it.
+    When n^width is small it also checks the strong echelon property: a
+    span vector whose first k entries vanish is a combination of the rows
+    pivoting at column k or later.
+    """
+    pivots = []
+    for row in rows:
+        if len(row) != width or any(not 0 <= v < n for v in row):
+            return False
+        nonzero = [j for j, v in enumerate(row) if v]
+        if not nonzero or (pivots and nonzero[0] <= pivots[-1]):
+            return False
+        pivots.append(nonzero[0])
+    for i, (j, row) in enumerate(zip(pivots, rows)):
+        if n % row[j] or any(above[j] >= row[j] for above in rows[:i]):
+            return False
+    if n ** width > 4096:
+        return True
+    span = brute_span(rows, n, width)
+    for k in range(width + 1):
+        suffix = brute_span([r for j, r in zip(pivots, rows) if j >= k], n,
+                            width)
+        if any(not any(v[:k]) and v not in suffix for v in span):
+            return False
+    return True
+
+
 def brute_invariant_factors(ker, im, n, dim):
     """Invariant factors (> 1) of span(ker)/span(im) inside (Z/n)^dim.
 

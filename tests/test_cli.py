@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, determinism, manifests."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -9,8 +10,8 @@ import sys
 import pytest
 
 from qci import cli, corpus, invariants
-from qci.algebra import (CoeffGroup, IntUnit, make_dihedral, orbits,
-                         quandle_as_module)
+from qci.algebra import (CoeffGroup, IntUnit, make_alexander, make_dihedral,
+                         orbits, quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             link_twisted_cocycle_basis, random_cochain)
 from tests.oracle_utils import pointwise_differential
@@ -346,3 +347,78 @@ def test_check_module_missing_quandle_is_structural():
     code, _out, err = run_cli("check", "--kind", "module",
                               "--file", "nonexistent.json")
     assert code == 2
+
+
+def _main_in_process(capsys, argv):
+    """(code, stdout, stderr) of one cli.main call in this process."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:   # argparse errors, --version
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_repeated_main_calls_match_lone_calls(files, capsys):
+    # the parser is built once per process; every call must still print
+    # what a fresh process prints, argparse errors included
+    q, d, w = (str(files[k]) for k in ("quandle", "diagram", "cocycle"))
+    commands = [
+        ["check", "--kind", "quandle", "--file", q],
+        ["cohomology", "--quandle", q, "--coeff", "3"],
+        ["cohomology", "--quandle", q],                     # argparse: exit 2
+        ["invariant", "--flavor", "classical", "--diagram", d,
+         "--quandle", q, "--cocycle", w],
+        ["rmove", "--diagram", d, "--move", "r3", "--target", "0"],  # exit 2
+        ["colorings", "--diagram", d, "--quandle", q],
+        ["check", "--kind", "quandle", "--file", d],        # structural: 2
+        ["--version"],
+    ]
+    lone = [run_cli(*argv) for argv in commands]
+    assert sorted({code for code, _, _ in lone}) == [0, 2]
+    for _ in range(2):
+        for argv, want in zip(commands, lone):
+            assert _main_in_process(capsys, argv) == want, argv
+    for argv, want in zip(reversed(commands), reversed(lone)):
+        assert _main_in_process(capsys, argv) == want, argv
+
+
+# sha256 of `qci cohomology` stdout, recorded before the Z/n elimination
+# became sparse; the Howell form is canonical, so no route may move them
+COHOMOLOGY_SHA256 = {
+    "d5.z5.deg3":
+        "2cf26eb398eb19a8271ed27257329fa0ad53914c3a830f006cb0ee9a2989a9b3",
+    "a8_3.z4.mod_z2":
+        "5a6b42aa62d8bfd0510fa61bb3ca18697c28c8f7570669e155e0066cca4dd86a",
+    "d3.self.z3.deg3":
+        "6c20e791a25377d7d119cf229aefc0eab7cb6d2593ae920d9accccf9c44e5cf5",
+    "d3.z6":
+        "a1de1927267f9c56e6c87d279ed229335b3ae29f7f00b57b516121b905b949ac",
+}
+
+
+def test_cohomology_output_bytes_are_frozen(tmp_path, capsys):
+    def write(name, data):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    d3 = make_dihedral(3)
+    q = {"d3": write("d3", d3.to_json()),
+         "d5": write("d5", make_dihedral(5).to_json()),
+         "a8_3": write("a8_3", make_alexander(8, 3).to_json())}
+    self3 = write("d3_self", {"v": 1, "kind": "table", "size": 3,
+                              "action": [list(r) for r in d3.op]})
+    cases = {
+        "d5.z5.deg3": ["--quandle", q["d5"], "--coeff", "5", "--degree", "3"],
+        "a8_3.z4.mod_z2": ["--quandle", q["a8_3"], "--coeff", "4",
+                           "--module", "Z/2"],
+        "d3.self.z3.deg3": ["--quandle", q["d3"], "--coeff", "3",
+                            "--degree", "3", "--module", self3],
+        "d3.z6": ["--quandle", q["d3"], "--coeff", "6"],
+    }
+    for name, argv in cases.items():
+        code, out, err = _main_in_process(capsys, ["cohomology", *argv])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            COHOMOLOGY_SHA256[name], name

@@ -693,8 +693,9 @@ def test_mochizuki_degree3_anchor(p):
     """H^3_Q(R_p; Z/p) = Z/p (Mochizuki, J. Pure Appl. Algebra 179, 2003).
 
     The cocycle and coboundary counts are checked against ranks from the
-    independent dense row reduction.  D7 takes about 6 s on a 2-CPU
-    machine, almost all of it in kernel_mod and in the rank oracle.
+    independent dense row reduction.  D7 takes about 5 s on a 2-CPU
+    machine, almost all of it in that rank oracle (about 4 s); the
+    cohomology basis itself takes about 0.6 s.
     """
     from qci.cohomology import _differential_rows, _degenerate_rows
     q = make_dihedral(p)
@@ -715,12 +716,16 @@ def test_mochizuki_degree3_anchor(p):
 def test_quotients_over_z_n_stay_bounded(monkeypatch):
     # the integer Hermite route once grew xgcd operands past 600,000 bits
     # on these two; over Z/n every operand stays below n^2 and no Hermite
-    # form is taken
+    # form is taken.  The recorder must see calls, or a path that bypassed
+    # modlinalg.xgcd would leave the bound unchecked; over the prime 5
+    # every pivot is a unit and no gcd step is needed, so only Z/4 makes
+    # them.
     xgcd = modlinalg.xgcd
-    bound = {}
+    bound = {"calls": 0}
 
     def recorded(a, b):
         assert abs(a) < bound["n"] ** 2 and abs(b) < bound["n"] ** 2, (a, b)
+        bound["calls"] += 1
         return xgcd(a, b)
 
     def no_hnf(*args, **kwargs):
@@ -738,6 +743,7 @@ def test_quotients_over_z_n_stay_bounded(monkeypatch):
         basis = cohomology_basis(DifferentialSpec.quandle(A), q, module, A,
                                  degree)
         assert basis.torsion == torsion
+    assert bound["calls"] > 0
 
 
 def test_cochain_json_accepts_plain_ints():

@@ -2,11 +2,13 @@
 
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
 from qci import modlinalg as ml
-from tests.oracle_utils import brute_invariant_factors, brute_span
+from tests.oracle_utils import (brute_invariant_factors, brute_span,
+                                is_howell_basis)
 
 
 def test_xgcd():
@@ -56,6 +58,50 @@ def test_kernel_mod_exact(n):
                  if all(sum(r[c] * v[c] for c in range(ncols)) % n == 0
                         for r in mat)}
         assert brute_span(kern or [[0] * ncols], n, ncols) == brute
+
+
+def test_is_howell_basis_oracle():
+    assert is_howell_basis([[1, 0, 1], [0, 2, 1], [0, 0, 2]], 4, 3)
+    # (0, 0, 2) = 2 * (0, 2, 1) needs a row of its own
+    assert not is_howell_basis([[1, 0, 1], [0, 2, 1]], 4, 3)
+    assert is_howell_basis([], 4, 3)
+    # (0, 2) = 2 * (2, 1) lies in the span but no row pivots at column 1
+    assert not is_howell_basis([[2, 1]], 4, 2)
+    assert is_howell_basis([[2, 1], [0, 2]], 4, 2)
+    assert not is_howell_basis([[3, 0]], 4, 2)          # 3 does not divide 4
+    assert not is_howell_basis([[1, 2], [0, 2]], 4, 2)  # 2 above pivot 2
+    assert not is_howell_basis([[0, 1], [1, 0]], 4, 2)  # pivots not increasing
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_kernel_mod_is_the_canonical_howell_basis(n):
+    # the kernel depends on the row span of M only: presenting that span
+    # differently must not move a byte of the output.  Odd trials are tall
+    # (nrows > ncols), where M is first cut down to its echelon rows.
+    rng = random.Random(40 + n)
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    for trial in range(24):
+        ncols = rng.randrange(1, 4) if trial < 12 else rng.randrange(4, 9)
+        nrows = (rng.randrange(ncols + 1, 2 * ncols + 3) if trial % 2
+                 else rng.randrange(1, ncols + 1))
+        mat = [[rng.randrange(n) if rng.random() < 0.6 else 0
+                for _ in range(ncols)] for _ in range(nrows)]
+        kern = ml.kernel_mod(mat, ncols, n)
+        assert is_howell_basis(kern, n, ncols)
+        assert all(sum(r[c] * v[c] for c in range(ncols)) % n == 0
+                   for r in mat for v in kern)
+        shuffled = [list(r) for r in mat]
+        rng.shuffle(shuffled)
+        scaled = [[u * v for v in r] for u, r in
+                  zip(rng.choices(units, k=nrows), mat)]
+        combos = []
+        for _ in range(3):
+            coeffs = [rng.randrange(n) for _ in mat]
+            combos.append([sum(q * r[c] for q, r in zip(coeffs, mat))
+                           for c in range(ncols)])
+        for other in (shuffled, mat + mat, scaled, mat + combos,
+                      combos + shuffled):
+            assert ml.kernel_mod(other, ncols, n) == kern
 
 
 def test_hnf_and_solve():
