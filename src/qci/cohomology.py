@@ -31,7 +31,7 @@ from operator import mul
 
 from .algebra import (AxiomReport, CoeffGroup, IntegerShadowModule, IntUnit,
                       OrbitShadowModule, Scalar, StructureError,
-                      UnsupportedCarrierError)
+                      TableModule, UnsupportedCarrierError)
 from . import modlinalg
 
 
@@ -93,17 +93,20 @@ def _mod_size(module):
     return 1 if module is None else module.size
 
 
-def _require_finite(module):
-    if module is not None and not module.is_finite:
+def _require_table(module):
+    """Dense tables index the module carrier by position, so it must be a
+    table module (a finite product module acts on pairs, not positions)."""
+    if module is not None and not isinstance(module, TableModule):
         raise UnsupportedCarrierError(
-            "dense cochain tables need a finite module carrier")
+            "dense cochain tables need a table module, not "
+            f"{type(module).__name__}")
 
 
 class Cochain:
-    """Dense cochain table over a finite (or trivial) module."""
+    """Dense cochain table over a table module (or the trivial one, None)."""
 
     def __init__(self, quandle, module, coeff, degree, values):
-        _require_finite(module)
+        _require_table(module)
         if degree < 0:
             raise StructureError("degree must be >= 0")
         self.quandle = quandle
@@ -185,10 +188,6 @@ def random_cochain(rng, quandle, module, coeff, degree):
     size = _mod_size(module) * quandle.n ** degree
     vals = [coeff.random_element(rng) for _ in range(size)]
     return Cochain(quandle, module, coeff, degree, vals)
-
-
-def _act(module, m, a):
-    return m if module is None else module.act(m, a)
 
 
 def _domain(quandle, module, degree):
@@ -360,18 +359,29 @@ def _point_terms(spec, quandle, module, degree):
     alternating signs over i, the terms are left(a_i) at
     (m |> a_i, a_1 |> a_i, .., a_{i-1} |> a_i, a_{i+1}, ..) minus right at
     (m, a_1, .., a_{i-1}, a_{i+1}, ..).  This is the only place a cocycle
-    condition is written down."""
-    left = [spec.left(a) for a in range(quandle.n)]
+    condition is written down.
+
+    Positions are integer sums on the op and action tables: a degree-k
+    position is m * n^k + sum_j b_j * n^(k-j), m being 0 on a trivial
+    module.  The right term's prefix and the shared suffix are carried from
+    one i to the next."""
+    n, right = quandle.n, spec.right
+    action = ((0,) * n,) if module is None else module.action
+    top = n ** degree
+    place = [n ** (degree - j) for j in range(1, degree + 1)]
+    column = [tuple(row[a] for row in quandle.op) for a in range(n)]
+    left = [spec.left(a) for a in range(n)]
     for m, args in _domain(quandle, module, degree + 1):
         terms = []
-        for i in range(1, len(args) + 1):
-            sign = 1 if i % 2 else -1
-            ai = args[i - 1]
-            largs = tuple(quandle.apply(args[j], ai) for j in range(i - 1)) + args[i:]
-            terms.append((left[ai], sign, _flat_index(
-                quandle, module, _act(module, m, ai), largs)))
-            terms.append((spec.right, -sign, _flat_index(
-                quandle, module, m, args[:i - 1] + args[i:])))
+        head, tail = 0, sum(map(mul, args[1:], place))
+        for i, ai in enumerate(args):
+            sign = -1 if i % 2 else 1
+            acted = sum(map(mul, map(column[ai].__getitem__, args[:i]), place))
+            terms.append((left[ai], sign, action[m][ai] * top + acted + tail))
+            terms.append((right, -sign, m * top + head + tail))
+            if i < degree:
+                head += ai * place[i]
+                tail -= args[i + 1] * place[i]
         yield m, args, terms
 
 
@@ -519,7 +529,7 @@ def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
     the canonical form of the image from one degree down.  Invariant
     factors describe the quotient group.
     """
-    _require_finite(module)
+    _require_table(module)
     if degree < 1:
         raise StructureError("cohomology is computed in degree >= 1")
     d = coeff.d

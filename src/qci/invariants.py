@@ -17,13 +17,19 @@ fills the slots:
                   region with the unit of component j's color orbit, m = 0
 
 So a diagram is compiled once per flavor into a plan holding, per
-crossing, the sign, the two arc slots, the source region and the exponent
-vector; one loop weighs every coloring from it.  The invariant is the
-multiset of weights over all colorings (with the exterior region color
-pinned for shadow flavors).
+crossing, the two arc slots, the source region and one d x d integer
+coefficient matrix C_x = s(x) * prod_j U_j^(e_j(x)) folded from the sign
+and the twisting units.  Weighing a coloring is then one linear loop,
+sum_x C_x . w(m(x), a, b) on plain integers, reduced once at the end.
+The units are fixed for the twisted flavors, so their coefficients are
+built with the plan; link_twisted builds them the first time a tuple of
+component color orbits appears and keeps them per tuple.  The invariant
+is the multiset of weights over all colorings (with the exterior region
+color pinned for shadow flavors).
 """
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .algebra import IntUnit, Scalar, StructureError, orbits
 from .cohomology import (DifferentialSpec, is_cocycle,
@@ -134,6 +140,18 @@ def _compile(diagram, flavor, indices=None):
     return tuple(terms)
 
 
+def _coefficient(sign, units, exps, d):
+    """s * prod_j U_j^(e_j) as a d x d integer matrix, the units composed in
+    the order they twist a value: unit j acts after units 0..j-1."""
+    coef = [[sign * (r == c) for c in range(d)] for r in range(d)]
+    for unit, e in zip(units, exps):
+        if e:
+            u = unit.int_matrix(e)
+            coef = [[sum(u[r][k] * coef[k][c] for k in range(d))
+                     for c in range(d)] for r in range(d)]
+    return tuple(map(tuple, coef))
+
+
 class _Plan:
     """A flavor's state sum compiled once for one diagram and cochain.
 
@@ -142,6 +160,9 @@ class _Plan:
     coloring (a ShadowColoring for the shadow flavors).  The exponent
     vector of a crossing pairs with the units: (alpha,) for the twisted
     flavors, and for link_twisted the unit of each component's color orbit.
+    Each crossing's sign and twist fold into one integer coefficient
+    matrix (_coefficient): once per plan when the units are fixed, once
+    per tuple of component orbits for link_twisted.
     """
 
     def __init__(self, diagram, flavor, omega, check, *, alpha=None,
@@ -150,10 +171,10 @@ class _Plan:
             raise StructureError(f"unknown flavor {flavor!r}")
         coeff = omega.coeff
         self.alpha = self.alphas = None
-        self.units = ()
+        units = ()
         if flavor in ("twisted", "shadow_twisted"):
             self.alpha = _as_scalar(coeff, alpha)
-            self.units = (self.alpha,)
+            units = (self.alpha,)
         if flavor == "link_twisted":
             if orbit_map is None:
                 orbit_map = orbits(omega.quandle)
@@ -167,26 +188,38 @@ class _Plan:
         self.orbit_map = orbit_map
         self.omega = omega
         self.shadow = flavor in ("shadow", "shadow_twisted")
+        # non-shadow flavors read omega at m = 0 for every source region
+        self.no_regions = (0,) * diagram.n_regions
         self.terms = _compile(diagram, flavor)
+        self.by_orbits = {}
+        if self.alphas is None:
+            self.weighed = self._weighed(units)
+
+    def _weighed(self, units):
+        """(coefficient, a_arc, b_arc, source region) per crossing."""
+        d = self.omega.coeff.d
+        return tuple((_coefficient(sign, units, exps, d), a, b, src)
+                     for sign, a, b, src, exps in self.terms)
 
     def __call__(self, coloring):
-        arcs, regions = coloring, None
+        arcs, regions = coloring, self.no_regions
         if self.shadow:
             arcs, regions = coloring.arcs, coloring.regions
-        units = self.units
-        if self.alphas is not None:
-            units = tuple(self.alphas[o] for o in component_orbits(
-                self.diagram, arcs, self.orbit_map))
+        if self.alphas is None:
+            weighed = self.weighed
+        else:
+            key = component_orbits(self.diagram, arcs, self.orbit_map)
+            weighed = self.by_orbits.get(key)
+            if weighed is None:
+                weighed = self.by_orbits[key] = self._weighed(
+                    tuple(self.alphas[o] for o in key))
         coeff, at = self.omega.coeff, self.omega.at
-        total = coeff.zero()
-        for sign, a, b, src, exps in self.terms:
-            term = at(0 if regions is None else regions[src],
-                      (arcs[a], arcs[b]))
-            for unit, e in zip(units, exps):
-                if e:
-                    term = unit.apply(term, e)
-            total = coeff.add(total, term if sign > 0 else coeff.neg(term))
-        return total
+        total = [0] * coeff.d
+        for coef, a, b, src in weighed:
+            term = at(regions[src], (arcs[a], arcs[b]))
+            for r, row in enumerate(coef):
+                total[r] += sum(map(mul, row, term))
+        return coeff.reduce(total)
 
 
 # -- per-coloring weights ----------------------------------------------------

@@ -268,16 +268,19 @@ def raw_crossing_slots(rec):
 
 
 def oracle_weight_sum(records, arc_of, colors, omega_at, modulus_add,
-                      zero, neg, twist=None):
+                      zero, neg, twist=None, regions=None):
     """Signed crossing sum recomputed from raw data.
 
-    omega_at(acolor, bcolor) -> group element; twist, when given, maps
-    (term, crossing_index) -> twisted term.
+    omega_at(acolor, bcolor) -> group element; for the shadow flavors,
+    ``regions`` lists each crossing's source-region color by crossing
+    index and omega_at(region color, acolor, bcolor) is called instead.
+    twist, when given, maps (term, crossing_index) -> twisted term.
     """
     total = zero
     for ci, rec in enumerate(records):
         a_sa, b_sa, sign = raw_crossing_slots(rec)
-        term = omega_at(colors[arc_of[a_sa]], colors[arc_of[b_sa]])
+        shadow = () if regions is None else (regions[ci],)
+        term = omega_at(*shadow, colors[arc_of[a_sa]], colors[arc_of[b_sa]])
         if twist is not None:
             term = twist(term, ci)
         total = modulus_add(total, term if sign > 0 else neg(term))

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 from qci import cli, corpus, invariants
-from qci.algebra import (CoeffGroup, IntUnit, make_alexander, make_dihedral,
-                         orbits, quandle_as_module)
+from qci.algebra import (CoeffGroup, IntUnit, cyclic_shadow_module,
+                         make_alexander, make_dihedral, orbits,
+                         quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             link_twisted_cocycle_basis, random_cochain)
 from tests.oracle_utils import pointwise_differential
@@ -68,6 +69,20 @@ def test_check_structural_error_exit2(files):
                               "--file", str(path))
     assert code == 2
     assert "error" in json.loads(err)
+
+
+def test_cohomology_over_product_module_is_exit2(files):
+    q = make_dihedral(3)
+    prod = {"v": 1, "kind": "product",
+            "factors": [quandle_as_module(q).describe(),
+                        cyclic_shadow_module(q, 2).describe()]}
+    path = files["tmp"] / "product.json"
+    path.write_text(json.dumps(prod))
+    code, out, err = run_cli("cohomology", "--quandle", str(files["quandle"]),
+                             "--coeff", "3", "--module", str(path))
+    assert code == 2 and out == ""
+    assert "dense cochain tables need a table module" in \
+        json.loads(err)["error"]
 
 
 def test_zero_cocycle_passes_any_spec(files):

@@ -9,7 +9,8 @@ from qci import corpus, modlinalg
 from qci.algebra import (CoeffGroup, IntegerShadowModule, IntUnit,
                          ShiftUnit, UnsupportedCarrierError,
                          cyclic_shadow_module, make_alexander, make_dihedral,
-                         make_trivial, orbits, quandle_as_module)
+                         make_trivial, orbits, product_module,
+                         quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec, LazyCochain,
                             cohomology_basis, d_left, d_right, differential,
                             is_cocycle, is_in_span, is_link_twisted_cocycle,
@@ -662,6 +663,19 @@ def test_dense_rejects_symbolic():
     sh = propagate_shadow(d, enumerate_colorings(d, q)[0], lazy.module, 0)
     with pytest.raises(UnsupportedCarrierError):
         weight_shadow(d, sh, lazy)
+
+
+def test_dense_rejects_finite_product_module():
+    # a finite product module acts on pairs, but dense tables index the
+    # module carrier by position: refused up front, not a TypeError later
+    q = make_dihedral(3)
+    A = CoeffGroup((3,))
+    prod = product_module(quandle_as_module(q), cyclic_shadow_module(q, 2))
+    assert prod.is_finite and prod.size == 6
+    with pytest.raises(UnsupportedCarrierError, match="table module"):
+        Cochain(q, prod, A, 2, [A.zero()] * 54)
+    with pytest.raises(UnsupportedCarrierError, match="table module"):
+        cohomology_basis(DifferentialSpec.quandle(A), q, prod, A, 2)
 
 
 def test_cochain_json_roundtrip():

@@ -9,23 +9,28 @@ are fixed; failures are reproducible.
 """
 
 import random
+from collections import Counter
+from operator import mul
 
 import pytest
 
 from qci.algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
-                         OrbitShadowModule, Quandle, make_alexander,
-                         make_conjugation, make_dihedral, make_trivial,
-                         orbits)
+                         OrbitShadowModule, Quandle, Scalar, ShiftUnit,
+                         make_alexander, make_conjugation, make_dihedral,
+                         make_trivial, orbits, quandle_as_module)
 from qci.cohomology import DifferentialSpec, cocycle_basis, \
-    link_twisted_cocycle_basis, transport_link_twisted_to_shadow, \
-    transport_twisted_to_shadow
+    link_twisted_cocycle_basis, random_cochain, \
+    transport_link_twisted_to_shadow, transport_twisted_to_shadow
 from qci.coloring import enumerate_colorings, is_coloring, propagate_shadow
 from qci.diagram import (Diagram, checkerboard, compute_indices,
                          crossing_geometry, r1_insert, r2_insert)
-from qci.invariants import (positive_signs, weight_link_twisted,
-                            weight_shadow, weight_twisted)
+from qci.invariants import (FLAVORS, invariant_multiset, positive_signs,
+                            weight_classical, weight_link_twisted,
+                            weight_positive, weight_shadow,
+                            weight_shadow_twisted, weight_twisted)
 from tests.groups import symmetric_3
-from tests.oracle_utils import braid_push_colorings, brute_force_colorings
+from tests.oracle_utils import (braid_push_colorings, brute_force_colorings,
+                                oracle_weight_sum)
 
 
 def braid_closure_records(word, strands):
@@ -273,3 +278,162 @@ def test_search_cost_per_coloring(monkeypatch):
                                make_alexander(8, 3))
     assert cols
     assert 0 < calls[0] < 50_000 * len(cols)
+
+
+# -- every flavor's weight against the raw-record oracle ---------------------
+
+class _MatrixUnit(Scalar):
+    """Automorphism of (Z/3)^3 given by a matrix and its inverse.  Two of
+    them need not commute, so they pin down the order in which a
+    crossing's units are composed (the order the paper's product is read
+    in: the unit of component j acts after those of components < j)."""
+
+    def __init__(self, group, mat, inv):
+        super().__init__(group)
+        self.mat, self.inv = mat, inv
+
+    def int_matrix(self, power=1):
+        out = [[int(r == c) for c in range(3)] for r in range(3)]
+        for _ in range(abs(power)):
+            base = self.mat if power > 0 else self.inv
+            out = [[sum(base[r][k] * out[k][c] for k in range(3)) % 3
+                    for c in range(3)] for r in range(3)]
+        return out
+
+
+def _raw_group(moduli):
+    """Zero, addition and negation on residue tuples, without qci."""
+    def add(x, y):
+        return tuple((a + b) % n if n else a + b
+                     for a, b, n in zip(x, y, moduli))
+
+    def neg(x):
+        return tuple(-a % n if n else -a for a, n in zip(x, moduli))
+    return (0,) * len(moduli), add, neg
+
+
+def _oracle_units():
+    """Coefficient group, twisted unit and the two per-orbit units of each
+    case, every unit paired with its raw action x, e -> u^e x."""
+    def int_unit(group, v):
+        return IntUnit(group, v), lambda x, e: tuple(
+            a * pow(v, e, n) % n if n else a * v ** abs(e)
+            for a, n in zip(x, group.moduli))
+
+    def shift(group, s):
+        return ShiftUnit(group, s), lambda x, e: tuple(
+            x[(i - s * e) % group.d] for i in range(group.d))
+
+    def matrix(group, mat, inv):
+        def power(x, e):
+            for _ in range(abs(e)):
+                x = tuple(sum(map(mul, row, x)) % 3
+                          for row in (mat if e > 0 else inv))
+            return x
+        return _MatrixUnit(group, mat, inv), power
+
+    z24, z, z333 = CoeffGroup((2, 4)), CoeffGroup((0,)), CoeffGroup((3,) * 3)
+    upper = (((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+             ((1, 2, 0), (0, 1, 0), (0, 0, 1)))
+    lower = (((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+             ((1, 0, 0), (2, 1, 0), (0, 0, 1)))
+    return {"Z/2xZ/4": (z24, int_unit(z24, 3),
+                        [int_unit(z24, 3), int_unit(z24, 1)]),
+            "Z": (z, int_unit(z, -1), [int_unit(z, 1), int_unit(z, -1)]),
+            "(Z/3)^3 shift": (z333, shift(z333, 1),
+                              [shift(z333, 1), shift(z333, 2)]),
+            "(Z/3)^3 matrix": (z333, matrix(z333, *lower),
+                               [matrix(z333, *upper), matrix(z333, *lower)])}
+
+
+def test_weights_match_the_raw_oracle_for_every_flavor():
+    # every flavor's weight of every coloring, and its multiset, against
+    # oracle_weight_sum: signs and color slots straight off the records,
+    # cochain values straight off the table, units applied one at a time.
+    # Region indices, source regions and shadow colors come from qci's
+    # diagram layer, which the tests above pin down on their own.  The
+    # exterior is a random region, so twist exponents take both signs.
+    rng = random.Random(23)
+    q = make_dihedral(4)
+    om = orbits(q)
+    module = quandle_as_module(q)
+    diagrams = []
+    for word, strands in random_words(rng, 7):
+        records, exterior = braid_closure_records(word, strands)
+        side = rng.choice(["left", "right"])
+        sa = rng.choice(Diagram(records, (), exterior).semiarcs)
+        diagrams.append((records, Diagram(records, (), (sa, side))))
+    exponents, orders = set(), set()
+    for name, (group, (alpha, alpha_raw), units) in _oracle_units().items():
+        zero, add, neg = _raw_group(group.moduli)
+        plain = random_cochain(rng, q, None, group, 2)
+        shadowed = random_cochain(rng, q, module, group, 2)
+        for records, d in diagrams:
+            idx = compute_indices(d)
+            source = [g.source_region for g in crossing_geometry(d)]
+            exterior = rng.randrange(q.n)
+            exponents |= {(e > 0) - (e < 0) for e in idx.totals}
+            for flavor in FLAVORS:
+                shadow = flavor.startswith("shadow")
+                omega = shadowed if shadow else plain
+                oracle = []
+                for col in enumerate_colorings(d, q):
+                    sh = propagate_shadow(d, col, module, exterior)
+                    tables = [om.of(col[arcs[0]])
+                              for arcs in d.component_arcs]
+
+                    def twist(term, ci, flavor=flavor, tables=tables,
+                              order=1):
+                        i = idx.totals[source[ci]]
+                        if flavor == "positive":   # sign_pos = sign (-1)^i
+                            return neg(term) if i % 2 else term
+                        if flavor in ("twisted", "shadow_twisted"):
+                            return alpha_raw(term, -i)
+                        if flavor == "link_twisted":
+                            es = idx.per_component[source[ci]]
+                            for e, o in list(zip(es, tables))[::order]:
+                                term = units[o][1](term, -e)
+                        return term
+
+                    def at(*slots):
+                        pos = 0
+                        for x in slots:
+                            pos = pos * q.n + x
+                        return omega.values[pos]
+
+                    regions = [sh.regions[r] for r in source] \
+                        if shadow else None
+                    want = oracle_weight_sum(records, d.arc_of, col, at, add,
+                                             zero, neg, twist, regions)
+                    oracle.append(want)
+                    if flavor == "link_twisted":
+                        reordered = oracle_weight_sum(
+                            records, d.arc_of, col, at, add, zero, neg,
+                            lambda t, ci: twist(t, ci, order=-1))
+                        orders.add(reordered != want)
+                    got = {"classical": lambda: weight_classical(
+                               d, col, omega, check=False),
+                           "shadow": lambda: weight_shadow(
+                               d, sh, omega, check=False),
+                           "positive": lambda: weight_positive(
+                               d, col, omega, check=False),
+                           "twisted": lambda: weight_twisted(
+                               d, col, omega, alpha, check=False),
+                           "shadow_twisted": lambda: weight_shadow_twisted(
+                               d, sh, omega, alpha, check=False),
+                           "link_twisted": lambda: weight_link_twisted(
+                               d, col, omega, [u for u, _ in units], om,
+                               check=False)}[flavor]()
+                    assert got == want, (name, flavor, records, col)
+                kw = {"exterior": exterior} if shadow else {}
+                if flavor in ("twisted", "shadow_twisted"):
+                    kw["alpha"] = alpha
+                if flavor == "link_twisted":
+                    kw["alphas"] = [u for u, _ in units]
+                ms = invariant_multiset(d, q, flavor, omega, check=False, **kw)
+                assert ms.weights == tuple(sorted(Counter(oracle).items())), \
+                    (name, flavor, records)
+    # negative and positive exponents, and colorings whose weight changes
+    # when a crossing's units are composed in the opposite order
+    assert exponents == {-1, 0, 1}
+    assert True in orders
