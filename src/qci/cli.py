@@ -23,14 +23,13 @@ from .algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
                       module_from_json, orbits)
 from .cohomology import (Cochain, DifferentialSpec, cohomology_basis,
                          is_cocycle, is_in_span, random_cochain,
-                         transport_link_twisted_to_shadow,
                          transport_twisted_to_shadow)
 from .coloring import enumerate_colorings, propagate_shadow
 from .diagram import (checkerboard, compute_indices, parse_diagram,
                       r1_insert, r2_insert)
 from .invariants import (CocycleError, WeightMultiset, invariant_multiset,
-                         orbit_refined_multisets, validate_cocycle,
-                         weight_shadow, weight_twisted)
+                         orbit_refined_multisets, weight_shadow,
+                         weight_twisted)
 
 
 class _Inputs:
@@ -191,34 +190,28 @@ def cmd_invariant(args, inputs):
     omega = Cochain.from_json(inputs.read_json(args.cocycle), q,
                               None if symbolic else module)
     kwargs = {"check": not args.force}
+    units = None
     if symbolic and args.flavor == "shadow":
         # a dense table cannot carry a symbolic-module cochain, so the file
-        # holds a twisted (per-orbit twisted) cocycle and twisting is folded
-        # into the transport.  Transport maps cocycles to cocycles both
-        # ways, so gating the file decides the shadow condition exactly.
+        # holds a twisted (per-orbit twisted) cocycle w.  At exterior color
+        # e, its transport alpha^-m w weighs alpha^-e (prod_O u_O^-e_O)
+        # times its twisted weight, so that plan gates and weighs the file.
         if isinstance(module, IntegerShadowModule):
             if args.alpha is None:
                 raise StructureError("--module Z needs --alpha to transport")
-            unit = IntUnit(omega.coeff, args.alpha)
-            lazy = transport_twisted_to_shadow(omega, unit)
-            if kwargs["check"]:
-                validate_cocycle("twisted", omega, alpha=unit)
+            units = [IntUnit(omega.coeff, args.alpha)]
+            ms = invariant_multiset(d, q, "twisted", omega, alpha=units[0],
+                                    check=kwargs["check"])
         elif isinstance(module, OrbitShadowModule):
             if not args.alpha_per_orbit:
                 raise StructureError(
                     "--module orbitZ needs --alpha-per-orbit to transport")
             units = [IntUnit(omega.coeff, int(x))
                      for x in args.alpha_per_orbit.split(",")]
-            if len(units) != module.dims:
-                raise StructureError("need one unit per quandle orbit")
-            lazy = transport_link_twisted_to_shadow(omega, units,
-                                                    module.orbit_map)
-            if kwargs["check"]:
-                validate_cocycle("link_twisted", omega, alphas=units,
-                                 orbit_map=module.orbit_map)
+            ms = invariant_multiset(d, q, "link_twisted", omega, alphas=units,
+                                    check=kwargs["check"])
         else:
             raise StructureError("unsupported symbolic module")
-        omega, kwargs["check"] = lazy, False
     if args.flavor in ("shadow", "shadow_twisted"):
         if module is None:
             module = omega.module
@@ -246,6 +239,10 @@ def cmd_invariant(args, inputs):
         ms = WeightMultiset.from_values(
             v for part in parts.values() for v, m in part.weights
             for _ in range(m))
+    elif units is not None:
+        e = kwargs["exterior"]
+        for unit, k in zip(units, e if isinstance(e, tuple) else (e,)):
+            ms = ms.scaled(unit, -k)
     else:
         ms = invariant_multiset(d, q, args.flavor, omega, **kwargs)
     # flavor-specific arguments stay out of the payload so that flavors

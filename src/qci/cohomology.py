@@ -13,11 +13,13 @@ point, and _differential_rows lays it out as the integer matrix whose
 kernel is the cocycle basis and whose columns one degree down span the
 coboundaries.
 
-Shadow cochains over the symbolic integer module cannot be tabulated, so
-they are wrapped lazily (LazyCochain) and evaluated pointwise.  No cocycle
-condition is decided on them: transport maps twisted (per-orbit twisted)
-cocycles to shadow cocycles over Z (orbitZ) and back, so the exact gate is
-the one on the dense source cochain.
+Shadow cochains over the symbolic modules Z and orbitZ cannot be
+tabulated, so the transports wrap a twisted (per-orbit twisted) cochain
+lazily (LazyCochain) and evaluate it pointwise.  They serve as the
+reference for an identity: the shadow sum of a transport is the twisted
+sum of its dense source times a unit, so `qci invariant` weighs the
+source itself.  No cocycle condition is decided on a lazy cochain, since
+transport maps cocycles to cocycles both ways.
 
 The coefficient group splits into pieces (_blocks): one piece of all
 coordinates when the moduli agree, else one piece per coordinate.  Each
@@ -27,6 +29,7 @@ in_span and quotient, and the answers are summed.
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from operator import mul
 
 from .algebra import (AxiomReport, CoeffGroup, IntegerShadowModule, IntUnit,
@@ -493,32 +496,28 @@ class CohomologyBasis:
 
 
 def _merge_factors(factor_lists):
-    """Canonical invariant-factor chain of a direct sum of cyclic groups."""
-    primary = {}
-    for factors in factor_lists:
-        for f in factors:
-            x = f
-            p = 2
-            while x > 1:
-                if x % p == 0:
-                    e = 0
-                    while x % p == 0:
-                        x //= p
-                        e += 1
-                    primary.setdefault(p, []).append(e)
-                p += 1
-    if not primary:
-        return []
-    depth = max(len(v) for v in primary.values())
-    chain = []
-    for i in range(depth):
-        f = 1
-        for p, exps in primary.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                f *= p ** exps_sorted[i]
-        chain.append(f)
-    return sorted(chain)
+    """Canonical invariant-factor chain of a direct sum of cyclic groups:
+    replacing (f_i, f_j) by (gcd, lcm) for every i < j leaves a divisor
+    chain, and its 1s are trivial summands."""
+    chain = [f for factors in factor_lists for f in factors]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return [f for f in chain if f != 1]
+
+
+def _cocycle_vectors(spec, quandle, module, coeff, degree, quandle_flag):
+    """Flattened kernel basis of the spec differential out of ``degree``,
+    on the degenerate-free subspace when flagged."""
+    _require_table(module)
+    if degree < 1:
+        raise StructureError("cohomology is computed in degree >= 1")
+    rows = _differential_rows(spec, quandle, module, coeff, degree)
+    if quandle_flag:
+        rows += _degenerate_rows(quandle, module, coeff, degree)
+    return _kernel_vectors(rows, _flat_dim(quandle, module, degree, coeff.d),
+                           coeff)
 
 
 def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
@@ -529,15 +528,10 @@ def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
     the canonical form of the image from one degree down.  Invariant
     factors describe the quotient group.
     """
-    _require_table(module)
-    if degree < 1:
-        raise StructureError("cohomology is computed in degree >= 1")
+    kernel = _cocycle_vectors(spec, quandle, module, coeff, degree,
+                              quandle_flag)
     d = coeff.d
     dim = _flat_dim(quandle, module, degree, d)
-    rows = _differential_rows(spec, quandle, module, coeff, degree)
-    if quandle_flag:
-        rows += _degenerate_rows(quandle, module, coeff, degree)
-    kernel = _kernel_vectors(rows, dim, coeff)
     cocycles = [_vector_to_cochain(quandle, module, coeff, degree, v)
                 for v in kernel]
 
@@ -571,8 +565,9 @@ def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
 
 def cocycle_basis(spec, quandle, module, coeff, degree=2, quandle_flag=True):
     """Just the kernel side of cohomology_basis."""
-    return cohomology_basis(spec, quandle, module, coeff, degree,
-                            quandle_flag).cocycles
+    return [_vector_to_cochain(quandle, module, coeff, degree, v)
+            for v in _cocycle_vectors(spec, quandle, module, coeff, degree,
+                                      quandle_flag)]
 
 
 def is_in_span(basis_cochains, phi):
@@ -592,8 +587,5 @@ def is_in_span(basis_cochains, phi):
 def link_twisted_cocycle_basis(quandle, coeff, alphas, orbit_map):
     """Kernel basis of the orbit-twisted degree-2 condition (plus the
     degeneracy rows); alphas maps orbit id -> unit scalar."""
-    rows = _differential_rows(DifferentialSpec.link_twisted(alphas, orbit_map),
-                              quandle, None, coeff, 2)
-    rows += _degenerate_rows(quandle, None, coeff, 2)
-    kernel = _kernel_vectors(rows, _flat_dim(quandle, None, 2, coeff.d), coeff)
-    return [_vector_to_cochain(quandle, None, coeff, 2, v) for v in kernel]
+    return cocycle_basis(DifferentialSpec.link_twisted(alphas, orbit_map),
+                         quandle, None, coeff, 2)

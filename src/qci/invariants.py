@@ -155,14 +155,15 @@ def _coefficient(sign, units, exps, d):
 class _Plan:
     """A flavor's state sum compiled once for one diagram and cochain.
 
-    Construction normalises the twisting units, runs the cocycle gate when
-    ``check`` is set and compiles the diagram; calling the plan weighs one
-    coloring (a ShadowColoring for the shadow flavors).  The exponent
-    vector of a crossing pairs with the units: (alpha,) for the twisted
-    flavors, and for link_twisted the unit of each component's color orbit.
-    Each crossing's sign and twist fold into one integer coefficient
-    matrix (_coefficient): once per plan when the units are fixed, once
-    per tuple of component orbits for link_twisted.
+    Construction normalises the twisting units, refuses a cochain of the
+    wrong shape, runs the cocycle gate when ``check`` is set and compiles
+    the diagram; calling the plan weighs one coloring (a ShadowColoring
+    for the shadow flavors).  The exponent vector of a crossing pairs with
+    the units: (alpha,) for the twisted flavors, and for link_twisted the
+    unit of each component's color orbit.  Each crossing's sign and twist
+    fold into one integer coefficient matrix (_coefficient): once per plan
+    when the units are fixed, once per tuple of component orbits for
+    link_twisted.
     """
 
     def __init__(self, diagram, flavor, omega, check, *, alpha=None,
@@ -170,6 +171,7 @@ class _Plan:
         if flavor not in FLAVORS:
             raise StructureError(f"unknown flavor {flavor!r}")
         coeff = omega.coeff
+        self.shadow = flavor in ("shadow", "shadow_twisted")
         self.alpha = self.alphas = None
         units = ()
         if flavor in ("twisted", "shadow_twisted"):
@@ -181,13 +183,19 @@ class _Plan:
             self.alphas = [_as_scalar(coeff, a) for a in alphas]
             if len(self.alphas) != orbit_map.count:
                 raise StructureError("need one unit per quandle orbit")
+        # a plan reads omega(m, a, b); only the shadow flavors fill m
+        if omega.degree != 2:
+            raise StructureError(f"{flavor} weighs a degree-2 cochain, "
+                                 f"not degree {omega.degree}")
+        if omega.module is not None and not self.shadow:
+            raise StructureError(f"{flavor} weighs a trivial-module cochain; "
+                                 "only shadow flavors read a module")
         if check:
             validate_cocycle(flavor, omega, alpha=self.alpha,
                              alphas=self.alphas, orbit_map=orbit_map)
         self.diagram = diagram
         self.orbit_map = orbit_map
         self.omega = omega
-        self.shadow = flavor in ("shadow", "shadow_twisted")
         # non-shadow flavors read omega at m = 0 for every source region
         self.no_regions = (0,) * diagram.n_regions
         self.terms = _compile(diagram, flavor)
@@ -201,14 +209,16 @@ class _Plan:
         return tuple((_coefficient(sign, units, exps, d), a, b, src)
                      for sign, a, b, src, exps in self.terms)
 
-    def __call__(self, coloring):
+    def __call__(self, coloring, key=None):
+        """Weigh one coloring; key, if given, is its component orbits."""
         arcs, regions = coloring, self.no_regions
         if self.shadow:
             arcs, regions = coloring.arcs, coloring.regions
         if self.alphas is None:
             weighed = self.weighed
         else:
-            key = component_orbits(self.diagram, arcs, self.orbit_map)
+            if key is None:
+                key = component_orbits(self.diagram, arcs, self.orbit_map)
             weighed = self.by_orbits.get(key)
             if weighed is None:
                 weighed = self.by_orbits[key] = self._weighed(
@@ -307,7 +317,7 @@ def orbit_refined_multisets(diagram, quandle, flavor, omega, *, alpha=None,
     buckets = {}
     for coloring in enumerate_colorings(diagram, quandle):
         key = component_orbits(diagram, coloring, orbit_map)
-        buckets.setdefault(key, []).append(plan(coloring))
+        buckets.setdefault(key, []).append(plan(coloring, key))
     return {key: WeightMultiset.from_values(vals, {"flavor": flavor,
                                                    "orbits": list(key)})
             for key, vals in sorted(buckets.items())}

@@ -9,13 +9,20 @@ import sys
 
 import pytest
 
-from qci import cli, corpus, invariants
-from qci.algebra import (CoeffGroup, IntUnit, cyclic_shadow_module,
+from qci import cli, cohomology, coloring, corpus, invariants
+from qci.algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
+                         OrbitShadowModule, cyclic_shadow_module,
                          make_alexander, make_dihedral, orbits,
                          quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
-                            link_twisted_cocycle_basis, random_cochain)
+                            is_cocycle, link_twisted_cocycle_basis,
+                            random_cochain,
+                            transport_link_twisted_to_shadow,
+                            transport_twisted_to_shadow)
+from qci.diagram import Diagram
+from qci.invariants import invariant_multiset
 from tests.oracle_utils import pointwise_differential
+from tests.test_fuzz_braids import braid_closure_records
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -228,35 +235,114 @@ def test_corpus_verify():
     assert payload["passed"] and payload["checks"] > 20
 
 
-def test_shadow_over_symbolic_module_cli(files):
-    # shadow flavor over the integer module: the cocycle file carries the
-    # twisted table, the transport happens inside the command; exterior 0
-    # must reproduce the plain twisted multiset
-    q = make_dihedral(3)
+def _two_component_d4_files(files):
+    """D4 and a 3-strand, 2-component closure whose colorings tell the
+    per-orbit units apart (see tests/test_fuzz_braids.py)."""
+    records, exterior = braid_closure_records([1, -2, -1, -1, -2], 3)
+    d = Diagram(records, (), exterior)
+    dfile = files["tmp"] / "closure.json"
+    dfile.write_text(json.dumps(d.to_json()))
+    q = make_dihedral(4)
+    qfile = files["tmp"] / "d4.json"
+    qfile.write_text(json.dumps(q.to_json()))
+    return d, q, dfile, qfile
+
+
+def test_shadow_over_symbolic_module_cli(files, capsys):
+    # shadow flavor over the symbolic modules: the file carries a twisted
+    # (per-orbit twisted) table and the command weighs it with that plan.
+    # The reference is the library's shadow sum of the lazy transport,
+    # region colors propagated from the exterior color.
+    def check(argv, d, q, module, lazy, exteriors, force=()):
+        outs = []
+        for e in exteriors:
+            text = ",".join(map(str, e)) if isinstance(e, tuple) else str(e)
+            code, out, err = _main_in_process(
+                capsys, argv + [f"--exterior={text}", *force])
+            assert code == 0, err
+            ms = invariant_multiset(d, q, "shadow", lazy, module=module,
+                                    exterior=e, check=False)
+            assert json.loads(out) == {"total": ms.total(), "v": 1,
+                                       "weights": ms.to_json()["weights"]}
+            outs.append(out)
+        return outs
+
     A = CoeffGroup((5,))
+    # 2 and 4 are not inverse mod 5: swapping the orbits' units changes
+    # the factor of every nonzero exterior below
+    units = [IntUnit(A, 2), IntUnit(A, 4)]
+    q = make_dihedral(3)
     omega = cocycle_basis(DifferentialSpec.twisted(A, 2), q, None, A, 2)[0]
     path = files["tmp"] / "tw.json"
     path.write_text(json.dumps(omega.to_json()))
-    base = ("--diagram", str(files["diagram"]),
-            "--quandle", str(files["quandle"]), "--cocycle", str(path))
-    code1, out1, _ = run_cli("invariant", "--flavor", "twisted",
-                             "--alpha", "2", *base)
-    code2, out2, err = run_cli("invariant", "--flavor", "shadow",
-                               "--module", "Z", "--alpha", "2",
-                               "--exterior", "0", *base)
-    assert code1 == 0 and code2 == 0, err
-    assert out1 == out2
-    # over the orbit-counting module the file carries the per-orbit
-    # twisted table, and the multiset is link_twisted's
-    lt = link_twisted_cocycle_basis(q, A, [IntUnit(A, 2)], orbits(q))[0]
+    check(["invariant", "--flavor", "shadow", "--diagram",
+           str(files["diagram"]), "--quandle", str(files["quandle"]),
+           "--cocycle", str(path), "--module", "Z", "--alpha", "2"],
+          corpus.load("trefoil"), q, IntegerShadowModule(q),
+          transport_twisted_to_shadow(omega, units[0]), (0, 1, -2))
+    # over the orbit-counting module of D4, which has two orbits
+    d, q, dfile, qfile = _two_component_d4_files(files)
+    om = orbits(q)
+    basis = link_twisted_cocycle_basis(q, A, units, om)
+    lt = basis[0].add(basis[-1])
     path.write_text(json.dumps(lt.to_json()))
-    code1, out1, _ = run_cli("invariant", "--flavor", "link_twisted",
-                             "--alpha-per-orbit", "2", *base)
-    code2, out2, err = run_cli("invariant", "--flavor", "shadow",
-                               "--module", "orbitZ", "--alpha-per-orbit", "2",
-                               "--exterior", "0", *base)
-    assert code1 == 0 and code2 == 0, err
-    assert out1 == out2
+    exteriors = ((0, 0), (1, -1), (2, 0))
+    check(["invariant", "--flavor", "shadow", "--diagram", str(dfile),
+           "--quandle", str(qfile), "--cocycle", str(path), "--module",
+           "orbitZ", "--alpha-per-orbit", "2,4"],
+          d, q, OrbitShadowModule(q, om),
+          transport_link_twisted_to_shadow(lt, units, om), exteriors)
+    # those cocycles weigh 0 on those diagrams; a cochain that is no
+    # cocycle weighs nonzero, so under --force the unit factor shows
+    q, A, omega, base = _bad_d4_source(files)
+    for args, module, lazy, exts in (
+            (["--module", "Z", "--alpha", "2"], IntegerShadowModule(q),
+             transport_twisted_to_shadow(omega, units[0]), (0, 1, -2)),
+            (["--module", "orbitZ", "--alpha-per-orbit", "2,4"],
+             OrbitShadowModule(q, om),
+             transport_link_twisted_to_shadow(omega, units, om), exteriors)):
+        assert _main_in_process(capsys, list(base) + args)[0] == 1
+        outs = check(list(base) + args, corpus.load("hopf_pos"), q, module,
+                     lazy, exts, ["--force"])
+        # every nonzero exterior here scales by a unit other than 1
+        assert all(out != outs[0] for out in outs[1:])
+
+
+def test_symbolic_shadow_propagates_no_region_colors(files, monkeypatch,
+                                                    capsys):
+    # the symbolic shadow commands weigh the file with the twisted plan:
+    # no region coloring and no lazy transport on the way
+    q, A, omega, base = _bad_d4_source(files)
+    calls = []
+    propagate = coloring.propagate_shadow
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return propagate(*args, **kwargs)
+
+    for module in (coloring, invariants, cli):
+        monkeypatch.setattr(module, "propagate_shadow", counted)
+    lazy_init = cohomology.LazyCochain.__init__
+
+    def built(self, *args, **kwargs):
+        calls.append(("LazyCochain",))
+        lazy_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology.LazyCochain, "__init__", built)
+    for args in (["--module", "Z", "--alpha", "2", "--exterior", "1"],
+                 ["--module", "orbitZ", "--alpha-per-orbit", "2,3",
+                  "--exterior", "1,0"]):
+        code, _, err = _main_in_process(capsys, list(base) + args +
+                                        ["--force"])
+        assert code == 0, err
+    assert calls == []
+    # a table-module shadow still propagates, so the counter is live
+    code, _, err = _main_in_process(
+        capsys, ["invariant", "--flavor", "shadow", "--diagram",
+                 str(files["diagram"]), "--quandle", str(files["quandle"]),
+                 "--cocycle", str(files["cocycle"]), "--exterior", "0"])
+    assert code == 0, err
+    assert len(calls) == 9
 
 
 def _bad_d4_source(files):
@@ -358,6 +444,78 @@ def test_refine_orbits_colors_once(files, monkeypatch, capsys):
         assert json.dumps(refined[key]) == json.dumps(plain[key])
 
 
+def test_refine_orbits_finds_component_orbits_once(files, monkeypatch,
+                                                   capsys):
+    # link_twisted needs each coloring's component orbits both for its
+    # bucket and for its units; --refine-orbits finds them once
+    d, q, dfile, qfile = _two_component_d4_files(files)
+    A = CoeffGroup((5,))
+    units = [IntUnit(A, 2), IntUnit(A, 3)]
+    lt = link_twisted_cocycle_basis(q, A, units, orbits(q))[0]
+    wfile = files["tmp"] / "lt.json"
+    wfile.write_text(json.dumps(lt.to_json()))
+    calls = []
+    find = invariants.component_orbits
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "component_orbits", counted)
+    code, out, err = _main_in_process(
+        capsys, ["invariant", "--flavor", "link_twisted", "--diagram",
+                 str(dfile), "--quandle", str(qfile), "--cocycle",
+                 str(wfile), "--alpha-per-orbit", "2,3", "--refine-orbits"])
+    assert code == 0, err
+    refined = json.loads(out)
+    assert len(refined["refined"]) > 1
+    assert len(calls) == refined["total"] == len(
+        coloring.enumerate_colorings(d, q))
+
+
+def test_weights_refuse_cochains_of_the_wrong_shape(files, capsys):
+    # the weights read w(m, a, b): a degree-2 table whose module slot only
+    # the shadow flavors fill.  Anything else is refused before the gate.
+    q = make_dihedral(3)
+    A = CoeffGroup((3,))
+    path = files["tmp"] / "shape.json"
+    base = ["invariant", "--quandle", str(files["quandle"]),
+            "--cocycle", str(path)]
+    trefoil = ["--diagram", str(files["diagram"])]
+    # degree 1: the weights used to index past the table
+    path.write_text(json.dumps(
+        random_cochain(random.Random(1), q, None, A, 1).to_json()))
+    code, out, err = _main_in_process(
+        capsys, base + trefoil + ["--flavor", "classical"])
+    assert (code, out) == (2, "")
+    assert "classical weighs a degree-2 cochain, not degree 1" in err
+    # degree 3: a cocycle that passes its gate, weighed off its first n^2
+    # entries before
+    omega = next(c for c in cocycle_basis(DifferentialSpec.quandle(A), q,
+                                          None, A, 3) if not c.is_zero())
+    assert is_cocycle(DifferentialSpec.quandle(A), omega)
+    path.write_text(json.dumps(omega.to_json()))
+    for flavor in ("classical", "positive"):
+        code, out, err = _main_in_process(
+            capsys, base + trefoil + ["--flavor", flavor])
+        assert (code, out) == (2, "")
+        assert "degree-2 cochain, not degree 3" in err
+    # a self-module shadow cocycle passes the shadow gate; classical
+    # weighed its m = 0 slice, which differs across an R3 move
+    mod = quandle_as_module(q)
+    omega = cocycle_basis(DifferentialSpec.quandle(A), q, mod, A, 2)[1]
+    path.write_text(json.dumps(omega.to_json()))
+    for name in ("trefoil_r3a", "trefoil_r3b"):
+        diagram = ["--diagram", f"corpus:{name}"]
+        code, out, err = _main_in_process(
+            capsys, base + diagram + ["--flavor", "classical"])
+        assert (code, out) == (2, "")
+        assert "classical weighs a trivial-module cochain" in err
+        code, _, err = _main_in_process(
+            capsys, base + diagram + ["--flavor", "shadow", "--exterior", "0"])
+        assert code == 0, err
+
+
 def test_check_module_missing_quandle_is_structural():
     code, _out, err = run_cli("check", "--kind", "module",
                               "--file", "nonexistent.json")
@@ -382,8 +540,8 @@ def test_repeated_main_calls_match_lone_calls(files, capsys):
         ["check", "--kind", "quandle", "--file", q],
         ["cohomology", "--quandle", q, "--coeff", "3"],
         ["cohomology", "--quandle", q],                     # argparse: exit 2
-        ["invariant", "--flavor", "classical", "--diagram", d,
-         "--quandle", q, "--cocycle", w],
+        ["invariant", "--flavor", "shadow", "--diagram", d,
+         "--quandle", q, "--cocycle", w, "--exterior", "0"],
         ["rmove", "--diagram", d, "--move", "r3", "--target", "0"],  # exit 2
         ["colorings", "--diagram", d, "--quandle", q],
         ["check", "--kind", "quandle", "--file", d],        # structural: 2

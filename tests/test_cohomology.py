@@ -1,5 +1,6 @@
 """Differentials, cocycle predicates, transports, and basis computation."""
 
+import math
 import random
 from itertools import product
 
@@ -12,7 +13,7 @@ from qci.algebra import (CoeffGroup, IntegerShadowModule, IntUnit,
                          make_trivial, orbits, product_module,
                          quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec, LazyCochain,
-                            cohomology_basis, d_left, d_right, differential,
+                            _merge_factors, cohomology_basis, d_left, d_right, differential,
                             is_cocycle, is_in_span, is_link_twisted_cocycle,
                             link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
@@ -766,3 +767,21 @@ def test_cochain_json_accepts_plain_ints():
             "values": [0, 1, 2]}
     phi = Cochain.from_json(data, q)
     assert phi.at(0, (2,)) == (2,)
+
+
+def test_merge_factors_is_the_invariant_factor_chain():
+    # two finite abelian groups are isomorphic exactly when, for every k,
+    # they have as many elements killed by k: prod gcd(k, f) over the
+    # cyclic factors f
+    rng = random.Random(5)
+    for _ in range(300):
+        lists = [[rng.choice([2, 3, 4, 6, 8, 9, 12, 25, 27, 1])
+                  for _ in range(rng.randrange(4))]
+                 for _ in range(rng.randrange(4))]
+        chain = _merge_factors(lists)
+        flat = [f for fs in lists for f in fs]
+        assert 1 not in chain
+        assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+        for k in range(1, math.lcm(*flat, 1) + 1):
+            assert math.prod(math.gcd(k, f) for f in chain) == \
+                math.prod(math.gcd(k, f) for f in flat)
