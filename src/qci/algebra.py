@@ -1,14 +1,15 @@
 """Finite quandles, quandle modules, orbits, and coefficient groups.
 
-Elements of every finite carrier are the integers 0..n-1 and tables are
-dense row-major lists, so ``op[a][b]`` is a right-translated by b.  The two
-infinite carriers used for region colorings (the integer shadow module with
-m |> a = m + 1, and the free orbit-counting module with m |> a = m + e_O(a))
-are never enumerated: their elements are plain ints / int tuples and only
-the action is exposed.
+Elements of every carrier are the integers 0..n-1 and tables are dense
+row-major lists, so ``op[a][b]`` is a right-translated by b.  Every module
+is a finite table module.  Region colors over the integers (m |> a = m + 1)
+or over the orbit-counting group (m |> a = m + e_O(a)) enter only through
+cochains that are periodic in m, so they are counted modulo a period:
+cyclic_shadow_module and orbit_shadow_module.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import gcd
 
 
@@ -17,7 +18,7 @@ class StructureError(ValueError):
 
 
 class UnsupportedCarrierError(StructureError):
-    """Operation needs a finite carrier but received a symbolic one."""
+    """Operation needs a finite carrier: a free Z summand is not one."""
 
 
 @dataclass(frozen=True)
@@ -221,39 +222,11 @@ def make_conjugation(mul):
     return Quandle(op)
 
 
-class QModule:
-    """Right quandle action on a carrier; subclasses fix the carrier."""
-
-    is_finite = False
-    size = None
-
-    def __init__(self, quandle):
-        self.quandle = quandle
-
-    def act(self, m, a):
-        raise NotImplementedError
-
-    def unact(self, m, a):
-        raise NotImplementedError
-
-    def elements(self):
-        raise UnsupportedCarrierError(f"{type(self).__name__} is not finite")
-
-    def sample_elements(self):
-        """Finite probe set; the whole carrier when it is finite."""
-        return list(self.elements())
-
-    def describe(self):
-        raise NotImplementedError
-
-
-class TableModule(QModule):
-    """Finite module given by a dense size x n action table."""
-
-    is_finite = True
+class TableModule:
+    """Finite quandle module: a dense size x n action table on 0..size-1."""
 
     def __init__(self, quandle, action, inv_action=None):
-        super().__init__(quandle)
+        self.quandle = quandle
         m = len(action)
         if m == 0:
             raise StructureError("action: empty table")
@@ -311,121 +284,41 @@ def trivial_module(q):
     return TableModule(q, [[0] * q.n])
 
 
+def orbit_shadow_module(q, orders, orbit_map=None):
+    """prod_O Z/k_O with m |> a = m + e_o(a): region colors counting, per
+    orbit O of the colors crossed, the strands crossed modulo k_O =
+    orders[O].  Elements are the digit tuples in itertools.product order
+    (the first orbit most significant).  With no orbit map every color is
+    in orbit 0, which makes it cyclic_shadow_module(q, k)."""
+    if orbit_map is None:
+        orbit_map = OrbitMap(count=1)
+    if len(orders) != orbit_map.count:
+        raise StructureError("need one shadow order per quandle orbit")
+    if any(k < 1 for k in orders):
+        raise StructureError("shadow orders must be >= 1")
+    digits = list(product(*(range(k) for k in orders)))
+    position = {m: i for i, m in enumerate(digits)}
+
+    def bump(m, o):
+        return position[m[:o] + ((m[o] + 1) % orders[o],) + m[o + 1:]]
+
+    return TableModule(q, [[bump(m, orbit_map.of(a)) for a in range(q.n)]
+                           for m in digits])
+
+
 def cyclic_shadow_module(q, k):
     """Z/k with m |> a = m + 1: index colors counted modulo k."""
     if k < 1:
         raise StructureError("cyclic shadow modulus must be >= 1")
-    return TableModule(q, [[(m + 1) % k] * q.n for m in range(k)])
-
-
-class IntegerShadowModule(QModule):
-    """Z with m |> a = m + 1; region colors become crossing counts."""
-
-    def act(self, m, a):
-        return m + 1
-
-    def unact(self, m, a):
-        return m - 1
-
-    def zero(self):
-        return 0
-
-    def sample_elements(self):
-        return list(range(-3, 4))
-
-    def describe(self):
-        return {"v": 1, "kind": "int_shadow"}
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerShadowModule) and self.quandle == other.quandle
-
-    def __hash__(self):
-        return hash(("int_shadow", self.quandle))
-
-
-class OrbitShadowModule(QModule):
-    """Free abelian group on the quandle orbits, m |> a = m + e_O(a)."""
-
-    def __init__(self, quandle, orbit_map=None):
-        super().__init__(quandle)
-        self.orbit_map = orbit_map if orbit_map is not None else orbits(quandle)
-        self.dims = self.orbit_map.count
-
-    def _bump(self, m, a, step):
-        o = self.orbit_map.of(a)
-        return tuple(v + step if i == o else v for i, v in enumerate(m))
-
-    def act(self, m, a):
-        return self._bump(m, a, 1)
-
-    def unact(self, m, a):
-        return self._bump(m, a, -1)
-
-    def zero(self):
-        return (0,) * self.dims
-
-    def sample_elements(self):
-        out = [self.zero()]
-        for i in range(self.dims):
-            for s in (1, -1):
-                out.append(tuple(s if j == i else 0 for j in range(self.dims)))
-        return out
-
-    def describe(self):
-        return {"v": 1, "kind": "orbit_shadow", "orbits": self.dims}
-
-    def __eq__(self, other):
-        return isinstance(other, OrbitShadowModule) and self.quandle == other.quandle
-
-    def __hash__(self):
-        return hash(("orbit_shadow", self.quandle))
-
-
-class ProductModule(QModule):
-    """Direct product of two modules with the diagonal action."""
-
-    def __init__(self, first, second):
-        if first.quandle.n != second.quandle.n:
-            raise StructureError("product factors live over different quandles")
-        super().__init__(first.quandle)
-        self.first = first
-        self.second = second
-        self.is_finite = first.is_finite and second.is_finite
-        if self.is_finite:
-            self.size = first.size * second.size
-
-    def act(self, m, a):
-        return (self.first.act(m[0], a), self.second.act(m[1], a))
-
-    def unact(self, m, a):
-        return (self.first.unact(m[0], a), self.second.unact(m[1], a))
-
-    def elements(self):
-        if not self.is_finite:
-            raise UnsupportedCarrierError("product of symbolic modules is not finite")
-        return [(x, y) for x in self.first.elements() for y in self.second.elements()]
-
-    def sample_elements(self):
-        return [(x, y) for x in self.first.sample_elements()
-                for y in self.second.sample_elements()]
-
-    def describe(self):
-        return {"v": 1, "kind": "product",
-                "factors": [self.first.describe(), self.second.describe()]}
-
-
-def product_module(m1, m2):
-    """Diagonal-action product (m, m') |> a = (m |> a, m' |> a)."""
-    return ProductModule(m1, m2)
+    return orbit_shadow_module(q, (k,))
 
 
 def check_module(module, quandle=None):
-    """Check the two action identities; exhaustive on finite carriers."""
+    """Check the two action identities exhaustively on the table."""
     q = quandle if quandle is not None else module.quandle
     if quandle is not None and quandle.n != module.quandle.n:
         raise StructureError("module quandle size mismatch")
-    probe = module.sample_elements()
-    for m in probe:
+    for m in module.elements():
         for b in range(q.n):
             mb = module.act(m, b)
             if module.unact(mb, b) != m or module.act(module.unact(m, b), b) != m:
@@ -478,22 +371,14 @@ def _closure_orbits(elements, step_targets):
 
 
 def orbits(obj):
-    """Orbit decomposition of a quandle or module carrier.
-
-    Symbolic shadow carriers form a single orbit: every element is reached
-    from every other by repeatedly acting and unacting.
-    """
+    """Orbit decomposition of a quandle or of a table module's carrier."""
     if isinstance(obj, Quandle):
         n = obj.n
         return _closure_orbits(range(n), lambda a: (obj.op[a][b] for b in range(n)))
-    if isinstance(obj, (IntegerShadowModule, OrbitShadowModule)):
-        return OrbitMap(count=1)
-    if isinstance(obj, QModule):
-        if not obj.is_finite:
-            raise UnsupportedCarrierError("orbits of a symbolic product module")
+    if isinstance(obj, TableModule):
         n = obj.quandle.n
-        return _closure_orbits(list(obj.elements()),
-                               lambda m: (obj.act(m, b) for b in range(n)))
+        return _closure_orbits(obj.elements(),
+                               lambda m: (obj.action[m][b] for b in range(n)))
     raise StructureError(f"cannot take orbits of {type(obj).__name__}")
 
 
@@ -504,16 +389,8 @@ def module_from_json(data, quandle):
     kind = data["kind"]
     if kind == "table":
         return TableModule(quandle, data["action"], data.get("inv_action"))
-    if kind == "int_shadow":
-        return IntegerShadowModule(quandle)
     if kind == "cyclic_shadow":
         return cyclic_shadow_module(quandle, data["modulus"])
-    if kind == "orbit_shadow":
-        return OrbitShadowModule(quandle)
-    if kind == "product":
-        f1, f2 = data["factors"]
-        return ProductModule(module_from_json(f1, quandle),
-                             module_from_json(f2, quandle))
     raise StructureError(f"unknown module kind {kind!r}")
 
 
@@ -554,11 +431,6 @@ class CoeffGroup:
     def scale(self, k, x):
         return tuple((k * a) % n if n else k * a
                      for a, n in zip(x, self.moduli))
-
-    def is_element(self, v):
-        return (isinstance(v, tuple) and len(v) == self.d
-                and all(isinstance(a, int) and (n == 0 or 0 <= a < n)
-                        for a, n in zip(v, self.moduli)))
 
     def elements(self):
         if not self.is_finite:

@@ -17,13 +17,12 @@ import time
 
 from . import __version__
 from . import corpus as corpus_pkg
-from .algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
-                      OrbitShadowModule, Quandle, StructureError,
+from .algebra import (CoeffGroup, IntUnit, Quandle, StructureError,
                       check_module, check_quandle, cyclic_shadow_module,
                       module_from_json, orbits)
 from .cohomology import (Cochain, DifferentialSpec, cohomology_basis,
                          is_cocycle, is_in_span, random_cochain,
-                         transport_twisted_to_shadow)
+                         transport_to_shadow)
 from .coloring import enumerate_colorings, propagate_shadow
 from .diagram import (checkerboard, compute_indices, parse_diagram,
                       r1_insert, r2_insert)
@@ -65,26 +64,31 @@ def _parse_spec(text, coeff):
     return DifferentialSpec(IntUnit(coeff, l), IntUnit(coeff, r))
 
 
+# --module words for the symbolic shadow carriers: region colors in Z, or
+# in the free abelian group on the quandle orbits
+SYMBOLIC = ("Z", "orbitZ")
+
+
 def _parse_module(text, inputs, quandle):
-    if text == "Z":
-        return IntegerShadowModule(quandle)
-    if text == "orbitZ":
-        return OrbitShadowModule(quandle)
+    if text in SYMBOLIC:
+        raise StructureError(f"--module {text} is read only by "
+                             "invariant --flavor shadow")
     if text.startswith("Z/"):
         return cyclic_shadow_module(quandle, int(text[2:]))
     return module_from_json(inputs.read_json(text), quandle)
 
 
-def _parse_exterior(text, module):
+def _parse_exterior(text, size=None, entries=None):
+    """The exterior color: an element of a module of the given size, an
+    integer (for Z) or an integer vector of the given length (for orbitZ)."""
     parts = [int(x) for x in text.split(",")]
-    if isinstance(module, OrbitShadowModule):
-        if len(parts) != module.dims:
-            raise StructureError(
-                f"exterior vector needs {module.dims} entries")
+    if entries is not None:
+        if len(parts) != entries:
+            raise StructureError(f"exterior vector needs {entries} entries")
         return tuple(parts)
     if len(parts) != 1:
         raise StructureError("exterior color must be a single integer")
-    if module.is_finite and not 0 <= parts[0] < module.size:
+    if size is not None and not 0 <= parts[0] < size:
         raise StructureError("exterior color out of range for the module")
     return parts[0]
 
@@ -185,40 +189,42 @@ def cmd_cohomology(args, inputs):
 def cmd_invariant(args, inputs):
     d = parse_diagram(inputs.read_json(args.diagram))
     q = Quandle.from_json(inputs.read_json(args.quandle))
-    module = _parse_module(args.module, inputs, q) if args.module else None
-    symbolic = module is not None and not module.is_finite
-    omega = Cochain.from_json(inputs.read_json(args.cocycle), q,
-                              None if symbolic else module)
+    symbolic = args.module in SYMBOLIC
+    if symbolic and args.flavor != "shadow":
+        raise StructureError(f"--module {args.module} applies to --flavor "
+                             f"shadow only, not {args.flavor}")
+    module = (_parse_module(args.module, inputs, q)
+              if args.module and not symbolic else None)
+    omega = Cochain.from_json(inputs.read_json(args.cocycle), q, module)
     kwargs = {"check": not args.force}
     units = None
-    if symbolic and args.flavor == "shadow":
-        # a dense table cannot carry a symbolic-module cochain, so the file
-        # holds a twisted (per-orbit twisted) cocycle w.  At exterior color
-        # e, its transport alpha^-m w weighs alpha^-e (prod_O u_O^-e_O)
-        # times its twisted weight, so that plan gates and weighs the file.
-        if isinstance(module, IntegerShadowModule):
-            if args.alpha is None:
-                raise StructureError("--module Z needs --alpha to transport")
-            units = [IntUnit(omega.coeff, args.alpha)]
-            ms = invariant_multiset(d, q, "twisted", omega, alpha=units[0],
-                                    check=kwargs["check"])
-        elif isinstance(module, OrbitShadowModule):
-            if not args.alpha_per_orbit:
-                raise StructureError(
-                    "--module orbitZ needs --alpha-per-orbit to transport")
-            units = [IntUnit(omega.coeff, int(x))
-                     for x in args.alpha_per_orbit.split(",")]
-            ms = invariant_multiset(d, q, "link_twisted", omega, alphas=units,
-                                    check=kwargs["check"])
-        else:
-            raise StructureError("unsupported symbolic module")
-    if args.flavor in ("shadow", "shadow_twisted"):
-        if module is None:
-            module = omega.module
-        if module is None:
+    if args.module == "Z":
+        # the file holds a twisted (per-orbit twisted) cocycle w.  At
+        # exterior color e, its shadow transport alpha^-m w weighs alpha^-e
+        # (prod_O u_O^-e_O) times its twisted weight, so that plan gates
+        # and weighs the file.
+        if args.alpha is None:
+            raise StructureError("--module Z needs --alpha to transport")
+        units = [IntUnit(omega.coeff, args.alpha)]
+        ms = invariant_multiset(d, q, "twisted", omega, alpha=units[0],
+                                check=kwargs["check"])
+        kwargs["exterior"] = _parse_exterior(args.exterior or "0")
+    elif args.module == "orbitZ":
+        if not args.alpha_per_orbit:
+            raise StructureError(
+                "--module orbitZ needs --alpha-per-orbit to transport")
+        units = [IntUnit(omega.coeff, int(x))
+                 for x in args.alpha_per_orbit.split(",")]
+        ms = invariant_multiset(d, q, "link_twisted", omega, alphas=units,
+                                check=kwargs["check"])
+        kwargs["exterior"] = _parse_exterior(args.exterior or "0",
+                                             entries=orbits(q).count)
+    elif args.flavor in ("shadow", "shadow_twisted"):
+        # the cochain was read over --module, or over its own module
+        if omega.module is None:
             raise StructureError(f"--flavor {args.flavor} needs --module")
-        kwargs["module"] = module
-        kwargs["exterior"] = _parse_exterior(args.exterior or "0", module)
+        kwargs["exterior"] = _parse_exterior(args.exterior or "0",
+                                             omega.module.size)
     if args.flavor in ("twisted", "shadow_twisted"):
         if args.alpha is None:
             raise StructureError("twisted flavors need --alpha")
@@ -275,8 +281,7 @@ def cmd_corpus_verify(args, inputs):
     A = CoeffGroup((5,))
     alpha = IntUnit(A, 2)
     omega = cocycle_basis(DifferentialSpec.twisted(A, 2), q, None, A, 2)[0]
-    lazy = transport_twisted_to_shadow(omega, alpha)
-    z = IntegerShadowModule(q)
+    shadow = transport_to_shadow(omega, [alpha])
     failures = []
     checks = 0
     for name in corpus_pkg.BASE_DIAGRAMS:
@@ -299,10 +304,10 @@ def cmd_corpus_verify(args, inputs):
                 failures.append(f"{name}: r-move changed the twisted multiset")
         # twisted = shadow-of-transport, spot check per coloring
         for col in enumerate_colorings(base, q):
-            ind = propagate_shadow(base, col, z, 0)
+            ind = propagate_shadow(base, col, shadow.module, 0)
             checks += 1
             if weight_twisted(base, col, omega, alpha, check=False) != \
-                    weight_shadow(base, ind, lazy, check=False):
+                    weight_shadow(base, ind, shadow, check=False):
                 failures.append(f"{name}: twisted/shadow identity broke")
         # random coboundaries weigh zero
         for _ in range(args.samples):

@@ -13,13 +13,13 @@ point, and _differential_rows lays it out as the integer matrix whose
 kernel is the cocycle basis and whose columns one degree down span the
 coboundaries.
 
-Shadow cochains over the symbolic modules Z and orbitZ cannot be
-tabulated, so the transports wrap a twisted (per-orbit twisted) cochain
-lazily (LazyCochain) and evaluate it pointwise.  They serve as the
-reference for an identity: the shadow sum of a transport is the twisted
-sum of its dense source times a unit, so `qci invariant` weighs the
-source itself.  No cocycle condition is decided on a lazy cochain, since
-transport maps cocycles to cocycles both ways.
+Every cochain is a dense table over a finite table module.  The shadow
+cochain alpha^-m w of a twisted (per-orbit twisted) cochain w has region
+colors in Z (in the orbit-counting group), but each unit has a finite
+order, so transport_to_shadow tabulates it over the region colors counted
+modulo those orders.  Transport maps cocycles to cocycles both ways, and
+the shadow sum of a transport is the twisted sum of its source times a
+unit, so `qci invariant` weighs the source itself.
 
 The coefficient group splits into pieces (_blocks): one piece of all
 coordinates when the moduli agree, else one piece per coordinate.  Each
@@ -32,9 +32,8 @@ from itertools import product
 from math import gcd
 from operator import mul
 
-from .algebra import (AxiomReport, CoeffGroup, IntegerShadowModule, IntUnit,
-                      OrbitShadowModule, Scalar, StructureError,
-                      TableModule, UnsupportedCarrierError)
+from .algebra import (AxiomReport, CoeffGroup, IntUnit, Scalar,
+                      StructureError, orbit_shadow_module)
 from . import modlinalg
 
 
@@ -96,20 +95,10 @@ def _mod_size(module):
     return 1 if module is None else module.size
 
 
-def _require_table(module):
-    """Dense tables index the module carrier by position, so it must be a
-    table module (a finite product module acts on pairs, not positions)."""
-    if module is not None and not isinstance(module, TableModule):
-        raise UnsupportedCarrierError(
-            "dense cochain tables need a table module, not "
-            f"{type(module).__name__}")
-
-
 class Cochain:
     """Dense cochain table over a table module (or the trivial one, None)."""
 
     def __init__(self, quandle, module, coeff, degree, values):
-        _require_table(module)
         if degree < 0:
             raise StructureError("degree must be >= 0")
         self.quandle = quandle
@@ -168,20 +157,6 @@ class Cochain:
                 and self.values == other.values and self.coeff == other.coeff)
 
 
-class LazyCochain:
-    """Cochain evaluated on demand; carrier may be symbolic."""
-
-    def __init__(self, quandle, module, coeff, degree, fn):
-        self.quandle = quandle
-        self.module = module
-        self.coeff = coeff
-        self.degree = degree
-        self.fn = fn
-
-    def at(self, m, args=()):
-        return self.fn(m, tuple(args))
-
-
 def zero_cochain(quandle, module, coeff, degree):
     size = _mod_size(module) * quandle.n ** degree
     return Cochain(quandle, module, coeff, degree, [coeff.zero()] * size)
@@ -201,8 +176,6 @@ def _domain(quandle, module, degree):
 
 def _image(spec, phi):
     """The dense cochain rows . values of the spec differential."""
-    if isinstance(phi, LazyCochain):
-        raise UnsupportedCarrierError("dense differential of a lazy cochain")
     values = [_value(terms, phi.values, phi.coeff.d) for _m, _args, terms
               in _point_terms(spec, phi.quandle, phi.module, phi.degree)]
     return Cochain(phi.quandle, phi.module, phi.coeff, phi.degree + 1, values)
@@ -218,17 +191,17 @@ def _one_side(coeff, k_left, k_right):
 
 
 def d_left(phi):
-    """Dense d_left, the weights (1, 0); raises on symbolic carriers."""
+    """Dense d_left, the weights (1, 0)."""
     return _image(_one_side(phi.coeff, 1, 0), phi)
 
 
 def d_right(phi):
-    """Dense d_right, the weights (0, -1); raises on symbolic carriers."""
+    """Dense d_right, the weights (0, -1)."""
     return _image(_one_side(phi.coeff, 0, -1), phi)
 
 
 def differential(spec, phi):
-    """The spec differential of phi, dense; raises on symbolic carriers."""
+    """The spec differential of phi, dense."""
     return _image(spec, phi)
 
 
@@ -239,15 +212,10 @@ def _degenerate_args(args):
 def is_cocycle(spec, phi, quandle_flag=True):
     """Does the spec differential kill phi (plus the degeneracy condition)?
 
-    Decided exhaustively on a dense cochain, in table order: the degenerate
-    entries first (when flagged), then the entries of the differential.  A
-    lazy cochain raises UnsupportedCarrierError: gate the dense cochain it
-    was transported from instead.  Returns an AxiomReport whose witness is
-    the offending (m, a_1, ...) tuple.
+    Decided exhaustively, in table order: the degenerate entries first
+    (when flagged), then the entries of the differential.  Returns an
+    AxiomReport whose witness is the offending (m, a_1, ...) tuple.
     """
-    if isinstance(phi, LazyCochain):
-        raise UnsupportedCarrierError(
-            "cocycle gate of a lazy cochain; gate its dense source cochain")
     if spec.group != phi.coeff:
         raise StructureError("spec and cochain coefficient groups differ")
     zero = phi.coeff.zero()
@@ -283,49 +251,47 @@ def link_twisted_coboundary(theta, alphas, orbit_map):
     return _image(DifferentialSpec.link_twisted(alphas, orbit_map), theta)
 
 
-def transport_to_shadow(phi, alpha):
-    """Shadow cochain over the integer module: (m, args) -> alpha^-m phi(args)."""
-    if phi.module is not None:
+def _order(unit):
+    """The least k >= 1 with unit^k = 1, read off the powers of the unit
+    on the standard basis.  A scalar of a finite group that is no unit
+    repeats a power before it gets back to 1; on a free Z summand only the
+    integer units +-1 are allowed."""
+    group = unit.group
+    if not group.is_finite and not isinstance(unit, IntUnit):
+        raise StructureError("transport over Z needs an integer unit")
+    basis = tuple(tuple(int(i == j) for i in range(group.d))
+                  for j in range(group.d))
+    power, seen = tuple(map(unit.apply, basis)), set()
+    while power != basis:
+        if power in seen:
+            raise StructureError(f"{unit!r} is not a unit")
+        seen.add(power)
+        power = tuple(map(unit.apply, power))
+    return len(seen) + 1
+
+
+def transport_to_shadow(omega, alphas, orbit_map=None):
+    """The shadow cochain (m, args) -> prod_O u_O^(-m_O) omega(args) of a
+    trivial-module cochain, with u_O = alphas[O]: one unit and no orbit map
+    for a twisted cochain, one unit per orbit of orbit_map for a per-orbit
+    twisted one.  Each unit has a finite order k_O, so the values are
+    periodic in m and form a table over orbit_shadow_module(q, (k_O, ...),
+    orbit_map), where m |> a = m + e_o(a); with one unit and no orbit map
+    that is cyclic_shadow_module(q, k)."""
+    if omega.module is not None:
         raise StructureError("transport starts from a trivial-module cochain")
-    if not isinstance(alpha, Scalar):
-        raise StructureError("alpha must be a unit scalar")
-    module = IntegerShadowModule(phi.quandle)
-
-    def fn(m, args):
-        return alpha.apply(phi.at(0, args), -m)
-
-    return LazyCochain(phi.quandle, module, phi.coeff, phi.degree, fn)
-
-
-def transport_twisted_to_shadow(omega, alpha):
-    """Degree-2 version of the transport; the shadow face of twisting."""
-    if omega.degree != 2:
-        raise StructureError("expected a degree-2 cochain")
-    return transport_to_shadow(omega, alpha)
-
-
-def transport_link_twisted_to_shadow(omega, alphas, orbit_map):
-    """Shadow cochain over the orbit-counting module with per-orbit units."""
-    if omega.degree != 2 or omega.module is not None:
-        raise StructureError("expected a degree-2 cochain with trivial module")
-    module = OrbitShadowModule(omega.quandle, orbit_map)
-
-    def fn(m, args):
-        v = omega.at(0, args)
-        for o, exp in enumerate(m):
-            if exp:
-                v = alphas[o].apply(v, -exp)
-        return v
-
-    return LazyCochain(omega.quandle, module, omega.coeff, 2, fn)
-
-
-def shadow_twisted_product_cochain(omega, alpha, product_module):
-    """Lazy cochain on M x Z pairing a dense shadow cochain with twisting."""
-    def fn(m, args):
-        mm, j = m
-        return alpha.apply(omega.at(mm, args), -j)
-    return LazyCochain(omega.quandle, product_module, omega.coeff, omega.degree, fn)
+    if not all(isinstance(u, Scalar) for u in alphas):
+        raise StructureError("transport units must be unit scalars")
+    orders = [_order(u) for u in alphas]
+    module = orbit_shadow_module(omega.quandle, orders, orbit_map)
+    values = []
+    for digits in product(*(range(k) for k in orders)):
+        for v in omega.values:
+            for u, e in zip(alphas, digits):
+                if e:
+                    v = u.apply(v, -e)
+            values.append(v)
+    return Cochain(omega.quandle, module, omega.coeff, omega.degree, values)
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +452,6 @@ class CohomologyBasis:
     torsion: list
     free_rank: int
 
-    @property
-    def cocycle_count(self):
-        return len(self.cocycles)
-
-    @property
-    def coboundary_count(self):
-        return len(self.coboundaries)
-
 
 def _merge_factors(factor_lists):
     """Canonical invariant-factor chain of a direct sum of cyclic groups:
@@ -510,7 +468,6 @@ def _merge_factors(factor_lists):
 def _cocycle_vectors(spec, quandle, module, coeff, degree, quandle_flag):
     """Flattened kernel basis of the spec differential out of ``degree``,
     on the degenerate-free subspace when flagged."""
-    _require_table(module)
     if degree < 1:
         raise StructureError("cohomology is computed in degree >= 1")
     rows = _differential_rows(spec, quandle, module, coeff, degree)

@@ -46,10 +46,6 @@ class Crossing:
         return 1 if self.over == 3 else -1
 
     @property
-    def under_in(self):
-        return self.rot[0]
-
-    @property
     def under_out(self):
         return self.rot[2]
 
@@ -317,9 +313,6 @@ class Diagram:
 
     def loop_region(self, j):
         return self._loop_region[j]
-
-    def loop_component(self, j):
-        return self._loop_component[j]
 
     def loop_arc(self, j):
         return self._loop_arc[j]

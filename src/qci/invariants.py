@@ -190,6 +190,9 @@ class _Plan:
         if omega.module is not None and not self.shadow:
             raise StructureError(f"{flavor} weighs a trivial-module cochain; "
                                  "only shadow flavors read a module")
+        if omega.module is None and self.shadow:
+            raise StructureError(f"{flavor} weighs a module cochain, "
+                                 "not a trivial-module one")
         if check:
             validate_cocycle(flavor, omega, alpha=self.alpha,
                              alphas=self.alphas, orbit_map=orbit_map)
@@ -223,10 +226,11 @@ class _Plan:
             if weighed is None:
                 weighed = self.by_orbits[key] = self._weighed(
                     tuple(self.alphas[o] for o in key))
-        coeff, at = self.omega.coeff, self.omega.at
+        coeff, values = self.omega.coeff, self.omega.values
+        n = self.omega.quandle.n
         total = [0] * coeff.d
         for coef, a, b, src in weighed:
-            term = at(regions[src], (arcs[a], arcs[b]))
+            term = values[(regions[src] * n + arcs[a]) * n + arcs[b]]
             for r, row in enumerate(coef):
                 total[r] += sum(map(mul, row, term))
         return coeff.reduce(total)
@@ -274,23 +278,21 @@ def weight_link_twisted(diagram, coloring, omega, alphas, orbit_map=None,
 
 # -- invariant multisets ------------------------------------------------------
 
-def invariant_multiset(diagram, quandle, flavor, omega, *, module=None,
-                       alpha=None, alphas=None, exterior=None, check=True):
+def invariant_multiset(diagram, quandle, flavor, omega, *, alpha=None,
+                       alphas=None, exterior=None, check=True):
     """The flavor's weight multiset over all (shadow) colorings.
 
-    Shadow flavors pin the exterior region color to ``exterior`` and extend
-    each arc coloring to the unique compatible region coloring.
+    Shadow flavors pin the exterior region color to ``exterior``, an
+    element of omega's module, and extend each arc coloring to the unique
+    compatible region coloring in that module, whose positions index
+    omega's table.
     """
     plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas)
-    if plan.shadow:
-        mod = module if module is not None else omega.module
-        if mod is None:
-            raise StructureError(f"{flavor} needs a module")
-        if exterior is None:
-            raise StructureError(f"{flavor} needs an exterior region color")
+    if plan.shadow and exterior is None:
+        raise StructureError(f"{flavor} needs an exterior region color")
 
     colorings = enumerate_colorings(diagram, quandle)
-    weights = (plan(propagate_shadow(diagram, c, mod, exterior)
+    weights = (plan(propagate_shadow(diagram, c, omega.module, exterior)
                     if plan.shadow else c) for c in colorings)
 
     meta = {"flavor": flavor, "colorings": len(colorings),

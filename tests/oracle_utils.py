@@ -5,30 +5,34 @@ and sums are recomputed from raw tables / raw crossing records.
 """
 
 from itertools import product
+from math import isqrt
 
 
 def rref_rank_mod_p(rows, p):
-    """Rank by plain dense row reduction over the field Z/p."""
-    mat = [[v % p for v in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] % p:
-                pivot = i
+    """Rank over the field Z/p by plain elimination on sparse rows.
+
+    Each row becomes a dict column -> nonzero entry.  It is reduced by the
+    pivot rows at its leading column until it vanishes or leads at a
+    column with no pivot row yet, where it becomes one, scaled to lead 1.
+    """
+    pivots = {}
+    for r in rows:
+        row = {j: v % p for j, v in enumerate(r) if v % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: v * inv % p for j, v in row.items()}
                 break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(inv * v) % p for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+            f = row[lead]
+            for j, v in pivot.items():
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 def brute_span(rows, n, width):
@@ -285,6 +289,113 @@ def oracle_weight_sum(records, arc_of, colors, omega_at, modulus_add,
             term = twist(term, ci)
         total = modulus_add(total, term if sign > 0 else neg(term))
     return total
+
+
+def raw_orbit_ids(op):
+    """Orbit id of every color under the right action a -> a |> b, the
+    orbits numbered in the order of their smallest colors."""
+    n = len(op)
+    ids = [None] * n
+    count = 0
+    for start in range(n):
+        if ids[start] is not None:
+            continue
+        ids[start] = count
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for c in op[a]:
+                if ids[c] is None:
+                    ids[c] = count
+                    stack.append(c)
+        count += 1
+    return ids
+
+
+def raw_source_colors(records, exterior, exterior_color, step):
+    """Each crossing's source-region color, from the raw records alone.
+
+    Faces are traced on the darts (crossing, slot): arriving at slot i, the
+    walk leaves by slot i - 1, keeping the face on its left.  A semi-arc
+    arrives at its head end (slot 0 or the over slot) with its left face on
+    the left, and at its tail end with its right face there.  Crossing a
+    semi-arc along its normal, right face to left face, adds the integer
+    vector step(semi-arc).  The face on the given side of the semi-arc
+    ``exterior = [semi-arc, "left" | "right"]`` has color exterior_color.
+    The source region of a crossing is its sector between slots 0 and 1
+    when positive (the face arriving at slot 1) and between slots 1 and 2
+    when negative (arriving at slot 2).
+    """
+    if not records:
+        return []
+    ends = {}
+    for ci, rec in enumerate(records):
+        for slot, sa in enumerate(rec["rot"]):
+            ends.setdefault(sa, []).append((ci, slot))
+    face = {}
+    for ci in range(len(records)):
+        for slot in range(4):
+            dart = (ci, slot)
+            while dart not in face:
+                face[dart] = (ci, slot)
+                leave = (dart[0], (dart[1] - 1) % 4)
+                sa = records[leave[0]]["rot"][leave[1]]
+                dart = next(e for e in ends[sa] if e != leave)
+    steps = []     # (right face, left face, vector) per semi-arc
+    for sa, pair in ends.items():
+        head = next(e for e in pair if e[1] in (0, records[e[0]]["over"]))
+        tail = next(e for e in pair if e != head)
+        steps.append((face[tail], face[head], step(sa)))
+    sa, side = exterior
+    outside = next(e for e in ends[sa]
+                   if (e[1] in (0, records[e[0]]["over"])) == (side == "left"))
+    color = {face[outside]: tuple(exterior_color)}
+    grew = True
+    while grew:
+        grew = False
+        for right, left, vec in steps:
+            if right in color and left not in color:
+                color[left] = tuple(x + y for x, y in zip(color[right], vec))
+                grew = True
+            elif left in color and right not in color:
+                color[right] = tuple(x - y for x, y in zip(color[left], vec))
+                grew = True
+    for right, left, vec in steps:
+        if color[left] != tuple(x + y for x, y in zip(color[right], vec)):
+            raise ValueError("region colors are inconsistent")
+    return [color[face[(ci, 1 if rec["over"] == 3 else 2)]]
+            for ci, rec in enumerate(records)]
+
+
+def symbolic_shadow_weight(records, exterior, arc_of, colors, table, modulus,
+                           units, exterior_color, orbit_of=None):
+    """Shadow weight of the transport m -> prod_O u_O^(-m_O) w(a, b) of a
+    Z/modulus valued 2-cochain w, table[a * n + b] = w(a, b), with region
+    colors in Z (one unit) or in Z^orbits (orbit_of[color] = orbit id).
+
+    Crossing a strand adds 1 to the region color's entry for the orbit of
+    the strand's color; the exterior region has exterior_color (an int or
+    a tuple).  Returns the weight as an int modulo ``modulus``.
+    """
+    if not isinstance(exterior_color, tuple):
+        exterior_color = (exterior_color,)
+
+    def step(sa):
+        o = 0 if orbit_of is None else orbit_of[colors[arc_of[sa]]]
+        return tuple(int(i == o) for i in range(len(units)))
+
+    regions = raw_source_colors(records, exterior, exterior_color, step)
+    n = isqrt(len(table))
+
+    def at(m, a, b):
+        v = table[a * n + b]
+        for u, e in zip(units, m):
+            v *= pow(u, -e, modulus)
+        return v % modulus
+
+    return oracle_weight_sum(records, arc_of, colors, at,
+                             lambda x, y: (x + y) % modulus, 0,
+                             lambda x: -x % modulus, regions=regions)
 
 
 def braid_push_colorings(word, strands, op, inv):

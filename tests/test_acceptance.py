@@ -10,7 +10,7 @@ import pathlib
 import random
 
 from qci import corpus
-from qci.algebra import (CoeffGroup, IntUnit, IntegerShadowModule, Quandle,
+from qci.algebra import (CoeffGroup, IntUnit, Quandle,
                          check_quandle, cyclic_shadow_module, make_conjugation,
                          make_dihedral, make_trivial, orbits,
                          quandle_as_module)
@@ -18,7 +18,7 @@ from qci.cohomology import (DifferentialSpec, cocycle_basis,
                             cohomology_basis, d_left, d_right, differential,
                             is_cocycle, link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
-                            transport_twisted_to_shadow,
+                            transport_to_shadow,
                             _differential_rows, _degenerate_rows)
 from qci.coloring import enumerate_colorings, propagate_shadow
 from qci.diagram import (compute_indices, crossing_geometry, r1_insert,
@@ -29,7 +29,7 @@ from qci.invariants import (WeightMultiset, invariant_multiset,
                             weight_positive, weight_shadow,
                             weight_shadow_twisted, weight_twisted)
 from tests.groups import all_groups_up_to_8
-from tests.oracle_utils import rref_rank_mod_p
+from tests.oracle_utils import rref_rank_mod_p, symbolic_shadow_weight
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -189,12 +189,21 @@ def test_criterion_3_coboundaries():
                 assert weight_shadow_twisted(d, sh, db, 5, check=False) == zero
 
 
+def _z_shadow_weight(name, d, col, omega, a, exterior):
+    """The shadow weight over Z of the transport alpha^-m w, from the qci-free
+    oracle: region colors by face tracing on the raw records, the twist by
+    modular powers of a."""
+    raw = corpus.load_json(name)
+    return (symbolic_shadow_weight(
+        raw.get("crossings", []), raw.get("exterior"), d.arc_of, col,
+        [v for v, in omega.values], omega.coeff.moduli[0], [a], exterior),)
+
+
 @criterion(4, "twisted equals shadow transport")
 def test_criterion_4_twisted_shadow():
     A = CoeffGroup((5,))
     for n in (3, 4, 5):
         q = make_dihedral(n)
-        z = IntegerShadowModule(q)
         for a in (2, 3):
             alpha = IntUnit(A, a)
             basis = cocycle_basis(DifferentialSpec.twisted(A, a),
@@ -204,12 +213,14 @@ def test_criterion_4_twisted_shadow():
                 d = corpus.load(name)
                 cols = enumerate_colorings(d, q)
                 for omega in basis:
-                    lazy = transport_twisted_to_shadow(omega, alpha)
+                    shadow = transport_to_shadow(omega, [alpha])
                     for col in cols:
-                        ind = propagate_shadow(d, col, z, 0)
                         tw = weight_twisted(d, col, omega, alpha, check=False)
-                        sh = weight_shadow(d, ind, lazy, check=False)
-                        assert tw == sh
+                        assert tw == _z_shadow_weight(name, d, col, omega, a,
+                                                      0)
+                        ind = propagate_shadow(d, col, shadow.module, 0)
+                        assert tw == weight_shadow(d, ind, shadow,
+                                                   check=False)
 
 
 @criterion(5, "positive equals minus-one twisted")
@@ -306,18 +317,23 @@ def test_criterion_8_scaling():
     q = make_dihedral(3)
     A = CoeffGroup((5,))
     alpha = IntUnit(A, 2)
-    z = IntegerShadowModule(q)
     basis = cocycle_basis(DifferentialSpec.twisted(A, 2), q, None, A, 2)
     for name in ("trefoil", "trefoil_mirror", "figure_eight", "hopf_pos"):
         d = corpus.load(name)
+        cols = enumerate_colorings(d, q)
         for omega in basis:
-            lazy = transport_twisted_to_shadow(omega, alpha)
-            at0 = invariant_multiset(d, q, "shadow", lazy, module=z,
-                                     exterior=0, check=False)
-            atm1 = invariant_multiset(d, q, "shadow", lazy, module=z,
-                                      exterior=-1, check=False)
+            # the oracle's multisets over Z at exterior colors 0 and -1
+            at0, atm1 = (WeightMultiset.from_values(
+                _z_shadow_weight(name, d, col, omega, 2, e) for col in cols)
+                for e in (0, -1))
             assert atm1.weights == at0.scaled(alpha).weights
             assert atm1.weights == at0.weights
+            # qci's table of the transport, its colors counted mod 4
+            shadow = transport_to_shadow(omega, [alpha])
+            assert shadow.module.size == 4
+            for e, want in ((0, at0), (3, atm1)):
+                assert invariant_multiset(d, q, "shadow", shadow, exterior=e,
+                                          check=False).weights == want.weights
     A4 = CoeffGroup((4,))
     pos_basis = cocycle_basis(DifferentialSpec.positive(A4), q, None, A4, 2)
     for name in ("trefoil", "figure_eight", "hopf_neg"):

@@ -2,14 +2,24 @@
 
 import pytest
 
-from qci.algebra import (CoeffGroup, IntegerShadowModule,
-                         IntUnit, OrbitShadowModule, Quandle,
+from qci.algebra import (CoeffGroup, IntUnit, Quandle,
                          ShiftUnit, StructureError, TableModule,
                          check_module, check_quandle, cyclic_shadow_module,
                          make_conjugation, make_dihedral, make_trivial,
-                         make_alexander, module_from_json, orbits,
-                         product_module, quandle_as_module, trivial_module)
+                         make_alexander, module_from_json,
+                         orbit_shadow_module, orbits, quandle_as_module,
+                         trivial_module)
 from tests.groups import all_groups_up_to_8, cyclic_group, symmetric_3
+
+
+def product_table_module(first, second):
+    """The diagonal-action product of two table modules over one quandle,
+    as a table module: the pair (x, y) sits at position x * |second| + y."""
+    k = second.size
+    return TableModule(first.quandle,
+                       [[first.act(x, a) * k + second.act(y, a)
+                         for a in range(first.quandle.n)]
+                        for x in range(first.size) for y in range(k)])
 
 
 def test_trivial_quandle_passes():
@@ -102,59 +112,77 @@ def test_module_self_action_passes():
     assert check_module(quandle_as_module(q))
 
 
-def test_symbolic_integer_module_passes():
+def test_symbolic_module_kinds_are_refused():
+    # region colors in Z or in the orbit-counting group have no table; the
+    # shadow carriers are their finite quotients, built by the transport
     q = make_dihedral(4)
-    m = IntegerShadowModule(q)
-    assert check_module(m)
-    assert m.act(5, 2) == 6 and m.unact(0, 1) == -1
+    for data in ({"v": 1, "kind": "int_shadow"},
+                 {"v": 1, "kind": "orbit_shadow", "orbits": 2},
+                 {"v": 1, "kind": "product", "factors": [
+                     quandle_as_module(q).describe(),
+                     cyclic_shadow_module(q, 2).describe()]}):
+        with pytest.raises(StructureError, match="unknown module kind"):
+            module_from_json(data, q)
 
 
 def test_product_with_integer_module():
+    # the integer shadow module counted mod 5, paired with the self-action
     q = make_dihedral(3)
-    p = product_module(quandle_as_module(q), IntegerShadowModule(q))
+    p = product_table_module(quandle_as_module(q), cyclic_shadow_module(q, 5))
     assert check_module(p)
-    assert p.act((1, 7), 2) == (q.apply(1, 2), 8)
+    assert p.act(1 * 5 + 2, 2) == q.apply(1, 2) * 5 + 3
+    assert p.act(1 * 5 + 4, 2) == q.apply(1, 2) * 5 + 0
 
 
 def test_product_of_finite_modules():
     q = make_dihedral(3)
     z2 = cyclic_shadow_module(q, 2)
-    p = product_module(z2, z2)
-    assert p.is_finite and p.size == 4
+    p = product_table_module(z2, z2)
+    assert p.size == 4
     assert check_module(p)
-    assert p.act((0, 1), 0) == (1, 0)
+    assert p.act(1, 0) == 2       # (0, 1) -> (1, 0)
 
 
 def test_product_quandle_mismatch():
-    with pytest.raises(StructureError):
-        product_module(trivial_module(make_dihedral(3)),
-                       trivial_module(make_dihedral(4)))
+    # factors over different quandles make no table: a D4 action table has
+    # a column too many for D3, and the module check refuses the pairing
+    d3, d4 = make_dihedral(3), make_dihedral(4)
+    with pytest.raises(StructureError, match="expected 3 columns"):
+        TableModule(d3, trivial_module(d4).action)
+    with pytest.raises(StructureError, match="quandle size mismatch"):
+        check_module(trivial_module(d4), d3)
 
 
 def test_trivial_times_m_isomorphic():
     q = make_dihedral(3)
     m = quandle_as_module(q)
-    p = product_module(trivial_module(q), m)
+    p = product_table_module(trivial_module(q), m)
+    assert p.size == m.size
     for x in m.elements():
         for a in range(q.n):
-            assert p.act((0, x), a) == (0, m.act(x, a))
+            assert p.act(x, a) == m.act(x, a)
 
 
 def test_module_orbit_conventions():
     q = make_dihedral(4)
-    assert orbits(IntegerShadowModule(q)).count == 1
-    assert orbits(OrbitShadowModule(q)).count == 1
+    assert orbits(orbit_shadow_module(q, (2, 3), orbits(q))).count == 1
     assert orbits(cyclic_shadow_module(q, 3)).count == 1
     assert orbits(trivial_module(q)).count == 1
 
 
 def test_orbit_shadow_action():
+    # D4 has the orbits {0, 2} and {1, 3}; over Z/3 x Z/2 the digit pair
+    # (i, j) sits at position 2i + j, and acting by a bumps a's orbit digit
     q = make_dihedral(4)
-    m = OrbitShadowModule(q)
-    z = m.zero()
-    assert m.act(z, 1) == (0, 1)
-    assert m.act(m.act(z, 0), 2) == (2, 0)
-    assert m.unact(m.act(z, 3), 3) == z
+    m = orbit_shadow_module(q, (3, 2), orbits(q))
+    assert m.size == 6 and check_module(m)
+    assert m.act(0, 1) == 1                 # (0, 0) -> (0, 1)
+    assert m.act(m.act(0, 0), 2) == 4       # (0, 0) -> (2, 0)
+    assert m.act(4, 0) == 0                 # (2, 0) -> (0, 0)
+    assert m.unact(m.act(0, 3), 3) == 0
+    assert orbit_shadow_module(q, (5,)) == cyclic_shadow_module(q, 5)
+    with pytest.raises(StructureError, match="one shadow order per"):
+        orbit_shadow_module(q, (5,), orbits(q))
 
 
 def test_orbits_idempotent_under_action():
@@ -168,11 +196,12 @@ def test_orbits_idempotent_under_action():
 def test_product_module_orbit_containment():
     q = make_dihedral(4)
     m = quandle_as_module(q)
-    p = product_module(m, m)
+    p = product_table_module(m, m)
     om_p, om_m = orbits(p), orbits(m)
-    for (x, y) in p.elements():
-        rep = om_p.orbits[om_p.of((x, y))]
-        for (x2, y2) in rep:
+    for xy in p.elements():
+        x, y = divmod(xy, m.size)
+        for xy2 in om_p.orbits[om_p.of(xy)]:
+            x2, y2 = divmod(xy2, m.size)
             assert om_m.of(x2) == om_m.of(x)
             assert om_m.of(y2) == om_m.of(y)
 
@@ -184,15 +213,22 @@ def test_module_axiom_failure_witness():
     bad = TableModule(q, [[1, 0], [0, 2], [2, 1]])
     rep = check_module(bad)
     assert not rep.passed and rep.axiom == "self-distributivity"
+    # the check is exhaustive: these two transpositions fix 0 and clash
+    # only from 1 on
+    bad = TableModule(q, [[0, 0], [2, 1], [1, 3], [3, 2]])
+    rep = check_module(bad)
+    assert not rep.passed
+    assert (rep.axiom, rep.witness) == ("self-distributivity", (1, 0, 1))
 
 
 def test_module_json_roundtrip():
     q = make_dihedral(3)
-    for mod in (quandle_as_module(q), IntegerShadowModule(q),
-                OrbitShadowModule(q),
-                product_module(cyclic_shadow_module(q, 2), IntegerShadowModule(q))):
+    for mod in (quandle_as_module(q), cyclic_shadow_module(q, 4),
+                product_table_module(cyclic_shadow_module(q, 2),
+                                     quandle_as_module(q))):
         back = module_from_json(mod.describe(), q)
-        for m in mod.sample_elements():
+        assert back == mod
+        for m in mod.elements():
             for a in range(q.n):
                 assert back.act(m, a) == mod.act(m, a)
 

@@ -10,18 +10,16 @@ import sys
 import pytest
 
 from qci import cli, cohomology, coloring, corpus, invariants
-from qci.algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
-                         OrbitShadowModule, cyclic_shadow_module,
+from qci.algebra import (CoeffGroup, IntUnit, cyclic_shadow_module,
                          make_alexander, make_dihedral, orbits,
                          quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             is_cocycle, link_twisted_cocycle_basis,
-                            random_cochain,
-                            transport_link_twisted_to_shadow,
-                            transport_twisted_to_shadow)
+                            random_cochain)
 from qci.diagram import Diagram
-from qci.invariants import invariant_multiset
-from tests.oracle_utils import pointwise_differential
+from qci.invariants import WeightMultiset
+from tests.oracle_utils import (pointwise_differential, raw_orbit_ids,
+                                symbolic_shadow_weight)
 from tests.test_fuzz_braids import braid_closure_records
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -88,8 +86,7 @@ def test_cohomology_over_product_module_is_exit2(files):
     code, out, err = run_cli("cohomology", "--quandle", str(files["quandle"]),
                              "--coeff", "3", "--module", str(path))
     assert code == 2 and out == ""
-    assert "dense cochain tables need a table module" in \
-        json.loads(err)["error"]
+    assert "unknown module kind 'product'" in json.loads(err)["error"]
 
 
 def test_zero_cocycle_passes_any_spec(files):
@@ -228,11 +225,24 @@ def test_unwritable_manifest_is_exit_2(files):
     assert "Traceback" not in err
 
 
-def test_corpus_verify():
+# sha256 of `qci corpus-verify` stdout at its default sample count; the
+# seed only draws the random coboundaries, which all weigh zero
+CORPUS_VERIFY_SHA256 = \
+    "07b51ac4840e35069cd1eddcadd859aba65edf618bf8209d2528fb1752b61e39"
+
+
+def test_corpus_verify(capsys):
     code, out, _ = run_cli("corpus-verify", "--seed", "7", "--samples", "2")
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] and payload["checks"] > 20
+    # no benchmark workload runs the command, so its bytes are frozen here
+    for seed in ("0", "7"):
+        code, out, err = _main_in_process(
+            capsys, ["corpus-verify", "--seed", seed])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            CORPUS_VERIFY_SHA256, seed
 
 
 def _two_component_d4_files(files):
@@ -251,17 +261,24 @@ def _two_component_d4_files(files):
 def test_shadow_over_symbolic_module_cli(files, capsys):
     # shadow flavor over the symbolic modules: the file carries a twisted
     # (per-orbit twisted) table and the command weighs it with that plan.
-    # The reference is the library's shadow sum of the lazy transport,
-    # region colors propagated from the exterior color.
-    def check(argv, d, q, module, lazy, exteriors, force=()):
+    # The reference is the qci-free oracle: the shadow sum of the transport
+    # prod_O u_O^-m_O w, its integer region colors traced on the raw
+    # crossing records from the exterior color.
+    def check(argv, d, q, omega, units, exteriors, force=()):
+        raw = d.to_json()
+        table = [v for v, in omega.values]
+        orbit_of = raw_orbit_ids(q.op) if len(units) > 1 else None
         outs = []
         for e in exteriors:
             text = ",".join(map(str, e)) if isinstance(e, tuple) else str(e)
             code, out, err = _main_in_process(
                 capsys, argv + [f"--exterior={text}", *force])
             assert code == 0, err
-            ms = invariant_multiset(d, q, "shadow", lazy, module=module,
-                                    exterior=e, check=False)
+            ms = WeightMultiset.from_values(
+                (symbolic_shadow_weight(raw["crossings"], raw["exterior"],
+                                        d.arc_of, col, table, 5, units, e,
+                                        orbit_of),)
+                for col in coloring.enumerate_colorings(d, q))
             assert json.loads(out) == {"total": ms.total(), "v": 1,
                                        "weights": ms.to_json()["weights"]}
             outs.append(out)
@@ -278,8 +295,7 @@ def test_shadow_over_symbolic_module_cli(files, capsys):
     check(["invariant", "--flavor", "shadow", "--diagram",
            str(files["diagram"]), "--quandle", str(files["quandle"]),
            "--cocycle", str(path), "--module", "Z", "--alpha", "2"],
-          corpus.load("trefoil"), q, IntegerShadowModule(q),
-          transport_twisted_to_shadow(omega, units[0]), (0, 1, -2))
+          corpus.load("trefoil"), q, omega, [2], (0, 1, -2))
     # over the orbit-counting module of D4, which has two orbits
     d, q, dfile, qfile = _two_component_d4_files(files)
     om = orbits(q)
@@ -290,20 +306,17 @@ def test_shadow_over_symbolic_module_cli(files, capsys):
     check(["invariant", "--flavor", "shadow", "--diagram", str(dfile),
            "--quandle", str(qfile), "--cocycle", str(path), "--module",
            "orbitZ", "--alpha-per-orbit", "2,4"],
-          d, q, OrbitShadowModule(q, om),
-          transport_link_twisted_to_shadow(lt, units, om), exteriors)
+          d, q, lt, [2, 4], exteriors)
     # those cocycles weigh 0 on those diagrams; a cochain that is no
     # cocycle weighs nonzero, so under --force the unit factor shows
     q, A, omega, base = _bad_d4_source(files)
-    for args, module, lazy, exts in (
-            (["--module", "Z", "--alpha", "2"], IntegerShadowModule(q),
-             transport_twisted_to_shadow(omega, units[0]), (0, 1, -2)),
-            (["--module", "orbitZ", "--alpha-per-orbit", "2,4"],
-             OrbitShadowModule(q, om),
-             transport_link_twisted_to_shadow(omega, units, om), exteriors)):
+    for args, ints, exts in (
+            (["--module", "Z", "--alpha", "2"], [2], (0, 1, -2)),
+            (["--module", "orbitZ", "--alpha-per-orbit", "2,4"], [2, 4],
+             exteriors)):
         assert _main_in_process(capsys, list(base) + args)[0] == 1
-        outs = check(list(base) + args, corpus.load("hopf_pos"), q, module,
-                     lazy, exts, ["--force"])
+        outs = check(list(base) + args, corpus.load("hopf_pos"), q, omega,
+                     ints, exts, ["--force"])
         # every nonzero exterior here scales by a unit other than 1
         assert all(out != outs[0] for out in outs[1:])
 
@@ -311,24 +324,24 @@ def test_shadow_over_symbolic_module_cli(files, capsys):
 def test_symbolic_shadow_propagates_no_region_colors(files, monkeypatch,
                                                     capsys):
     # the symbolic shadow commands weigh the file with the twisted plan:
-    # no region coloring and no lazy transport on the way
+    # no region coloring and no transport to a shadow table on the way
     q, A, omega, base = _bad_d4_source(files)
     calls = []
     propagate = coloring.propagate_shadow
+    transport = cohomology.transport_to_shadow
 
     def counted(*args, **kwargs):
         calls.append(args)
         return propagate(*args, **kwargs)
 
+    def transported(*args, **kwargs):
+        calls.append(("transport_to_shadow",))
+        return transport(*args, **kwargs)
+
     for module in (coloring, invariants, cli):
         monkeypatch.setattr(module, "propagate_shadow", counted)
-    lazy_init = cohomology.LazyCochain.__init__
-
-    def built(self, *args, **kwargs):
-        calls.append(("LazyCochain",))
-        lazy_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cohomology.LazyCochain, "__init__", built)
+    for module in (cohomology, cli):
+        monkeypatch.setattr(module, "transport_to_shadow", transported)
     for args in (["--module", "Z", "--alpha", "2", "--exterior", "1"],
                  ["--module", "orbitZ", "--alpha-per-orbit", "2,3",
                   "--exterior", "1,0"]):
@@ -343,6 +356,62 @@ def test_symbolic_shadow_propagates_no_region_colors(files, monkeypatch,
                  "--cocycle", str(files["cocycle"]), "--exterior", "0"])
     assert code == 0, err
     assert len(calls) == 9
+
+
+def test_symbolic_module_words_are_shadow_only(files, capsys):
+    # --module Z|orbitZ name the symbolic shadow carriers, which only
+    # --flavor shadow reads (through the twisted plans).  shadow_twisted
+    # used to accept them and print the plain twisted bytes, ignoring the
+    # region colors: its weight over Z of the file's transport alpha^-m w,
+    # sum sign alpha^-i alpha^-m w = alpha^-e sum sign (alpha^2)^-i w,
+    # differs from those bytes at exteriors 1 and 2 here.
+    q, A, omega, base = _bad_d4_source(files)
+    files_only = list(base[3:])     # --diagram, --quandle, --cocycle
+    code, twisted, err = _main_in_process(
+        capsys, ["invariant", "--flavor", "twisted", "--alpha", "2",
+                 "--force", *files_only])
+    assert code == 0, err
+    d = corpus.load("hopf_pos")
+    raw = d.to_json()
+    table = [v for v, in omega.values]
+    for e in (1, 2):
+        ms = WeightMultiset.from_values(
+            (symbolic_shadow_weight(raw["crossings"], raw["exterior"],
+                                    d.arc_of, col, table, 5, [4], 0)
+             * pow(2, -e, 5) % 5,)
+            for col in coloring.enumerate_colorings(d, q))
+        assert json.loads(twisted)["weights"] != ms.to_json()["weights"]
+        code, out, err = _main_in_process(
+            capsys, ["invariant", "--flavor", "shadow_twisted", "--module",
+                     "Z", "--alpha", "2", "--exterior", str(e), "--force",
+                     *files_only])
+        assert (code, out) == (2, "")
+        assert "not shadow_twisted" in err
+    for flavor, units in (("classical", []), ("positive", []),
+                          ("twisted", ["--alpha", "2"]),
+                          ("shadow_twisted", ["--alpha", "2"]),
+                          ("link_twisted", ["--alpha-per-orbit", "2,3"])):
+        for word in ("Z", "orbitZ"):
+            code, out, err = _main_in_process(
+                capsys, ["invariant", "--flavor", flavor, "--module", word,
+                         *units, *files_only])
+            assert (code, out) == (2, "")
+            assert f"--module {word} applies to --flavor shadow only, " \
+                f"not {flavor}" in json.loads(err)["error"]
+    # no other command reads them, and no module file may name them
+    for word in ("Z", "orbitZ"):
+        code, out, err = _main_in_process(
+            capsys, ["cohomology", "--quandle", str(files["quandle"]),
+                     "--coeff", "3", "--module", word])
+        assert (code, out) == (2, "")
+    for kind in ("int_shadow", "orbit_shadow"):
+        path = files["tmp"] / f"{kind}.json"
+        path.write_text(json.dumps({"v": 1, "kind": kind}))
+        code, out, err = _main_in_process(
+            capsys, ["check", "--kind", "module", "--file", str(path),
+                     "--quandle", str(files["quandle"])])
+        assert (code, out) == (2, "")
+        assert f"unknown module kind '{kind}'" in err
 
 
 def _bad_d4_source(files):

@@ -7,18 +7,16 @@ from itertools import product
 import pytest
 
 from qci import corpus, modlinalg
-from qci.algebra import (CoeffGroup, IntegerShadowModule, IntUnit,
-                         ShiftUnit, UnsupportedCarrierError,
-                         cyclic_shadow_module, make_alexander, make_dihedral,
-                         make_trivial, orbits, product_module,
-                         quandle_as_module)
-from qci.cohomology import (Cochain, DifferentialSpec, LazyCochain,
+from qci.algebra import (CoeffGroup, IntUnit, ShiftUnit, StructureError,
+                         cyclic_shadow_module,
+                         make_alexander, make_dihedral, make_trivial,
+                         orbit_shadow_module, orbits, quandle_as_module)
+from qci.cohomology import (Cochain, DifferentialSpec,
                             _merge_factors, cohomology_basis, d_left, d_right, differential,
                             is_cocycle, is_in_span, is_link_twisted_cocycle,
                             link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
-                            transport_to_shadow, transport_twisted_to_shadow,
-                            zero_cochain)
+                            transport_to_shadow, zero_cochain)
 from qci.coloring import enumerate_colorings, propagate_shadow
 from qci.invariants import weight_shadow
 from tests.oracle_utils import (classical_condition_holds,
@@ -216,58 +214,87 @@ def test_degenerate_free_restriction():
 
 
 def test_transport_basics():
+    # a unit of order k gives a table over Z/k holding alpha^-m omega
     q = make_dihedral(3)
     A = CoeffGroup((5,))
     rng = random.Random(11)
     omega = random_cochain(rng, q, None, A, 2)
-    one = transport_twisted_to_shadow(omega, IntUnit(A, 1))
-    for m in range(-3, 4):
-        assert one.at(m, (0, 1)) == omega.at(0, (0, 1))
-    minus = transport_twisted_to_shadow(omega, IntUnit(A, -1))
+    one = transport_to_shadow(omega, [IntUnit(A, 1)])
+    assert one.module == cyclic_shadow_module(q, 1)
+    assert one.values == omega.values
+    minus = transport_to_shadow(omega, [IntUnit(A, -1)])
+    assert minus.module == cyclic_shadow_module(q, 2)
     assert minus.at(1, (0, 1)) == A.neg(omega.at(0, (0, 1)))
-    assert minus.at(2, (0, 1)) == omega.at(0, (0, 1))
+    assert minus.at(0, (0, 1)) == omega.at(0, (0, 1))
+    two = transport_to_shadow(omega, [IntUnit(A, 2)])
+    assert two.module == cyclic_shadow_module(q, 4)
+    for m in range(4):
+        for args in product(range(3), repeat=2):
+            want = pow(3, m, 5) * omega.at(0, args)[0] % 5   # 2^-1 = 3
+            assert two.at(m, args) == (want,)
+    # over Z the units are +-1; per orbit, one order per orbit
+    Z = CoeffGroup((0,))
+    theta = random_cochain(rng, q, None, Z, 2)
+    assert transport_to_shadow(theta, [IntUnit(Z, -1)]).module.size == 2
+    q4 = make_dihedral(4)
+    om = orbits(q4)
+    omega = random_cochain(rng, q4, None, A, 2)
+    both = transport_to_shadow(omega, [IntUnit(A, 4), IntUnit(A, 2)], om)
+    assert both.module == orbit_shadow_module(q4, (2, 4), om)
+    assert both.at(1 * 4 + 3, (1, 2)) == \
+        IntUnit(A, 2).apply(A.neg(omega.at(0, (1, 2))), -3)
+    with pytest.raises(StructureError, match="one shadow order per"):
+        transport_to_shadow(omega, [IntUnit(A, 2)], om)
+    with pytest.raises(StructureError, match="trivial-module"):
+        transport_to_shadow(two, [IntUnit(A, 2)])
 
 
 def test_transport_cocycle_equivalence():
     # twisted condition for omega <=> shadow condition for its transport,
-    # over dihedral 3, Z_5, alpha = 2.  The transport is lazy, so its shadow
-    # condition is evaluated pointwise on region colors m in -3..3, once
-    # with the degeneracy condition and once without.
+    # over dihedral 3, Z_5, alpha = 2 (order 4).  The shadow condition is
+    # decided by the exact gate on the transport's table and, as a check
+    # on it, evaluated pointwise from its definition at every region
+    # color, once with the degeneracy condition and once without.
     q = make_dihedral(3)
     A = CoeffGroup((5,))
     alpha = IntUnit(A, 2)
     tw = DifferentialSpec.twisted(A, 2)
+    shadow_spec = DifferentialSpec.quandle(A)
     zero = A.zero()
     rng = random.Random(12)
 
     one = [[1]]
 
-    def differential_vanishes(lazy):
-        return all(pointwise_differential(lazy.at, lazy.module.act, q.apply,
-                                          [one] * q.n, one, A.moduli, m,
-                                          args) == zero
-                   for m in range(-3, 4)
+    def differential_vanishes(shadow):
+        return all(pointwise_differential(shadow.at, shadow.module.act,
+                                          q.apply, [one] * q.n, one,
+                                          A.moduli, m, args) == zero
+                   for m in range(shadow.module.size)
                    for args in product(range(q.n), repeat=3))
 
-    def degenerate_free(lazy):
-        return all(lazy.at(m, (a, a)) == zero
-                   for m in range(-3, 4) for a in range(q.n))
+    def degenerate_free(shadow):
+        return all(shadow.at(m, (a, a)) == zero
+                   for m in range(shadow.module.size) for a in range(q.n))
 
     seen_true = seen_false = 0
     for _ in range(40):
         omega = random_cochain(rng, q, None, A, 2)
-        lazy = transport_twisted_to_shadow(omega, alpha)
+        shadow = transport_to_shadow(omega, [alpha])
         a = bool(is_cocycle(tw, omega, quandle_flag=False))
-        b = differential_vanishes(lazy)
+        b = differential_vanishes(shadow)
         assert a == b
-        assert bool(is_cocycle(tw, omega)) == (b and degenerate_free(lazy))
+        assert bool(is_cocycle(shadow_spec, shadow, quandle_flag=False)) == b
+        flagged = b and degenerate_free(shadow)
+        assert bool(is_cocycle(tw, omega)) == flagged
+        assert bool(is_cocycle(shadow_spec, shadow)) == flagged
         seen_true += a
         seen_false += (not a)
     # make the equivalence non-vacuous with a guaranteed cocycle
     theta = random_cochain(rng, q, None, A, 1)
     omega = differential(tw, theta)
-    lazy = transport_twisted_to_shadow(omega, alpha)
-    assert differential_vanishes(lazy) and degenerate_free(lazy)
+    shadow = transport_to_shadow(omega, [alpha])
+    assert differential_vanishes(shadow) and degenerate_free(shadow)
+    assert is_cocycle(shadow_spec, shadow)
     assert seen_false > 0
 
 
@@ -279,10 +306,12 @@ def test_transport_commutes_with_differential():
     tw = DifferentialSpec.twisted(A, 2)
     rng = random.Random(13)
     theta = random_cochain(rng, q, None, A, 1)
-    left = transport_to_shadow(differential(tw, theta), alpha)
-    shadow = transport_to_shadow(theta, alpha)
+    left = transport_to_shadow(differential(tw, theta), [alpha])
+    shadow = transport_to_shadow(theta, [alpha])
+    assert left == differential(DifferentialSpec.quandle(A), shadow).scale(
+        alpha)
     one = [[1]]
-    for m in range(-2, 3):
+    for m in range(4):
         for a in range(3):
             for b in range(3):
                 right = pointwise_differential(
@@ -649,34 +678,36 @@ def test_gates_and_dense_maps_read_the_condition_point_by_point(monkeypatch):
 
 
 def test_dense_rejects_symbolic():
+    # a cochain over the symbolic shadow carriers has no table: their
+    # module kinds are refused, and no shadow weight reads a trivial-module
+    # cochain with its region slot dropped
     q = make_dihedral(3)
     A = CoeffGroup((5,))
-    lazy = LazyCochain(q, IntegerShadowModule(q), A, 2,
-                       lambda m, args: A.zero())
-    with pytest.raises(UnsupportedCarrierError):
-        d_left(lazy)
-    with pytest.raises(UnsupportedCarrierError):
-        differential(DifferentialSpec.quandle(A), lazy)
-    # no cocycle gate samples a lazy cochain or silently skips it
-    with pytest.raises(UnsupportedCarrierError):
-        is_cocycle(DifferentialSpec.quandle(A), lazy)
+    for module in ({"v": 1, "kind": "int_shadow"},
+                   {"v": 1, "kind": "orbit_shadow", "orbits": 1}):
+        data = {"v": 1, "degree": 2, "module": module,
+                "coeff": {"moduli": [5]}, "values": [[0]] * 9}
+        with pytest.raises(StructureError, match="unknown module kind"):
+            Cochain.from_json(data, q)
     d = corpus.load("trefoil")
-    sh = propagate_shadow(d, enumerate_colorings(d, q)[0], lazy.module, 0)
-    with pytest.raises(UnsupportedCarrierError):
-        weight_shadow(d, sh, lazy)
+    omega = zero_cochain(q, None, A, 2)
+    sh = propagate_shadow(d, enumerate_colorings(d, q)[0],
+                          cyclic_shadow_module(q, 4), 0)
+    with pytest.raises(StructureError, match="module cochain"):
+        weight_shadow(d, sh, omega)
 
 
 def test_dense_rejects_finite_product_module():
-    # a finite product module acts on pairs, but dense tables index the
-    # module carrier by position: refused up front, not a TypeError later
+    # a product module acted on pairs, but dense tables index the module
+    # carrier by position: a product is given as its table module instead
     q = make_dihedral(3)
-    A = CoeffGroup((3,))
-    prod = product_module(quandle_as_module(q), cyclic_shadow_module(q, 2))
-    assert prod.is_finite and prod.size == 6
-    with pytest.raises(UnsupportedCarrierError, match="table module"):
-        Cochain(q, prod, A, 2, [A.zero()] * 54)
-    with pytest.raises(UnsupportedCarrierError, match="table module"):
-        cohomology_basis(DifferentialSpec.quandle(A), q, prod, A, 2)
+    prod = {"v": 1, "kind": "product",
+            "factors": [quandle_as_module(q).describe(),
+                        cyclic_shadow_module(q, 2).describe()]}
+    data = {"v": 1, "degree": 2, "module": prod, "coeff": {"moduli": [3]},
+            "values": [[0]] * 54}
+    with pytest.raises(StructureError, match="unknown module kind"):
+        Cochain.from_json(data, q)
 
 
 def test_cochain_json_roundtrip():

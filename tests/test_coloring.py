@@ -8,10 +8,10 @@ from itertools import product
 import pytest
 
 from qci import corpus
-from qci.algebra import (IntegerShadowModule, OrbitShadowModule,
-                         StructureError, cyclic_shadow_module, make_alexander,
+from qci.algebra import (StructureError, cyclic_shadow_module, make_alexander,
                          make_conjugation, make_dihedral, make_trivial,
-                         orbits, quandle_as_module, trivial_module)
+                         orbit_shadow_module, orbits, quandle_as_module,
+                         trivial_module)
 from qci.coloring import (ShadowColoring, _crossing_constraints, _search_plan,
                           act, component_orbits, enumerate_colorings,
                           is_coloring, propagate_shadow, transport_coloring,
@@ -75,14 +75,16 @@ def test_shadow_count_rule():
 
 
 def test_integer_shadow_reproduces_indices():
+    # the integer shadow counted mod 7, wider than any corpus index range
     q = make_dihedral(3)
-    z = IntegerShadowModule(q)
+    z = cyclic_shadow_module(q, 7)
     for name in corpus.BASE_DIAGRAMS:
         d = corpus.load(name)
         idx = compute_indices(d)
+        assert max(idx.totals) - min(idx.totals) < 7
         for col in enumerate_colorings(d, q):
             s = propagate_shadow(d, col, z, 0)
-            assert s.regions == idx.totals
+            assert s.regions == tuple(t % 7 for t in idx.totals)
 
 
 def test_propagation_rejects_non_colorings():
@@ -113,20 +115,21 @@ def test_one_element_module_constant():
 
 
 def test_orbit_shadow_counts_per_component():
+    # per-orbit counts mod 5, the digit pair (i, j) at position 5i + j
     q = make_dihedral(4)
-    m = OrbitShadowModule(q)
     om = orbits(q)
+    m = orbit_shadow_module(q, (5, 5), om)
     for name in ("hopf_pos", "link_r3a", "trefoil"):
         d = corpus.load(name)
         idx = compute_indices(d)
         for col in enumerate_colorings(d, q):
             comp_orbs = component_orbits(d, col, om)
-            s = propagate_shadow(d, col, m, m.zero())
+            s = propagate_shadow(d, col, m, 0)
             for r in range(d.n_regions):
                 want = [0] * om.count
                 for j, o in enumerate(comp_orbs):
                     want[o] += idx.per_component[r][j]
-                assert s.regions[r] == tuple(want)
+                assert s.regions[r] == 5 * (want[0] % 5) + want[1] % 5
 
 
 def test_act_identity_on_trivial_quandle():
@@ -295,12 +298,13 @@ def test_cyclic_shadow_parity():
 
 
 def test_act_over_integer_shadow_module():
-    # acting shifts every region color by one in the integer module
+    # acting shifts every region color by one in the integer module,
+    # here counted mod 4
     q = make_dihedral(3)
-    z = IntegerShadowModule(q)
+    z = cyclic_shadow_module(q, 4)
     d = corpus.load("figure_eight")
     for col in enumerate_colorings(d, q)[:3]:
         s = propagate_shadow(d, col, z, 0)
         moved = act(d, q, s, 1)
-        assert moved.regions == tuple(m + 1 for m in s.regions)
+        assert moved.regions == tuple((m + 1) % 4 for m in s.regions)
         assert act(d, q, moved, 1, -1) == s

@@ -14,13 +14,11 @@ from operator import mul
 
 import pytest
 
-from qci.algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
-                         OrbitShadowModule, Quandle, Scalar, ShiftUnit,
+from qci.algebra import (CoeffGroup, IntUnit, Quandle, Scalar, ShiftUnit,
                          make_alexander, make_conjugation, make_dihedral,
                          make_trivial, orbits, quandle_as_module)
 from qci.cohomology import DifferentialSpec, cocycle_basis, \
-    link_twisted_cocycle_basis, random_cochain, \
-    transport_link_twisted_to_shadow, transport_twisted_to_shadow
+    link_twisted_cocycle_basis, random_cochain, transport_to_shadow
 from qci.coloring import enumerate_colorings, is_coloring, propagate_shadow
 from qci.diagram import (Diagram, checkerboard, compute_indices,
                          crossing_geometry, r1_insert, r2_insert)
@@ -30,7 +28,8 @@ from qci.invariants import (FLAVORS, invariant_multiset, positive_signs,
                             weight_shadow_twisted, weight_twisted)
 from tests.groups import symmetric_3
 from tests.oracle_utils import (braid_push_colorings, brute_force_colorings,
-                                oracle_weight_sum)
+                                oracle_weight_sum, raw_orbit_ids,
+                                raw_source_colors, symbolic_shadow_weight)
 
 
 def braid_closure_records(word, strands):
@@ -149,18 +148,37 @@ def test_coloring_counts_stable_under_random_rewrites(diagrams):
             assert len(enumerate_colorings(res2.diagram, q)) == n
 
 
+def test_source_colors_oracle_matches_the_region_indices(diagrams):
+    # the raw face tracing of tests/oracle_utils.py against qci's index
+    # table, from a random exterior side so that colors take both signs
+    rng = random.Random(8)
+    for d in diagrams:
+        records = d.to_json()["crossings"]
+        exterior = (rng.choice(d.semiarcs), rng.choice(["left", "right"]))
+        d = Diagram(records, (), exterior)
+        idx = compute_indices(d)
+        want = [(3 + idx.totals[g.source_region],)
+                for g in crossing_geometry(d)]
+        assert raw_source_colors(records, exterior, (3,),
+                                 lambda sa: (1,)) == want
+
+
 def test_twisted_shadow_identity_on_random_diagrams(diagrams):
     q = make_dihedral(3)
     A = CoeffGroup((5,))
     alpha = IntUnit(A, 3)
     omega = cocycle_basis(DifferentialSpec.twisted(A, 3), q, None, A, 2)[0]
-    lazy = transport_twisted_to_shadow(omega, alpha)
-    z = IntegerShadowModule(q)
+    shadow = transport_to_shadow(omega, [alpha])
+    table = [v for v, in omega.values]
     for d in diagrams[:8]:
+        raw = d.to_json()
         for col in enumerate_colorings(d, q):
-            ind = propagate_shadow(d, col, z, 0)
-            assert weight_twisted(d, col, omega, alpha, check=False) == \
-                weight_shadow(d, ind, lazy, check=False)
+            ind = propagate_shadow(d, col, shadow.module, 0)
+            w = weight_twisted(d, col, omega, alpha, check=False)
+            assert w == weight_shadow(d, ind, shadow, check=False)
+            assert w == (symbolic_shadow_weight(
+                raw["crossings"], raw["exterior"], d.arc_of, col, table, 5,
+                [3], 0),)
 
 
 def test_link_twisted_orbit_shadow_identity_on_random_diagrams(diagrams):
@@ -173,18 +191,23 @@ def test_link_twisted_orbit_shadow_identity_on_random_diagrams(diagrams):
     om = orbits(q)
     alphas = [IntUnit(A, 2), IntUnit(A, 3)]
     basis = link_twisted_cocycle_basis(q, A, alphas, om)
-    orbit_mod = OrbitShadowModule(q, om)
+    orbit_of = raw_orbit_ids(q.op)
     for d in [Diagram(records, (), exterior)] + diagrams:
         if d.n_components < 2:
             continue
+        raw = d.to_json()
         cols = enumerate_colorings(d, q)
         for omega in basis:
-            lazy = transport_link_twisted_to_shadow(omega, alphas, om)
+            shadow = transport_to_shadow(omega, alphas, om)
+            table = [v for v, in omega.values]
             for col in cols:
-                sh = propagate_shadow(d, col, orbit_mod, orbit_mod.zero())
-                assert weight_link_twisted(d, col, omega, alphas, om,
-                                           check=False) == \
-                    weight_shadow(d, sh, lazy, check=False)
+                sh = propagate_shadow(d, col, shadow.module, 0)
+                w = weight_link_twisted(d, col, omega, alphas, om,
+                                        check=False)
+                assert w == weight_shadow(d, sh, shadow, check=False)
+                assert w == (symbolic_shadow_weight(
+                    raw["crossings"], raw["exterior"], d.arc_of, col, table,
+                    5, [2, 3], (0, 0), orbit_of),)
 
 
 # D4, Alex(8,3) and the conjugation quandle of S3 are not latin: the two

@@ -5,16 +5,13 @@ import random
 import pytest
 
 from qci import corpus
-from qci.algebra import (CoeffGroup, IntUnit, IntegerShadowModule,
-                         OrbitShadowModule, ProductModule, ShiftUnit,
+from qci.algebra import (CoeffGroup, IntUnit, ShiftUnit, cyclic_shadow_module,
                          make_dihedral, make_trivial, orbits,
                          quandle_as_module, trivial_module, Quandle)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             differential, link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
-                            shadow_twisted_product_cochain,
-                            transport_link_twisted_to_shadow,
-                            transport_twisted_to_shadow, zero_cochain)
+                            transport_to_shadow, zero_cochain)
 from qci.coloring import (ShadowColoring, act, enumerate_colorings,
                           propagate_shadow)
 from qci.diagram import compute_indices, crossing_geometry
@@ -24,6 +21,7 @@ from qci.invariants import (CocycleError, WeightMultiset, invariant_multiset,
                             weight_link_twisted, weight_positive,
                             weight_shadow, weight_shadow_twisted,
                             weight_twisted)
+from tests.test_algebra import product_table_module
 
 CORPUS_WITH_CROSSINGS = ("trefoil", "trefoil_mirror", "figure_eight",
                          "hopf_pos", "hopf_neg", "trefoil_r3a",
@@ -71,20 +69,24 @@ def test_coboundary_weights_vanish_all_flavors():
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("a", [2, 3])
 def test_twisted_equals_shadow_of_transport(n, a):
+    # alpha has order 4 mod 5: the transport is a table over Z/4, and at
+    # exterior color e its shadow weight is alpha^-e times the twisted one
     q = make_dihedral(n)
     A = CoeffGroup((5,))
     alpha = IntUnit(A, a)
-    z = IntegerShadowModule(q)
     basis = cocycle_basis(DifferentialSpec.twisted(A, a), q, None, A, 2)
     assert basis, "twisted kernel should at least contain coboundaries"
     for name in CORPUS_WITH_CROSSINGS[:5] + ("unknot",):
         d = corpus.load(name)
         for omega in basis:
-            lazy = transport_twisted_to_shadow(omega, alpha)
+            shadow = transport_to_shadow(omega, [alpha])
+            assert shadow.module == cyclic_shadow_module(q, 4)
             for col in enumerate_colorings(d, q):
-                ind = propagate_shadow(d, col, z, 0)
-                assert weight_twisted(d, col, omega, alpha, check=False) == \
-                    weight_shadow(d, ind, lazy, check=False)
+                tw = weight_twisted(d, col, omega, alpha, check=False)
+                for e in range(4):
+                    ind = propagate_shadow(d, col, shadow.module, e)
+                    assert alpha.apply(tw, -e) == \
+                        weight_shadow(d, ind, shadow, check=False)
 
 
 def test_positive_sign_identity_per_crossing():
@@ -169,15 +171,20 @@ def test_shadow_twisted_reductions():
 
 def test_shadow_twisted_equals_shadow_over_product_module():
     # twisting a shadow cocycle is the plain shadow weight over M x Z, the
-    # region colors paired with their total region index
+    # region colors paired with their total region index.  alpha = 2 has
+    # order 4 mod 5, so the index counts mod 4: M x Z/4, the pair (x, j)
+    # at position 4x + j, carries w'((x, j), a, b) = alpha^-j w(x, a, b)
     A = CoeffGroup((5,))
     alpha = IntUnit(A, 2)
     for q in (make_dihedral(3), make_dihedral(4)):
         mod = quandle_as_module(q)
-        product = ProductModule(mod, IntegerShadowModule(q))
+        product = product_table_module(mod, cyclic_shadow_module(q, 4))
         basis = cocycle_basis(DifferentialSpec.twisted(A, 2), q, mod, A, 2)
         assert basis
-        lifted = [shadow_twisted_product_cochain(omega, alpha, product)
+        lifted = [Cochain(q, product, A, 2,
+                          [alpha.apply(omega.at(x, (a, b)), -j)
+                           for x in range(q.n) for j in range(4)
+                           for a in range(q.n) for b in range(q.n)])
                   for omega in basis[:3]]
         for name in corpus.names():
             d = corpus.load(name)
@@ -186,9 +193,9 @@ def test_shadow_twisted_equals_shadow_over_product_module():
                 sh = propagate_shadow(d, col, mod, 1)
                 paired = ShadowColoring(
                     arcs=sh.arcs, module=product,
-                    regions=tuple((m, totals[r])
+                    regions=tuple(4 * m + totals[r] % 4
                                   for r, m in enumerate(sh.regions)))
-                assert paired == propagate_shadow(d, col, product, (1, 0))
+                assert paired == propagate_shadow(d, col, product, 4)
                 for omega, lift in zip(basis, lifted):
                     assert weight_shadow(d, paired, lift, check=False) == \
                         weight_shadow_twisted(d, sh, omega, alpha,
@@ -202,15 +209,14 @@ def test_link_twisted_reductions_and_transport():
     alphas = [IntUnit(A, 2), IntUnit(A, 3)]
     basis = link_twisted_cocycle_basis(q, A, alphas, om)
     assert basis
-    orbit_mod = OrbitShadowModule(q, om)
     for name in ("hopf_pos", "unlink2", "link_r3a", "trefoil"):
         d = corpus.load(name)
         for omega in basis[:4]:
-            lazy = transport_link_twisted_to_shadow(omega, alphas, om)
+            shadow = transport_to_shadow(omega, alphas, om)
             for col in enumerate_colorings(d, q):
                 w = weight_link_twisted(d, col, omega, alphas, om, check=False)
-                sh = propagate_shadow(d, col, orbit_mod, orbit_mod.zero())
-                assert weight_shadow(d, sh, lazy, check=False) == w
+                sh = propagate_shadow(d, col, shadow.module, 0)
+                assert weight_shadow(d, sh, shadow, check=False) == w
     # equal units reduce to the single-alpha twisted weight
     same = [IntUnit(A, 2), IntUnit(A, 2)]
     tw_basis = cocycle_basis(DifferentialSpec.twisted(A, 2), q, None, A, 2)
@@ -247,14 +253,13 @@ def test_twisted_multiset_equals_transported_shadow_multiset():
     A = CoeffGroup((5,))
     alpha = IntUnit(A, 2)
     basis = cocycle_basis(DifferentialSpec.twisted(A, 2), q, None, A, 2)
-    z = IntegerShadowModule(q)
     for name in ("trefoil", "figure_eight", "hopf_neg"):
         d = corpus.load(name)
         for omega in basis[:3]:
             tw = invariant_multiset(d, q, "twisted", omega, alpha=2)
-            lazy = transport_twisted_to_shadow(omega, alpha)
-            sh = invariant_multiset(d, q, "shadow", lazy, module=z,
-                                    exterior=0, check=False)
+            shadow = transport_to_shadow(omega, [alpha])
+            # the transport of a twisted cocycle passes the exact shadow gate
+            sh = invariant_multiset(d, q, "shadow", shadow, exterior=0)
             assert tw.weights == sh.weights
 
 
@@ -284,16 +289,16 @@ def test_twisted_scaling_symmetry():
         for omega in basis[:3]:
             ms = invariant_multiset(d, q, "twisted", omega, alpha=2)
             assert ms.scaled(alpha).weights == ms.weights
-    # and the integer-shadow multisets at exterior 0 and -1 differ by alpha
-    z = IntegerShadowModule(q)
+    # and the integer-shadow multisets at exterior 0 and -1 differ by
+    # alpha; alpha has order 4, so -1 is the table's color 3
     for name in ("trefoil", "figure_eight"):
         d = corpus.load(name)
         for omega in basis[:3]:
-            lazy = transport_twisted_to_shadow(omega, alpha)
-            at0 = invariant_multiset(d, q, "shadow", lazy, module=z,
-                                     exterior=0, check=False)
-            atm1 = invariant_multiset(d, q, "shadow", lazy, module=z,
-                                      exterior=-1, check=False)
+            shadow = transport_to_shadow(omega, [alpha])
+            at0 = invariant_multiset(d, q, "shadow", shadow, exterior=0,
+                                     check=False)
+            atm1 = invariant_multiset(d, q, "shadow", shadow, exterior=3,
+                                      check=False)
             assert atm1.weights == at0.scaled(alpha).weights
             assert atm1.weights == at0.weights
 
