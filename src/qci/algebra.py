@@ -50,7 +50,7 @@ def _check_entries(table, bound, what):
                 raise StructureError(f"{what}: entry {v} out of range 0..{bound - 1}")
 
 
-def _invert_columns(table, nrows, ncols, what):
+def _invert_columns(table, nrows, ncols):
     """Per-column inverse of b -> table[.][b]; None where not bijective."""
     inv = [[None] * ncols for _ in range(nrows)]
     for b in range(ncols):
@@ -83,7 +83,7 @@ def check_quandle(op, inv=None):
         if op[a][a] != a:
             return AxiomReport(False, "idempotence", (a,))
     if inv is None:
-        inv, clash = _invert_columns(op, n, n, "op")
+        inv, clash = _invert_columns(op, n, n)
         if inv is None:
             a1, a2, b = clash
             return AxiomReport(False, "invertibility", (a1, b))
@@ -103,7 +103,7 @@ def check_quandle(op, inv=None):
 class Quandle:
     """Finite quandle on 0..n-1 with dense op / inverse-op tables."""
 
-    def __init__(self, op, inv=None, labels=None, check=True):
+    def __init__(self, op, inv=None, labels=None):
         n = len(op)
         if n == 0:
             raise StructureError("op: empty table")
@@ -112,7 +112,7 @@ class Quandle:
         self.n = n
         self.op = tuple(tuple(row) for row in op)
         if inv is None:
-            derived, clash = _invert_columns(op, n, n, "op")
+            derived, clash = _invert_columns(op, n, n)
             if derived is None:
                 raise StructureError(
                     f"op column {clash[2]} is not a bijection; cannot derive inverse")
@@ -122,11 +122,10 @@ class Quandle:
             _check_entries(inv, n, "inv")
             self.inv = tuple(tuple(row) for row in inv)
         self.labels = tuple(labels) if labels else None
-        if check:
-            report = check_quandle(self.op, self.inv)
-            if not report:
-                raise StructureError(
-                    f"not a quandle: {report.axiom} fails at {report.witness}")
+        report = check_quandle(self.op, self.inv)
+        if not report:
+            raise StructureError(
+                f"not a quandle: {report.axiom} fails at {report.witness}")
 
     def apply(self, a, b):
         return self.op[a][b]
@@ -231,27 +230,18 @@ class TableModule:
         if m == 0:
             raise StructureError("action: empty table")
         _check_table(action, m, quandle.n, "action")
-        for row in action:
-            for v in row:
-                if not 0 <= v < m:
-                    raise StructureError(f"action: entry {v} out of range 0..{m - 1}")
+        _check_entries(action, m, "action")
         self.size = m
         self.action = tuple(tuple(row) for row in action)
         if inv_action is None:
-            inv = [[None] * quandle.n for _ in range(m)]
-            for b in range(quandle.n):
-                seen = set()
-                for x in range(m):
-                    v = action[x][b]
-                    if v in seen:
-                        raise StructureError(
-                            f"action column {b} is not a bijection")
-                    seen.add(v)
-                    inv[v][b] = x
-            self.inv_action = tuple(tuple(row) for row in inv)
+            inv_action, clash = _invert_columns(action, m, quandle.n)
+            if inv_action is None:
+                raise StructureError(
+                    f"action column {clash[2]} is not a bijection")
         else:
             _check_table(inv_action, m, quandle.n, "inv_action")
-            self.inv_action = tuple(tuple(row) for row in inv_action)
+            _check_entries(inv_action, m, "inv_action")
+        self.inv_action = tuple(tuple(row) for row in inv_action)
 
     def act(self, m, a):
         return self.action[m][a]
@@ -388,9 +378,15 @@ def module_from_json(data, quandle):
         raise StructureError("module json needs a 'kind'")
     kind = data["kind"]
     if kind == "table":
+        if not isinstance(data.get("action"), list):
+            raise StructureError("table module json needs an 'action' table")
         return TableModule(quandle, data["action"], data.get("inv_action"))
     if kind == "cyclic_shadow":
-        return cyclic_shadow_module(quandle, data["modulus"])
+        k = data.get("modulus")
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise StructureError(
+                "cyclic_shadow module json needs an integer 'modulus'")
+        return cyclic_shadow_module(quandle, k)
     raise StructureError(f"unknown module kind {kind!r}")
 
 

@@ -452,6 +452,39 @@ def _fresh_ids(diagram, count):
     return list(range(base, base + count))
 
 
+def _rewrite(diagram, heads, added, origin, consumed=(), exterior=None,
+             acted=()):
+    """The splice every move returns through: re-point where each semi-arc
+    in ``heads`` enters to its fresh id, append ``added``, extend the arc
+    map by ``origin``, drop the free loops in ``consumed`` and renumber the
+    rest.  ``exterior`` serves only a crossingless diagram, which has none."""
+    records = [{"rot": list(x.rot), "over": x.over} for x in diagram.crossings]
+    for sa, fresh in heads.items():
+        ci, slot = diagram.head[sa]
+        records[ci]["rot"][slot] = fresh
+    records += added
+    arc_origin = {sa: diagram.arc_of[sa] for sa in diagram.semiarcs}
+    arc_origin.update(sorted(origin.items()))
+    kept = [j for j in range(len(diagram.free_loops)) if j not in consumed]
+    for new_j, old_j in enumerate(kept):
+        arc_origin[("loop", new_j)] = diagram.loop_arc(old_j)
+    if diagram.exterior_spec is not None:
+        exterior = diagram.exterior_spec
+    new = Diagram(records, [diagram.free_loops[j] for j in kept], exterior)
+    return RewriteResult(new, arc_origin, frozenset(acted))
+
+
+def _is_loop(target):
+    return isinstance(target, tuple) and target and target[0] == "loop"
+
+
+def _loop_side(diagram, j):
+    """The side of free loop j facing the exterior (ccw: interior left)."""
+    if not 0 <= j < len(diagram.free_loops):
+        raise StructureError(f"no free loop {j}")
+    return RIGHT if diagram.free_loops[j] == 1 else LEFT
+
+
 _R1_TABLES = {
     # (chirality, side) -> template over (s, t, u): rot slots and over slot
     (1, LEFT): (("s", "t", "u", "u"), 3),
@@ -471,101 +504,51 @@ def r1_insert(diagram, target, chirality=1, side=LEFT):
     if (chirality, side) not in _R1_TABLES:
         raise StructureError("chirality must be +-1 and side left/right")
     template, over = _R1_TABLES[(chirality, side)]
-    records = [{"rot": list(x.rot), "over": x.over} for x in diagram.crossings]
-    origin = {sa: diagram.arc_of[sa] for sa in diagram.semiarcs}
-
-    if isinstance(target, tuple) and target and target[0] == "loop":
+    if _is_loop(target):
+        # a free loop is a semi-arc whose head is the kink itself: t = s
         j = target[1]
-        if not 0 <= j < len(diagram.free_loops):
-            raise StructureError(f"no free loop {j}")
-        s, u = _fresh_ids(diagram, 2)
-        names = {"s": s, "t": s, "u": u}
+        outer = _loop_side(diagram, j)
+        t, u = _fresh_ids(diagram, 2)
+        s, heads, consumed, exterior = t, {}, (j,), (t, outer)
         old_arc = diagram.loop_arc(j)
-        orient = diagram.free_loops[j]
-        loops = tuple(o for i, o in enumerate(diagram.free_loops) if i != j)
-        exterior = diagram.exterior_spec
-        if exterior is None:
-            exterior = (s, RIGHT if orient == 1 else LEFT)
-        records.append({"rot": [names[t] for t in template], "over": over})
-        origin[s] = old_arc
-        origin[u] = old_arc
-        for new_j, old_j in enumerate(i for i in range(len(diagram.free_loops))
-                                      if i != j):
-            origin[("loop", new_j)] = diagram.loop_arc(old_j)
-        new = Diagram(records, loops, exterior)
-        return RewriteResult(new, origin)
-
-    if target not in diagram.endpoints:
-        raise StructureError(f"no semi-arc {target}")
-    s = target
-    t, u = _fresh_ids(diagram, 2)
-    ci, slot = diagram.head[s]
-    records[ci]["rot"][slot] = t
+    else:
+        if target not in diagram.endpoints:
+            raise StructureError(f"no semi-arc {target}")
+        s = target
+        t, u = _fresh_ids(diagram, 2)
+        heads, consumed, exterior = {s: t}, (), None
+        old_arc = diagram.arc_of[s]
     names = {"s": s, "t": t, "u": u}
-    records.append({"rot": [names[k] for k in template], "over": over})
-    old_arc = diagram.arc_of[s]
-    origin[t] = old_arc
-    origin[u] = old_arc
-    for j in range(len(diagram.free_loops)):
-        origin[("loop", j)] = diagram.loop_arc(j)
-    new = Diagram(records, diagram.free_loops, diagram.exterior_spec)
-    return RewriteResult(new, origin)
+    kink = {"rot": [names[k] for k in template], "over": over}
+    return _rewrite(diagram, heads, [kink], {t: old_arc, u: old_arc},
+                    consumed, exterior)
 
 
 def _r2_self_poke(diagram, j):
     """Poke one side of a crossingless loop over the other, through the
     loop's interior: the 2-crossing clasp diagram of the unknot."""
-    if not 0 <= j < len(diagram.free_loops):
-        raise StructureError(f"no free loop {j}")
+    ext_side = _loop_side(diagram, j)
     a, b, c, dd = _fresh_ids(diagram, 4)
-    orient = diagram.free_loops[j]
-    records = [{"rot": list(x.rot), "over": x.over} for x in diagram.crossings]
-    if orient == 1:
+    if ext_side == RIGHT:
         # strands run west on top / east below; both face the interior left
-        records.append({"rot": [dd, b, a, a], "over": 3})
-        records.append({"rot": [c, b, dd, c], "over": 1})
-        ext_side = RIGHT
+        added = [{"rot": [dd, b, a, a], "over": 3},
+                 {"rot": [c, b, dd, c], "over": 1}]
     else:
-        records.append({"rot": [dd, a, a, b], "over": 1})
-        records.append({"rot": [c, c, dd, b], "over": 3})
-        ext_side = LEFT
-    loops = tuple(o for i, o in enumerate(diagram.free_loops) if i != j)
-    exterior = diagram.exterior_spec
-    if exterior is None:
-        exterior = (a, ext_side)
-    origin = {sa: diagram.arc_of[sa] for sa in diagram.semiarcs}
-    old_arc = diagram.loop_arc(j)
-    for sa in (a, b, c, dd):
-        origin[sa] = old_arc
-    for new_j, old_j in enumerate(i for i in range(len(diagram.free_loops))
-                                  if i != j):
-        origin[("loop", new_j)] = diagram.loop_arc(old_j)
-    new = Diagram(records, loops, exterior)
-    return RewriteResult(new, origin, frozenset({dd}))
-
-
-def _r2_rots(sigma2, desc_strand2, asc_strand2, p0, p1, p2):
-    """Crossing records for the two new crossings of a poke; strand 1
-    descends across strand 2 first (positive crossing on the left-facing
-    configuration), then ascends back."""
-    (d_in, d_out), (a_in, a_out) = desc_strand2, asc_strand2
-    if sigma2 == LEFT:
-        desc = {"rot": [d_in, p1, d_out, p0], "over": 3}
-        asc = {"rot": [a_in, p1, a_out, p2], "over": 1}
-    else:
-        desc = {"rot": [d_in, p0, d_out, p1], "over": 1}
-        asc = {"rot": [a_in, p2, a_out, p1], "over": 3}
-    return desc, asc
+        added = [{"rot": [dd, a, a, b], "over": 1},
+                 {"rot": [c, c, dd, b], "over": 3}]
+    origin = dict.fromkeys((a, b, c, dd), diagram.loop_arc(j))
+    return _rewrite(diagram, {}, added, origin, (j,), (a, ext_side), {dd})
 
 
 def r2_insert(diagram, target1, target2):
     """Poke strand 1 over strand 2 across a region they both border.
 
     Targets are semi-arc ids, or ``("loop", j)`` entries when the diagram
-    is crossingless.  The two new crossings have opposite signs.
+    is crossingless.  The two new crossings have opposite signs: strand 1
+    descends across strand 2 first (positive crossing on the left-facing
+    configuration), then ascends back.
     """
-    is_loop1 = isinstance(target1, tuple) and target1 and target1[0] == "loop"
-    is_loop2 = isinstance(target2, tuple) and target2 and target2[0] == "loop"
+    is_loop1, is_loop2 = _is_loop(target1), _is_loop(target2)
     if is_loop1 != is_loop2:
         raise StructureError("mixed loop/semi-arc pokes are not supported")
     if is_loop1 and target1 == target2:
@@ -574,67 +557,37 @@ def r2_insert(diagram, target1, target2):
         raise StructureError("cannot poke a segment across itself")
 
     if is_loop1:
+        # two loops are two semi-arcs, each its own head: p2 = p0, q2 = q0;
+        # both face the exterior, on the side opposite their interiors
         j1, j2 = target1[1], target2[1]
-        for j in (j1, j2):
-            if not 0 <= j < len(diagram.free_loops):
-                raise StructureError(f"no free loop {j}")
-        p_main, p1, q_main, q1 = _fresh_ids(diagram, 4)
-        o1, o2 = diagram.free_loops[j1], diagram.free_loops[j2]
-        sigma1 = RIGHT if o1 == 1 else LEFT
-        sigma2 = RIGHT if o2 == 1 else LEFT
-        desc_first = sigma1 != sigma2
-        desc2 = (q_main, q1) if desc_first else (q1, q_main)
-        asc2 = (q1, q_main) if desc_first else (q_main, q1)
-        desc, asc = _r2_rots(sigma2, desc2, asc2, p_main, p1, p_main)
-        records = [{"rot": list(x.rot), "over": x.over} for x in diagram.crossings]
-        records += [desc, asc]
-        loops = tuple(o for i, o in enumerate(diagram.free_loops)
-                      if i not in (j1, j2))
-        exterior = diagram.exterior_spec
-        if exterior is None:
-            exterior = (p_main, sigma1)
-        origin = {sa: diagram.arc_of[sa] for sa in diagram.semiarcs}
-        origin[p_main] = origin[p1] = diagram.loop_arc(j1)
-        origin[q_main] = origin[q1] = diagram.loop_arc(j2)
-        for new_j, old_j in enumerate(i for i in range(len(diagram.free_loops))
-                                      if i not in (j1, j2)):
-            origin[("loop", new_j)] = diagram.loop_arc(old_j)
-        new = Diagram(records, loops, exterior)
-        return RewriteResult(new, origin, frozenset({q1}))
-
-    for sa in (target1, target2):
-        if sa not in diagram.endpoints:
-            raise StructureError(f"no semi-arc {sa}")
-    common = None
-    for sigma1 in (LEFT, RIGHT):
-        for sigma2 in (LEFT, RIGHT):
-            if (diagram.side_region(target1, sigma1)
-                    == diagram.side_region(target2, sigma2)):
-                common = (sigma1, sigma2)
-                break
-        if common:
-            break
-    if common is None:
-        raise StructureError("segments do not border a common region")
-    sigma1, sigma2 = common
-    p0, q0 = target1, target2
-    p1, p2, q1, q2 = _fresh_ids(diagram, 4)
-    records = [{"rot": list(x.rot), "over": x.over} for x in diagram.crossings]
-    ci, slot = diagram.head[p0]
-    records[ci]["rot"][slot] = p2
-    ci, slot = diagram.head[q0]
-    records[ci]["rot"][slot] = q2
-    desc_first = sigma1 != sigma2
-    desc2 = (q0, q1) if desc_first else (q1, q2)
-    asc2 = (q1, q2) if desc_first else (q0, q1)
-    desc, asc = _r2_rots(sigma2, desc2, asc2, p0, p1, p2)
-    records += [desc, asc]
-    origin = {sa: diagram.arc_of[sa] for sa in diagram.semiarcs}
-    for sa in (p1, p2):
-        origin[sa] = diagram.arc_of[p0]
-    for sa in (q1, q2):
-        origin[sa] = diagram.arc_of[q0]
-    for j in range(len(diagram.free_loops)):
-        origin[("loop", j)] = diagram.loop_arc(j)
-    new = Diagram(records, diagram.free_loops, diagram.exterior_spec)
-    return RewriteResult(new, origin, frozenset({q1}))
+        sigma1, sigma2 = _loop_side(diagram, j1), _loop_side(diagram, j2)
+        p0, p1, q0, q1 = _fresh_ids(diagram, 4)
+        p2, q2 = p0, q0
+        heads, consumed = {}, (j1, j2)
+        arc_p, arc_q = diagram.loop_arc(j1), diagram.loop_arc(j2)
+    else:
+        for sa in (target1, target2):
+            if sa not in diagram.endpoints:
+                raise StructureError(f"no semi-arc {sa}")
+        common = [(s1, s2) for s1 in (LEFT, RIGHT) for s2 in (LEFT, RIGHT)
+                  if diagram.side_region(target1, s1)
+                  == diagram.side_region(target2, s2)]
+        if not common:
+            raise StructureError("segments do not border a common region")
+        sigma1, sigma2 = common[0]
+        p0, q0 = target1, target2
+        p1, p2, q1, q2 = _fresh_ids(diagram, 4)
+        heads, consumed = {p0: p2, q0: q2}, ()
+        arc_p, arc_q = diagram.arc_of[p0], diagram.arc_of[q0]
+    # strand 2's pieces under the descending and the ascending crossing
+    d_in, d_out, a_in, a_out = ((q0, q1, q1, q2) if sigma1 != sigma2
+                                else (q1, q2, q0, q1))
+    if sigma2 == LEFT:
+        added = [{"rot": [d_in, p1, d_out, p0], "over": 3},
+                 {"rot": [a_in, p1, a_out, p2], "over": 1}]
+    else:
+        added = [{"rot": [d_in, p0, d_out, p1], "over": 1},
+                 {"rot": [a_in, p2, a_out, p1], "over": 3}]
+    origin = {p1: arc_p, p2: arc_p, q1: arc_q, q2: arc_q}
+    return _rewrite(diagram, heads, added, origin, consumed, (p0, sigma1),
+                    {q1})

@@ -168,7 +168,7 @@ def _reduce_above(piv, n):
     return cols
 
 
-def howell(rows, n, width=None):
+def howell(rows, n, width):
     """Canonical Howell basis of the Z/n row span of `rows`.
 
     Returned rows have strictly increasing pivot columns, pivot values
@@ -176,8 +176,6 @@ def howell(rows, n, width=None):
     is unique for a given span, so it doubles as a span fingerprint.
     """
     _check_modulus(n)
-    if width is None:
-        width = max((len(r) for r in rows), default=0)
     piv = _echelon([_sparse(r, n) for r in rows], n)
     return [_dense(piv[j], width) for j in _reduce_above(piv, n)]
 
@@ -226,14 +224,12 @@ def kernel_mod(rows, ncols, n):
     return [_dense(tail[j], ncols, left) for j in _reduce_above(tail, n)]
 
 
-def hnf(rows, width=None):
+def hnf(rows, width):
     """Row-style Hermite normal form of an integer row span.
 
     Pivots are positive with zeros below and reduced entries above; rows
     are ordered by pivot column.
     """
-    if width is None:
-        width = max((len(r) for r in rows), default=0)
     work = [list(r) + [0] * (width - len(r)) for r in rows if any(r)]
     result = []
     for col in range(width):
@@ -321,15 +317,13 @@ def _clear_first_column(a, n):
     return changed
 
 
-def snf_diagonal(rows, width=None, n=0):
+def snf_diagonal(rows, width, n=0):
     """Diagonal of the Smith normal form (nonneg, divisibility chain).
 
     With n > 0 the matrix is read over Z/n: entries are reduced mod n after
     every step and each diagonal entry d is reported as gcd(d, n), its
     associate dividing n.  Columns left without a pivot are not reported.
     """
-    if width is None:
-        width = max((len(r) for r in rows), default=0)
     a = [_mod(list(r) + [0] * (width - len(r)), n) for r in rows]
     diag = []
     while True:

@@ -194,6 +194,54 @@ def pointwise_differential(at, act, op, left, right, moduli, m, args):
     return tuple(x % n if n else x for x, n in zip(total, moduli))
 
 
+def differential_rows(op, left, right, d, degree, module_size=1,
+                      act=lambda m, a: m):
+    """The differential C^degree -> C^(degree+1) as an integer matrix, from
+    the formula of pointwise_differential with coefficients in place of
+    values.  Columns are the flattened cochain table: (m, a_1..a_degree)
+    in row-major order, then the d value coordinates.  Each point
+    (m, a_1..a_{degree+1}) of the next degree gives d rows, one per output
+    coordinate.  Entries are not reduced.
+    """
+    n = len(op)
+    width = module_size * n ** degree * d
+
+    def column(m, args, j):
+        for a in args:
+            m = m * n + a
+        return m * d + j
+
+    rows = []
+    for m in range(module_size):
+        for args in product(range(n), repeat=degree + 1):
+            block = [[0] * width for _ in range(d)]
+            for i in range(1, degree + 2):
+                sign = 1 if i % 2 else -1
+                ai = args[i - 1]
+                pulled = tuple(op[x][ai] for x in args[:i - 1]) + args[i:]
+                dropped = args[:i - 1] + args[i:]
+                for c in range(d):
+                    for j in range(d):
+                        block[c][column(act(m, ai), pulled, j)] += \
+                            sign * left[ai][c][j]
+                        block[c][column(m, dropped, j)] -= sign * right[c][j]
+            rows.extend(block)
+    return rows
+
+
+def degenerate_rows(n, d, degree, module_size=1):
+    """Unit rows on the cochain values at degenerate argument tuples (two
+    equal neighbours), in the column layout of differential_rows."""
+    width = module_size * n ** degree * d
+    rows = []
+    for i, (m, args) in enumerate(product(range(module_size),
+                                          product(range(n), repeat=degree))):
+        if any(x == y for x, y in zip(args, args[1:])):
+            for j in range(d):
+                rows.append([int(k == i * d + j) for k in range(width)])
+    return rows
+
+
 def first_failure(at, act, op, left, right, moduli, n, module_size, degree,
                   quandle_flag):
     """The first violated cocycle condition in table order, or None.

@@ -18,8 +18,7 @@ from qci.cohomology import (DifferentialSpec, cocycle_basis,
                             cohomology_basis, d_left, d_right, differential,
                             is_cocycle, link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
-                            transport_to_shadow,
-                            _differential_rows, _degenerate_rows)
+                            transport_to_shadow)
 from qci.coloring import enumerate_colorings, propagate_shadow
 from qci.diagram import (compute_indices, crossing_geometry, r1_insert,
                          r2_insert)
@@ -29,7 +28,8 @@ from qci.invariants import (WeightMultiset, invariant_multiset,
                             weight_positive, weight_shadow,
                             weight_shadow_twisted, weight_twisted)
 from tests.groups import all_groups_up_to_8
-from tests.oracle_utils import rref_rank_mod_p, symbolic_shadow_weight
+from tests.oracle_utils import (degenerate_rows, differential_rows,
+                                rref_rank_mod_p, symbolic_shadow_weight)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -419,12 +419,13 @@ def test_criterion_11_ranks():
         for l, r in ((1, 1), (1, -1), (1, 2)):
             spec = DifferentialSpec(IntUnit(A, l), IntUnit(A, r))
             basis = cohomology_basis(spec, q, None, A, 2)
-            rows = _differential_rows(spec, q, None, A, 2)
-            rows += _degenerate_rows(q, None, A, 2)
+            left, right = [[[l]]] * q.n, [[r]]
+            rows = differential_rows(q.op, left, right, 1, 2)
+            rows += degenerate_rows(q.n, 1, 2)
             dim = q.n * q.n
             cocycle_rank = dim - rref_rank_mod_p(rows, 3)
             assert len(basis.cocycles) == cocycle_rank
-            rows1 = _differential_rows(spec, q, None, A, 1)
+            rows1 = differential_rows(q.op, left, right, 1, 1)
             image_rank = rref_rank_mod_p([list(c) for c in zip(*rows1)], 3)
             assert len(basis.coboundaries) == image_rank
             for c in basis.cocycles:

@@ -233,6 +233,27 @@ def test_module_json_roundtrip():
                 assert back.act(m, a) == mod.act(m, a)
 
 
+def test_cyclic_shadow_module_record():
+    # README's {"kind": "cyclic_shadow", "modulus": k} record
+    q = make_dihedral(3)
+    for k in (1, 2, 5):
+        data = {"v": 1, "kind": "cyclic_shadow", "modulus": k}
+        assert module_from_json(data, q) == cyclic_shadow_module(q, k)
+
+
+def test_malformed_module_records_name_the_field():
+    q = make_dihedral(3)
+    for data, field in (({"kind": "cyclic_shadow"}, "integer 'modulus'"),
+                        ({"kind": "cyclic_shadow", "modulus": "4"},
+                         "integer 'modulus'"),
+                        ({"kind": "cyclic_shadow", "modulus": True},
+                         "integer 'modulus'"),
+                        ({"kind": "table"}, "'action' table"),
+                        ({"kind": "table", "action": 3}, "'action' table")):
+        with pytest.raises(StructureError, match=field):
+            module_from_json(data, q)
+
+
 def test_coeff_group_arithmetic():
     g = CoeffGroup((2, 3))
     assert g.zero() == (0, 0)

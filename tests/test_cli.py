@@ -89,6 +89,38 @@ def test_cohomology_over_product_module_is_exit2(files):
     assert "unknown module kind 'product'" in json.loads(err)["error"]
 
 
+def test_check_module_out_of_range_inv_action_is_exit2(files):
+    q = make_dihedral(3)
+    inv = [list(r) for r in q.inv]
+    inv[0][1] = 99
+    record = dict(quandle_as_module(q).describe(), inv_action=inv)
+    path = files["tmp"] / "bad_inv.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli("check", "--kind", "module", "--file", str(path),
+                             "--quandle", str(files["quandle"]))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "inv_action: entry 99 out of range 0..2"
+
+
+def test_cyclic_shadow_module_record_cli(files, capsys):
+    # a module file of kind cyclic_shadow reads as the --module Z/k word
+    A = CoeffGroup((5,))
+    q = make_dihedral(3)
+    omega = cocycle_basis(DifferentialSpec.twisted(A, 2), q, None, A, 2)[0]
+    shadow = cohomology.transport_to_shadow(omega, [IntUnit(A, 2)])
+    cfile = files["tmp"] / "shadow.json"
+    cfile.write_text(json.dumps(shadow.to_json()))
+    mfile = files["tmp"] / "z4.json"
+    mfile.write_text(json.dumps({"v": 1, "kind": "cyclic_shadow",
+                                 "modulus": 4}))
+    base = ["invariant", "--flavor", "shadow", "--diagram",
+            str(files["diagram"]), "--quandle", str(files["quandle"]),
+            "--cocycle", str(cfile), "--exterior", "1", "--module"]
+    code, word, err = _main_in_process(capsys, base + ["Z/4"])
+    assert code == 0, err
+    assert _main_in_process(capsys, base + [str(mfile)]) == (0, word, "")
+
+
 def test_zero_cocycle_passes_any_spec(files):
     q = make_dihedral(3)
     zero = {"v": 1, "degree": 2, "module": None, "coeff": {"moduli": [3]},

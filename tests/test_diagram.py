@@ -1,5 +1,6 @@
 """Diagram parsing, faces, indices, signs, checkerboard, and rewrites."""
 
+import hashlib
 import json
 import random
 
@@ -301,3 +302,51 @@ def test_r2_self_poke_clasp():
         assert d.n_regions == 4
         assert sorted(g.sign for g in crossing_geometry(d)) == [-1, 1]
         compute_indices(d)
+
+
+# sha256 of every r1_insert/r2_insert outcome over the sweep below: the
+# rewritten diagram's JSON, its sorted arc_origin and acted set, or the
+# error type and message
+REWRITE_SWEEP_SHA256 = (
+    2099, "692142180ca52573f82a62ea74492c0e21e77fc9d78dd807ddd5a598c6b7b7e3")
+
+
+def _rewrite_sweep_bases():
+    bases = [corpus.load(name) for name in corpus.names()]
+    bases += [Diagram([], (1, -1, 1)), Diagram([], (-1,))]
+    tref = corpus.load("trefoil")
+    bases.append(Diagram(tref.crossings, (1, -1), tref.exterior_spec))
+    return bases
+
+
+def _rewrite_targets(d):
+    return list(d.semiarcs) + [("loop", j) for j in range(len(d.free_loops))]
+
+
+def _rewrite_outcome(move, *args):
+    try:
+        res = move(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps([res.diagram.to_json(),
+                       repr(sorted(res.arc_origin.items(), key=repr)),
+                       sorted(res.acted)], sort_keys=True)
+
+
+def test_rewrite_sweep_digest():
+    lines = []
+    for base in _rewrite_sweep_bases():
+        kinked = r1_insert(base, _rewrite_targets(base)[0]).diagram
+        for d in (base, kinked):
+            targets = _rewrite_targets(d)
+            if d is base:
+                for t in targets + [99, ("loop", 7)]:
+                    for chirality in (1, -1, 2):
+                        for side in ("left", "right", "up"):
+                            lines.append(_rewrite_outcome(
+                                r1_insert, d, t, chirality, side))
+            for t1 in targets:
+                for t2 in targets:
+                    lines.append(_rewrite_outcome(r2_insert, d, t1, t2))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == REWRITE_SWEEP_SHA256
