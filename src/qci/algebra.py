@@ -380,6 +380,11 @@ def module_from_json(data, quandle):
     if kind == "table":
         if not isinstance(data.get("action"), list):
             raise StructureError("table module json needs an 'action' table")
+        size, rows = data.get("size"), len(data["action"])
+        if "size" in data and (not isinstance(size, int)
+                               or isinstance(size, bool) or size != rows):
+            raise StructureError(f"table module json 'size' {size!r} "
+                                 f"disagrees with its {rows}-row action table")
         return TableModule(quandle, data["action"], data.get("inv_action"))
     if kind == "cyclic_shadow":
         k = data.get("modulus")

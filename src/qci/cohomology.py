@@ -23,8 +23,9 @@ unit, so `qci invariant` weighs the source itself.
 
 The coefficient group splits into pieces (_blocks): one piece of all
 coordinates when the moduli agree, else one piece per coordinate.  Each
-piece is solved over its own ring through modlinalg's kernel, span_basis,
-in_span and quotient, and the answers are summed.
+piece is solved over its own ring, Z/n or Z for n == 0, by modlinalg's one
+elimination (kernel_mod, howell, howell_member and
+quotient_invariant_factors take the piece's n), and the answers are summed.
 """
 
 from dataclasses import dataclass
@@ -439,8 +440,8 @@ def _kernel_vectors(rows, dim, coeff):
         piece = [_restrict(r, coords, d) for r in equations]
         if any(_extend(p, coords, d) != r for p, r in zip(piece, equations)):
             raise StructureError("mixed-modulus system with coordinate mixing")
-        out += [_extend(v, coords, d)
-                for v in modlinalg.kernel(piece, dim // d * len(coords), n)]
+        kernel = modlinalg.kernel_mod(piece, dim // d * len(coords), n)
+        out += [_extend(v, coords, d) for v in kernel]
     return out
 
 
@@ -505,12 +506,12 @@ def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
     free_rank = 0
     for coords, n in _blocks(coeff):
         width = dim // d * len(coords)
-        basis = modlinalg.span_basis([_restrict(g, coords, d) for g in image],
-                                     n, width)
-        fr, tor = modlinalg.quotient([_restrict(v, coords, d) for v in kernel],
-                                     basis, n, width)
-        free_rank += fr
-        factor_lists.append(tor)
+        basis = modlinalg.howell([_restrict(g, coords, d) for g in image],
+                                 n, width)
+        factors = modlinalg.quotient_invariant_factors(
+            [_restrict(v, coords, d) for v in kernel], basis, n, width)
+        free_rank += factors.count(0)
+        factor_lists.append([f for f in factors if f])
         cob_vectors += [_extend(v, coords, d) for v in basis]
 
     coboundaries = [_vector_to_cochain(quandle, module, coeff, degree, v)
@@ -534,9 +535,9 @@ def is_in_span(basis_cochains, phi):
     target = _cochain_to_vector(phi)
     for coords, n in _blocks(phi.coeff):
         t = _restrict(target, coords, d)
-        basis = modlinalg.span_basis([_restrict(r, coords, d) for r in rows],
-                                     n, len(t))
-        if not modlinalg.in_span(basis, t, n):
+        basis = modlinalg.howell([_restrict(r, coords, d) for r in rows],
+                                 n, len(t))
+        if not modlinalg.howell_member(basis, t, n):
             return False
     return True
 

@@ -358,7 +358,10 @@ def parse_diagram(data):
         crossings.append(Crossing(tuple(rec["rot"]), rec["over"]))
     exterior = data.get("exterior")
     if exterior is not None:
-        exterior = (exterior[0], exterior[1])
+        if not isinstance(exterior, list) or len(exterior) != 2:
+            raise StructureError(
+                "exterior must be a list [semi-arc, side] of two entries")
+        exterior = tuple(exterior)
     diagram = Diagram(crossings, tuple(data.get("free_loops", ())), exterior)
     hints = data.get("components")
     if hints is not None:
@@ -383,11 +386,11 @@ def _any_exterior(crossings):
 
 def compute_indices(diagram):
     """Region indices by propagation from the exterior, with every
-    adjacency checked so an inconsistent rotation system cannot slip by."""
+    adjacency checked so an inconsistent rotation system cannot slip by:
+    each region is popped once and checks every step at it, both ways."""
     k = diagram.n_components
-    steps = diagram.region_steps()
     fwd = {}
-    for frm, to, _arc, comp in steps:
+    for frm, to, _arc, comp in diagram.region_steps():
         fwd.setdefault(frm, []).append((to, comp, 1))
         fwd.setdefault(to, []).append((frm, comp, -1))
     vecs = {diagram.exterior_region: (0,) * k}
@@ -405,10 +408,6 @@ def compute_indices(diagram):
                 frontier.append(to)
     if len(vecs) != diagram.n_regions:
         raise StructureError("region adjacency graph is disconnected")
-    for frm, to, _arc, comp in steps:
-        diff = tuple(b - a for a, b in zip(vecs[frm], vecs[to]))
-        if diff != tuple(1 if i == comp else 0 for i in range(k)):
-            raise StructureError("inconsistent region propagation")
     per = tuple(vecs[r] for r in range(diagram.n_regions))
     totals = tuple(sum(v) for v in per)
     return IndexTable(totals=totals, per_component=per,

@@ -1,32 +1,32 @@
-"""Exact linear algebra over Z/nZ (composite n allowed) and over Z.
+"""Exact linear algebra over Z/nZ (composite n allowed) and over Z, with
+n == 0 standing for Z throughout.
 
 Matrices cross the public boundary as plain lists of int rows.  Over a
 composite modulus, ordinary row echelon is not enough: the Howell form is
 the canonical strong echelon form whose rows generate every span vector
 supported on a coordinate suffix, which is exactly what kernel extraction,
-membership tests and coordinates need.
+membership tests and coordinates need.  Over Z (n == 0) the same form is
+the row Hermite normal form: pivots positive, entries above each pivot in
+[0, pivot).
 
-Inside, the Z/n elimination works on sparse rows, dicts from column to a
-value nonzero mod n: a cocycle condition touches a handful of table
-entries, so differential rows have a few nonzeros in hundreds of columns.
-`howell` and `kernel_mod` share that one elimination.  The kernel of M is
-read off the Howell form of [H^T | I], where H are the echelon rows of M
-itself: H has the row span of M, hence its kernel, and at most `ncols`
+One elimination serves every ring.  It works on sparse rows, dicts from
+column to a nonzero value (mod n when n > 0): a cocycle condition touches
+a handful of table entries, so differential rows have a few nonzeros in
+hundreds of columns.  `howell` and `kernel_mod` share it.  The kernel of M
+is read off the Howell form of [H^T | I], where H are the echelon rows of
+M itself: H has the row span of M, hence its kernel, and at most `ncols`
 rows (one per pivot column), so the augmented matrix is len(H) + ncols
 wide instead of nrows + ncols.  Only the rows whose pivot lies in the
 identity part reach the output, so only those are reduced above their
 pivots.  The Howell form is canonical, so the kernel basis does not
 depend on this route.
 
-Quotients over Z/n (invariant factors of cohomology groups) present the
-kernel span on its Howell rows and take a Smith form whose entries are
-reduced mod n after every step, so no integer grows past about n^2.
-Integer Hermite forms and the unreduced Smith form serve only the
-quotients over Z.
+Quotients (invariant factors of cohomology groups) present the kernel span
+on its Howell rows and take a Smith form; over Z/n its entries are reduced
+mod n after every step, so no integer grows past about n^2.
 
-Callers pick no route: `kernel`, `span_basis`, `in_span` and `quotient`
-take the modulus n, with n == 0 meaning Z, and choose between the Howell
-(Z/n) and Hermite (Z) machinery themselves.
+`hnf`, `kernel_int`, `solve_in_hnf` and `quotient_over_int` are the n == 0
+cases under their integer names.
 """
 
 from math import gcd
@@ -48,7 +48,10 @@ def xgcd(a, b):
 
 
 def _unit_for(a, n):
-    """A unit u mod n with u*a == gcd(a, n) mod n (a nonzero mod n)."""
+    """A unit u mod n with u*a == gcd(a, n) mod n (a nonzero mod n); over
+    Z (n == 0) the sign of a."""
+    if not n:
+        return -1 if a < 0 else 1
     g = gcd(a % n, n)
     m = n // g
     h = (a // g) % n
@@ -67,9 +70,12 @@ def _first_nonzero(row):
     return None
 
 
-# -- sparse rows: {column: value} with every value in 1..n-1 ----------------
+# -- sparse rows: {column: value}, every value nonzero (in 1..n-1 over Z/n) --
+# each helper branches on n once per call, never per entry
 
 def _sparse(row, n):
+    if not n:
+        return {j: v for j, v in enumerate(row) if v}
     return {j: v % n for j, v in enumerate(row) if v % n}
 
 
@@ -82,6 +88,8 @@ def _dense(row, width, shift=0):
 
 def _scaled(row, u, n):
     """u * row mod n, as a new row."""
+    if not n:
+        return {j: u * v for j, v in row.items()} if u else {}
     out = {}
     for j, v in row.items():
         w = u * v % n
@@ -93,6 +101,14 @@ def _scaled(row, u, n):
 def _add_multiple(row, q, other, n):
     """row += q * other mod n, in place."""
     get = row.get
+    if not n:
+        for j, v in other.items():
+            w = get(j, 0) + q * v
+            if w:
+                row[j] = w
+            else:
+                row.pop(j, None)
+        return
     for j, v in other.items():
         w = (get(j, 0) + q * v) % n
         if w:
@@ -109,18 +125,19 @@ def _combination(x, r, y, s, n):
 
 
 def _check_modulus(n):
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
+    if n < 0 or n == 1:
+        raise ValueError("modulus must be 0 (for Z) or >= 2")
 
 
 def _echelon(queue, n):
     """Strong echelon rows {pivot column: row} with the Z/n span of the
     sparse rows in `queue` (which it consumes and may modify).
 
-    Each pivot is normalized to gcd(pivot, n), a divisor of n, and the
-    annihilator row (n/pivot) * row is queued too, so every span vector
-    supported on a column suffix is a combination of the rows pivoting in
-    that suffix.  Entries above later pivots are left unreduced.
+    Each pivot is normalized to gcd(pivot, n), a divisor of n (over Z, to
+    its absolute value), and the annihilator row (n/pivot) * row is queued
+    too, so every span vector supported on a column suffix is a combination
+    of the rows pivoting in that suffix.  Over Z, n/pivot is 0 and no
+    annihilator is queued.  Entries above later pivots are left unreduced.
     """
     piv = {}
 
@@ -130,7 +147,7 @@ def _echelon(queue, n):
             row = _scaled(row, u, n)
         piv[j] = row
         t = n // row[j]
-        if t < n:   # a unit pivot's annihilator is zero
+        if t < n:   # zero for a unit pivot, and over Z (t == n == 0)
             queue.append(_scaled(row, t, n))
 
     while queue:
@@ -154,7 +171,8 @@ def _echelon(queue, n):
 
 def _reduce_above(piv, n):
     """Reduce every row of an echelon {pivot column: row} modulo the
-    pivots after its own, in place; returns the pivot columns in order."""
+    pivots after its own, in place; returns the pivot columns in order.
+    Floor division leaves each entry above a pivot p in [0, p)."""
     cols = sorted(piv)
     # subtracting a row changes only columns from its pivot on, so the
     # later pivots, taken in increasing order, leave the ones already
@@ -169,11 +187,13 @@ def _reduce_above(piv, n):
 
 
 def howell(rows, n, width):
-    """Canonical Howell basis of the Z/n row span of `rows`.
+    """Canonical Howell basis of the Z/n row span of `rows`; over Z
+    (n == 0) its row Hermite normal form.
 
     Returned rows have strictly increasing pivot columns, pivot values
-    dividing n, and entries above each pivot reduced modulo it.  The form
-    is unique for a given span, so it doubles as a span fingerprint.
+    dividing n (positive over Z), and entries above each pivot p in
+    [0, p).  The form is unique for a given span, so it doubles as a span
+    fingerprint.
     """
     _check_modulus(n)
     piv = _echelon([_sparse(r, n) for r in rows], n)
@@ -182,8 +202,8 @@ def howell(rows, n, width):
 
 def _howell_coords(basis, v, n):
     """Coefficients of v over the rows of a Howell basis, or None when v
-    lies outside their Z/n span."""
-    v = [x % n for x in v]
+    lies outside their span."""
+    v = [x % n for x in v] if n else list(v)
     coords = []
     for row in basis:
         j = _first_nonzero(row)
@@ -191,23 +211,19 @@ def _howell_coords(basis, v, n):
         if rem:
             return None
         coords.append(q)
-        v = [(a - q * b) % n for a, b in zip(v, row)]
+        v = ([(a - q * b) % n for a, b in zip(v, row)] if n
+             else [a - q * b for a, b in zip(v, row)])
     return None if any(v) else coords
 
 
 def howell_member(basis, v, n):
-    """True iff v lies in the Z/n span described by a Howell basis."""
+    """True iff v lies in the span described by a Howell basis."""
     return _howell_coords(basis, v, n) is not None
 
 
-def _augmented(rows, ncols):
-    """[M^T | I]: Hermite forms of it expose the kernel of M over Z."""
-    return [[r[c] for r in rows] + [int(k == c) for k in range(ncols)]
-            for c in range(ncols)]
-
-
 def kernel_mod(rows, ncols, n):
-    """Basis of {x in (Z/n)^ncols : M x == 0} for the matrix with `rows`.
+    """Basis of {x in (Z/n)^ncols : M x == 0} for the matrix with `rows`;
+    over Z (n == 0) the saturated lattice {x in Z^ncols : M x == 0}.
 
     The Howell basis of the kernel: the rows of the Howell form of
     [H^T | I] that vanish on the H^T part, for H the echelon rows of M.
@@ -222,75 +238,6 @@ def kernel_mod(rows, ncols, n):
     piv = _echelon(aug, n)
     tail = {j: row for j, row in piv.items() if j >= left}
     return [_dense(tail[j], ncols, left) for j in _reduce_above(tail, n)]
-
-
-def hnf(rows, width):
-    """Row-style Hermite normal form of an integer row span.
-
-    Pivots are positive with zeros below and reduced entries above; rows
-    are ordered by pivot column.
-    """
-    work = [list(r) + [0] * (width - len(r)) for r in rows if any(r)]
-    result = []
-    for col in range(width):
-        live = [r for r in work if r[col]]
-        rest = [r for r in work if not r[col]]
-        if not live:
-            work = rest
-            continue
-        pivot = live.pop()
-        while live:
-            r = live.pop()
-            a, b = pivot[col], r[col]
-            if b % a == 0:
-                q = b // a
-                r = [rv - q * pv for rv, pv in zip(r, pivot)]
-            else:
-                g, x, y = xgcd(a, b)
-                newp = [x * pv + y * rv for pv, rv in zip(pivot, r)]
-                r = [(a // g) * rv - (b // g) * pv for pv, rv in zip(pivot, r)]
-                pivot = newp
-            if any(r):
-                rest.append(r)
-        if pivot[col] < 0:
-            pivot = [-v for v in pivot]
-        result.append(pivot)
-        work = rest
-    # reduce entries above each pivot
-    for i in range(len(result) - 1, -1, -1):
-        col = _first_nonzero(result[i])
-        for k in range(i):
-            q = result[k][col] // result[i][col]
-            if q:
-                result[k] = [a - q * b for a, b in zip(result[k], result[i])]
-    return result
-
-
-def solve_in_hnf(basis, v):
-    """Express v as an integer combination of HNF basis rows.
-
-    Returns the coefficient list; raises ValueError if v is outside the
-    lattice they span.
-    """
-    v = list(v)
-    coeffs = []
-    for row in basis:
-        j = _first_nonzero(row)
-        if v[j] % row[j]:
-            raise ValueError("vector not in lattice")
-        q = v[j] // row[j]
-        coeffs.append(q)
-        v = [a - q * b for a, b in zip(v, row)]
-    if any(v):
-        raise ValueError("vector not in lattice")
-    return coeffs
-
-
-def kernel_int(rows, ncols):
-    """Basis of the integer kernel {x in Z^ncols : M x == 0}."""
-    nr = len(rows)
-    basis = hnf(_augmented(rows, ncols), width=nr + ncols)
-    return [row[nr:] for row in basis if not any(row[:nr])]
 
 
 def _mod(row, n):
@@ -354,7 +301,8 @@ def snf_diagonal(rows, width, n=0):
 
 
 def quotient_invariant_factors(ker_rows, im_rows, n, dim):
-    """Invariant factors (> 1) of (<ker> + nZ^dim) / (<im> + nZ^dim).
+    """Invariant factors (other than 1) of (<ker> + nZ^dim) / (<im> + nZ^dim),
+    then a 0 for each free summand, which only Z (n == 0) has.
 
     Both lattices contain nZ^dim, so this is K/M inside (Z/n)^dim and all
     of it is done mod n.  K is presented on the rows h_j of its Howell
@@ -362,12 +310,13 @@ def quotient_invariant_factors(ker_rows, im_rows, n, dim):
     column, so the strong echelon property puts it in the span of the later
     rows; these annihilator syzygies generate every relation among the h_j.
     Each image generator adds its own coordinates as one more relation.
+    Over Z the Hermite rows are independent, so there are no syzygies.
     """
     basis = howell(ker_rows, n, dim)
     rels = []
     for j, row in enumerate(basis):
         t = n // row[_first_nonzero(row)]
-        if t < n:   # a unit pivot's syzygy is zero
+        if t < n:   # zero for a unit pivot, and over Z
             syz = _howell_coords(basis, [t * v for v in row], n)
             syz[j] -= t
             rels.append(syz)
@@ -377,48 +326,31 @@ def quotient_invariant_factors(ker_rows, im_rows, n, dim):
             raise ValueError("image vector outside the kernel span")
         rels.append(coords)
     diag = snf_diagonal(rels, len(basis), n)
-    return [d for d in diag + [n] * (len(basis) - len(diag)) if d > 1]
+    return [d for d in diag + [n] * (len(basis) - len(diag)) if d != 1]
+
+
+# -- the integer names of the n == 0 cases ----------------------------------
+
+def hnf(rows, width):
+    """Row Hermite normal form of an integer row span."""
+    return howell(rows, 0, width)
+
+
+def solve_in_hnf(basis, v):
+    """Coefficients of v over HNF basis rows; ValueError outside their
+    lattice."""
+    coords = _howell_coords(basis, v, 0)
+    if coords is None:
+        raise ValueError("vector not in lattice")
+    return coords
+
+
+def kernel_int(rows, ncols):
+    """Basis of the integer kernel {x in Z^ncols : M x == 0}."""
+    return kernel_mod(rows, ncols, 0)
 
 
 def quotient_over_int(ker_rows, im_rows, dim):
     """(free_rank, torsion factors) of <ker>/<im> as abelian groups."""
-    basis = hnf([list(r) for r in ker_rows], width=dim)
-    if not basis:
-        return 0, []
-    coeffs = [solve_in_hnf(basis, list(g)) for g in im_rows]
-    if not coeffs:
-        return len(basis), []
-    diag = snf_diagonal(coeffs, width=len(basis))
-    nz = [d for d in diag if d]
-    return len(basis) - len(nz), [d for d in nz if d > 1]
-
-
-# -- the four ring entry points: n > 0 works in Z/n, n == 0 in Z ------------
-
-def kernel(rows, ncols, n):
-    """Basis of the kernel of the matrix with `rows`, over Z/n or Z."""
-    return kernel_mod(rows, ncols, n) if n else kernel_int(rows, ncols)
-
-
-def span_basis(rows, n, width):
-    """Canonical basis of the row span: Howell over Z/n, Hermite over Z."""
-    return howell(rows, n, width) if n else hnf(rows, width)
-
-
-def in_span(basis, v, n):
-    """True iff v lies in the span described by a span_basis result."""
-    if n:
-        return howell_member(basis, v, n)
-    try:
-        solve_in_hnf(basis, v)
-    except ValueError:
-        return False
-    return True
-
-
-def quotient(ker_rows, im_rows, n, dim):
-    """(free_rank, torsion factors > 1) of <ker>/<im> for image rows inside
-    the kernel span; over Z/n the quotient is finite and free_rank is 0."""
-    if n:
-        return 0, quotient_invariant_factors(ker_rows, im_rows, n, dim)
-    return quotient_over_int(ker_rows, im_rows, dim)
+    factors = quotient_invariant_factors(ker_rows, im_rows, 0, dim)
+    return factors.count(0), [d for d in factors if d]

@@ -254,6 +254,22 @@ def test_malformed_module_records_name_the_field():
             module_from_json(data, q)
 
 
+def test_table_module_size_must_match_the_action_table():
+    q = make_dihedral(3)
+    action = [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+    for size in (7, -1, 2, "3", 3.0, None):
+        with pytest.raises(StructureError, match="'size'"):
+            module_from_json({"kind": "table", "size": size,
+                              "action": action}, q)
+    # a lone row: True == 1 would slip past a plain comparison
+    with pytest.raises(StructureError, match="'size'"):
+        module_from_json({"kind": "table", "size": True,
+                          "action": [[0, 0, 0]]}, q)
+    for record in ({"kind": "table", "size": 3, "action": action},
+                   {"kind": "table", "action": action}):
+        assert module_from_json(record, q).size == 3
+
+
 def test_coeff_group_arithmetic():
     g = CoeffGroup((2, 3))
     assert g.zero() == (0, 0)

@@ -696,3 +696,88 @@ def test_cohomology_output_bytes_are_frozen(tmp_path, capsys):
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == \
             COHOMOLOGY_SHA256[name], name
+
+
+# sha256 of `qci cohomology --coeff 0` stdout.  Recorded before the integer
+# route became the n = 0 case of the sparse Howell elimination, except for
+# the three marked ones: there the older dense Hermite form printed entries
+# outside [0, pivot) above a pivot, which the canonical form reduces
+INTEGER_COHOMOLOGY_SHA256 = {
+    "d3.deg2": "651d53e3dc9af9354f5a75b33b321fc010063a49af074efe6350a20211f6dfe8",
+    "d4.deg2": "e384c51cecf3961fecd2635548957ae6d128f30fb234abbf0c326c941890ab6c",
+    "d5.deg2": "a994ed3011094724bc16463168def3305cc1d270556ab5619b8b8aa5b409a3e2",
+    "d6.deg2": "324f0c197012779fb65bbdae453421eb8cbfa9abc5ee54ba88d071d15113c523",
+    "d7.deg2": "ea0d1aacd4e62b55612fb1f039cf6d2fd0a4eb1b6a00bbdfe44ccc9f3220df5c",
+    "a8_3.deg2":
+        "cb74340f193fdafc063002cb535abda3914ca3e5640dfba8a1dbc2fac0ac4b35",
+    "d3.deg3": "ffe50c4bf70e8e27004c2deeef78c458fdc7731fdf4e517327319073b2ff3b7c",
+    "d4.deg3": "42b5a88f9b47962535e837dbce9027a3a10353fffea4f594dcc10fcb068e3d81",
+    "d5.deg3": "43079d8198796ae17b99c1f843dc9143da11ddc89f3c5758017216138ff721ad",
+    "d3.self.deg2":
+        "f0f74049e8b4e506f7004a48e5dae74a986998d38d3e3dadd288436f1b5fa7f0",
+    "d4.self.deg2":
+        "fb051304f4661fcbd81aa600deb47bd7632a1fb8d37e040154183a5160ff5a4b",
+    "d5.self.deg2":
+        "820491a86c3b9de87e5061f7f566928f1fc626e3217ce5141d32ae51a3756995",
+    "d3.self.deg3":   # reduced: was 1539e2cf04da...
+        "8a942d624114a16ca6e54f041ec71a4d58f8f4ef3dc90091b414301d2b9d3da5",
+    "d3.positive":
+        "19ea61eaad1fc2fd273098cf0be9d2dabf4701886c31cac754d108e0d2f5a824",
+    "d4.positive":    # reduced: was 1ab548f11a3d...
+        "a7fbae26ee4a848070730dcc2ab99823931140cb3de84ba96f614fe25b459020",
+    "d5.positive":    # reduced: was e37086ab0245...
+        "7eddd7ea84473202dffaccca6dd825cc45cb73b70a97bd0800f906a8fb3e2686",
+}
+
+
+def test_integer_cohomology_output_bytes_are_frozen(tmp_path, capsys):
+    quandles = {f"d{n}": make_dihedral(n) for n in range(3, 8)}
+    quandles["a8_3"] = make_alexander(8, 3)
+    cases = {}
+    for name in quandles:
+        cases[f"{name}.deg2"] = (name, 2, False, "1,1")
+    for name in ("d3", "d4", "d5"):
+        cases[f"{name}.deg3"] = (name, 3, False, "1,1")
+        cases[f"{name}.self.deg2"] = (name, 2, True, "1,1")
+        cases[f"{name}.positive"] = (name, 2, False, "1,-1")
+    cases["d3.self.deg3"] = ("d3", 3, True, "1,1")
+    assert cases.keys() == INTEGER_COHOMOLOGY_SHA256.keys()
+    for label, (name, degree, self_module, spec) in cases.items():
+        q = quandles[name]
+        qfile = tmp_path / f"{name}.json"
+        qfile.write_text(json.dumps(q.to_json()))
+        argv = ["cohomology", "--quandle", str(qfile), "--coeff", "0",
+                "--degree", str(degree), "--spec", spec]
+        if self_module:
+            mfile = tmp_path / f"{name}_self.json"
+            mfile.write_text(json.dumps(quandle_as_module(q).describe()))
+            argv += ["--module", str(mfile)]
+        code, out, err = _main_in_process(capsys, argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            INTEGER_COHOMOLOGY_SHA256[label], label
+
+
+def test_indices_malformed_exterior_is_exit2(files):
+    # a short exterior once escaped main as an IndexError traceback (exit
+    # 1, the witness code), and a long one lost its extra entries
+    record = corpus.load_json("trefoil")
+    path = files["tmp"] / "exterior.json"
+    for exterior in ([0], 5, [0, 1, 2]):
+        path.write_text(json.dumps(dict(record, exterior=exterior)))
+        code, out, err = run_cli("indices", "--diagram", str(path))
+        assert (code, out) == (2, ""), exterior
+        assert json.loads(err)["error"] == \
+            "exterior must be a list [semi-arc, side] of two entries"
+
+
+def test_check_module_size_disagreement_is_exit2(files):
+    record = {"v": 1, "kind": "table", "size": 7,
+              "action": [[0, 0, 0], [1, 1, 1], [2, 2, 2]]}
+    path = files["tmp"] / "sized.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli("check", "--kind", "module", "--file", str(path),
+                             "--quandle", str(files["quandle"]))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == \
+        "table module json 'size' 7 disagrees with its 3-row action table"

@@ -7,8 +7,10 @@ from math import gcd
 import pytest
 
 from qci import modlinalg as ml
+from qci.algebra import make_dihedral
 from tests.oracle_utils import (brute_invariant_factors, brute_span,
-                                is_howell_basis)
+                                degenerate_rows, differential_rows,
+                                is_howell_basis, rref_rank_mod_p)
 
 
 def test_xgcd():
@@ -116,6 +118,63 @@ def test_hnf_and_solve():
         assert recon == r
     with pytest.raises(ValueError):
         ml.solve_in_hnf(basis, [1, 0, 0])
+
+
+def _is_hermite(rows):
+    """Pivots positive in increasing columns, entries above each in
+    [0, pivot)."""
+    last = -1
+    for i, row in enumerate(rows):
+        j = next((c for c, v in enumerate(row) if v), None)
+        if j is None or j <= last or row[j] <= 0:
+            return False
+        if not all(0 <= above[j] < row[j] for above in rows[:i]):
+            return False
+        last = j
+    return True
+
+
+def test_hnf_is_canonical():
+    rng = random.Random(16)
+    for _ in range(2000):
+        width = rng.randrange(1, 7)
+        rows = [[rng.randrange(-5, 6) for _ in range(width)]
+                for _ in range(rng.randrange(1, 7))]
+        basis = ml.hnf(rows, width)
+        assert _is_hermite(basis), rows
+        assert ml.hnf(basis, width) == basis, rows
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert ml.hnf(shuffled, width) == basis, rows
+        for r in rows:
+            ml.solve_in_hnf(basis, r)
+
+
+def test_kernel_over_z_certified_on_d7_degree3(monkeypatch):
+    # the cocycle lattice of D7 in degree 3 with trivial coefficients in Z;
+    # a dense Hermite form of [M^T | I] ran past 40 s on it.  The rows of K
+    # are independent and killed by M, so |K| <= nullity over Q <= width -
+    # rank mod p; equality pins |K| to the nullity, and unit pivots make
+    # the span saturated, so K spans the whole integer kernel
+    bits = []
+    xgcd = ml.xgcd
+
+    def recorded(a, b):
+        bits.append(max(abs(a).bit_length(), abs(b).bit_length()))
+        return xgcd(a, b)
+
+    monkeypatch.setattr(ml, "xgcd", recorded)
+    q = make_dihedral(7)
+    rows = differential_rows(q.op, [[[1]]] * 7, [[1]], 1, 3)
+    rows += degenerate_rows(7, 1, 3)
+    width = 7 ** 3
+    kern = ml.kernel_int(rows, width)
+    assert bits and max(bits) <= 64
+    sparse = [[(j, v) for j, v in enumerate(r) if v] for r in rows]
+    for k in kern:
+        assert all(sum(v * k[j] for j, v in r) == 0 for r in sparse)
+    assert len(kern) == width - rref_rank_mod_p(rows, 2 ** 31 - 1)
+    assert all(next(v for v in k if v) == 1 for k in kern)
 
 
 def test_kernel_int():
