@@ -21,6 +21,11 @@ class UnsupportedCarrierError(StructureError):
     """Operation needs a finite carrier: a free Z summand is not one."""
 
 
+def is_integer(x):
+    """An int that is not a bool, so that JSON true never reads as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of an axiom check: pass, or the first violation found."""
@@ -39,7 +44,7 @@ def _check_table(table, nrows, ncols, what):
         if not isinstance(row, (list, tuple)) or len(row) != ncols:
             raise StructureError(f"{what}: expected {ncols} columns per row")
         for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not is_integer(v):
                 raise StructureError(f"{what}: non-integer entry {v!r}")
 
 
@@ -152,14 +157,20 @@ class Quandle:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict) or "op" not in data:
-            raise StructureError("quandle json needs an 'op' table")
-        if data.get("v", 1) != 1:
-            raise StructureError("unsupported schema version")
-        op = data["op"]
-        if "size" in data and data["size"] != len(op):
-            raise StructureError("size field disagrees with op table")
-        return cls(op, data.get("inv"), data.get("labels"))
+        return cls(*quandle_tables(data), data.get("labels"))
+
+
+def quandle_tables(data):
+    """The op and inv tables of a quandle record, its envelope checked."""
+    if not isinstance(data, dict) or "op" not in data:
+        raise StructureError("quandle json needs an 'op' table")
+    if data.get("v", 1) != 1:
+        raise StructureError("unsupported schema version")
+    op = data["op"]
+    if "size" in data and (not is_integer(data["size"])
+                           or data["size"] != len(op)):
+        raise StructureError("size field disagrees with op table")
+    return op, data.get("inv")
 
 
 def make_trivial(n):
@@ -381,14 +392,13 @@ def module_from_json(data, quandle):
         if not isinstance(data.get("action"), list):
             raise StructureError("table module json needs an 'action' table")
         size, rows = data.get("size"), len(data["action"])
-        if "size" in data and (not isinstance(size, int)
-                               or isinstance(size, bool) or size != rows):
+        if "size" in data and (not is_integer(size) or size != rows):
             raise StructureError(f"table module json 'size' {size!r} "
                                  f"disagrees with its {rows}-row action table")
         return TableModule(quandle, data["action"], data.get("inv_action"))
     if kind == "cyclic_shadow":
         k = data.get("modulus")
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not is_integer(k):
             raise StructureError(
                 "cyclic_shadow module json needs an integer 'modulus'")
         return cyclic_shadow_module(quandle, k)
@@ -489,7 +499,7 @@ class IntUnit(Scalar):
 
     def __init__(self, group, value):
         super().__init__(group)
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not is_integer(value):
             raise StructureError("unit must be an integer")
         for n in group.moduli:
             if n == 0:
@@ -560,8 +570,3 @@ class ShiftUnit(Scalar):
 
     def __hash__(self):
         return hash(("shift_unit", self.step, self.group))
-
-
-def unit(group, value):
-    """Shorthand for IntUnit."""
-    return IntUnit(group, value)

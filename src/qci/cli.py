@@ -19,7 +19,7 @@ from . import __version__
 from . import corpus as corpus_pkg
 from .algebra import (CoeffGroup, IntUnit, Quandle, StructureError,
                       check_module, check_quandle, cyclic_shadow_module,
-                      module_from_json, orbits)
+                      module_from_json, orbits, quandle_tables)
 from .cohomology import (Cochain, DifferentialSpec, cohomology_basis,
                          is_cocycle, is_in_span, random_cochain,
                          transport_to_shadow)
@@ -106,7 +106,7 @@ def cmd_check(args, inputs):
     if args.kind != "quandle" and not args.quandle:
         raise StructureError(f"checking a {args.kind} needs --quandle")
     if args.kind == "quandle":
-        report = check_quandle(data["op"], data.get("inv"))
+        report = check_quandle(*quandle_tables(data))
         payload = {"v": 1, "kind": "quandle", "passed": report.passed}
     elif args.kind == "module":
         q = Quandle.from_json(inputs.read_json(args.quandle))

@@ -29,12 +29,12 @@ quotient_invariant_factors take the piece's n), and the answers are summed.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import gcd
 from operator import mul
 
 from .algebra import (AxiomReport, CoeffGroup, IntUnit, Scalar,
-                      StructureError, orbit_shadow_module)
+                      StructureError, is_integer, orbit_shadow_module)
 from . import modlinalg
 
 
@@ -149,9 +149,21 @@ class Cochain:
         coeff = CoeffGroup.from_json(data["coeff"])
         if module is None and data.get("module") is not None:
             module = module_from_json(data["module"], quandle)
-        values = [tuple(v) if isinstance(v, (list, tuple)) else (v,)
-                  for v in data["values"]]
-        return cls(quandle, module, coeff, data["degree"], values)
+        degree = data["degree"]
+        if not is_integer(degree) or degree < 0:
+            raise StructureError(f"degree must be an integer >= 0, "
+                                 f"not {degree!r}")
+        raw = list(data["values"])
+        values = [tuple(v) if isinstance(v, list) else (v,) for v in raw]
+        # a bare integer reads as a one-entry list, and type() keeps bool
+        # out; the per-entry scan only locates an entry known to be bad
+        if (set(map(len, values)) - {coeff.d}
+                or set(map(type, chain.from_iterable(values))) - {int}):
+            i = next(i for i, v in enumerate(values)
+                     if len(v) != coeff.d or {type(x) for x in v} - {int})
+            raise StructureError(f"values[{i}] must be a list of "
+                                 f"{coeff.d} integers, not {raw[i]!r}")
+        return cls(quandle, module, coeff, degree, values)
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.degree == other.degree

@@ -16,6 +16,7 @@ plain recursion over the levels.
 from dataclasses import dataclass, field
 
 from .algebra import StructureError
+from .diagram import propagate_regions
 
 
 def _crossing_constraints(diagram):
@@ -149,41 +150,24 @@ class ShadowColoring:
 
 
 def validate_shadow(diagram, quandle, shadow):
-    """Re-check both the crossing relations and every region adjacency."""
+    """Re-check the crossing relations, then compare the region colors with
+    the region walk from their exterior color."""
     if not is_coloring(diagram, quandle, shadow.arcs):
         raise StructureError("arc colors violate a crossing relation")
     mod = shadow.module
-    for frm, to, arc, _comp in diagram.region_steps():
-        if mod.act(shadow.regions[frm], shadow.arcs[arc]) != shadow.regions[to]:
-            raise StructureError("region colors violate an adjacency")
+    regions = propagate_regions(diagram,
+                                shadow.regions[diagram.exterior_region],
+                                shadow.arcs, mod.act, mod.unact)
+    if regions != tuple(shadow.regions):
+        raise StructureError("region colors violate an adjacency")
 
 
 def propagate_shadow(diagram, arc_colors, module, exterior_color):
     """The unique region coloring extending arc_colors with the given
-    exterior color.  Every region is popped once and checks each of its
-    steps, forward ones included, so once all regions are reached every
-    adjacency has been verified."""
-    adj = diagram.region_adjacency
-    regions = {diagram.exterior_region: exterior_color}
-    frontier = [diagram.exterior_region]
-    while frontier:
-        r = frontier.pop()
-        for to, arc, forward in adj.get(r, ()):
-            if forward:
-                val = module.act(regions[r], arc_colors[arc])
-            else:
-                val = module.unact(regions[r], arc_colors[arc])
-            if to in regions:
-                if regions[to] != val:
-                    raise StructureError("inconsistent region propagation")
-            else:
-                regions[to] = val
-                frontier.append(to)
-    if len(regions) != diagram.n_regions:
-        raise StructureError("region adjacency graph is disconnected")
-    return ShadowColoring(arcs=tuple(arc_colors),
-                          regions=tuple(regions[r]
-                                        for r in range(diagram.n_regions)),
+    exterior color: the region walk with the module action."""
+    regions = propagate_regions(diagram, exterior_color, arc_colors,
+                                module.act, module.unact)
+    return ShadowColoring(arcs=tuple(arc_colors), regions=regions,
                           module=module)
 
 

@@ -25,7 +25,7 @@ one disk region per free loop in input order.
 
 from dataclasses import dataclass
 
-from .algebra import StructureError
+from .algebra import StructureError, is_integer
 
 LEFT, RIGHT = "left", "right"
 
@@ -282,7 +282,7 @@ class Diagram:
                 steps.append((disk, ext, self._loop_arc[j], self._loop_component[j]))
         self._region_steps = tuple(steps)
         # region -> ((neighbour, arc, forward), ...): the undirected view
-        # of the steps that shadow colorings propagate along
+        # of the steps that propagate_regions walks
         adj = {}
         for frm, to, arc, _comp in steps:
             adj.setdefault(frm, []).append((to, arc, True))
@@ -361,6 +361,9 @@ def parse_diagram(data):
         if not isinstance(exterior, list) or len(exterior) != 2:
             raise StructureError(
                 "exterior must be a list [semi-arc, side] of two entries")
+        if not is_integer(exterior[0]):
+            raise StructureError(
+                f"exterior semi-arc must be an integer, not {exterior[0]!r}")
         exterior = tuple(exterior)
     diagram = Diagram(crossings, tuple(data.get("free_loops", ())), exterior)
     hints = data.get("components")
@@ -384,33 +387,40 @@ def _any_exterior(crossings):
     return (rot[0], LEFT)
 
 
-def compute_indices(diagram):
-    """Region indices by propagation from the exterior, with every
-    adjacency checked so an inconsistent rotation system cannot slip by:
-    each region is popped once and checks every step at it, both ways."""
-    k = diagram.n_components
-    fwd = {}
-    for frm, to, _arc, comp in diagram.region_steps():
-        fwd.setdefault(frm, []).append((to, comp, 1))
-        fwd.setdefault(to, []).append((frm, comp, -1))
-    vecs = {diagram.exterior_region: (0,) * k}
+def propagate_regions(diagram, start, labels, forward, backward):
+    """Region values by a walk from the exterior, which holds ``start``.
+    Crossing the strand of arc a along its normal maps a value v to
+    forward(v, labels[a]), against it to backward(v, labels[a]).  Every
+    region is popped once and checks each of its steps both ways, so an
+    inconsistent labelling cannot slip by."""
+    adj = diagram.region_adjacency
+    values = {diagram.exterior_region: start}
     frontier = [diagram.exterior_region]
     while frontier:
         r = frontier.pop()
-        for to, comp, delta in fwd.get(r, ()):
-            want = tuple(v + (delta if i == comp else 0)
-                         for i, v in enumerate(vecs[r]))
-            if to in vecs:
-                if vecs[to] != want:
+        v = values[r]
+        for to, arc, fwd in adj.get(r, ()):
+            want = (forward if fwd else backward)(v, labels[arc])
+            if to in values:
+                if values[to] != want:
                     raise StructureError("inconsistent region propagation")
             else:
-                vecs[to] = want
+                values[to] = want
                 frontier.append(to)
-    if len(vecs) != diagram.n_regions:
+    if len(values) != diagram.n_regions:
         raise StructureError("region adjacency graph is disconnected")
-    per = tuple(vecs[r] for r in range(diagram.n_regions))
-    totals = tuple(sum(v) for v in per)
-    return IndexTable(totals=totals, per_component=per,
+    return tuple(values[r] for r in range(diagram.n_regions))
+
+
+def compute_indices(diagram):
+    """Region indices: the region walk over Z^components from 0 at the
+    exterior, a step along the normal of component c adding e_c."""
+    def step(delta):
+        return lambda v, c: v[:c] + (v[c] + delta,) + v[c + 1:]
+    labels = [diagram.arc_component(a) for a in range(diagram.n_arcs)]
+    per = propagate_regions(diagram, (0,) * diagram.n_components, labels,
+                            step(1), step(-1))
+    return IndexTable(totals=tuple(map(sum, per)), per_component=per,
                       exterior=diagram.exterior_region)
 
 

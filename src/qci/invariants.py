@@ -2,23 +2,24 @@
 
 Every flavor is one signed, twisted sum over the crossings,
 
-    sum_x  s(x) * prod_j u_j^(-e_j(x)) * w(m(x), a, b),
+    sum_x  sign(x) * prod_j u_j^(-e_j(x)) * w(m(x), a, b),
 
-with a the under color on the source-region side, b the over color and
-i(x) the index of the source region.  The flavors differ only in what
-fills the slots:
+with a the under color on the source-region side, b the over color,
+e_j(x) the component-j index of the source region and i(x) = sum_j e_j(x)
+its index.  The flavors differ only in what fills the slots:
 
-- classical:      s = sign(x), no units, m = 0
-- shadow:         s = sign(x), no units, m = the source-region color
-- positive:       s = sign_pos(x) from the checkerboard, no units, m = 0
-- twisted:        s = sign(x), e = i(x) with unit alpha, m = 0
+- classical:      e = i(x) with unit 1, m = 0
+- shadow:         e = i(x) with unit 1, m = the source-region color
+- positive:       e = i(x) with unit -1, m = 0
+- twisted:        e = i(x) with unit alpha, m = 0
 - shadow_twisted: as twisted, with m = the source-region color
-- link_twisted:   s = sign(x), e_j = the component-j index of the source
-                  region with the unit of component j's color orbit, m = 0
+- link_twisted:   e_j(x) with the unit of component j's color orbit, m = 0
 
-So a diagram is compiled once per flavor into a plan holding, per
+One unit u on every component gives prod_j u^(-e_j(x)) = u^(-i(x)), and
+the unit 1 twists nothing, so classical and shadow plans skip the region
+walk.  A diagram is compiled once per flavor into a plan holding, per
 crossing, the two arc slots, the source region and one d x d integer
-coefficient matrix C_x = s(x) * prod_j U_j^(e_j(x)) folded from the sign
+coefficient matrix C_x = sign(x) * prod_j U_j^(e_j(x)) folded from the sign
 and the twisting units.  Weighing a coloring is then one linear loop,
 sum_x C_x . w(m(x), a, b) on plain integers, reduced once at the end.
 The units are fixed for the twisted flavors, so their coefficients are
@@ -40,6 +41,8 @@ from .diagram import checkerboard, compute_indices, crossing_geometry
 
 FLAVORS = ("classical", "shadow", "positive", "twisted", "shadow_twisted",
            "link_twisted")
+# the fixed unit that twists each untwisted flavor's sum
+UNITS = {"classical": 1, "shadow": 1, "positive": -1}
 
 
 class CocycleError(ValueError):
@@ -95,17 +98,13 @@ class WeightMultiset:
 def validate_cocycle(flavor, omega, *, alpha=None, alphas=None,
                      orbit_map=None):
     """Raise CocycleError unless omega satisfies the flavor's condition."""
-    coeff = omega.coeff
-    if flavor in ("classical", "shadow"):
-        report = is_cocycle(DifferentialSpec.quandle(coeff), omega)
-    elif flavor == "positive":
-        report = is_cocycle(DifferentialSpec.positive(coeff), omega)
-    elif flavor in ("twisted", "shadow_twisted"):
-        report = is_cocycle(DifferentialSpec.twisted(coeff, alpha), omega)
-    elif flavor == "link_twisted":
+    if flavor not in FLAVORS:
+        raise StructureError(f"unknown flavor {flavor!r}")
+    if flavor == "link_twisted":
         report = is_link_twisted_cocycle(omega, alphas, orbit_map)
     else:
-        raise StructureError(f"unknown flavor {flavor!r}")
+        spec = DifferentialSpec.twisted(omega.coeff, UNITS.get(flavor, alpha))
+        report = is_cocycle(spec, omega)
     if not report:
         raise CocycleError(flavor, report)
 
@@ -118,26 +117,15 @@ def _as_scalar(coeff, alpha):
 
 # -- the compiled state sum -------------------------------------------------
 
-def _compile(diagram, flavor, indices=None):
+def _compile(diagram, twisted):
     """Per crossing (sign, a_arc, b_arc, source region, exponent vector):
-    everything the flavor's sum needs that depends on the diagram alone."""
-    geometry = crossing_geometry(diagram)
-    if indices is None and flavor not in ("classical", "shadow"):
-        indices = compute_indices(diagram)
-    if flavor == "positive":
-        colors = checkerboard(diagram, indices)
-    terms = []
-    for g in geometry:
-        sign, exps = g.sign, ()
-        if flavor == "positive":
-            # + where the quadrant pair flanking the over-strand is white
-            sign = 1 if colors[g.quadrants[0]] == 0 else -1
-        elif flavor in ("twisted", "shadow_twisted"):
-            exps = (-indices.totals[g.source_region],)
-        elif flavor == "link_twisted":
-            exps = tuple(-e for e in indices.per_component[g.source_region])
-        terms.append((sign, g.a_arc, g.b_arc, g.source_region, exps))
-    return tuple(terms)
+    everything the sum needs that depends on the diagram alone.  The
+    exponents are minus the per-component index of the source region, or
+    none for an untwisted sum, which skips the region walk."""
+    per = compute_indices(diagram).per_component if twisted else None
+    return tuple((g.sign, g.a_arc, g.b_arc, g.source_region,
+                  tuple(-e for e in per[g.source_region]) if twisted else ())
+                 for g in crossing_geometry(diagram))
 
 
 def _coefficient(sign, units, exps, d):
@@ -159,11 +147,11 @@ class _Plan:
     wrong shape, runs the cocycle gate when ``check`` is set and compiles
     the diagram; calling the plan weighs one coloring (a ShadowColoring
     for the shadow flavors).  The exponent vector of a crossing pairs with
-    the units: (alpha,) for the twisted flavors, and for link_twisted the
-    unit of each component's color orbit.  Each crossing's sign and twist
-    fold into one integer coefficient matrix (_coefficient): once per plan
-    when the units are fixed, once per tuple of component orbits for
-    link_twisted.
+    one unit per component: the flavor's unit on every component, or for
+    link_twisted the unit of each component's color orbit.  Each crossing's
+    sign and twist fold into one integer coefficient matrix (_coefficient):
+    once per plan when the units are fixed, once per tuple of component
+    orbits for link_twisted.
     """
 
     def __init__(self, diagram, flavor, omega, check, *, alpha=None,
@@ -173,10 +161,9 @@ class _Plan:
         coeff = omega.coeff
         self.shadow = flavor in ("shadow", "shadow_twisted")
         self.alpha = self.alphas = None
-        units = ()
+        unit = UNITS.get(flavor)
         if flavor in ("twisted", "shadow_twisted"):
-            self.alpha = _as_scalar(coeff, alpha)
-            units = (self.alpha,)
+            unit = self.alpha = _as_scalar(coeff, alpha)
         if flavor == "link_twisted":
             if orbit_map is None:
                 orbit_map = orbits(omega.quandle)
@@ -201,10 +188,12 @@ class _Plan:
         self.omega = omega
         # non-shadow flavors read omega at m = 0 for every source region
         self.no_regions = (0,) * diagram.n_regions
-        self.terms = _compile(diagram, flavor)
+        self.terms = _compile(diagram, unit != 1)
         self.by_orbits = {}
         if self.alphas is None:
-            self.weighed = self._weighed(units)
+            self.weighed = self._weighed(
+                () if unit == 1 else
+                (_as_scalar(coeff, unit),) * diagram.n_components)
 
     def _weighed(self, units):
         """(coefficient, a_arc, b_arc, source region) per crossing."""
@@ -251,11 +240,13 @@ def weight_shadow(diagram, shadow, omega, check=True):
 def positive_signs(diagram, indices=None):
     """Checkerboard sign per crossing: + where the quadrant pair flanking
     the over-strand is white."""
-    return tuple(t[0] for t in _compile(diagram, "positive", indices))
+    colors = checkerboard(diagram, indices)
+    return tuple(1 if colors[g.quadrants[0]] == 0 else -1
+                 for g in crossing_geometry(diagram))
 
 
 def weight_positive(diagram, coloring, omega, check=True):
-    """Sum of sign_pos(x) * w(a, b) with checkerboard-based signs."""
+    """Sum of sign(x) * (-1)^i(x) * w(a, b), the checkerboard sign sum."""
     return _Plan(diagram, "positive", omega, check)(coloring)
 
 

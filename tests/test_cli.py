@@ -758,6 +758,65 @@ def test_integer_cohomology_output_bytes_are_frozen(tmp_path, capsys):
             INTEGER_COHOMOLOGY_SHA256[label], label
 
 
+# sha256, per flavor, of the exit code, stdout and stderr of `qci
+# invariant` on a non-cocycle whose degenerate entries are 0, so that each
+# gate reports the cocycle axiom: over three diagrams, with and without
+# --force.  Recorded before every flavor but link_twisted was gated as a
+# twisted cocycle at its unit (1, 1, -1 or alpha).
+GATE_SHA256 = {
+    "classical":
+        "79afdba2f1cca7339ccd2f99935cf04ba9e6cb473611197a942d536b75154910",
+    "shadow":
+        "368e9ac532cdb5860c5190bb7b3d7899998f65ad987ab72ce98be867d915bf16",
+    "positive":
+        "1223a9c46a322c5f85b9b37c0f65c214d1fe170508d589f68e4572538b99f4f0",
+    "twisted":
+        "5fd815478aac21c6034e5598ca0d968bd162e7704ad426d01362b302713b1452",
+    "shadow_twisted":
+        "3f362b2a2f611812efa59a35be72ed6e60f2677acdd99d96669c5b0242d89c35",
+    "link_twisted":
+        "e50b03d09472db5c74f834ac4401432b68e9a0e4c22c051b58c6cad38d51c152",
+}
+
+
+def test_gate_output_bytes_are_frozen(tmp_path, capsys):
+    q = make_dihedral(4)
+    A = CoeffGroup((5,))
+    mod = quandle_as_module(q)
+    trivial = Cochain(q, None, A, 2, [
+        ((a + 2 * b + 1) % 5 * (a != b),) for a in range(4) for b in range(4)])
+    shadow = Cochain(q, mod, A, 2, [
+        ((m + a + 2 * b + 1) % 5 * (a != b),)
+        for m in range(4) for a in range(4) for b in range(4)])
+    paths = {}
+    for name, obj in (("q", q), ("trivial", trivial), ("shadow", shadow)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj.to_json()))
+    paths["mod"] = tmp_path / "mod.json"
+    paths["mod"].write_text(json.dumps(mod.describe()))
+    extra = {"classical": [], "positive": [],
+             "shadow": ["--module", str(paths["mod"]), "--exterior", "1"],
+             "twisted": ["--alpha", "2"],
+             "shadow_twisted": ["--module", str(paths["mod"]),
+                                "--exterior", "1", "--alpha", "2"],
+             "link_twisted": ["--alpha-per-orbit", "2,3"]}
+    assert extra.keys() == GATE_SHA256.keys()
+    for flavor, args in extra.items():
+        cochain = paths["shadow" if "--module" in args else "trivial"]
+        digest = hashlib.sha256()
+        for name in ("trefoil", "hopf_pos", "link_r3a"):
+            for force in ([], ["--force"]):
+                code, out, err = _main_in_process(capsys, [
+                    "invariant", "--diagram", f"corpus:{name}",
+                    "--quandle", str(paths["q"]), "--cocycle", str(cochain),
+                    "--flavor", flavor] + args + force)
+                if not force:
+                    assert code == 1, (flavor, name, err)
+                    assert json.loads(out)["axiom"] == "cocycle"
+                digest.update(f"{code}\n{out}\n{err}\n".encode())
+        assert digest.hexdigest() == GATE_SHA256[flavor], flavor
+
+
 def test_indices_malformed_exterior_is_exit2(files):
     # a short exterior once escaped main as an IndexError traceback (exit
     # 1, the witness code), and a long one lost its extra entries
@@ -769,6 +828,71 @@ def test_indices_malformed_exterior_is_exit2(files):
         assert (code, out) == (2, ""), exterior
         assert json.loads(err)["error"] == \
             "exterior must be a list [semi-arc, side] of two entries"
+
+
+def test_exterior_semiarc_must_be_an_integer(files):
+    # a bool semi-arc once read as 1, a list one failed as unhashable
+    record = corpus.load_json("trefoil")
+    path = files["tmp"] / "exterior.json"
+    for semiarc in (True, [0], "0", 1.0):
+        path.write_text(json.dumps(dict(record, exterior=[semiarc, "left"])))
+        code, out, err = run_cli("indices", "--diagram", str(path))
+        assert (code, out) == (2, ""), semiarc
+        assert json.loads(err)["error"] == \
+            f"exterior semi-arc must be an integer, not {semiarc!r}"
+
+
+def test_cochain_entries_are_checked(files, capsys):
+    # every entry is a list of d integers (a bare integer when d = 1) and
+    # the degree a non-negative integer; values[0] must be 0, and its
+    # malformed versions once passed as 0 or weighed as a float
+    q = make_dihedral(3)
+    A = CoeffGroup((3,))
+    omega = cocycle_basis(DifferentialSpec.quandle(A), q, None, A, 2)[0]
+    record = omega.to_json()
+    path = files["tmp"] / "entries.json"
+    commands = (["check", "--kind", "cocycle", "--quandle",
+                 str(files["quandle"]), "--file", str(path)],
+                ["invariant", "--diagram", str(files["diagram"]),
+                 "--quandle", str(files["quandle"]), "--cocycle", str(path),
+                 "--flavor", "classical"])
+    bad_values = ([0, 5], [0.0], [False], [], False, "0", None)
+    cases = [(dict(record, values=[v] + record["values"][1:]),
+              f"values[0] must be a list of 1 integers, not {v!r}")
+             for v in bad_values]
+    cases += [(dict(record, degree=k),
+               f"degree must be an integer >= 0, not {k!r}")
+              for k in (-1, True, 2.0, "2")]
+    for data, message in cases:
+        path.write_text(json.dumps(data))
+        for argv in commands:
+            code, out, err = _main_in_process(capsys, argv)
+            assert (code, out) == (2, ""), (argv[0], message)
+            assert json.loads(err)["error"] == message
+    # a bare integer still reads as a one-entry list
+    path.write_text(json.dumps(dict(record, values=[
+        v[0] for v in record["values"]])))
+    for argv in commands:
+        assert _main_in_process(capsys, argv)[0] == 0
+
+
+def test_check_quandle_envelope_matches_the_reader(files, capsys):
+    # check --kind quandle refuses what Quandle.from_json refuses
+    op = make_dihedral(3).to_json()["op"]
+    path = files["tmp"] / "envelope.json"
+    cases = [({"v": 0, "op": op}, "unsupported schema version"),
+             ({"v": 1, "size": 7, "op": op},
+              "size field disagrees with op table"),
+             ({"v": 1, "size": True, "op": [[0]]},
+              "size field disagrees with op table"),
+             ({"size": 3}, "quandle json needs an 'op' table")]
+    for data, message in cases:
+        path.write_text(json.dumps(data))
+        for argv in (["check", "--kind", "quandle", "--file", str(path)],
+                     ["orbits", "--quandle", str(path)]):
+            code, out, err = _main_in_process(capsys, argv)
+            assert (code, out) == (2, ""), (argv[0], data)
+            assert json.loads(err)["error"] == message
 
 
 def test_check_module_size_disagreement_is_exit2(files):

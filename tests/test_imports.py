@@ -43,26 +43,53 @@ def _names(tree):
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _reads(tree):
+    """Plain names read (loaded) in a tree."""
+    return Counter(node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name)
+                   and isinstance(node.ctx, ast.Load))
+
+
 def unnamed_definitions(defining, using, strings=()):
     """(source index, line, name) of every function, class and method in
-    the sources ``defining`` whose name is read nowhere in the sources
-    ``using`` (which include ``defining``) or among the dotted ``strings``,
-    except inside its own definition.  Dunder methods are called
-    implicitly and are skipped."""
-    total = Counter()
+    the sources ``defining`` that nothing names.  A module-level
+    definition is named when its own module reads it outside its body, a
+    source in ``using`` imports it by name or reads it as an attribute, or
+    it is a part of one of the dotted ``strings``.  A method is named when
+    its name is read anywhere in ``using`` (which include ``defining``),
+    or among the ``strings``, outside its own definition.  Dunder methods
+    are called implicitly and are skipped."""
+    total, outside = Counter(), Counter()
     for source in using:
-        total += _names(ast.parse(source))
+        tree = ast.parse(source)
+        total += _names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                outside.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                outside[node.attr] += 1
     for text in strings:
         total.update(text.split("."))
+        outside.update(text.split("."))
     defs, inside = [], Counter()
     for i, source in enumerate(defining):
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        reads = _reads(tree)
+        for node in ast.walk(tree):
             if isinstance(node, DEFINITIONS):
-                defs.append((i, node.lineno, node.name))
+                # reads in its own module, outside its body; None: a method
+                own = (reads[node.name] - _reads(node)[node.name]
+                       if node in tree.body else None)
+                defs.append((i, node.lineno, node.name, own))
                 inside[node.name] += _names(node)[node.name]
-    return sorted((i, line, name) for i, line, name in defs
+
+    def named(name, own):
+        if own is None:
+            return total[name] > inside[name]
+        return own > 0 or outside[name] > 0
+    return sorted((i, line, name) for i, line, name, own in defs
                   if not (name.startswith("__") and name.endswith("__"))
-                  and total[name] - inside[name] == 0)
+                  and not named(name, own))
 
 
 def _layer_strings():
@@ -76,9 +103,19 @@ def test_unnamed_definitions_are_found():
            "class Box:\n    def __init__(self):\n        pass\n\n"
            "    def read(self):\n        pass\n\n"
            "    def wrapped(self):\n        pass\n")
-    user = "used()\n"
+    user = "from lib import used\n\nused()\n"
     assert unnamed_definitions([lib], [lib, user], ["qci.Box.wrapped"]) == \
         [(0, 5, "again"), (0, 13, "read")]
+    # a module-level name that other modules read only as a local of their
+    # own is unnamed; an import, an attribute read, a read in its own
+    # module outside its body or a dotted string names it
+    lib = ("def shadowed():\n    pass\n\n\ndef imported():\n    pass\n\n\n"
+           "def attr():\n    pass\n\n\ndef local():\n    pass\n\n\n"
+           "def layered():\n    pass\n\n\nlocal()\n")
+    user = ("from lib import imported\n\n\n"
+            "def f(shadowed):\n    shadowed = lib.attr\n    return shadowed\n")
+    assert unnamed_definitions([lib], [lib, user], ["qci.lib.layered"]) == \
+        [(0, 1, "shadowed")]
 
 
 def test_every_definition_is_named():
