@@ -9,9 +9,9 @@ color, minus d_right under a constant weight.
 Each cocycle condition is written down once, as each point's weighted
 table entries (_point_terms).  The gates evaluate it point by point and
 stop at the first failing one, the dense differentials evaluate it at every
-point, and _differential_rows lays it out as the integer matrix whose
-kernel is the cocycle basis and whose columns one degree down span the
-coboundaries.
+point, and _differential_rows lays it out as sparse integer rows, one dict
+{column: entry} per point and coordinate, whose kernel is the cocycle basis
+and whose columns one degree down span the coboundaries.
 
 Every cochain is a dense table over a finite table module.  The shadow
 cochain alpha^-m w of a twisted (per-orbit twisted) cochain w has region
@@ -26,6 +26,8 @@ coordinates when the moduli agree, else one piece per coordinate.  Each
 piece is solved over its own ring, Z/n or Z for n == 0, by modlinalg's one
 elimination (kernel_mod, howell, howell_member and
 quotient_invariant_factors take the piece's n), and the answers are summed.
+A piece's rows are built on its own coordinates only, and its vectors
+become cochains that are zero off them.
 """
 
 from dataclasses import dataclass
@@ -310,10 +312,6 @@ def transport_to_shadow(omega, alphas, orbit_map=None):
 # ---------------------------------------------------------------------------
 # linear-algebra backend: cocycle and coboundary bases, cohomology groups
 
-def _flat_dim(quandle, module, degree, d):
-    return _mod_size(module) * quandle.n ** degree * d
-
-
 def _flat_index(quandle, module, m, args):
     """Table position of (m, args); its d coordinates start at d times it."""
     n = quandle.n
@@ -321,17 +319,6 @@ def _flat_index(quandle, module, m, args):
     for a in args:
         idx = idx * n + a
     return idx
-
-
-def _vector_to_cochain(quandle, module, coeff, degree, vec):
-    d = coeff.d
-    values = [tuple(vec[i * d + c] for c in range(d))
-              for i in range(len(vec) // d)]
-    return Cochain(quandle, module, coeff, degree, values)
-
-
-def _cochain_to_vector(phi):
-    return [x for v in phi.values for x in v]
 
 
 def _point_terms(spec, quandle, module, degree):
@@ -377,36 +364,35 @@ def _value(terms, values, d):
     return total
 
 
-def _differential_rows(spec, quandle, module, coeff, degree):
-    """Integer matrix of the spec differential C^degree -> C^{degree+1}
-    acting on flattened (index, coordinate) vectors: the d rows of each
-    point hold its _point_terms."""
-    d = coeff.d
-    in_dim = _flat_dim(quandle, module, degree, d)
+def _differential_rows(spec, quandle, module, degree, coords):
+    """The spec differential C^degree -> C^{degree+1} on the coordinates
+    coords of one piece: each point's _point_terms as one sparse row
+    {column: entry} per coordinate of coords, the column of coordinate
+    coords[j] at position pos being pos * len(coords) + j.  A row with a
+    nonzero entry on a coordinate outside the piece is refused."""
+    w = len(coords)
+    slot = {c: j for j, c in enumerate(coords)}
     rows = []
     for _m, _args, terms in _point_terms(spec, quandle, module, degree):
-        block_rows = [[0] * in_dim for _ in range(d)]
-        for mat, sign, pos in terms:
-            for row, mrow in zip(block_rows, mat):
-                for c, x in enumerate(mrow):
-                    if x:
-                        row[d * pos + c] += sign * x
-        rows.extend(block_rows)
+        for r in coords:
+            row, outside = {}, {}
+            for mat, sign, pos in terms:
+                for c, x in enumerate(mat[r]):
+                    if x and c in slot:
+                        key = pos * w + slot[c]
+                        row[key] = row.get(key, 0) + sign * x
+                    elif x:
+                        outside[pos, c] = outside.get((pos, c), 0) + sign * x
+            if any(outside.values()):
+                raise StructureError(
+                    "mixed-modulus system with coordinate mixing")
+            rows.append(row)
     return rows
 
 
-def _degenerate_rows(quandle, module, coeff, degree):
-    """Unit rows pinning cochain values on degenerate argument tuples."""
-    d = coeff.d
-    in_dim = _flat_dim(quandle, module, degree, d)
-    rows = []
-    for i, (m, args) in enumerate(_domain(quandle, module, degree)):
-        if _degenerate_args(args):
-            for c in range(d):
-                row = [0] * in_dim
-                row[i * d + c] = 1
-                rows.append(row)
-    return rows
+def _degenerate_positions(quandle, module, degree):
+    return [i for i, (_m, args) in enumerate(_domain(quandle, module, degree))
+            if _degenerate_args(args)]
 
 
 def _blocks(coeff):
@@ -421,39 +407,33 @@ def _blocks(coeff):
     return [((c,), n) for c, n in enumerate(coeff.moduli)]
 
 
-def _restrict(vec, coords, d):
-    """The entries of a flattened vector on a piece's coordinates.  Applied
-    to a system whose rows come in blocks of d (one equation per output
-    coordinate) it picks the piece's equations.  A piece of all
-    coordinates gets the vector itself, uncopied."""
-    if len(coords) == d:
-        return vec
-    return [vec[i + c] for i in range(0, len(vec), d) for c in coords]
-
-
-def _extend(vec, coords, d):
-    """Inverse of _restrict: zeros on the coordinates outside the piece."""
-    if len(coords) == d:
-        return vec
-    out = [0] * (len(vec) // len(coords) * d)
-    for k, x in enumerate(vec):
-        i, c = divmod(k, len(coords))
-        out[i * d + coords[c]] = x
-    return out
-
-
-def _kernel_vectors(rows, dim, coeff):
-    """Kernel of integer rows acting on Z_{n_1} x ... vectors (flattened),
-    solved piece by piece; rows come in blocks of d, one per coordinate."""
-    d = coeff.d
-    out = []
+def _pieces(spec, quandle, module, coeff, degree, quandle_flag):
+    """(coords, n, width, kernel) per piece: the kernel basis of the spec
+    differential out of ``degree`` on the piece's coordinates, flattened
+    to vectors of the given width, on the degenerate-free subspace when
+    flagged (one unit row per degenerate position and coordinate)."""
+    if degree < 1:
+        raise StructureError("cohomology is computed in degree >= 1")
+    size = _mod_size(module) * quandle.n ** degree
+    degenerate = (_degenerate_positions(quandle, module, degree)
+                  if quandle_flag else [])
     for coords, n in _blocks(coeff):
-        equations = _restrict(rows, coords, d)
-        piece = [_restrict(r, coords, d) for r in equations]
-        if any(_extend(p, coords, d) != r for p, r in zip(piece, equations)):
-            raise StructureError("mixed-modulus system with coordinate mixing")
-        kernel = modlinalg.kernel_mod(piece, dim // d * len(coords), n)
-        out += [_extend(v, coords, d) for v in kernel]
+        w = len(coords)
+        rows = _differential_rows(spec, quandle, module, degree, coords)
+        rows += [{i * w + j: 1} for i in degenerate for j in range(w)]
+        yield coords, n, size * w, modlinalg.kernel_mod(rows, size * w, n)
+
+
+def _cochains(vectors, coords, quandle, module, coeff, degree):
+    """The cochains of a piece's flattened vectors, zero off its
+    coordinates."""
+    w = len(coords)
+    out = []
+    for vec in vectors:
+        values = [[0] * coeff.d for _ in range(len(vec) // w)]
+        for k, x in enumerate(vec):
+            values[k // w][coords[k % w]] = x
+        out.append(Cochain(quandle, module, coeff, degree, values))
     return out
 
 
@@ -478,18 +458,6 @@ def _merge_factors(factor_lists):
     return [f for f in chain if f != 1]
 
 
-def _cocycle_vectors(spec, quandle, module, coeff, degree, quandle_flag):
-    """Flattened kernel basis of the spec differential out of ``degree``,
-    on the degenerate-free subspace when flagged."""
-    if degree < 1:
-        raise StructureError("cohomology is computed in degree >= 1")
-    rows = _differential_rows(spec, quandle, module, coeff, degree)
-    if quandle_flag:
-        rows += _degenerate_rows(quandle, module, coeff, degree)
-    return _kernel_vectors(rows, _flat_dim(quandle, module, degree, coeff.d),
-                           coeff)
-
-
 def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
     """Cocycles, coboundaries, and invariant factors in one degree.
 
@@ -498,36 +466,28 @@ def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
     the canonical form of the image from one degree down.  Invariant
     factors describe the quotient group.
     """
-    kernel = _cocycle_vectors(spec, quandle, module, coeff, degree,
-                              quandle_flag)
-    d = coeff.d
-    dim = _flat_dim(quandle, module, degree, d)
-    cocycles = [_vector_to_cochain(quandle, module, coeff, degree, v)
-                for v in kernel]
-
-    # the image of the previous differential is spanned by the columns of
-    # its matrix, less those of degenerate inputs when flagged
-    keep = [not (quandle_flag and _degenerate_args(args))
-            for _m, args in _domain(quandle, module, degree - 1)
-            for _c in range(d)]
-    rows = _differential_rows(spec, quandle, module, coeff, degree - 1)
-    image = [col for col, k in zip(zip(*rows), keep) if k]
-
-    cob_vectors = []
-    factor_lists = []
-    free_rank = 0
-    for coords, n in _blocks(coeff):
-        width = dim // d * len(coords)
-        basis = modlinalg.howell([_restrict(g, coords, d) for g in image],
-                                 n, width)
-        factors = modlinalg.quotient_invariant_factors(
-            [_restrict(v, coords, d) for v in kernel], basis, n, width)
+    shape = (quandle, module, coeff, degree)
+    cocycles, coboundaries, factor_lists, free_rank = [], [], [], 0
+    for coords, n, width, kernel in _pieces(spec, *shape, quandle_flag):
+        # the image of the previous differential is spanned by the columns
+        # of its rows, less those of degenerate inputs when flagged
+        w = len(coords)
+        image = [{} for _ in range(width // quandle.n)]
+        for i, row in enumerate(_differential_rows(spec, quandle, module,
+                                                   degree - 1, coords)):
+            for c, x in row.items():
+                image[c][i] = x
+        if quandle_flag:
+            for i in _degenerate_positions(quandle, module, degree - 1):
+                for j in range(w):
+                    image[i * w + j].clear()
+        basis = modlinalg.howell(image, n, width)
+        factors = modlinalg.quotient_invariant_factors(kernel, basis, n,
+                                                       width)
         free_rank += factors.count(0)
         factor_lists.append([f for f in factors if f])
-        cob_vectors += [_extend(v, coords, d) for v in basis]
-
-    coboundaries = [_vector_to_cochain(quandle, module, coeff, degree, v)
-                    for v in cob_vectors]
+        cocycles += _cochains(kernel, coords, *shape)
+        coboundaries += _cochains(basis, coords, *shape)
     return CohomologyBasis(cocycles=cocycles, coboundaries=coboundaries,
                            torsion=_merge_factors(factor_lists),
                            free_rank=free_rank)
@@ -535,21 +495,19 @@ def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
 
 def cocycle_basis(spec, quandle, module, coeff, degree=2, quandle_flag=True):
     """Just the kernel side of cohomology_basis."""
-    return [_vector_to_cochain(quandle, module, coeff, degree, v)
-            for v in _cocycle_vectors(spec, quandle, module, coeff, degree,
-                                      quandle_flag)]
+    shape = (quandle, module, coeff, degree)
+    return [c for coords, _n, _width, kernel
+            in _pieces(spec, *shape, quandle_flag)
+            for c in _cochains(kernel, coords, *shape)]
 
 
 def is_in_span(basis_cochains, phi):
     """Membership of phi in the Z-span of dense cochains (same shape)."""
-    d = phi.coeff.d
-    rows = [_cochain_to_vector(b) for b in basis_cochains]
-    target = _cochain_to_vector(phi)
     for coords, n in _blocks(phi.coeff):
-        t = _restrict(target, coords, d)
-        basis = modlinalg.howell([_restrict(r, coords, d) for r in rows],
-                                 n, len(t))
-        if not modlinalg.howell_member(basis, t, n):
+        target, *rows = ([v[j] for v in c.values for j in coords]
+                         for c in (phi, *basis_cochains))
+        basis = modlinalg.howell(rows, n, len(target))
+        if not modlinalg.howell_member(basis, target, n):
             return False
     return True
 

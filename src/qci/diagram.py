@@ -340,6 +340,22 @@ class Diagram:
         return data
 
 
+def _integer(x, field):
+    """x, if it is an integer and no bool; else a StructureError naming
+    the field."""
+    if not is_integer(x):
+        raise StructureError(f"{field} must be an integer, not {x!r}")
+    return x
+
+
+def _integers(value, field):
+    """A JSON list of integers (see _integer), entry by entry."""
+    if not isinstance(value, list):
+        raise StructureError(f"{field} must be a list of integers, "
+                             f"not {value!r}")
+    return [_integer(x, f"{field}[{i}]") for i, x in enumerate(value)]
+
+
 def parse_diagram(data):
     """Validated Diagram from its JSON form (dict or JSON text)."""
     import json as _json
@@ -347,15 +363,18 @@ def parse_diagram(data):
         data = _json.loads(data)
     if not isinstance(data, dict):
         raise StructureError("diagram json must be an object")
-    if data.get("v", 1) != 1:
+    if _integer(data.get("v", 1), "v") != 1:
         raise StructureError("unsupported schema version")
     crossings = []
-    for rec in data.get("crossings", ()):
-        if "rot" not in rec or "over" not in rec:
+    for ci, rec in enumerate(data.get("crossings", ())):
+        if not isinstance(rec, dict) or "rot" not in rec or "over" not in rec:
             raise StructureError("crossing record needs rot and over")
-        if "orients" in rec and list(rec["orients"]) != [0, rec["over"]]:
+        rot = _integers(rec["rot"], f"crossings[{ci}].rot")
+        over = _integer(rec["over"], f"crossings[{ci}].over")
+        if "orients" in rec and _integers(
+                rec["orients"], f"crossings[{ci}].orients") != [0, over]:
             raise StructureError("orients disagrees with rot normalization")
-        crossings.append(Crossing(tuple(rec["rot"]), rec["over"]))
+        crossings.append(Crossing(tuple(rot), over))
     exterior = data.get("exterior")
     if exterior is not None:
         if not isinstance(exterior, list) or len(exterior) != 2:
@@ -365,11 +384,21 @@ def parse_diagram(data):
             raise StructureError(
                 f"exterior semi-arc must be an integer, not {exterior[0]!r}")
         exterior = tuple(exterior)
-    diagram = Diagram(crossings, tuple(data.get("free_loops", ())), exterior)
+    loops = _integers(data.get("free_loops", []), "free_loops")
+    diagram = Diagram(crossings, tuple(loops), exterior)
     hints = data.get("components")
     if hints is not None:
+        if not isinstance(hints, dict):
+            raise StructureError("components must be an object from "
+                                 f"semi-arc ids to components, not {hints!r}")
         for sa, comp in hints.items():
-            if diagram.comp_of.get(int(sa)) != comp:
+            try:
+                sa = int(sa)
+            except (TypeError, ValueError):
+                raise StructureError(
+                    f"components key {sa!r} is not a semi-arc id") from None
+            if diagram.comp_of.get(sa) != _integer(comp,
+                                                    f"components[{sa}]"):
                 raise StructureError("component hints disagree with the diagram")
     return diagram
 

@@ -1,12 +1,14 @@
 """Exact linear algebra over Z/nZ (composite n allowed) and over Z, with
 n == 0 standing for Z throughout.
 
-Matrices cross the public boundary as plain lists of int rows.  Over a
-composite modulus, ordinary row echelon is not enough: the Howell form is
-the canonical strong echelon form whose rows generate every span vector
-supported on a coordinate suffix, which is exactly what kernel extraction,
-membership tests and coordinates need.  Over Z (n == 0) the same form is
-the row Hermite normal form: pivots positive, entries above each pivot in
+Matrices are lists of rows.  `howell`, `kernel_mod` and
+`quotient_invariant_factors` take each row as a list of ints or as a dict
+{column: int}; every output row is a plain list.  Over a composite modulus,
+ordinary row echelon is not enough: the Howell form is the canonical strong
+echelon form whose rows generate every span vector supported on a
+coordinate suffix, which is exactly what kernel extraction, membership
+tests and coordinates need.  Over Z (n == 0) the same form is the row
+Hermite normal form: pivots positive, entries above each pivot in
 [0, pivot).
 
 One elimination serves every ring.  It works on sparse rows, dicts from
@@ -74,9 +76,10 @@ def _first_nonzero(row):
 # each helper branches on n once per call, never per entry
 
 def _sparse(row, n):
+    items = row.items() if isinstance(row, dict) else enumerate(row)
     if not n:
-        return {j: v for j, v in enumerate(row) if v}
-    return {j: v % n for j, v in enumerate(row) if v % n}
+        return {j: v for j, v in items if v}
+    return {j: v % n for j, v in items if v % n}
 
 
 def _dense(row, width, shift=0):
@@ -321,7 +324,7 @@ def quotient_invariant_factors(ker_rows, im_rows, n, dim):
             syz[j] -= t
             rels.append(syz)
     for g in im_rows:
-        coords = _howell_coords(basis, g, n)
+        coords = _howell_coords(basis, _dense(_sparse(g, n), dim), n)
         if coords is None:
             raise ValueError("image vector outside the kernel span")
         rels.append(coords)

@@ -758,6 +758,61 @@ def test_integer_cohomology_output_bytes_are_frozen(tmp_path, capsys):
             INTEGER_COHOMOLOGY_SHA256[label], label
 
 
+# sha256 of `qci cohomology` stdout with several moduli, recorded before
+# the differential rows became sparse per coefficient piece: mixed moduli
+# solve one piece per coordinate, equal ones one piece of all coordinates
+MIXED_COHOMOLOGY_SHA256 = {
+    "d3.z2_4":
+        "46f8ec3e6c9eb4c4d74ab6c1618cc414ff4b8cfe192bf80cff3e91f8781dfaa1",
+    "d4.z2_4":
+        "6525757ab3d3cf0b54e48e1753480f4b3f00f982f85b0fff36bb84a1e2e2fe16",
+    "d4.z2_4.deg3":
+        "64fe6473e5606ff0289a9d1d062900c84abb9e9c555cf9b357c62e8cf12766b7",
+    "d3.z3_0":
+        "d7933ee44fa8e12d79a6268b0bb48eb22adbde3e9c1e5b25bb5b82411eb7bc1f",
+    "d3.z2_3.positive":
+        "28da181ad4489c3ccf6421e9395fcb62b729b72b56b1cf19167d35d573713820",
+    "d3.self.z3_9":
+        "a1cf1232e899e012c475d71eb2c2db5062e12709e938306dfc8100829ed7463f",
+    "d3.z3_3.spec1_2":
+        "2480e689cd3a87439cd1ec80942fdac07120a12ca78b11088c930a5fd54b026c",
+    "a8_3.z2_4.mod_z2":
+        "a143e2604b764ba47d5a1ad41921c1446d310839e4ef3bcbb01e490ce3dd8936",
+    "d3.z2_4.no_flag":
+        "77e2b2ccfce78d49343c26c80947ba8268b8bad22d7128119778741fe6729245",
+}
+
+
+def test_mixed_moduli_cohomology_output_bytes_are_frozen(tmp_path, capsys):
+    paths = {}
+    for name, q in (("d3", make_dihedral(3)), ("d4", make_dihedral(4)),
+                    ("a8_3", make_alexander(8, 3))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(q.to_json()))
+    paths["d3_self"] = tmp_path / "d3_self.json"
+    paths["d3_self"].write_text(json.dumps(
+        quandle_as_module(make_dihedral(3)).describe()))
+    cases = {
+        "d3.z2_4": ("d3", "2,4"),
+        "d4.z2_4": ("d4", "2,4"),
+        "d4.z2_4.deg3": ("d4", "2,4", "--degree", "3"),
+        "d3.z3_0": ("d3", "3,0"),
+        "d3.z2_3.positive": ("d3", "2,3", "--spec", "1,-1"),
+        "d3.self.z3_9": ("d3", "3,9", "--module", str(paths["d3_self"])),
+        "d3.z3_3.spec1_2": ("d3", "3,3", "--spec", "1,2"),
+        "a8_3.z2_4.mod_z2": ("a8_3", "2,4", "--module", "Z/2"),
+        "d3.z2_4.no_flag": ("d3", "2,4", "--no-quandle-flag"),
+    }
+    assert cases.keys() == MIXED_COHOMOLOGY_SHA256.keys()
+    for label, (name, coeff, *extra) in cases.items():
+        code, out, err = _main_in_process(capsys, [
+            "cohomology", "--quandle", str(paths[name]), "--coeff", coeff,
+            *extra])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            MIXED_COHOMOLOGY_SHA256[label], label
+
+
 # sha256, per flavor, of the exit code, stdout and stderr of `qci
 # invariant` on a non-cocycle whose degenerate entries are 0, so that each
 # gate reports the cocycle axiom: over three diagrams, with and without
@@ -840,6 +895,73 @@ def test_exterior_semiarc_must_be_an_integer(files):
         assert (code, out) == (2, ""), semiarc
         assert json.loads(err)["error"] == \
             f"exterior semi-arc must be an integer, not {semiarc!r}"
+
+
+def test_diagram_integers_refuse_bool_and_non_integers(files, capsys):
+    # JSON true once read as the integer 1 in each of these fields: as
+    # semi-arc 1, over slot 1, orients entry 0, a counterclockwise loop and
+    # schema version 1
+    trefoil = corpus.load_json("trefoil")
+    mirror = corpus.load_json("trefoil_mirror")
+
+    def crossing0(record, **fields):
+        first = dict(record["crossings"][0], **fields)
+        return dict(record, crossings=[first] + record["crossings"][1:])
+
+    cases = [
+        (crossing0(trefoil, rot=[0, 2, 3, True]),
+         "crossings[0].rot[3] must be an integer, not True"),
+        (crossing0(trefoil, rot=[0, 2, 3, 1.0]),
+         "crossings[0].rot[3] must be an integer, not 1.0"),
+        (crossing0(trefoil, rot=5),
+         "crossings[0].rot must be a list of integers, not 5"),
+        (crossing0(mirror, over=True),
+         "crossings[0].over must be an integer, not True"),
+        (crossing0(mirror, orients=[False, 1]),
+         "crossings[0].orients[0] must be an integer, not False"),
+        ({"v": 1, "free_loops": [True]},
+         "free_loops[0] must be an integer, not True"),
+        ({"v": 1, "free_loops": ["1"]},
+         "free_loops[0] must be an integer, not '1'"),
+        (dict(trefoil, v=True), "v must be an integer, not True"),
+        (dict(trefoil, v="1"), "v must be an integer, not '1'"),
+    ]
+    path = files["tmp"] / "bools.json"
+    for data, message in cases:
+        path.write_text(json.dumps(data))
+        code, out, err = _main_in_process(capsys, [
+            "indices", "--diagram", str(path)])
+        assert (code, out) == (2, ""), message
+        assert json.loads(err)["error"] == message
+    # the integer forms still read
+    for data in (trefoil, crossing0(mirror, orients=[0, 1]),
+                 {"v": 1, "free_loops": [1]}):
+        path.write_text(json.dumps(data))
+        assert _main_in_process(capsys, [
+            "indices", "--diagram", str(path)])[0] == 0
+
+
+def test_component_hints_are_checked(files, capsys):
+    # a list once escaped main as an AttributeError traceback, and a key
+    # that is no integer exited 2 with Python's int() message
+    trefoil = corpus.load_json("trefoil")
+    cases = [
+        ([1], "components must be an object from semi-arc ids to "
+              "components, not [1]"),
+        ({"x": 0}, "components key 'x' is not a semi-arc id"),
+        ({"0": True}, "components[0] must be an integer, not True"),
+        ({"0": 1}, "component hints disagree with the diagram"),
+    ]
+    path = files["tmp"] / "hints.json"
+    for hints, message in cases:
+        path.write_text(json.dumps(dict(trefoil, components=hints)))
+        code, out, err = _main_in_process(capsys, [
+            "indices", "--diagram", str(path)])
+        assert (code, out) == (2, ""), hints
+        assert json.loads(err)["error"] == message
+    path.write_text(json.dumps(dict(trefoil, components={"0": 0, "5": 0})))
+    assert _main_in_process(capsys, ["indices", "--diagram", str(path)])[0] \
+        == 0
 
 
 def test_cochain_entries_are_checked(files, capsys):

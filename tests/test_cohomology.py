@@ -7,12 +7,13 @@ from itertools import product
 import pytest
 
 from qci import corpus, modlinalg
-from qci.algebra import (CoeffGroup, IntUnit, ShiftUnit, StructureError,
-                         cyclic_shadow_module,
+from qci.algebra import (CoeffGroup, IntUnit, Scalar, ShiftUnit,
+                         StructureError, cyclic_shadow_module,
                          make_alexander, make_dihedral, make_trivial,
                          orbit_shadow_module, orbits, quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec,
-                            _merge_factors, cohomology_basis, d_left, d_right, differential,
+                            _merge_factors, cocycle_basis, cohomology_basis,
+                            d_left, d_right, differential,
                             is_cocycle, is_in_span, is_link_twisted_cocycle,
                             link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
@@ -432,6 +433,63 @@ def test_mixed_moduli_cohomology():
     assert not is_in_span(basis.coboundaries, phi)
 
 
+class _Shear(Scalar):
+    """(x, y) -> (x, 2x + y) on Z/2 x Z/4: a unit that mixes the two
+    coordinates, so the pieces of the mixed moduli cannot be solved apart."""
+
+    def apply(self, x, power=1):
+        return (x[0] % 2, (2 * power * x[0] + x[1]) % 4)
+
+    def int_matrix(self, power=1):
+        return [[1, 0], [2 * power, 1]]
+
+
+def test_mixed_moduli_refuse_coordinate_mixing():
+    q = make_dihedral(3)
+    A = CoeffGroup((2, 4))
+    spec = DifferentialSpec(IntUnit(A, 1), _Shear(A))
+    for module in (None, quandle_as_module(q)):
+        for basis in (cohomology_basis, cocycle_basis):
+            with pytest.raises(StructureError, match="^mixed-modulus system "
+                               "with coordinate mixing$"):
+                basis(spec, q, module, A, 2)
+    # the same shear on equal moduli is one piece of both coordinates
+    A = CoeffGroup((4, 4))
+    spec = DifferentialSpec(IntUnit(A, 1), _Shear(A))
+    for c in cohomology_basis(spec, q, None, A, 2).cocycles:
+        assert is_cocycle(spec, c)
+
+
+def test_kernel_rows_are_sparse(monkeypatch):
+    # every row reaching the elimination is a dict holding at most the
+    # 2(k+1) terms of its point times d coordinates, never a dense row
+    seen = []
+    kernel = modlinalg.kernel_mod
+
+    def spy(rows, ncols, n):
+        seen.append(rows)
+        return kernel(rows, ncols, n)
+
+    monkeypatch.setattr(modlinalg, "kernel_mod", spy)
+    q = make_dihedral(3)
+    for moduli, unit in (((5,), lambda A: IntUnit(A, 2)),
+                         ((0,), lambda A: IntUnit(A, -1)),
+                         ((2, 3), lambda A: IntUnit(A, -1)),
+                         ((3, 3, 3), lambda A: ShiftUnit(A))):
+        A = CoeffGroup(moduli)
+        spec = DifferentialSpec(IntUnit(A, 1), unit(A))
+        for module in (None, quandle_as_module(q)):
+            for k in (1, 2, 3):
+                for flag in (True, False):
+                    del seen[:]
+                    cohomology_basis(spec, q, module, A, k, flag)
+                    assert len(seen) == len(set(moduli))
+                    for rows in seen:
+                        assert rows and all(
+                            type(r) is dict and len(r) <= 2 * (k + 1) * A.d
+                            for r in rows), (moduli, k)
+
+
 def _matrix(unit, power=1):
     """The integer matrix of a unit, read off its action on unit vectors."""
     d = unit.group.d
@@ -471,8 +529,8 @@ def test_differential_rows_match_pointwise_differential(k):
     def matrix_image(spec, theta):
         x = _flat(theta)
         rows = _differential_rows(spec, theta.quandle, theta.module,
-                                  theta.coeff, theta.degree)
-        got = [sum(a * b for a, b in zip(row, x)) for row in rows]
+                                  theta.degree, range(theta.coeff.d))
+        got = [sum(v * x[c] for c, v in row.items()) for row in rows]
         mods = theta.coeff.moduli * (len(got) // theta.coeff.d)
         return [v % n if n else v for v, n in zip(got, mods)]
 

@@ -246,6 +246,36 @@ def test_quotient_invariant_factors_match_bruteforce(n):
     assert brute_invariant_factors([[1, 0], [0, 1]], [], n, 2) == [n, n]
 
 
+@pytest.mark.parametrize("n", [0, 2, 3, 7, 4, 6, 12])
+def test_dict_rows_read_as_their_dense_rows(n):
+    # a row given as a dict {column: entry}, in any key order and with some
+    # zero entries kept, is the dense row holding those entries
+    rng = random.Random(500 + n)
+    span = n or 9
+
+    def as_dict(row):
+        items = [(j, v) for j, v in enumerate(row)
+                 if v or rng.random() < 0.3]
+        rng.shuffle(items)
+        return dict(items)
+
+    for _ in range(20):
+        width = rng.randrange(1, 7)
+        rows = [[rng.randrange(-span, span) if rng.random() < 0.5 else 0
+                 for _ in range(width)] for _ in range(rng.randrange(8))]
+        image = [[sum(q * r[c] for q, r in zip(coeffs, rows))
+                  for c in range(width)]
+                 for coeffs in ([rng.randrange(-span, span) for _ in rows]
+                                for _ in range(rng.randrange(3)))]
+        dicts = list(map(as_dict, rows))
+        image_dicts = list(map(as_dict, image))
+        assert ml.howell(dicts, n, width) == ml.howell(rows, n, width)
+        assert ml.kernel_mod(dicts, width, n) == \
+            ml.kernel_mod(rows, width, n)
+        assert ml.quotient_invariant_factors(dicts, image_dicts, n, width) \
+            == ml.quotient_invariant_factors(rows, image, n, width)
+
+
 def test_quotient_over_int():
     # Z^2 / <(0,2)> = Z + Z_2
     free, tors = ml.quotient_over_int([[1, 0], [0, 1]], [[0, 2]], 2)
