@@ -167,6 +167,8 @@ def quandle_tables(data):
     if data.get("v", 1) != 1:
         raise StructureError("unsupported schema version")
     op = data["op"]
+    if not isinstance(op, list) or not all(isinstance(r, list) for r in op):
+        raise StructureError(f"op must be a list of lists, not {op!r}")
     if "size" in data and (not is_integer(data["size"])
                            or data["size"] != len(op)):
         raise StructureError("size field disagrees with op table")
@@ -468,7 +470,11 @@ class CoeffGroup:
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple(data["moduli"]))
+        if not isinstance(data, dict) or not isinstance(data.get("moduli"),
+                                                        list):
+            raise StructureError("coeff must be an object with a 'moduli' "
+                                 f"list, not {data!r}")
+        return cls(data["moduli"])
 
     def __eq__(self, other):
         return isinstance(other, CoeffGroup) and self.moduli == other.moduli

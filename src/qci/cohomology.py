@@ -6,12 +6,13 @@ drops the m slot.  Every theory here is one shadow-type differential
 (DifferentialSpec): d_left weighted by a matrix of each term's acting
 color, minus d_right under a constant weight.
 
-Each cocycle condition is written down once, as each point's weighted
-table entries (_point_terms).  The gates evaluate it point by point and
-stop at the first failing one, the dense differentials evaluate it at every
-point, and _differential_rows lays it out as sparse integer rows, one dict
-{column: entry} per point and coordinate, whose kernel is the cocycle basis
-and whose columns one degree down span the coboundaries.
+Each cocycle condition is written down once, as index columns
+(_columns): per term, the acting color and the two table positions read
+at each point.  The gates and the dense differentials gather the weighted
+values through them (_sums), and _differential_rows reads them point by
+point as sparse integer rows, one dict {column: entry} per point and
+coordinate, whose kernel is the cocycle basis and whose columns one degree
+down span the coboundaries.
 
 Every cochain is a dense table over a finite table module.  The shadow
 cochain alpha^-m w of a twisted (per-orbit twisted) cochain w has region
@@ -31,9 +32,9 @@ become cochains that are zero off them.
 """
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, compress, count, islice, product, repeat
 from math import gcd
-from operator import mul
+from operator import add, getitem, mod, mul, sub
 
 from .algebra import (AxiomReport, CoeffGroup, IntUnit, Scalar,
                       StructureError, is_integer, orbit_shadow_module)
@@ -148,14 +149,18 @@ class Cochain:
     @classmethod
     def from_json(cls, data, quandle, module=None):
         from .algebra import module_from_json
-        coeff = CoeffGroup.from_json(data["coeff"])
+        if not isinstance(data, dict):
+            raise StructureError("cochain json must be an object")
+        coeff = CoeffGroup.from_json(data.get("coeff"))
         if module is None and data.get("module") is not None:
             module = module_from_json(data["module"], quandle)
-        degree = data["degree"]
+        degree = data.get("degree")
         if not is_integer(degree) or degree < 0:
             raise StructureError(f"degree must be an integer >= 0, "
                                  f"not {degree!r}")
-        raw = list(data["values"])
+        raw = data.get("values")
+        if not isinstance(raw, list):
+            raise StructureError(f"values must be a list, not {raw!r}")
         values = [tuple(v) if isinstance(v, list) else (v,) for v in raw]
         # a bare integer reads as a one-entry list, and type() keeps bool
         # out; the per-entry scan only locates an entry known to be bad
@@ -189,10 +194,9 @@ def _domain(quandle, module, degree):
             for args in product(range(quandle.n), repeat=degree))
 
 
-def _image(spec, phi):
-    """The dense cochain rows . values of the spec differential."""
-    values = [_value(terms, phi.values, phi.coeff.d) for _m, _args, terms
-              in _point_terms(spec, phi.quandle, phi.module, phi.degree)]
+def differential(spec, phi):
+    """The spec differential of phi, dense."""
+    values = list(zip(*_sums(spec, phi)))
     return Cochain(phi.quandle, phi.module, phi.coeff, phi.degree + 1, values)
 
 
@@ -207,17 +211,12 @@ def _one_side(coeff, k_left, k_right):
 
 def d_left(phi):
     """Dense d_left, the weights (1, 0)."""
-    return _image(_one_side(phi.coeff, 1, 0), phi)
+    return differential(_one_side(phi.coeff, 1, 0), phi)
 
 
 def d_right(phi):
     """Dense d_right, the weights (0, -1)."""
-    return _image(_one_side(phi.coeff, 0, -1), phi)
-
-
-def differential(spec, phi):
-    """The spec differential of phi, dense."""
-    return _image(spec, phi)
+    return differential(_one_side(phi.coeff, 0, -1), phi)
 
 
 def _degenerate_args(args):
@@ -238,11 +237,16 @@ def is_cocycle(spec, phi, quandle_flag=True):
         for (m, args), v in zip(phi.domain(), phi.values):
             if v != zero and _degenerate_args(args):
                 return AxiomReport(False, "degenerate-vanishing", (m,) + args)
-    for m, args, terms in _point_terms(spec, phi.quandle, phi.module,
-                                       phi.degree):
-        if phi.coeff.reduce(_value(terms, phi.values, phi.coeff.d)) != zero:
-            return AxiomReport(False, "cocycle", (m,) + args)
-    return AxiomReport(True)
+    # the first point in table order with a coordinate nonzero modulo n
+    points = len(phi.values) * phi.quandle.n
+    first = min(next(compress(count(), map(mod, sums, repeat(n)) if n
+                              else sums), points)
+                for sums, n in zip(_sums(spec, phi), phi.coeff.moduli))
+    if first == points:
+        return AxiomReport(True)
+    m, args = next(islice(_domain(phi.quandle, phi.module, phi.degree + 1),
+                          first, None))
+    return AxiomReport(False, "cocycle", (m,) + args)
 
 
 def is_link_twisted_cocycle(phi, alphas, orbit_map, quandle_flag=True):
@@ -263,7 +267,8 @@ def link_twisted_coboundary(theta, alphas, orbit_map):
     """Degree-2 coboundary of theta: Q -> A in the orbit-twisted theory."""
     if theta.degree != 1 or theta.module is not None:
         raise StructureError("need a degree-1 cochain with trivial module")
-    return _image(DifferentialSpec.link_twisted(alphas, orbit_map), theta)
+    return differential(DifferentialSpec.link_twisted(alphas, orbit_map),
+                        theta)
 
 
 def _order(unit):
@@ -321,68 +326,81 @@ def _flat_index(quandle, module, m, args):
     return idx
 
 
-def _point_terms(spec, quandle, module, degree):
-    """The spec differential C^degree -> C^{degree+1}, point by point in
-    table order: (m, a_1..a_{k+1}, terms), where the value at the point is
-    the sum of sign * weight . values[position] over the terms.  With
-    alternating signs over i, the terms are left(a_i) at
-    (m |> a_i, a_1 |> a_i, .., a_{i-1} |> a_i, a_{i+1}, ..) minus right at
-    (m, a_1, .., a_{i-1}, a_{i+1}, ..).  This is the only place a cocycle
-    condition is written down.
+def _columns(quandle, module, degree):
+    """The differential C^degree -> C^{degree+1} as index columns: per
+    term i, three lists over the degree+1 points (m, a_1, ..) in table
+    order: the acting color a = a_{i+1}, the left position (of m |> a,
+    a_1 |> a, .., a_i |> a, a_{i+2}, ..) and the right one (of m, a_1, ..,
+    a_i, a_{i+2}, ..).  The differential at a point is the sum over i of
+    (-1)^i (left(a) . values[left] - right . values[right]).
 
-    Positions are integer sums on the op and action tables: a degree-k
-    position is m * n^k + sum_j b_j * n^(k-j), m being 0 on a trivial
-    module.  The right term's prefix and the shared suffix are carried from
-    one i to the next."""
-    n, right = quandle.n, spec.right
+    A degree-k position is m * n^k + sum_j b_j * n^(k-j), m being 0 on a
+    trivial module.  Appending a color c to each point maps the earlier
+    terms' positions x to x * n + c and adds the term acting by c, which
+    reads the point itself on the right and the acted point on the left."""
+    n, op = quandle.n, quandle.op
     action = ((0,) * n,) if module is None else module.action
-    top = n ** degree
-    place = [n ** (degree - j) for j in range(1, degree + 1)]
-    column = [tuple(row[a] for row in quandle.op) for a in range(n)]
-    left = [spec.left(a) for a in range(n)]
-    for m, args in _domain(quandle, module, degree + 1):
-        terms = []
-        head, tail = 0, sum(map(mul, args[1:], place))
-        for i, ai in enumerate(args):
-            sign = -1 if i % 2 else 1
-            acted = sum(map(mul, map(column[ai].__getitem__, args[:i]), place))
-            terms.append((left[ai], sign, action[m][ai] * top + acted + tail))
-            terms.append((right, -sign, m * top + head + tail))
-            if i < degree:
-                head += ai * place[i]
-                tail -= args[i + 1] * place[i]
-        yield m, args, terms
+    colors = range(n)
+    columns, acted = [], [row[a] for row in action for a in colors]
+    for k in range(degree + 1):
+        points = len(action) * n ** k
+        if k:
+            columns = [([a for a in acting for _c in colors],
+                        [x * n + c for x in lefts for c in colors],
+                        [x * n + c for x in rights for c in colors])
+                       for acting, lefts, rights in columns]
+            acted = [acted[j * n + a] * n + row[a]
+                     for j in range(points // n) for row in op for a in colors]
+        columns.append((list(colors) * points, acted,
+                        [j for j in range(points) for _a in colors]))
+    return columns
 
 
-def _value(terms, values, d):
-    """One point's unreduced differential value (see _point_terms)."""
-    total = [0] * d
-    for mat, sign, pos in terms:
-        v = values[pos]
-        for r, mrow in enumerate(mat):
-            total[r] += sign * sum(map(mul, mrow, v))
-    return total
+def _sums(spec, phi):
+    """The spec differential of phi, unreduced: per coordinate, its values
+    at the degree+1 points in table order, gathered through the _columns
+    from the values weighted once by each distinct weight matrix."""
+    keys = [tuple(map(tuple, mat)) for mat in
+            [*map(spec.left, range(phi.quandle.n)), spec.right]]
+    weighed = {key: [[sum(map(mul, row, v)) for v in phi.values]
+                     for row in key] for key in set(keys)}
+    *left, right = map(weighed.__getitem__, keys)
+    columns, out = _columns(phi.quandle, phi.module, phi.degree), []
+    for r in range(phi.coeff.d):
+        by_color, total = [w[r] for w in left], repeat(0)
+        for i, (colors, lefts, rights) in enumerate(columns):
+            on_left, on_right = (sub, add) if i % 2 else (add, sub)
+            total = map(on_right, map(on_left, total, map(
+                getitem, map(by_color.__getitem__, colors), lefts)),
+                map(right[r].__getitem__, rights))
+        out.append(list(total))
+    return out
 
 
 def _differential_rows(spec, quandle, module, degree, coords):
     """The spec differential C^degree -> C^{degree+1} on the coordinates
-    coords of one piece: each point's _point_terms as one sparse row
-    {column: entry} per coordinate of coords, the column of coordinate
-    coords[j] at position pos being pos * len(coords) + j.  A row with a
-    nonzero entry on a coordinate outside the piece is refused."""
+    coords of one piece: each point's terms (the zipped _columns) as one
+    sparse row {column: entry} per coordinate of coords, the column of
+    coordinate coords[j] at position pos being pos * len(coords) + j.  A
+    row with a nonzero entry on a coordinate outside the piece is refused."""
     w = len(coords)
     slot = {c: j for j, c in enumerate(coords)}
+    left = [spec.left(a) for a in range(quandle.n)]
     rows = []
-    for _m, _args, terms in _point_terms(spec, quandle, module, degree):
+    for point in zip(*(zip(*term) for term in _columns(quandle, module,
+                                                         degree))):
         for r in coords:
             row, outside = {}, {}
-            for mat, sign, pos in terms:
-                for c, x in enumerate(mat[r]):
-                    if x and c in slot:
-                        key = pos * w + slot[c]
-                        row[key] = row.get(key, 0) + sign * x
-                    elif x:
-                        outside[pos, c] = outside.get((pos, c), 0) + sign * x
+            for i, (a, lpos, rpos) in enumerate(point):
+                for mat, sign, pos in ((left[a], (-1) ** i, lpos),
+                                       (spec.right, -(-1) ** i, rpos)):
+                    for c, x in enumerate(mat[r]):
+                        if x and c in slot:
+                            key = pos * w + slot[c]
+                            row[key] = row.get(key, 0) + sign * x
+                        elif x:
+                            outside[pos, c] = (outside.get((pos, c), 0)
+                                               + sign * x)
             if any(outside.values()):
                 raise StructureError(
                     "mixed-modulus system with coordinate mixing")

@@ -365,8 +365,11 @@ def parse_diagram(data):
         raise StructureError("diagram json must be an object")
     if _integer(data.get("v", 1), "v") != 1:
         raise StructureError("unsupported schema version")
+    records = data.get("crossings", [])
+    if not isinstance(records, list):
+        raise StructureError(f"crossings must be a list, not {records!r}")
     crossings = []
-    for ci, rec in enumerate(data.get("crossings", ())):
+    for ci, rec in enumerate(records):
         if not isinstance(rec, dict) or "rot" not in rec or "over" not in rec:
             raise StructureError("crossing record needs rot and over")
         rot = _integers(rec["rot"], f"crossings[{ci}].rot")

@@ -925,6 +925,8 @@ def test_diagram_integers_refuse_bool_and_non_integers(files, capsys):
          "free_loops[0] must be an integer, not '1'"),
         (dict(trefoil, v=True), "v must be an integer, not True"),
         (dict(trefoil, v="1"), "v must be an integer, not '1'"),
+        ({"v": 1, "crossings": 5},
+         "crossings must be a list, not 5"),
     ]
     path = files["tmp"] / "bools.json"
     for data, message in cases:
@@ -985,6 +987,20 @@ def test_cochain_entries_are_checked(files, capsys):
     cases += [(dict(record, degree=k),
                f"degree must be an integer >= 0, not {k!r}")
               for k in (-1, True, 2.0, "2")]
+    # a missing or mistyped envelope field is named, not met by Python's
+    # own KeyError or TypeError message
+    missing = {key: {k: v for k, v in record.items() if k != key}
+               for key in ("coeff", "values", "degree")}
+    cases += [(missing["coeff"],
+               "coeff must be an object with a 'moduli' list, not None"),
+              (dict(record, coeff=5),
+               "coeff must be an object with a 'moduli' list, not 5"),
+              (dict(record, coeff={"moduli": 3}), "coeff must be an object "
+               "with a 'moduli' list, not {'moduli': 3}"),
+              (missing["values"], "values must be a list, not None"),
+              (dict(record, values=5), "values must be a list, not 5"),
+              (missing["degree"], "degree must be an integer >= 0, not None"),
+              ([record], "cochain json must be an object")]
     for data, message in cases:
         path.write_text(json.dumps(data))
         for argv in commands:
@@ -1007,7 +1023,10 @@ def test_check_quandle_envelope_matches_the_reader(files, capsys):
               "size field disagrees with op table"),
              ({"v": 1, "size": True, "op": [[0]]},
               "size field disagrees with op table"),
-             ({"size": 3}, "quandle json needs an 'op' table")]
+             ({"size": 3}, "quandle json needs an 'op' table"),
+             ({"v": 1, "op": 5}, "op must be a list of lists, not 5"),
+             ({"v": 1, "size": 1, "op": [0]},
+              "op must be a list of lists, not [0]")]
     for data, message in cases:
         path.write_text(json.dumps(data))
         for argv in (["check", "--kind", "quandle", "--file", str(path)],

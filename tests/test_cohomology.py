@@ -633,7 +633,7 @@ def test_gate_witness_matches_oracle_first_failure():
     # so that the differential's rows are reached, some with one of them
     # left nonzero at a random place, plus coboundaries: the gates report
     # the verdict, axiom and witness of the qci-free oracle's first
-    # failure in table order
+    # failure in table order; degree 3 acts on prefixes of two colors
     rng = random.Random(61)
     seen = set()
 
@@ -655,10 +655,12 @@ def test_gate_witness_matches_oracle_first_failure():
         alpha_l, alpha_r = units(A)
         spec = DifferentialSpec(alpha_l, alpha_r)
         left, right = [_matrix(alpha_l)] * q.n, _matrix(alpha_r)
-        for module in (None, quandle_as_module(q), cyclic_shadow_module(q, 2)):
+        for module, degrees in ((None, (1, 2, 3)),
+                                (quandle_as_module(q), (1, 2, 3)),
+                                (cyclic_shadow_module(q, 2), (1, 2))):
             act = module.act if module is not None else (lambda m, a: m)
             size = module.size if module is not None else 1
-            for degree in (1, 2):
+            for degree in degrees:
                 for trial in range(6):
                     phi = random_cochain(rng, q, module, A, degree)
                     if trial % 2:
@@ -696,39 +698,42 @@ def test_gate_witness_matches_oracle_first_failure():
     assert seen == {"pass", "cocycle", "degenerate-vanishing"}
 
 
-def test_gates_and_dense_maps_read_the_condition_point_by_point(monkeypatch):
+def test_gates_and_dense_maps_read_the_condition_through_the_columns(
+        monkeypatch):
     # the gates and the dense differentials never build the rows x columns
-    # matrix (32768 x 4096 entries for the degree-3 table below), and a
-    # gate stops at the first failing point in table order
+    # matrix (32768 x 4096 entries for the degree-3 table below): each
+    # reads the index columns of the differential once, and a gate still
+    # reports the oracle's first failing point in table order
     from qci import cohomology
 
     def no_matrix(*args):
         raise AssertionError("dense differential matrix built")
 
-    evaluated = []
-    value = cohomology._value
+    built = []
+    columns = cohomology._columns
 
-    def counted(terms, values, d):
-        evaluated.append(1)
-        return value(terms, values, d)
+    def counted(*args):
+        built.append(args[2])
+        return columns(*args)
 
     monkeypatch.setattr(cohomology, "_differential_rows", no_matrix)
-    monkeypatch.setattr(cohomology, "_value", counted)
+    monkeypatch.setattr(cohomology, "_columns", counted)
     q = make_alexander(8, 3)
     A = CoeffGroup((4,))
     module = quandle_as_module(q)
     spec = DifferentialSpec.quandle(A)
     rng = random.Random(5)
-    report = is_cocycle(spec, random_cochain(rng, q, module, A, 3),
-                        quandle_flag=False)
-    assert report.axiom == "cocycle"
-    position = 0
-    for x in report.witness:
-        position = position * q.n + x
-    assert len(evaluated) == position + 1
+    phi = random_cochain(rng, q, module, A, 3)
+    report = is_cocycle(spec, phi, quandle_flag=False)
+    identity = _scaled_identity(1, 1)
+    assert (report.axiom, report.witness) == first_failure(
+        phi.at, module.act, q.apply, [identity] * q.n, identity, (4,), q.n,
+        module.size, 3, False)
+    assert built == [3]
     theta = random_cochain(rng, q, module, A, 1)
     assert is_cocycle(spec, differential(spec, theta))
     assert d_left(theta).quandle is q and d_right(theta).degree == 2
+    assert built == [3, 1, 2, 1, 1]
     om = orbits(q)
     alphas = [IntUnit(A, 3), IntUnit(A, 1)]
     cob = link_twisted_coboundary(random_cochain(rng, q, None, A, 1), alphas,
