@@ -416,7 +416,7 @@ class CoeffGroup:
         if not moduli:
             raise StructureError("coefficient group needs at least one modulus")
         for n in moduli:
-            if not isinstance(n, int) or (n != 0 and n < 2):
+            if not is_integer(n) or (n != 0 and n < 2):
                 raise StructureError(f"modulus {n!r} must be 0 or >= 2")
         self.moduli = moduli
         self.d = len(moduli)

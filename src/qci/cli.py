@@ -64,6 +64,14 @@ def _parse_spec(text, coeff):
     return DifferentialSpec(IntUnit(coeff, l), IntUnit(coeff, r))
 
 
+def _parse_coeff(text):
+    try:
+        moduli = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise StructureError("--coeff expects integer moduli like 3 or 2,4")
+    return CoeffGroup(moduli)
+
+
 # --module words for the symbolic shadow carriers: region colors in Z, or
 # in the free abelian group on the quandle orbits
 SYMBOLIC = ("Z", "orbitZ")
@@ -163,7 +171,7 @@ def cmd_colorings(args, inputs):
 
 def cmd_cohomology(args, inputs):
     q = Quandle.from_json(inputs.read_json(args.quandle))
-    coeff = CoeffGroup(tuple(int(x) for x in args.coeff.split(",")))
+    coeff = _parse_coeff(args.coeff)
     module = None
     if args.module:
         module = _parse_module(args.module, inputs, q)

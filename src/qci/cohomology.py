@@ -33,7 +33,6 @@ become cochains that are zero off them.
 
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, product, repeat
-from math import gcd
 from operator import add, getitem, mod, mul, sub
 
 from .algebra import (AxiomReport, CoeffGroup, IntUnit, Scalar,
@@ -151,6 +150,9 @@ class Cochain:
         from .algebra import module_from_json
         if not isinstance(data, dict):
             raise StructureError("cochain json must be an object")
+        v = data.get("v", 1)
+        if not is_integer(v) or v != 1:
+            raise StructureError("unsupported schema version")
         coeff = CoeffGroup.from_json(data.get("coeff"))
         if module is None and data.get("module") is not None:
             module = module_from_json(data["module"], quandle)
@@ -464,18 +466,6 @@ class CohomologyBasis:
     free_rank: int
 
 
-def _merge_factors(factor_lists):
-    """Canonical invariant-factor chain of a direct sum of cyclic groups:
-    replacing (f_i, f_j) by (gcd, lcm) for every i < j leaves a divisor
-    chain, and its 1s are trivial summands."""
-    chain = [f for factors in factor_lists for f in factors]
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            g = gcd(chain[i], chain[j])
-            chain[i], chain[j] = g, chain[i] * chain[j] // g
-    return [f for f in chain if f != 1]
-
-
 def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
     """Cocycles, coboundaries, and invariant factors in one degree.
 
@@ -485,7 +475,7 @@ def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
     factors describe the quotient group.
     """
     shape = (quandle, module, coeff, degree)
-    cocycles, coboundaries, factor_lists, free_rank = [], [], [], 0
+    cocycles, coboundaries, torsion, free_rank = [], [], [], 0
     for coords, n, width, kernel in _pieces(spec, *shape, quandle_flag):
         # the image of the previous differential is spanned by the columns
         # of its rows, less those of degenerate inputs when flagged
@@ -503,12 +493,13 @@ def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):
         factors = modlinalg.quotient_invariant_factors(kernel, basis, n,
                                                        width)
         free_rank += factors.count(0)
-        factor_lists.append([f for f in factors if f])
+        torsion += [f for f in factors if f]
         cocycles += _cochains(kernel, coords, *shape)
         coboundaries += _cochains(basis, coords, *shape)
+    # the pieces' chains merge into one; a 1 there is a trivial summand
+    torsion = [f for f in modlinalg.merge_factors(torsion) if f != 1]
     return CohomologyBasis(cocycles=cocycles, coboundaries=coboundaries,
-                           torsion=_merge_factors(factor_lists),
-                           free_rank=free_rank)
+                           torsion=torsion, free_rank=free_rank)
 
 
 def cocycle_basis(spec, quandle, module, coeff, degree=2, quandle_flag=True):

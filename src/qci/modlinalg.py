@@ -14,18 +14,22 @@ Hermite normal form: pivots positive, entries above each pivot in
 One elimination serves every ring.  It works on sparse rows, dicts from
 column to a nonzero value (mod n when n > 0): a cocycle condition touches
 a handful of table entries, so differential rows have a few nonzeros in
-hundreds of columns.  `howell` and `kernel_mod` share it.  The kernel of M
-is read off the Howell form of [H^T | I], where H are the echelon rows of
-M itself: H has the row span of M, hence its kernel, and at most `ncols`
-rows (one per pivot column), so the augmented matrix is len(H) + ncols
-wide instead of nrows + ncols.  Only the rows whose pivot lies in the
-identity part reach the output, so only those are reduced above their
-pivots.  The Howell form is canonical, so the kernel basis does not
-depend on this route.
+hundreds of columns.  `howell`, `kernel_mod` and `snf_diagonal` share it.
+The kernel of M is read off the Howell form of [H^T | I], where H are the
+echelon rows of M itself: H has the row span of M, hence its kernel, and
+at most `ncols` rows (one per pivot column), so the augmented matrix is
+len(H) + ncols wide instead of nrows + ncols.  Only the rows whose pivot
+lies in the identity part reach the output, so only those are reduced
+above their pivots.  The Howell form is canonical, so the kernel basis
+does not depend on this route.
 
 Quotients (invariant factors of cohomology groups) present the kernel span
-on its Howell rows and take a Smith form; over Z/n its entries are reduced
-mod n after every step, so no integer grows past about n^2.
+on its Howell rows and take a Smith form.  Its diagonal comes from the same
+elimination: the Howell form of the rows and of its transpose alternate
+until each row has one entry, and `merge_factors`, the one gcd/lcm pass
+that also merges cohomology's pieces, orders those pivots into the
+invariant-factor chain.  Over Z/n every entry stays reduced mod n, so no
+integer grows past about n^2.
 
 `hnf`, `kernel_int`, `solve_in_hnf` and `quotient_over_int` are the n == 0
 cases under their integer names.
@@ -243,64 +247,45 @@ def kernel_mod(rows, ncols, n):
     return [_dense(tail[j], ncols, left) for j in _reduce_above(tail, n)]
 
 
-def _mod(row, n):
-    """The row reduced mod n; over Z (n == 0) the row itself."""
-    return [v % n for v in row] if n else row
+def merge_factors(factors):
+    """Invariant-factor chain of the direct sum of the cyclic groups Z/f:
+    replacing (f_i, f_j) by (gcd, lcm) for every i < j leaves each entry
+    dividing the next.  1s, the trivial summands, are kept."""
+    chain = list(factors)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return chain
 
 
-def _clear_first_column(a, n):
-    """Unimodular row operations zeroing a[i][0] for i > 0; True if the
-    pivot a[0][0] changed on the way (entries reduced mod n when n > 0)."""
-    changed = False
-    for i in range(1, len(a)):
-        p, b = a[0][0], a[i][0]
-        if not b:
-            continue
-        if b % p == 0:
-            a[i] = _mod([v - (b // p) * u for u, v in zip(a[0], a[i])], n)
-        else:
-            g, x, y = xgcd(p, b)
-            a[0], a[i] = (_mod([x * u + y * v for u, v in zip(a[0], a[i])], n),
-                          _mod([(p // g) * v - (b // g) * u
-                                for u, v in zip(a[0], a[i])], n))
-            changed = True
-    return changed
+def snf_diagonal(rows, n=0):
+    """Diagonal of the Smith normal form (positive, divisibility chain).
 
-
-def snf_diagonal(rows, width, n=0):
-    """Diagonal of the Smith normal form (nonneg, divisibility chain).
-
-    With n > 0 the matrix is read over Z/n: entries are reduced mod n after
-    every step and each diagonal entry d is reported as gcd(d, n), its
-    associate dividing n.  Columns left without a pivot are not reported.
+    With n > 0 the matrix is read over Z/n and each diagonal entry d is
+    reported as gcd(d, n), its associate dividing n; the zero entries
+    (d == n) are not reported.  The Howell form of the rows and of its
+    transpose alternate until every echelon row has a single entry; its
+    pivots, merged into a chain, are the diagonal.
     """
-    a = [_mod(list(r) + [0] * (width - len(r)), n) for r in rows]
-    diag = []
+    rows = [_sparse(r, n) for r in rows]
     while True:
-        entries = [(abs(v), i, j) for i, r in enumerate(a)
-                   for j, v in enumerate(r) if v]
-        if not entries:
-            return diag
-        _, pi, pj = min(entries)
-        a[0], a[pi] = a[pi], a[0]
-        for r in a:
-            r[0], r[pj] = r[pj], r[0]
-        # clear the pivot's column, then (transposed) its row, until stable
-        while True:
-            dirty = _clear_first_column(a, n)
-            a = [list(c) for c in zip(*a)]
-            dirty = _clear_first_column(a, n) or dirty
-            a = [list(c) for c in zip(*a)]
-            if not dirty:
-                break
-        # enforce divisibility: the pivot must divide every remaining entry
-        p = gcd(a[0][0], n)
-        offender = next((r for r in a[1:] if any(v % p for v in r[1:])), None)
-        if offender is not None:
-            a[0] = _mod([x + y for x, y in zip(a[0], offender)], n)
-            continue
-        diag.append(p)
-        a = [r[1:] for r in a[1:]]
+        piv = _echelon(rows, n)
+        cols = _reduce_above(piv, n)
+        if all(len(piv[j]) == 1 for j in cols):
+            break
+        # the first pivot row, p at the head, becomes column 0, so the next
+        # first pivot is the gcd of that row: p itself or a proper divisor
+        # (of n over Z/n, a smaller positive integer over Z), which can
+        # drop only finitely often.  When it stays, p divides its row and
+        # (p, 0, ..., 0) is in the span, so the canonical form clears the
+        # row and column of p for good and the same argument runs on the rest
+        columns = {}
+        for k, j in enumerate(cols):
+            for c, v in piv[j].items():
+                columns.setdefault(c, {})[k] = v
+        rows = list(columns.values())
+    return [d for d in merge_factors(piv[j][j] for j in cols) if d != n]
 
 
 def quotient_invariant_factors(ker_rows, im_rows, n, dim):
@@ -328,7 +313,7 @@ def quotient_invariant_factors(ker_rows, im_rows, n, dim):
         if coords is None:
             raise ValueError("image vector outside the kernel span")
         rels.append(coords)
-    diag = snf_diagonal(rels, len(basis), n)
+    diag = snf_diagonal(rels, n)
     return [d for d in diag + [n] * (len(basis) - len(diag)) if d != 1]
 
 

@@ -4,8 +4,8 @@ Nothing here may import from the code paths it checks: signs, constraints
 and sums are recomputed from raw tables / raw crossing records.
 """
 
-from itertools import product
-from math import isqrt
+from itertools import combinations, permutations, product
+from math import gcd, isqrt
 
 
 def rref_rank_mod_p(rows, p):
@@ -112,6 +112,46 @@ def brute_invariant_factors(ker, im, n, dim):
                 factors[j] = factors.get(j, 1) * p
             prev, i = cur, i + 1
     return sorted(factors.values())
+
+
+def leibniz_determinant(m):
+    """Determinant of a square integer matrix by permutation expansion,
+    each term signed by the parity of its inversions."""
+    k = len(m)
+    total = 0
+    for perm in permutations(range(k)):
+        term = -1 if sum(perm[i] > perm[j] for i in range(k)
+                         for j in range(i + 1, k)) % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def smith_by_minors(rows, n=0):
+    """Smith diagonal from determinantal divisors (small matrices only).
+
+    Over Z, d_k = D_k / D_(k-1), where D_k is the gcd of all k x k minors,
+    for every k with D_k nonzero.  Over Z/n (n > 0) the Z form of the
+    integer entries reduces to gcd(d_k, n) on the diagonal, and the entries
+    equal to n, zero in Z/n, are dropped.
+    """
+    width = max(map(len, rows), default=0)
+    rows = [list(r) + [0] * (width - len(r)) for r in rows]
+    diag, prev = [], 1
+    for k in range(1, min(len(rows), width) + 1):
+        dk = 0
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(width), k):
+                dk = gcd(dk, leibniz_determinant(
+                    [[rows[i][j] for j in cs] for i in rs]))
+        if not dk:
+            break
+        diag.append(dk // prev)
+        prev = dk
+    if n:
+        diag = [g for g in (gcd(d, n) for d in diag) if g != n]
+    return diag
 
 
 def classical_condition_holds(op, vals, n, modulus):

@@ -1001,6 +1001,11 @@ def test_cochain_entries_are_checked(files, capsys):
               (dict(record, values=5), "values must be a list, not 5"),
               (missing["degree"], "degree must be an integer >= 0, not None"),
               ([record], "cochain json must be an object")]
+    # a bool modulus once read as Z (false), and "v" was never read
+    cases += [(dict(record, coeff={"moduli": [m]}),
+               f"modulus {m!r} must be 0 or >= 2") for m in (False, True)]
+    cases += [(dict(record, v=v), "unsupported schema version")
+              for v in (7, 0, True, "1", None)]
     for data, message in cases:
         path.write_text(json.dumps(data))
         for argv in commands:
@@ -1012,6 +1017,16 @@ def test_cochain_entries_are_checked(files, capsys):
         v[0] for v in record["values"]])))
     for argv in commands:
         assert _main_in_process(capsys, argv)[0] == 0
+
+
+def test_coeff_flag_names_itself(files, capsys):
+    for text in ("3,false", "x", "3,,4"):
+        code, out, err = _main_in_process(capsys, [
+            "cohomology", "--quandle", str(files["quandle"]),
+            "--coeff", text])
+        assert (code, out) == (2, ""), text
+        assert json.loads(err)["error"] == \
+            "--coeff expects integer moduli like 3 or 2,4"
 
 
 def test_check_quandle_envelope_matches_the_reader(files, capsys):

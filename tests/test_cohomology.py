@@ -12,7 +12,7 @@ from qci.algebra import (CoeffGroup, IntUnit, Scalar, ShiftUnit,
                          make_alexander, make_dihedral, make_trivial,
                          orbit_shadow_module, orbits, quandle_as_module)
 from qci.cohomology import (Cochain, DifferentialSpec,
-                            _merge_factors, cocycle_basis, cohomology_basis,
+                            cocycle_basis, cohomology_basis,
                             d_left, d_right, differential,
                             is_cocycle, is_in_span, is_link_twisted_cocycle,
                             link_twisted_coboundary,
@@ -823,6 +823,45 @@ def test_mochizuki_degree3_anchor(p):
     assert len(basis.cocycles) - len(basis.coboundaries) == 1
 
 
+def _trivial_cohomology(q, n, degree):
+    A = CoeffGroup((n,))
+    basis = cohomology_basis(DifferentialSpec.quandle(A), q, None, A, degree)
+    return basis.torsion, basis.free_rank
+
+
+@pytest.mark.parametrize("name, degree", [
+    ("D3", 2), ("D4", 2), ("D5", 2), ("D6", 2), ("Alex(8,3)", 2),
+    ("D3", 3), ("D4", 3)])
+def test_universal_coefficients_tie_z_to_z_p(name, degree):
+    """dim H^k(F_p) = b_k + t_k(p) + t_(k+1)(p) for trivial coefficients.
+
+    b_k is the free rank of H^k(Z) and t_k(p) counts its torsion factors
+    that p divides: the universal coefficient theorem for the free cochain
+    complex.  Z and Z/p share the whole elimination, so this exercises the
+    ring handling (pivot normalization, floor reduction over Z) and the
+    Smith step, not the elimination order.
+    """
+    q = (make_alexander(8, 3) if name == "Alex(8,3)"
+         else make_dihedral(int(name[1:])))
+    integral = {k: _trivial_cohomology(q, 0, k) for k in (degree, degree + 1)}
+
+    def t(k, p):
+        return sum(f % p == 0 for f in integral[k][0])
+
+    for p in (2, 3, 5):
+        torsion, free_rank = _trivial_cohomology(q, p, degree)
+        assert free_rank == 0 and set(torsion) <= {p}
+        assert len(torsion) == (integral[degree][1] + t(degree, p)
+                                + t(degree + 1, p)), p
+
+
+def test_integral_degree4_anchor_dihedral3():
+    """H^4_Q(R_3; Z) has torsion Z/3, the Ext of H_3^Q(R_3; Z) = Z/3
+    (Niebrzydowski-Przytycki, J. Pure Appl. Algebra 213, 2009), and no free
+    part: R_3 is connected."""
+    assert _trivial_cohomology(make_dihedral(3), 0, 4) == ([3], 0)
+
+
 def test_quotients_over_z_n_stay_bounded(monkeypatch):
     # the integer Hermite route once grew xgcd operands past 600,000 bits
     # on these two; over Z/n every operand stays below n^2 and no Hermite
@@ -870,12 +909,10 @@ def test_merge_factors_is_the_invariant_factor_chain():
     # cyclic factors f
     rng = random.Random(5)
     for _ in range(300):
-        lists = [[rng.choice([2, 3, 4, 6, 8, 9, 12, 25, 27, 1])
-                  for _ in range(rng.randrange(4))]
-                 for _ in range(rng.randrange(4))]
-        chain = _merge_factors(lists)
-        flat = [f for fs in lists for f in fs]
-        assert 1 not in chain
+        flat = [rng.choice([2, 3, 4, 6, 8, 9, 12, 25, 27, 1])
+                for _ in range(rng.randrange(10))]
+        chain = modlinalg.merge_factors(flat)
+        assert len(chain) == len(flat)
         assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
         for k in range(1, math.lcm(*flat, 1) + 1):
             assert math.prod(math.gcd(k, f) for f in chain) == \

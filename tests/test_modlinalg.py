@@ -10,7 +10,8 @@ from qci import modlinalg as ml
 from qci.algebra import make_dihedral
 from tests.oracle_utils import (brute_invariant_factors, brute_span,
                                 degenerate_rows, differential_rows,
-                                is_howell_basis, rref_rank_mod_p)
+                                is_howell_basis, rref_rank_mod_p,
+                                smith_by_minors)
 
 
 def test_xgcd():
@@ -188,13 +189,19 @@ def test_kernel_int():
 
 
 def test_snf_diagonal_divisibility():
+    # a divisor chain, equal to the determinantal-divisor oracle over Z and,
+    # read mod n, over Z/n (non-chain ideals for 6 and 12, a prime power 9)
     rng = random.Random(3)
-    for _ in range(15):
-        rows = [[rng.randrange(-6, 7) for _ in range(3)] for _ in range(3)]
-        diag = ml.snf_diagonal(rows, 3)
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
-    assert ml.snf_diagonal([[2, 0], [0, 3]], 2) == [1, 6]
+    for n in (0, 6, 12, 9):
+        for _ in range(40):
+            rows = [[rng.randrange(-6, 7) if rng.random() < 0.7 else 0
+                     for _ in range(rng.randrange(1, 5))]
+                    for _ in range(rng.randrange(1, 5))]
+            diag = ml.snf_diagonal(rows, n)
+            for a, b in zip(diag, diag[1:]):
+                assert b % a == 0
+            assert diag == smith_by_minors(rows, n), (rows, n)
+    assert ml.snf_diagonal([[2, 0], [0, 3]]) == [1, 6]
 
 
 def test_quotient_invariant_factors():
@@ -207,7 +214,7 @@ def test_quotient_invariant_factors():
     assert ml.quotient_invariant_factors([[2]], [[4]], 8, 1) == [2]
     # Z_6^2 / <(2,0), (0,3)> = Z_3 x Z_2 = Z_6: the mod-6 Smith form has to
     # merge the non-chained diagonal 2, 3
-    assert ml.snf_diagonal([[2, 0], [0, 3]], 2, 6) == [1]
+    assert ml.snf_diagonal([[2, 0], [0, 3]], 6) == [1]
     assert ml.quotient_invariant_factors(
         [[1, 0], [0, 1]], [[2, 0], [0, 3]], 6, 2) == [6]
 
