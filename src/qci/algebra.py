@@ -1,11 +1,16 @@
 """Finite quandles, quandle modules, orbits, and coefficient groups.
 
 Elements of every carrier are the integers 0..n-1 and tables are dense
-row-major lists, so ``op[a][b]`` is a right-translated by b.  Every module
+row-major tuples, so ``op[a][b]`` is a right-translated by b.  Every module
 is a finite table module.  Region colors over the integers (m |> a = m + 1)
 or over the orbit-counting group (m |> a = m + e_O(a)) enter only through
 cochains that are periodic in m, so they are counted modulo a period:
 cyclic_shadow_module and orbit_shadow_module.
+
+A quandle's op table and a module's action table are both action tables
+on their own rows, and both are built by _action_tables: validated once,
+with the column inverse given or derived.  A unit scalar is its integer
+matrix; applying it is that matrix times the vector, reduced.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +31,13 @@ def is_integer(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_version(data):
+    """Refuse a JSON record whose schema version ``v`` is not the integer 1."""
+    v = data.get("v", 1)
+    if not is_integer(v) or v != 1:
+        raise StructureError("unsupported schema version")
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of an axiom check: pass, or the first violation found."""
@@ -37,7 +49,9 @@ class AxiomReport:
         return self.passed
 
 
-def _check_table(table, nrows, ncols, what):
+def _table(table, nrows, ncols, what):
+    """A table of nrows x ncols integers in 0..nrows-1 as a tuple of row
+    tuples; malformed input raises, shape and types before ranges."""
     if not isinstance(table, (list, tuple)) or len(table) != nrows:
         raise StructureError(f"{what}: expected {nrows} rows")
     for row in table:
@@ -46,27 +60,36 @@ def _check_table(table, nrows, ncols, what):
         for v in row:
             if not is_integer(v):
                 raise StructureError(f"{what}: non-integer entry {v!r}")
-
-
-def _check_entries(table, bound, what):
     for row in table:
         for v in row:
-            if not 0 <= v < bound:
-                raise StructureError(f"{what}: entry {v} out of range 0..{bound - 1}")
+            if not 0 <= v < nrows:
+                raise StructureError(
+                    f"{what}: entry {v} out of range 0..{nrows - 1}")
+    return tuple(tuple(row) for row in table)
 
 
-def _invert_columns(table, nrows, ncols):
-    """Per-column inverse of b -> table[.][b]; None where not bijective."""
-    inv = [[None] * ncols for _ in range(nrows)]
+def _action_tables(table, inverse, ncols, names):
+    """An action table on its own rows 0..len(table)-1, validated once,
+    with its column inverse: the given one, validated as a table only, or
+    the one derived from the columns.  Returns (table, inverse, clash);
+    where a column is not a bijection the inverse is None and clash is
+    (a1, a2, b) with table[a1][b] == table[a2][b]."""
+    rows = len(table)
+    if rows == 0:
+        raise StructureError(f"{names[0]}: empty table")
+    table = _table(table, rows, ncols, names[0])
+    if inverse is not None:
+        return table, _table(inverse, rows, ncols, names[1]), None
+    inv = [[None] * ncols for _ in range(rows)]
     for b in range(ncols):
         seen = {}
-        for a in range(nrows):
+        for a in range(rows):
             v = table[a][b]
             if v in seen:
-                return None, (seen[v], a, b)
+                return table, None, (seen[v], a, b)
             seen[v] = a
             inv[v][b] = a
-    return inv, None
+    return table, tuple(map(tuple, inv)), None
 
 
 def check_quandle(op, inv=None):
@@ -76,22 +99,17 @@ def check_quandle(op, inv=None):
     ``(a,)`` for idempotence, ``(a, b)`` for invertibility, ``(a, b, c)``
     for self-distributivity.
     """
+    return _quandle_axioms(*_action_tables(op, inv, len(op), ("op", "inv")))
+
+
+def _quandle_axioms(op, inv, clash=None):
+    """check_quandle on validated tables; clash as from _action_tables."""
     n = len(op)
-    if n == 0:
-        raise StructureError("op: empty table")
-    _check_table(op, n, n, "op")
-    _check_entries(op, n, "op")
-    if inv is not None:
-        _check_table(inv, n, n, "inv")
-        _check_entries(inv, n, "inv")
     for a in range(n):
         if op[a][a] != a:
             return AxiomReport(False, "idempotence", (a,))
-    if inv is None:
-        inv, clash = _invert_columns(op, n, n)
-        if inv is None:
-            a1, a2, b = clash
-            return AxiomReport(False, "invertibility", (a1, b))
+    if clash is not None:
+        return AxiomReport(False, "invertibility", (clash[0], clash[2]))
     for a in range(n):
         for b in range(n):
             if inv[op[a][b]][b] != a or op[inv[a][b]][b] != a:
@@ -109,25 +127,14 @@ class Quandle:
     """Finite quandle on 0..n-1 with dense op / inverse-op tables."""
 
     def __init__(self, op, inv=None, labels=None):
-        n = len(op)
-        if n == 0:
-            raise StructureError("op: empty table")
-        _check_table(op, n, n, "op")
-        _check_entries(op, n, "op")
-        self.n = n
-        self.op = tuple(tuple(row) for row in op)
-        if inv is None:
-            derived, clash = _invert_columns(op, n, n)
-            if derived is None:
-                raise StructureError(
-                    f"op column {clash[2]} is not a bijection; cannot derive inverse")
-            self.inv = tuple(tuple(row) for row in derived)
-        else:
-            _check_table(inv, n, n, "inv")
-            _check_entries(inv, n, "inv")
-            self.inv = tuple(tuple(row) for row in inv)
+        self.op, self.inv, clash = _action_tables(op, inv, len(op),
+                                                  ("op", "inv"))
+        if clash is not None:
+            raise StructureError(
+                f"op column {clash[2]} is not a bijection; cannot derive inverse")
+        self.n = len(self.op)
         self.labels = tuple(labels) if labels else None
-        report = check_quandle(self.op, self.inv)
+        report = _quandle_axioms(self.op, self.inv)
         if not report:
             raise StructureError(
                 f"not a quandle: {report.axiom} fails at {report.witness}")
@@ -164,8 +171,7 @@ def quandle_tables(data):
     """The op and inv tables of a quandle record, its envelope checked."""
     if not isinstance(data, dict) or "op" not in data:
         raise StructureError("quandle json needs an 'op' table")
-    if data.get("v", 1) != 1:
-        raise StructureError("unsupported schema version")
+    check_version(data)
     op = data["op"]
     if not isinstance(op, list) or not all(isinstance(r, list) for r in op):
         raise StructureError(f"op must be a list of lists, not {op!r}")
@@ -198,8 +204,7 @@ def make_alexander(n, t):
 
 def _group_inverses(mul):
     n = len(mul)
-    _check_table(mul, n, n, "group")
-    _check_entries(mul, n, "group")
+    mul = _table(mul, n, n, "group")
     e = None
     for cand in range(n):
         if all(mul[cand][a] == a and mul[a][cand] == a for a in range(n)):
@@ -239,22 +244,11 @@ class TableModule:
 
     def __init__(self, quandle, action, inv_action=None):
         self.quandle = quandle
-        m = len(action)
-        if m == 0:
-            raise StructureError("action: empty table")
-        _check_table(action, m, quandle.n, "action")
-        _check_entries(action, m, "action")
-        self.size = m
-        self.action = tuple(tuple(row) for row in action)
-        if inv_action is None:
-            inv_action, clash = _invert_columns(action, m, quandle.n)
-            if inv_action is None:
-                raise StructureError(
-                    f"action column {clash[2]} is not a bijection")
-        else:
-            _check_table(inv_action, m, quandle.n, "inv_action")
-            _check_entries(inv_action, m, "inv_action")
-        self.inv_action = tuple(tuple(row) for row in inv_action)
+        self.action, self.inv_action, clash = _action_tables(
+            action, inv_action, quandle.n, ("action", "inv_action"))
+        if clash is not None:
+            raise StructureError(f"action column {clash[2]} is not a bijection")
+        self.size = len(self.action)
 
     def act(self, m, a):
         return self.action[m][a]
@@ -279,7 +273,7 @@ class TableModule:
 
 def quandle_as_module(q):
     """The quandle acting on itself by its own operation."""
-    return TableModule(q, [list(r) for r in q.op], [list(r) for r in q.inv])
+    return TableModule(q, q.op, q.inv)
 
 
 def trivial_module(q):
@@ -345,8 +339,9 @@ class OrbitMap:
         return self.index[x]
 
 
-def _closure_orbits(elements, step_targets):
-    """Union-find closure of x ~ step(x, b); deterministic orbit ids."""
+def _closure_orbits(table):
+    """Union-find closure of x ~ table[x][b]; deterministic orbit ids."""
+    elements = range(len(table))
     parent = {x: x for x in elements}
 
     def find(x):
@@ -356,7 +351,7 @@ def _closure_orbits(elements, step_targets):
         return x
 
     for x in elements:
-        for y in step_targets(x):
+        for y in table[x]:
             rx, ry = find(x), find(y)
             if rx != ry:
                 parent[ry] = rx
@@ -376,12 +371,9 @@ def _closure_orbits(elements, step_targets):
 def orbits(obj):
     """Orbit decomposition of a quandle or of a table module's carrier."""
     if isinstance(obj, Quandle):
-        n = obj.n
-        return _closure_orbits(range(n), lambda a: (obj.op[a][b] for b in range(n)))
+        return _closure_orbits(obj.op)
     if isinstance(obj, TableModule):
-        n = obj.quandle.n
-        return _closure_orbits(obj.elements(),
-                               lambda m: (obj.action[m][b] for b in range(n)))
+        return _closure_orbits(obj.action)
     raise StructureError(f"cannot take orbits of {type(obj).__name__}")
 
 
@@ -389,6 +381,7 @@ def module_from_json(data, quandle):
     """Rebuild a module from its describe()/JSON form."""
     if not isinstance(data, dict) or "kind" not in data:
         raise StructureError("module json needs a 'kind'")
+    check_version(data)
     kind = data["kind"]
     if kind == "table":
         if not isinstance(data.get("action"), list):
@@ -493,7 +486,10 @@ class Scalar:
         self.group = group
 
     def apply(self, x, power=1):
-        raise NotImplementedError
+        """x times the scalar to the given power: its integer matrix
+        applied to x, reduced."""
+        return self.group.reduce(tuple(sum(m * a for m, a in zip(row, x))
+                                       for row in self.int_matrix(power)))
 
     def int_matrix(self, power=1):
         """Action on residue vectors as a d x d integer matrix."""
@@ -516,21 +512,13 @@ class IntUnit(Scalar):
                 raise StructureError(f"{value} is not a unit mod {n}")
         self.value = value
 
-    def _component(self, n, power):
-        if n == 0:
-            return self.value if power % 2 else 1
-        return pow(self.value, power, n)
-
-    def apply(self, x, power=1):
-        return tuple((a * self._component(n, power)) % n if n
-                     else a * self._component(n, power)
-                     for a, n in zip(x, self.group.moduli))
-
     def int_matrix(self, power=1):
         d = self.group.d
         mat = [[0] * d for _ in range(d)]
         for i, n in enumerate(self.group.moduli):
-            mat[i][i] = self._component(n, power)
+            # on a free summand the unit is +-1: the power's parity decides
+            mat[i][i] = (pow(self.value, power, n) if n
+                         else self.value if power % 2 else 1)
         return mat
 
     def __repr__(self):
@@ -553,11 +541,6 @@ class ShiftUnit(Scalar):
         if len(mods) != 1 or 0 in mods:
             raise StructureError("shift unit needs uniform finite moduli")
         self.step = step % group.d
-
-    def apply(self, x, power=1):
-        d = self.group.d
-        s = (self.step * power) % d
-        return tuple(x[(i - s) % d] for i in range(d))
 
     def int_matrix(self, power=1):
         d = self.group.d

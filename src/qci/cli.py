@@ -56,20 +56,26 @@ def _dump(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _parse_spec(text, coeff):
+def _ints(text, flag, expects, count=None):
+    """The comma-separated integers of a flag's value.  Anything else, or
+    a list that is not ``count`` long, is refused with the message
+    "<flag> expects <expects>"."""
     try:
-        l, r = (int(x) for x in text.split(","))
+        values = [int(x) for x in text.split(",")]
+        if count is None or len(values) == count:
+            return values
     except ValueError:
-        raise StructureError("--spec expects two integers like 1,-1")
+        pass
+    raise StructureError(f"{flag} expects {expects}")
+
+
+def _parse_spec(text, coeff):
+    l, r = _ints(text, "--spec", "two integers like 1,-1", 2)
     return DifferentialSpec(IntUnit(coeff, l), IntUnit(coeff, r))
 
 
 def _parse_coeff(text):
-    try:
-        moduli = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise StructureError("--coeff expects integer moduli like 3 or 2,4")
-    return CoeffGroup(moduli)
+    return CoeffGroup(_ints(text, "--coeff", "integer moduli like 3 or 2,4"))
 
 
 # --module words for the symbolic shadow carriers: region colors in Z, or
@@ -82,14 +88,15 @@ def _parse_module(text, inputs, quandle):
         raise StructureError(f"--module {text} is read only by "
                              "invariant --flavor shadow")
     if text.startswith("Z/"):
-        return cyclic_shadow_module(quandle, int(text[2:]))
+        k, = _ints(text[2:], "--module Z/k", "an integer k like Z/5", 1)
+        return cyclic_shadow_module(quandle, k)
     return module_from_json(inputs.read_json(text), quandle)
 
 
 def _parse_exterior(text, size=None, entries=None):
     """The exterior color: an element of a module of the given size, an
     integer (for Z) or an integer vector of the given length (for orbitZ)."""
-    parts = [int(x) for x in text.split(",")]
+    parts = _ints(text, "--exterior", "integers like 0 or 1,2")
     if entries is not None:
         if len(parts) != entries:
             raise StructureError(f"exterior vector needs {entries} entries")
@@ -101,10 +108,11 @@ def _parse_exterior(text, size=None, entries=None):
     return parts[0]
 
 
-def _parse_target(text):
-    if text.startswith("loop:"):
-        return ("loop", int(text[5:]))
-    return int(text)
+def _parse_target(text, flag):
+    loop = text.startswith("loop:")
+    j, = _ints(text[5:] if loop else text, flag,
+               "a semi-arc id or loop:j like 3 or loop:0", 1)
+    return ("loop", j) if loop else j
 
 
 # -- subcommands -------------------------------------------------------------
@@ -204,6 +212,9 @@ def cmd_invariant(args, inputs):
     module = (_parse_module(args.module, inputs, q)
               if args.module and not symbolic else None)
     omega = Cochain.from_json(inputs.read_json(args.cocycle), q, module)
+    alphas = (_ints(args.alpha_per_orbit, "--alpha-per-orbit",
+                    "integer units like 2,3")
+              if args.alpha_per_orbit else None)
     kwargs = {"check": not args.force}
     units = None
     if args.module == "Z":
@@ -218,11 +229,10 @@ def cmd_invariant(args, inputs):
                                 check=kwargs["check"])
         kwargs["exterior"] = _parse_exterior(args.exterior or "0")
     elif args.module == "orbitZ":
-        if not args.alpha_per_orbit:
+        if alphas is None:
             raise StructureError(
                 "--module orbitZ needs --alpha-per-orbit to transport")
-        units = [IntUnit(omega.coeff, int(x))
-                 for x in args.alpha_per_orbit.split(",")]
+        units = [IntUnit(omega.coeff, a) for a in alphas]
         ms = invariant_multiset(d, q, "link_twisted", omega, alphas=units,
                                 check=kwargs["check"])
         kwargs["exterior"] = _parse_exterior(args.exterior or "0",
@@ -238,9 +248,9 @@ def cmd_invariant(args, inputs):
             raise StructureError("twisted flavors need --alpha")
         kwargs["alpha"] = args.alpha
     if args.flavor == "link_twisted":
-        if not args.alpha_per_orbit:
+        if alphas is None:
             raise StructureError("link_twisted needs --alpha-per-orbit")
-        kwargs["alphas"] = [int(x) for x in args.alpha_per_orbit.split(",")]
+        kwargs["alphas"] = alphas
     payload = {"v": 1}
     if args.refine_orbits:
         # one coloring pass: the whole multiset is the sum of the parts
@@ -269,13 +279,13 @@ def cmd_invariant(args, inputs):
 def cmd_rmove(args, inputs):
     d = parse_diagram(inputs.read_json(args.diagram))
     if args.move == "r1":
-        res = r1_insert(d, _parse_target(args.target), args.chirality,
-                        args.side)
+        res = r1_insert(d, _parse_target(args.target, "--target"),
+                        args.chirality, args.side)
     elif args.move == "r2":
         if not args.target2:
             raise StructureError("r2 needs --target2")
-        res = r2_insert(d, _parse_target(args.target),
-                        _parse_target(args.target2))
+        res = r2_insert(d, _parse_target(args.target, "--target"),
+                        _parse_target(args.target2, "--target2"))
     else:
         raise StructureError(f"unknown move {args.move!r}")
     return 0, res.diagram.to_json()

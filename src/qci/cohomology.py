@@ -36,7 +36,8 @@ from itertools import chain, compress, count, islice, product, repeat
 from operator import add, getitem, mod, mul, sub
 
 from .algebra import (AxiomReport, CoeffGroup, IntUnit, Scalar,
-                      StructureError, is_integer, orbit_shadow_module)
+                      StructureError, check_version, is_integer,
+                      orbit_shadow_module)
 from . import modlinalg
 
 
@@ -150,9 +151,7 @@ class Cochain:
         from .algebra import module_from_json
         if not isinstance(data, dict):
             raise StructureError("cochain json must be an object")
-        v = data.get("v", 1)
-        if not is_integer(v) or v != 1:
-            raise StructureError("unsupported schema version")
+        check_version(data)
         coeff = CoeffGroup.from_json(data.get("coeff"))
         if module is None and data.get("module") is not None:
             module = module_from_json(data["module"], quandle)

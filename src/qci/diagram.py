@@ -21,6 +21,15 @@ Conventions, fixed once; all sign and index logic derives from them:
 Region ids are deterministic: faces of the crossing graph sorted by their
 smallest (semi-arc, side) incidence with side left=0 / right=1, followed by
 one disk region per free loop in input order.
+
+Each structure is derived in one pass.  One face trace gives the regions
+and the map from arrival dart to region.  One strand walk per component,
+from its smallest semi-arc, gives the components and the arcs: a walk is
+cut after each semi-arc that enters a crossing as the under-strand, and a
+component that never passes under is one arc.  Arcs are numbered by their
+smallest semi-arc.  The free loops follow the crossing data, so free loop
+j is found by offset: it is arc n_crossing_arcs + j, region n_faces + j,
+and the j-th component after those that meet a crossing.
 """
 
 from dataclasses import dataclass
@@ -126,20 +135,23 @@ class Diagram:
             if sa not in self.head or sa not in self.tail:
                 raise StructureError(f"semi-arc {sa} orientation is inconsistent")
 
-        self._trace_faces()
-        self._split_components()
-        self._assemble_regions()
+        self._trace_regions()
+        self._walk_strands()
+        self._assemble_steps()
 
     def _other_end(self, sa, end):
         a, b = self.endpoints[sa]
         return b if a == end else a
 
-    def _trace_faces(self):
-        """Orbits of arrival darts under: arrive at slot i, leave slot i-1."""
-        darts = [(ci, s) for ci in range(len(self.crossings)) for s in range(4)]
-        face_of = {}
-        faces = []
-        for start in darts:
+    def _trace_regions(self):
+        """Faces as orbits of arrival darts under: arrive at slot i, leave
+        slot i-1; then the region ids, the dart -> region map and the
+        exterior.  Free loop j's disk is region n_faces + j.  The step is a
+        permutation of the darts (a slot shift, then the other end of a
+        semi-arc with two ends), so every orbit closes."""
+        faces, face_of = [], {}
+        for start in ((ci, s) for ci in range(len(self.crossings))
+                      for s in range(4)):
             if start in face_of:
                 continue
             cycle = []
@@ -151,19 +163,31 @@ class Diagram:
                 j = (slot - 1) % 4
                 sa = self.crossings[ci].rot[j]
                 d = self._other_end(sa, (ci, j))
-            if d != start:
-                raise StructureError("face trace does not close")
-            faces.append(tuple(cycle))
-        if self.crossings:
-            v = len(self.crossings)
-            e = len(self.semiarcs)
-            if e != 2 * v:
-                raise StructureError("semi-arc count must be twice the crossings")
-            if v - e + len(faces) != 2:
-                raise StructureError(
-                    "rotation system is not a connected sphere diagram")
-        self._raw_faces = faces
-        self._raw_face_of = face_of
+            faces.append(sorted(map(self._dart_incidence, cycle)))
+        if not self.crossings:
+            self.dart_region = {}
+            self.region_incidences = ((),)
+            self.exterior_region = 0
+            self.n_regions = 1 + len(self.free_loops)
+            return
+        v = len(self.crossings)
+        e = len(self.semiarcs)
+        if e != 2 * v:
+            raise StructureError("semi-arc count must be twice the crossings")
+        if v - e + len(faces) != 2:
+            raise StructureError(
+                "rotation system is not a connected sphere diagram")
+        order = sorted(range(len(faces)), key=faces.__getitem__)
+        region = {fi: r for r, fi in enumerate(order)}
+        self.dart_region = {d: region[fi] for d, fi in face_of.items()}
+        self.region_incidences = tuple(tuple(faces[fi]) for fi in order)
+        self.n_regions = len(faces) + len(self.free_loops)
+        if self.exterior_spec is None:
+            raise StructureError("diagram with crossings needs an exterior")
+        sa, side = self.exterior_spec
+        if sa not in self.endpoints or side not in (LEFT, RIGHT):
+            raise StructureError("exterior designation is invalid")
+        self.exterior_region = self.side_region(sa, side)
 
     def _dart_incidence(self, dart):
         """(semi-arc, side) met by an arrival dart; left=0, right=1."""
@@ -172,102 +196,49 @@ class Diagram:
         side = 0 if self.head[sa] == (ci, slot) else 1
         return (sa, side)
 
-    def _split_components(self):
-        # the successor of sa is the semi-arc leaving the crossing sa enters
-        succ = {}
-        for sa in self.semiarcs:
-            ci, slot = self.head[sa]
-            x = self.crossings[ci]
-            succ[sa] = x.under_out if slot == 0 else x.over_out
-        comps = []
-        seen = set()
+    def _walk_strands(self):
+        """Components as strand walks from their smallest semi-arc, and arcs
+        cut from the walks after each semi-arc that enters a crossing as
+        the under-strand (slot 0).  Every semi-arc has one head and one
+        tail, so the walk's step is a permutation and each walk closes.
+        The free loops' empty components and arcs follow, in input
+        order."""
+        comps, arcs, seen = [], [], set()
         for sa in self.semiarcs:
             if sa in seen:
                 continue
-            cyc = []
-            cur = sa
-            while cur not in seen:
-                seen.add(cur)
-                cyc.append(cur)
-                cur = succ[cur]
-            if cur != sa:
-                raise StructureError("strand walk does not close")
-            comps.append(tuple(cyc))
-        comps.sort(key=lambda c: min(c))
-        self._crossing_components = comps
+            walk, pieces = [], [[]]
+            while sa not in seen:
+                seen.add(sa)
+                walk.append(sa)
+                pieces[-1].append(sa)
+                ci, slot = self.head[sa]
+                x = self.crossings[ci]
+                if slot == 0:
+                    sa = x.under_out
+                    pieces.append([])
+                else:
+                    sa = x.over_out
+            if len(pieces) > 1:  # the piece after the last cut runs on
+                pieces[0] = pieces.pop() + pieces[0]
+            comps.append(tuple(walk))
+            arcs += pieces
+        arcs = sorted(tuple(sorted(arc)) for arc in arcs)
+        self.n_crossing_arcs = len(arcs)
+        loops = range(len(self.free_loops))
+        self.components = tuple(comps) + tuple(() for _ in loops)
+        self.arcs = tuple(arcs) + tuple(() for _ in loops)
+        self.comp_of = {sa: c for c, comp in enumerate(comps) for sa in comp}
+        self.arc_of = {sa: a for a, arc in enumerate(arcs) for sa in arc}
+        self.arc_components = tuple(
+            [self.comp_of[arc[0]] for arc in arcs]
+            + [len(comps) + j for j in loops])
 
-        # arcs: semi-arcs glued where the strand passes over
-        parent = {sa: sa for sa in self.semiarcs}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x in self.crossings:
-            a, b = find(x.over_in), find(x.over_out)
-            if a != b:
-                parent[a] = b
-        classes = {}
-        for sa in self.semiarcs:
-            classes.setdefault(find(sa), []).append(sa)
-        arcs = sorted((tuple(sorted(c)) for c in classes.values()),
-                      key=lambda c: c[0])
-        self._crossing_arcs = arcs
-
-    def _assemble_regions(self):
-        n_base = len(self._raw_faces) if self.crossings else 1
-        if self.crossings:
-            keyed = []
-            for fi, cycle in enumerate(self._raw_faces):
-                key = min(self._dart_incidence(d) for d in cycle)
-                keyed.append((key, fi))
-            keyed.sort()
-            order = {fi: i for i, (_, fi) in enumerate(keyed)}
-            self._face_region = order
-            self.region_incidences = tuple(
-                tuple(sorted(self._dart_incidence(d)
-                             for d in self._raw_faces[fi]))
-                for _, fi in keyed)
-            if self.exterior_spec is None:
-                raise StructureError("diagram with crossings needs an exterior")
-            sa, side = self.exterior_spec
-            if sa not in self.endpoints or side not in (LEFT, RIGHT):
-                raise StructureError("exterior designation is invalid")
-            dart = self.head[sa] if side == LEFT else self.tail[sa]
-            self.exterior_region = order[self._raw_face_of[dart]]
-        else:
-            self._face_region = {0: 0}
-            self.region_incidences = ((),)
-            self.exterior_region = 0
-
-        self.n_regions = n_base + len(self.free_loops)
-        self._loop_region = {j: n_base + j for j in range(len(self.free_loops))}
-
-        # components and arcs: crossing strands first, then free loops
-        self.components = tuple(self._crossing_components) + tuple(
-            () for _ in self.free_loops)
-        self.arcs = tuple(self._crossing_arcs) + tuple(
-            () for _ in self.free_loops)
-        self.comp_of = {}
-        for i, comp in enumerate(self._crossing_components):
-            for sa in comp:
-                self.comp_of[sa] = i
-        self.arc_of = {}
-        for i, arc in enumerate(self._crossing_arcs):
-            for sa in arc:
-                self.arc_of[sa] = i
-        self._loop_component = {
-            j: len(self._crossing_components) + j
-            for j in range(len(self.free_loops))}
-        self._loop_arc = {
-            j: len(self._crossing_arcs) + j for j in range(len(self.free_loops))}
-
-        # diagram-only data that colorings are checked against, built once
+    def _assemble_steps(self):
+        """Diagram-only data that colorings are checked against, built once."""
         comp_arcs = [[] for _ in self.components]
-        for a in range(len(self.arcs)):
-            comp_arcs[self.arc_component(a)].append(a)
+        for a, c in enumerate(self.arc_components):
+            comp_arcs[c].append(a)
         self.component_arcs = tuple(tuple(arcs) for arcs in comp_arcs)
         steps = []
         for sa in self.semiarcs:
@@ -275,11 +246,11 @@ class Diagram:
                           self.side_region(sa, LEFT),
                           self.arc_of[sa], self.comp_of[sa]))
         for j, orient in enumerate(self.free_loops):
-            disk, ext = self._loop_region[j], self.exterior_region
-            if orient == 1:   # ccw: interior on the left
-                steps.append((ext, disk, self._loop_arc[j], self._loop_component[j]))
-            else:
-                steps.append((disk, ext, self._loop_arc[j], self._loop_component[j]))
+            disk, ext = self.loop_region(j), self.exterior_region
+            arc = self.loop_arc(j)
+            # ccw: interior on the left
+            frm, to = (ext, disk) if orient == 1 else (disk, ext)
+            steps.append((frm, to, arc, self.arc_components[arc]))
         self._region_steps = tuple(steps)
         # region -> ((neighbour, arc, forward), ...): the undirected view
         # of the steps that propagate_regions walks
@@ -299,29 +270,15 @@ class Diagram:
     def n_arcs(self):
         return len(self.arcs)
 
-    @property
-    def n_crossing_arcs(self):
-        return len(self._crossing_arcs)
-
-    def face_of_dart(self, ci, slot):
-        return self._face_region[self._raw_face_of[(ci, slot)]]
-
     def side_region(self, sa, side):
         """Region on a side of a semi-arc (relative to its orientation)."""
-        dart = self.head[sa] if side == LEFT else self.tail[sa]
-        return self.face_of_dart(*dart)
+        return self.dart_region[self.head[sa] if side == LEFT else self.tail[sa]]
 
     def loop_region(self, j):
-        return self._loop_region[j]
+        return self.n_regions - len(self.free_loops) + j
 
     def loop_arc(self, j):
-        return self._loop_arc[j]
-
-    def arc_component(self, arc_id):
-        n = len(self._crossing_arcs)
-        if arc_id < n:
-            return self.comp_of[self._crossing_arcs[arc_id][0]]
-        return self._loop_component[arc_id - n]
+        return self.n_crossing_arcs + j
 
     def region_steps(self):
         """Directed adjacency (from, to, arc, component): crossing the
@@ -449,9 +406,8 @@ def compute_indices(diagram):
     exterior, a step along the normal of component c adding e_c."""
     def step(delta):
         return lambda v, c: v[:c] + (v[c] + delta,) + v[c + 1:]
-    labels = [diagram.arc_component(a) for a in range(diagram.n_arcs)]
-    per = propagate_regions(diagram, (0,) * diagram.n_components, labels,
-                            step(1), step(-1))
+    per = propagate_regions(diagram, (0,) * diagram.n_components,
+                            diagram.arc_components, step(1), step(-1))
     return IndexTable(totals=tuple(map(sum, per)), per_component=per,
                       exterior=diagram.exterior_region)
 
@@ -460,7 +416,7 @@ def crossing_geometry(diagram):
     """Signs, source regions, cocycle color slots, and quadrant ids."""
     out = []
     for ci, x in enumerate(diagram.crossings):
-        quads = tuple(diagram.face_of_dart(ci, (i + 1) % 4) for i in range(4))
+        quads = tuple(diagram.dart_region[(ci, (i + 1) % 4)] for i in range(4))
         if x.sign > 0:
             src = quads[0]
             a_sa = x.rot[0]

@@ -72,8 +72,10 @@ class WeightMultiset:
         return sum(m for _, m in self.weights)
 
     def scaled(self, scalar, power=1):
+        # one product per distinct weight, not per coloring
+        image = {v: scalar.apply(v, power) for v, _ in self.weights}
         return WeightMultiset.from_values(
-            [scalar.apply(v, power) for v, m in self.weights for _ in range(m)],
+            [image[v] for v, m in self.weights for _ in range(m)],
             dict(self.meta))
 
     def negated(self, coeff):

@@ -349,6 +349,36 @@ def brute_force_colorings(crossing_records, arc_of_semiarc, n_arcs, op, inv):
     return good
 
 
+def arc_map_from_raw(records):
+    """(semi-arc -> arc id, arc count) straight from raw records: a
+    union-find glues the semi-arcs that enter and leave each over pass,
+    and arcs are numbered by their smallest semi-arc."""
+    semiarcs = sorted({sa for rec in records for sa in rec["rot"]})
+    parent = {sa: sa for sa in semiarcs}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for rec in records:
+        over_in = rec["rot"][rec["over"]]
+        over_out = rec["rot"][(rec["over"] + 2) % 4]
+        a, b = find(over_in), find(over_out)
+        if a != b:
+            parent[a] = b
+    classes = {}
+    for sa in semiarcs:
+        classes.setdefault(find(sa), []).append(sa)
+    ordered = sorted((sorted(c) for c in classes.values()), key=lambda c: c[0])
+    arc_of = {}
+    for i, cls in enumerate(ordered):
+        for sa in cls:
+            arc_of[sa] = i
+    return arc_of, len(ordered)
+
+
 def raw_crossing_slots(rec):
     """(a_semiarc, b_semiarc, sign) read straight off a crossing record:
     b is the incoming over strand, a the under end next to the source

@@ -1034,6 +1034,7 @@ def test_check_quandle_envelope_matches_the_reader(files, capsys):
     op = make_dihedral(3).to_json()["op"]
     path = files["tmp"] / "envelope.json"
     cases = [({"v": 0, "op": op}, "unsupported schema version"),
+             ({"v": True, "op": op}, "unsupported schema version"),
              ({"v": 1, "size": 7, "op": op},
               "size field disagrees with op table"),
              ({"v": 1, "size": True, "op": [[0]]},
@@ -1061,3 +1062,48 @@ def test_check_module_size_disagreement_is_exit2(files):
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == \
         "table module json 'size' 7 disagrees with its 3-row action table"
+
+
+def test_check_module_reads_the_version(files, capsys):
+    # a module record's v was never read
+    path = files["tmp"] / "versioned.json"
+    for v in (7, True, "1"):
+        path.write_text(json.dumps(dict(
+            quandle_as_module(make_dihedral(3)).describe(), v=v)))
+        code, out, err = _main_in_process(capsys, [
+            "check", "--kind", "module", "--file", str(path),
+            "--quandle", str(files["quandle"])])
+        assert (code, out) == (2, ""), v
+        assert json.loads(err)["error"] == "unsupported schema version"
+
+
+FLAG_ROLES = {"--spec": "two integers like 1,-1",
+              "--alpha-per-orbit": "integer units like 2,3",
+              "--module": "an integer k like Z/5",
+              "--exterior": "integers like 0 or 1,2",
+              "--target": "a semi-arc id or loop:j like 3 or loop:0",
+              "--target2": "a semi-arc id or loop:j like 3 or loop:0"}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_ROLES))
+def test_integer_flags_name_themselves(files, capsys, flag):
+    # each flag read as integers names itself instead of passing on
+    # Python's "invalid literal for int()"; --coeff has its own test
+    d, q, w = (str(files[k]) for k in ("diagram", "quandle", "cocycle"))
+    argv, value = {
+        "--spec": (["check", "--kind", "cocycle", "--file", w,
+                    "--quandle", q], "1,x"),
+        "--alpha-per-orbit": (["invariant", "--flavor", "link_twisted",
+                               "--diagram", d, "--quandle", q,
+                               "--cocycle", w], "2,x"),
+        "--module": (["cohomology", "--quandle", q, "--coeff", "3"], "Z/x"),
+        "--exterior": (["invariant", "--flavor", "shadow", "--diagram", d,
+                        "--quandle", q, "--cocycle", w], "x"),
+        "--target": (["rmove", "--diagram", d, "--move", "r1"], "x"),
+        "--target2": (["rmove", "--diagram", d, "--move", "r2",
+                       "--target", "0"], "loop:x"),
+    }[flag]
+    code, out, err = _main_in_process(capsys, argv + [flag, value])
+    assert (code, out) == (2, "")
+    name = "--module Z/k" if flag == "--module" else flag
+    assert json.loads(err)["error"] == f"{name} expects {FLAG_ROLES[flag]}"

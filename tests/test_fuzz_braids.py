@@ -14,8 +14,9 @@ from operator import mul
 
 import pytest
 
+from qci import corpus
 from qci.algebra import (CoeffGroup, IntUnit, Quandle, Scalar, ShiftUnit,
-                         make_alexander, make_conjugation, make_dihedral,
+                         StructureError, make_alexander, make_conjugation, make_dihedral,
                          make_trivial, orbits, quandle_as_module)
 from qci.cohomology import DifferentialSpec, cocycle_basis, \
     link_twisted_cocycle_basis, random_cochain, transport_to_shadow
@@ -27,7 +28,8 @@ from qci.invariants import (FLAVORS, invariant_multiset, positive_signs,
                             weight_positive, weight_shadow,
                             weight_shadow_twisted, weight_twisted)
 from tests.groups import symmetric_3
-from tests.oracle_utils import (braid_push_colorings, brute_force_colorings,
+from tests.oracle_utils import (arc_map_from_raw, braid_push_colorings,
+                                brute_force_colorings,
                                 oracle_weight_sum, raw_orbit_ids,
                                 raw_source_colors, symbolic_shadow_weight)
 
@@ -255,6 +257,37 @@ def test_braid_push_oracle_matches_brute_force():
                 for c in brute)
             assert sorted(braid_push_colorings(word, strands, q.op,
                                                q.inv)) == at_crossings
+
+
+def _corpus_rewrites():
+    """Every r1 and r2 rewrite of every corpus diagram that succeeds."""
+    for name in corpus.names():
+        d = corpus.load(name)
+        targets = list(d.semiarcs) + [("loop", j)
+                                      for j in range(len(d.free_loops))]
+        moves = [(r1_insert, t, chirality, side) for t in targets
+                 for chirality in (1, -1) for side in ("left", "right")]
+        moves += [(r2_insert, t1, t2) for t1 in targets for t2 in targets]
+        for move, *args in moves:
+            try:
+                yield move(d, *args).diagram
+            except StructureError:
+                pass  # no common region, a mixed or self poke, ...
+
+
+def test_arcs_match_the_raw_oracle(diagrams):
+    # the oracle glues over passes with a union-find of its own, so the
+    # arcs cut from the strand walk are checked by code that shares none
+    # of it; the coloring and weight oracles above take d.arc_of as given
+    checked = 0
+    for d in [*map(corpus.load, corpus.names()), *diagrams,
+              *_corpus_rewrites()]:
+        records = [{"rot": list(x.rot), "over": x.over} for x in d.crossings]
+        arc_of, count = arc_map_from_raw(records)
+        assert d.arc_of == arc_of
+        assert d.n_arcs == count + len(d.free_loops)
+        checked += 1
+    assert checked >= 400
 
 
 # 5-strand closures of 32-36 crossings with non-constant colorings

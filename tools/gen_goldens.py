@@ -15,37 +15,10 @@ sys.path.insert(0, str(ROOT))
 
 from qci import corpus  # noqa: E402
 from qci.algebra import make_dihedral  # noqa: E402
-from tests.oracle_utils import brute_force_colorings  # noqa: E402
+from tests.oracle_utils import (arc_map_from_raw,  # noqa: E402
+                                brute_force_colorings)
 
 GOLDEN = ROOT / "tests" / "golden"
-
-
-def arc_map_from_raw(records):
-    """Semi-arc -> arc id straight from raw records: glue over passes."""
-    semiarcs = sorted({sa for rec in records for sa in rec["rot"]})
-    parent = {sa: sa for sa in semiarcs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for rec in records:
-        over_in = rec["rot"][rec["over"]]
-        over_out = rec["rot"][(rec["over"] + 2) % 4]
-        a, b = find(over_in), find(over_out)
-        if a != b:
-            parent[a] = b
-    classes = {}
-    for sa in semiarcs:
-        classes.setdefault(find(sa), []).append(sa)
-    ordered = sorted((sorted(c) for c in classes.values()), key=lambda c: c[0])
-    arc_of = {}
-    for i, cls in enumerate(ordered):
-        for sa in cls:
-            arc_of[sa] = i
-    return arc_of, len(ordered)
 
 
 def main():
