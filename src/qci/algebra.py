@@ -164,7 +164,13 @@ class Quandle:
 
     @classmethod
     def from_json(cls, data):
-        return cls(*quandle_tables(data), data.get("labels"))
+        op, inv = quandle_tables(data)
+        labels = data.get("labels")
+        if labels is not None and not (isinstance(labels, list)
+                                       and len(labels) == len(op)):
+            raise StructureError(f"labels must be a list of {len(op)} "
+                                 f"entries, not {labels!r}")
+        return cls(op, inv, labels)
 
 
 def quandle_tables(data):

@@ -26,7 +26,8 @@ from .cohomology import (Cochain, DifferentialSpec, cohomology_basis,
 from .coloring import enumerate_colorings, propagate_shadow
 from .diagram import (checkerboard, compute_indices, parse_diagram,
                       r1_insert, r2_insert)
-from .invariants import (CocycleError, WeightMultiset, invariant_multiset,
+from .invariants import (FLAVORS, SHADOW, CocycleError, WeightMultiset,
+                         check_refinable, invariant_multiset,
                          orbit_refined_multisets, weight_shadow,
                          weight_twisted)
 
@@ -93,19 +94,15 @@ def _parse_module(text, inputs, quandle):
     return module_from_json(inputs.read_json(text), quandle)
 
 
-def _parse_exterior(text, size=None, entries=None):
-    """The exterior color: an element of a module of the given size, an
-    integer (for Z) or an integer vector of the given length (for orbitZ)."""
+def _parse_exterior(text, entries=1):
+    """The exterior color: one integer, or for orbitZ an integer vector
+    of the given length."""
     parts = _ints(text, "--exterior", "integers like 0 or 1,2")
-    if entries is not None:
-        if len(parts) != entries:
-            raise StructureError(f"exterior vector needs {entries} entries")
-        return tuple(parts)
-    if len(parts) != 1:
-        raise StructureError("exterior color must be a single integer")
-    if size is not None and not 0 <= parts[0] < size:
-        raise StructureError("exterior color out of range for the module")
-    return parts[0]
+    if len(parts) == entries:
+        return parts
+    raise StructureError("exterior color must be a single integer"
+                         if entries == 1 else
+                         f"exterior vector needs {entries} entries")
 
 
 def _parse_target(text, flag):
@@ -209,65 +206,39 @@ def cmd_invariant(args, inputs):
     if symbolic and args.flavor != "shadow":
         raise StructureError(f"--module {args.module} applies to --flavor "
                              f"shadow only, not {args.flavor}")
+    if args.refine_orbits:
+        check_refinable(args.flavor)
     module = (_parse_module(args.module, inputs, q)
               if args.module and not symbolic else None)
     omega = Cochain.from_json(inputs.read_json(args.cocycle), q, module)
     alphas = (_ints(args.alpha_per_orbit, "--alpha-per-orbit",
                     "integer units like 2,3")
               if args.alpha_per_orbit else None)
-    kwargs = {"check": not args.force}
-    units = None
-    if args.module == "Z":
-        # the file holds a twisted (per-orbit twisted) cocycle w.  At
-        # exterior color e, its shadow transport alpha^-m w weighs alpha^-e
-        # (prod_O u_O^-e_O) times its twisted weight, so that plan gates
-        # and weighs the file.
-        if args.alpha is None:
-            raise StructureError("--module Z needs --alpha to transport")
-        units = [IntUnit(omega.coeff, args.alpha)]
-        ms = invariant_multiset(d, q, "twisted", omega, alpha=units[0],
-                                check=kwargs["check"])
-        kwargs["exterior"] = _parse_exterior(args.exterior or "0")
-    elif args.module == "orbitZ":
-        if alphas is None:
-            raise StructureError(
-                "--module orbitZ needs --alpha-per-orbit to transport")
-        units = [IntUnit(omega.coeff, a) for a in alphas]
-        ms = invariant_multiset(d, q, "link_twisted", omega, alphas=units,
-                                check=kwargs["check"])
-        kwargs["exterior"] = _parse_exterior(args.exterior or "0",
-                                             entries=orbits(q).count)
-    elif args.flavor in ("shadow", "shadow_twisted"):
-        # the cochain was read over --module, or over its own module
-        if omega.module is None:
-            raise StructureError(f"--flavor {args.flavor} needs --module")
-        kwargs["exterior"] = _parse_exterior(args.exterior or "0",
-                                             omega.module.size)
-    if args.flavor in ("twisted", "shadow_twisted"):
-        if args.alpha is None:
-            raise StructureError("twisted flavors need --alpha")
-        kwargs["alpha"] = args.alpha
-    if args.flavor == "link_twisted":
-        if alphas is None:
-            raise StructureError("link_twisted needs --alpha-per-orbit")
-        kwargs["alphas"] = alphas
+    kwargs = {"alpha": args.alpha, "alphas": alphas, "check": not args.force}
     payload = {"v": 1}
     if args.refine_orbits:
         # one coloring pass: the whole multiset is the sum of the parts
-        parts = orbit_refined_multisets(
-            d, q, args.flavor, omega, alpha=kwargs.get("alpha"),
-            alphas=kwargs.get("alphas"), check=kwargs["check"])
+        parts = orbit_refined_multisets(d, q, args.flavor, omega, **kwargs)
         payload["refined"] = [
             {"orbits": list(key), "weights": part.to_json()["weights"]}
             for key, part in parts.items()]
         ms = WeightMultiset.from_values(
             v for part in parts.values() for v, m in part.weights
             for _ in range(m))
-    elif units is not None:
-        e = kwargs["exterior"]
-        for unit, k in zip(units, e if isinstance(e, tuple) else (e,)):
-            ms = ms.scaled(unit, -k)
+    elif symbolic:
+        # the file holds a twisted (per-orbit twisted) cocycle w.  At
+        # exterior color e, its shadow transport alpha^-m w weighs alpha^-e
+        # (prod_O u_O^-e_O) times its twisted weight, so that plan gates
+        # and weighs the file.
+        flavor, units = (("twisted", [args.alpha]) if args.module == "Z"
+                         else ("link_twisted", alphas))
+        ms = invariant_multiset(d, q, flavor, omega, **kwargs)
+        for u, k in zip(units, _parse_exterior(args.exterior or "0",
+                                               len(units))):
+            ms = ms.scaled(IntUnit(omega.coeff, u), -k)
     else:
+        if args.flavor in SHADOW:
+            kwargs["exterior"] = _parse_exterior(args.exterior or "0")[0]
         ms = invariant_multiset(d, q, args.flavor, omega, **kwargs)
     # flavor-specific arguments stay out of the payload so that flavors
     # that provably coincide produce identical bytes
@@ -403,9 +374,7 @@ def build_parser():
     c.set_defaults(fn=cmd_cohomology)
 
     c = add("invariant", "weight multiset of a diagram")
-    c.add_argument("--flavor", required=True,
-                   choices=["classical", "shadow", "positive", "twisted",
-                            "shadow_twisted", "link_twisted"])
+    c.add_argument("--flavor", required=True, choices=FLAVORS)
     c.add_argument("--diagram", required=True)
     c.add_argument("--quandle", required=True)
     c.add_argument("--cocycle", required=True)

@@ -153,8 +153,13 @@ class Cochain:
             raise StructureError("cochain json must be an object")
         check_version(data)
         coeff = CoeffGroup.from_json(data.get("coeff"))
-        if module is None and data.get("module") is not None:
-            module = module_from_json(data["module"], quandle)
+        if data.get("module") is not None:
+            record = module_from_json(data["module"], quandle)
+            if module is None:
+                module = record
+            elif record != module:
+                raise StructureError("the cochain's module record differs "
+                                     "from the given module")
         degree = data.get("degree")
         if not is_integer(degree) or degree < 0:
             raise StructureError(f"degree must be an integer >= 0, "

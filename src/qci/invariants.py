@@ -22,17 +22,15 @@ crossing, the two arc slots, the source region and one d x d integer
 coefficient matrix C_x = sign(x) * prod_j U_j^(e_j(x)) folded from the sign
 and the twisting units.  Weighing a coloring is then one linear loop,
 sum_x C_x . w(m(x), a, b) on plain integers, reduced once at the end.
-The units are fixed for the twisted flavors, so their coefficients are
-built with the plan; link_twisted builds them the first time a tuple of
-component color orbits appears and keeps them per tuple.  The invariant
-is the multiset of weights over all colorings (with the exterior region
-color pinned for shadow flavors).
+The invariant is the multiset of weights over all colorings (with the
+exterior region color pinned for shadow flavors).
 """
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from operator import mul
 
-from .algebra import IntUnit, Scalar, StructureError, orbits
+from .algebra import IntUnit, Scalar, StructureError, is_integer, orbits
 from .cohomology import (DifferentialSpec, is_cocycle,
                          is_link_twisted_cocycle)
 from .coloring import (component_orbits, enumerate_colorings,
@@ -43,6 +41,8 @@ FLAVORS = ("classical", "shadow", "positive", "twisted", "shadow_twisted",
            "link_twisted")
 # the fixed unit that twists each untwisted flavor's sum
 UNITS = {"classical": 1, "shadow": 1, "positive": -1}
+# the flavors that color regions from the cochain's module
+SHADOW = ("shadow", "shadow_twisted")
 
 
 class CocycleError(ValueError):
@@ -59,14 +59,10 @@ class CocycleError(ValueError):
 class WeightMultiset:
     """Canonical multiset of coefficient-group elements."""
     weights: tuple  # sorted ((element tuple, multiplicity), ...)
-    meta: dict = field(default_factory=dict, compare=False)
 
     @classmethod
-    def from_values(cls, values, meta=None):
-        counts = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return cls(tuple(sorted(counts.items())), meta or {})
+    def from_values(cls, values):
+        return cls(tuple(sorted(Counter(values).items())))
 
     def total(self):
         return sum(m for _, m in self.weights)
@@ -75,24 +71,18 @@ class WeightMultiset:
         # one product per distinct weight, not per coloring
         image = {v: scalar.apply(v, power) for v, _ in self.weights}
         return WeightMultiset.from_values(
-            [image[v] for v, m in self.weights for _ in range(m)],
-            dict(self.meta))
+            [image[v] for v, m in self.weights for _ in range(m)])
 
     def negated(self, coeff):
         return WeightMultiset.from_values(
-            [coeff.neg(v) for v, m in self.weights for _ in range(m)],
-            dict(self.meta))
+            [coeff.neg(v) for v, m in self.weights for _ in range(m)])
 
     def to_json(self):
-        data = {"v": 1, "weights": [[list(v), m] for v, m in self.weights]}
-        if self.meta:
-            data["meta"] = self.meta
-        return data
+        return {"v": 1, "weights": [[list(v), m] for v, m in self.weights]}
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple((tuple(v), m) for v, m in data["weights"]),
-                   data.get("meta", {}))
+        return cls(tuple((tuple(v), m) for v, m in data["weights"]))
 
 
 # -- flavor-matched cocycle validation --------------------------------------
@@ -145,33 +135,35 @@ def _coefficient(sign, units, exps, d):
 class _Plan:
     """A flavor's state sum compiled once for one diagram and cochain.
 
-    Construction normalises the twisting units, refuses a cochain of the
-    wrong shape, runs the cocycle gate when ``check`` is set and compiles
-    the diagram; calling the plan weighs one coloring (a ShadowColoring
-    for the shadow flavors).  The exponent vector of a crossing pairs with
-    one unit per component: the flavor's unit on every component, or for
-    link_twisted the unit of each component's color orbit.  Each crossing's
-    sign and twist fold into one integer coefficient matrix (_coefficient):
-    once per plan when the units are fixed, once per tuple of component
-    orbits for link_twisted.
+    Construction refuses a missing flavor input (alpha, alphas, a shadow
+    flavor's exterior color) or a cochain of the wrong shape, then runs
+    the cocycle gate when ``check`` is set and compiles the diagram;
+    calling the plan weighs one coloring (a ShadowColoring for the shadow
+    flavors).  Each crossing's sign and twist fold into one integer
+    coefficient matrix (_coefficient), stored per tuple of component
+    orbits: under () for fixed units, built with the plan, and for
+    link_twisted the first time each tuple appears.
     """
 
     def __init__(self, diagram, flavor, omega, check, *, alpha=None,
-                 alphas=None, orbit_map=None):
+                 alphas=None, orbit_map=None, exterior=None):
         if flavor not in FLAVORS:
             raise StructureError(f"unknown flavor {flavor!r}")
         coeff = omega.coeff
-        self.shadow = flavor in ("shadow", "shadow_twisted")
-        self.alpha = self.alphas = None
+        self.shadow = flavor in SHADOW
+        self.alphas = None
         unit = UNITS.get(flavor)
-        if flavor in ("twisted", "shadow_twisted"):
-            unit = self.alpha = _as_scalar(coeff, alpha)
         if flavor == "link_twisted":
             if orbit_map is None:
                 orbit_map = orbits(omega.quandle)
-            self.alphas = [_as_scalar(coeff, a) for a in alphas]
+            self.alphas = [_as_scalar(coeff, a) for a in alphas or ()]
             if len(self.alphas) != orbit_map.count:
-                raise StructureError("need one unit per quandle orbit")
+                raise StructureError("link_twisted needs alphas, one unit "
+                                     "per quandle orbit")
+        elif unit is None:
+            if alpha is None:
+                raise StructureError(f"{flavor} needs a twisting unit alpha")
+            unit = _as_scalar(coeff, alpha)
         # a plan reads omega(m, a, b); only the shadow flavors fill m
         if omega.degree != 2:
             raise StructureError(f"{flavor} weighs a degree-2 cochain, "
@@ -182,18 +174,22 @@ class _Plan:
         if omega.module is None and self.shadow:
             raise StructureError(f"{flavor} weighs a module cochain, "
                                  "not a trivial-module one")
+        if self.shadow and not (is_integer(exterior)
+                                and exterior in omega.module.elements()):
+            raise StructureError(f"{flavor} needs an exterior color in its "
+                                 f"cochain's module, not {exterior!r}")
         if check:
-            validate_cocycle(flavor, omega, alpha=self.alpha,
-                             alphas=self.alphas, orbit_map=orbit_map)
+            validate_cocycle(flavor, omega, alpha=unit, alphas=self.alphas,
+                             orbit_map=orbit_map)
         self.diagram = diagram
         self.orbit_map = orbit_map
         self.omega = omega
         # non-shadow flavors read omega at m = 0 for every source region
         self.no_regions = (0,) * diagram.n_regions
         self.terms = _compile(diagram, unit != 1)
-        self.by_orbits = {}
+        self.weighed = {}
         if self.alphas is None:
-            self.weighed = self._weighed(
+            self.weighed[()] = self._weighed(
                 () if unit == 1 else
                 (_as_scalar(coeff, unit),) * diagram.n_components)
 
@@ -203,20 +199,25 @@ class _Plan:
         return tuple((_coefficient(sign, units, exps, d), a, b, src)
                      for sign, a, b, src, exps in self.terms)
 
+    def searched_orbits(self, coloring):
+        """The component orbits of a coloring from the search, which keeps
+        each component in one orbit: one arc per component decides."""
+        return tuple(self.orbit_map.of(coloring[arcs[0]])
+                     for arcs in self.diagram.component_arcs)
+
     def __call__(self, coloring, key=None):
         """Weigh one coloring; key, if given, is its component orbits."""
         arcs, regions = coloring, self.no_regions
         if self.shadow:
             arcs, regions = coloring.arcs, coloring.regions
         if self.alphas is None:
-            weighed = self.weighed
-        else:
-            if key is None:
-                key = component_orbits(self.diagram, arcs, self.orbit_map)
-            weighed = self.by_orbits.get(key)
-            if weighed is None:
-                weighed = self.by_orbits[key] = self._weighed(
-                    tuple(self.alphas[o] for o in key))
+            key = ()
+        elif key is None:
+            key = component_orbits(self.diagram, arcs, self.orbit_map)
+        weighed = self.weighed.get(key)
+        if weighed is None:
+            weighed = self.weighed[key] = self._weighed(
+                tuple(self.alphas[o] for o in key))
         coeff, values = self.omega.coeff, self.omega.values
         n = self.omega.quandle.n
         total = [0] * coeff.d
@@ -236,7 +237,8 @@ def weight_classical(diagram, coloring, omega, check=True):
 
 def weight_shadow(diagram, shadow, omega, check=True):
     """Signed sum of w(source color, a, b)."""
-    return _Plan(diagram, "shadow", omega, check)(shadow)
+    return _Plan(diagram, "shadow", omega, check,
+                 exterior=shadow.regions[diagram.exterior_region])(shadow)
 
 
 def positive_signs(diagram, indices=None):
@@ -259,7 +261,8 @@ def weight_twisted(diagram, coloring, omega, alpha, check=True):
 
 def weight_shadow_twisted(diagram, shadow, omega, alpha, check=True):
     """Sum of sign(x) * alpha^-i(x) * w(source color, a, b)."""
-    return _Plan(diagram, "shadow_twisted", omega, check, alpha=alpha)(shadow)
+    return _Plan(diagram, "shadow_twisted", omega, check, alpha=alpha,
+                 exterior=shadow.regions[diagram.exterior_region])(shadow)
 
 
 def weight_link_twisted(diagram, coloring, omega, alphas, orbit_map=None,
@@ -280,39 +283,35 @@ def invariant_multiset(diagram, quandle, flavor, omega, *, alpha=None,
     compatible region coloring in that module, whose positions index
     omega's table.
     """
-    plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas)
-    if plan.shadow and exterior is None:
-        raise StructureError(f"{flavor} needs an exterior region color")
-
+    plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas,
+                 exterior=exterior)
     colorings = enumerate_colorings(diagram, quandle)
-    weights = (plan(propagate_shadow(diagram, c, omega.module, exterior)
-                    if plan.shadow else c) for c in colorings)
+    if plan.shadow:
+        weights = (plan(propagate_shadow(diagram, c, omega.module, exterior))
+                   for c in colorings)
+    elif plan.alphas is None:
+        weights = map(plan, colorings)
+    else:
+        weights = (plan(c, plan.searched_orbits(c)) for c in colorings)
+    return WeightMultiset.from_values(weights)
 
-    meta = {"flavor": flavor, "colorings": len(colorings),
-            "crossings": len(diagram.crossings), "quandle": quandle.n}
-    if isinstance(plan.alpha, IntUnit):
-        meta["alpha"] = plan.alpha.value
-    if plan.alphas is not None:
-        meta["alphas"] = [a.value for a in plan.alphas
-                          if isinstance(a, IntUnit)]
-    if exterior is not None:
-        meta["exterior"] = list(exterior) if isinstance(exterior, tuple) \
-            else exterior
-    return WeightMultiset.from_values(weights, meta)
+
+def check_refinable(flavor):
+    """Refuse orbit refinement of a shadow flavor."""
+    if flavor in SHADOW:
+        raise StructureError("orbit refinement applies to arc-coloring "
+                             f"flavors, not {flavor}")
 
 
 def orbit_refined_multisets(diagram, quandle, flavor, omega, *, alpha=None,
                             alphas=None, check=True):
     """The flavor multiset split by the tuple of component color orbits."""
-    if flavor not in ("classical", "twisted", "link_twisted", "positive"):
-        raise StructureError("orbit refinement applies to arc-coloring flavors")
-    orbit_map = orbits(quandle)
+    check_refinable(flavor)
     plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas,
-                 orbit_map=orbit_map)
+                 orbit_map=orbits(quandle))
     buckets = {}
     for coloring in enumerate_colorings(diagram, quandle):
-        key = component_orbits(diagram, coloring, orbit_map)
+        key = plan.searched_orbits(coloring)
         buckets.setdefault(key, []).append(plan(coloring, key))
-    return {key: WeightMultiset.from_values(vals, {"flavor": flavor,
-                                                   "orbits": list(key)})
+    return {key: WeightMultiset.from_values(vals)
             for key, vals in sorted(buckets.items())}

@@ -4,6 +4,7 @@ import hashlib
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             is_cocycle, link_twisted_cocycle_basis,
                             random_cochain)
 from qci.diagram import Diagram
-from qci.invariants import WeightMultiset
+from qci.invariants import WeightMultiset, weight_link_twisted
 from tests.oracle_utils import (pointwise_differential, raw_orbit_ids,
                                 symbolic_shadow_weight)
 from tests.test_fuzz_braids import braid_closure_records
@@ -545,16 +546,24 @@ def test_refine_orbits_colors_once(files, monkeypatch, capsys):
         assert json.dumps(refined[key]) == json.dumps(plain[key])
 
 
-def test_refine_orbits_finds_component_orbits_once(files, monkeypatch,
+def test_refine_orbits_reads_orbits_off_the_search(files, monkeypatch,
                                                    capsys):
     # link_twisted needs each coloring's component orbits both for its
-    # bucket and for its units; --refine-orbits finds them once
+    # bucket and for its units.  The search keeps every component inside
+    # one orbit, so --refine-orbits reads them off one arc per component
+    # and never runs the full component_orbits check
     d, q, dfile, qfile = _two_component_d4_files(files)
     A = CoeffGroup((5,))
     units = [IntUnit(A, 2), IntUnit(A, 3)]
     lt = link_twisted_cocycle_basis(q, A, units, orbits(q))[0]
     wfile = files["tmp"] / "lt.json"
     wfile.write_text(json.dumps(lt.to_json()))
+    om = orbits(q)
+    expected = {}
+    for c in coloring.enumerate_colorings(d, q):
+        key = list(coloring.component_orbits(d, c, om))
+        expected.setdefault(json.dumps(key), []).append(
+            list(weight_link_twisted(d, c, lt, units, om, check=False)))
     calls = []
     find = invariants.component_orbits
 
@@ -570,8 +579,11 @@ def test_refine_orbits_finds_component_orbits_once(files, monkeypatch,
     assert code == 0, err
     refined = json.loads(out)
     assert len(refined["refined"]) > 1
-    assert len(calls) == refined["total"] == len(
-        coloring.enumerate_colorings(d, q))
+    assert calls == []
+    got = {json.dumps(part["orbits"]): sorted(
+        w for w, m in part["weights"] for _ in range(m))
+        for part in refined["refined"]}
+    assert got == {key: sorted(ws) for key, ws in expected.items()}
 
 
 def test_weights_refuse_cochains_of_the_wrong_shape(files, capsys):
@@ -1107,3 +1119,140 @@ def test_integer_flags_name_themselves(files, capsys, flag):
     assert (code, out) == (2, "")
     name = "--module Z/k" if flag == "--module" else flag
     assert json.loads(err)["error"] == f"{name} expects {FLAG_ROLES[flag]}"
+
+
+# Each flavor-input refusal: the invariant flags after --flavor, the
+# cochain file ("plain" has no module, "module" is over D3 acting on
+# itself), the flavor and input the message names, and the library call
+# that refuses the same input (function, flavor, cochain, keywords).
+FLAVOR_REFUSALS = {
+    "twisted_without_alpha": (
+        ["twisted"], "plain", "twisted", "alpha",
+        ("invariant_multiset", "twisted", "plain", {})),
+    "shadow_twisted_without_alpha": (
+        ["shadow_twisted"], "module", "shadow_twisted", "alpha",
+        ("invariant_multiset", "shadow_twisted", "module", {"exterior": 0})),
+    "shadow_over_z_without_alpha": (
+        ["shadow", "--module", "Z"], "plain", "twisted", "alpha",
+        ("invariant_multiset", "twisted", "plain", {})),
+    "link_twisted_without_alphas": (
+        ["link_twisted"], "plain", "link_twisted", "alphas",
+        ("invariant_multiset", "link_twisted", "plain", {})),
+    "shadow_over_orbitz_without_alphas": (
+        ["shadow", "--module", "orbitZ"], "plain", "link_twisted", "alphas",
+        ("invariant_multiset", "link_twisted", "plain", {})),
+    "shadow_without_module": (
+        ["shadow"], "plain", "shadow", "module",
+        ("invariant_multiset", "shadow", "plain", {"exterior": 0})),
+    "shadow_twisted_without_module": (
+        ["shadow_twisted", "--alpha", "2"], "plain", "shadow_twisted",
+        "module", ("invariant_multiset", "shadow_twisted", "plain",
+                   {"alpha": 2, "exterior": 0})),
+    "shadow_exterior_outside_module": (
+        ["shadow", "--exterior", "7"], "module", "shadow", "exterior",
+        ("invariant_multiset", "shadow", "module", {"exterior": 7})),
+    "shadow_twisted_exterior_outside_module": (
+        ["shadow_twisted", "--alpha", "2", "--exterior=-1"], "module",
+        "shadow_twisted", "exterior",
+        ("invariant_multiset", "shadow_twisted", "module",
+         {"alpha": 2, "exterior": -1})),
+    "refine_shadow": (
+        ["shadow", "--refine-orbits"], "module", "shadow", "refinement",
+        ("orbit_refined_multisets", "shadow", "module", {})),
+    "refine_shadow_twisted": (
+        ["shadow_twisted", "--alpha", "2", "--refine-orbits"], "module",
+        "shadow_twisted", "refinement",
+        ("orbit_refined_multisets", "shadow_twisted", "module",
+         {"alpha": 2})),
+    "refine_shadow_over_z": (
+        ["shadow", "--module", "Z", "--alpha", "2", "--refine-orbits"],
+        "plain", "shadow", "refinement",
+        ("orbit_refined_multisets", "shadow", "plain", {"alpha": 2})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAVOR_REFUSALS))
+def test_flavor_input_refusals(files, monkeypatch, capsys, case):
+    # qci.invariants alone decides what each flavor needs: the command
+    # passes its flags on and prints the library's refusal, which comes
+    # before any coloring search, and the library refuses the same input
+    # with a StructureError rather than Python's own TypeError/IndexError
+    flags, cochain, flavor, needed, direct = FLAVOR_REFUSALS[case]
+    q = make_dihedral(3)
+    A = CoeffGroup((3,))
+    omegas = {"plain": Cochain(q, None, A, 2, [A.zero()] * 9),
+              "module": Cochain.from_json(
+                  json.loads(files["cocycle"].read_text()), q)}
+    plain = files["tmp"] / "plain.json"
+    plain.write_text(json.dumps(omegas["plain"].to_json()))
+    paths = {"plain": plain, "module": files["cocycle"]}
+    searches = []
+    monkeypatch.setattr(invariants, "enumerate_colorings",
+                        lambda *args: searches.append(args))
+    code, out, err = _main_in_process(
+        capsys, ["invariant", "--diagram", str(files["diagram"]),
+                 "--quandle", str(files["quandle"]),
+                 "--cocycle", str(paths[cochain]), "--flavor"] + flags)
+    assert (code, out) == (2, ""), err
+    message = json.loads(err)["error"]
+    words = re.findall(r"\w+", message)
+    assert flavor in words and needed in words, message
+    assert searches == []
+    fn, lib_flavor, lib_cochain, kwargs = direct
+    with pytest.raises(cli.StructureError) as exc:
+        getattr(invariants, fn)(corpus.load("trefoil"), q, lib_flavor,
+                                omegas[lib_cochain], **kwargs)
+    assert str(exc.value) == message
+    assert searches == []
+
+
+def test_cochain_module_record_is_read_with_module_flag(files, capsys):
+    # --module used to skip the cochain's own module record, so a
+    # corrupted record passed unread; a matching record changes nothing
+    q = make_dihedral(3)
+    record = json.loads(files["cocycle"].read_text())
+    mod = files["tmp"] / "self.json"
+    mod.write_text(json.dumps(quandle_as_module(q).describe()))
+    path = files["tmp"] / "w.json"
+    base = ["invariant", "--flavor", "shadow", "--diagram",
+            str(files["diagram"]), "--quandle", str(files["quandle"]),
+            "--cocycle", str(path)]
+
+    def run(data, *extra):
+        path.write_text(json.dumps(data))
+        return _main_in_process(capsys, base + list(extra))
+
+    code, own, err = run(record)
+    assert code == 0, err
+    assert run(record, "--module", str(mod)) == (0, own, "")
+    assert run(dict(record, module=None), "--module", str(mod)) == \
+        (0, own, "")
+    for bad in (2.5, "x", []):
+        action = [list(r) for r in record["module"]["action"]]
+        action[1][2] = bad
+        data = dict(record, module=dict(record["module"], action=action))
+        code, out, err = run(data, "--module", str(mod))
+        assert (code, out) == (2, ""), bad
+        assert "action" in json.loads(err)["error"]
+    # a valid record of another module on the same three elements
+    other = dict(record, module=cyclic_shadow_module(q, 3).describe())
+    code, out, err = run(other, "--module", str(mod))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == \
+        "the cochain's module record differs from the given module"
+
+
+def test_quandle_labels_must_be_a_list_of_size_entries(files, capsys):
+    data = json.loads(files["quandle"].read_text())
+    path = files["tmp"] / "labelled.json"
+    for labels in (5, "abc", ["a", "b"], {"0": "a"}):
+        path.write_text(json.dumps(dict(data, labels=labels)))
+        code, out, err = _main_in_process(
+            capsys, ["orbits", "--quandle", str(path)])
+        assert (code, out) == (2, ""), labels
+        assert json.loads(err)["error"] == \
+            f"labels must be a list of 3 entries, not {labels!r}"
+    path.write_text(json.dumps(dict(data, labels=["r", "s", "t"])))
+    code, out, err = _main_in_process(
+        capsys, ["orbits", "--quandle", str(path)])
+    assert code == 0, err
