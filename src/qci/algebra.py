@@ -13,7 +13,6 @@ with the column inverse given or derived.  A unit scalar is its integer
 matrix; applying it is that matrix times the vector, reduced.
 """
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 
@@ -38,12 +37,36 @@ def check_version(data):
         raise StructureError("unsupported schema version")
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class Frozen:
+    """Base of the immutable value classes.  A subclass's __init__ stores
+    each field once through __dict__; instances refuse assignment, and
+    compare and hash by _key: all their fields, unless a subclass names
+    fewer."""
+
+    def _key(self):
+        return tuple(vars(self).values())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class AxiomReport(Frozen):
     """Outcome of an axiom check: pass, or the first violation found."""
-    passed: bool
-    axiom: str = ""
-    witness: tuple = ()
+
+    def __init__(self, passed, axiom="", witness=()):
+        self.__dict__.update(passed=passed, axiom=axiom, witness=witness)
 
     def __bool__(self):
         return self.passed
@@ -254,6 +277,12 @@ class TableModule:
             action, inv_action, quandle.n, ("action", "inv_action"))
         if clash is not None:
             raise StructureError(f"action column {clash[2]} is not a bijection")
+        if inv_action is not None:
+            for m, row in enumerate(self.action):
+                for a, x in enumerate(row):
+                    if self.inv_action[x][a] != m:
+                        raise StructureError("inv_action is not the inverse "
+                                             f"of action at (m, a) = {(m, a)}")
         self.size = len(self.action)
 
     def act(self, m, a):
@@ -332,12 +361,13 @@ def check_module(module, quandle=None):
     return AxiomReport(True)
 
 
-@dataclass(frozen=True)
-class OrbitMap:
+class OrbitMap(Frozen):
     """Partition of a carrier into orbits of the right action."""
-    count: int
-    orbits: tuple = None
-    index: dict = field(default=None, compare=False)
+    def __init__(self, count, orbits=None, index=None):
+        self.__dict__.update(count=count, orbits=orbits, index=index)
+
+    def _key(self):
+        return self.count, self.orbits
 
     def of(self, x):
         if self.index is None:

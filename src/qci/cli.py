@@ -3,20 +3,22 @@
 All I/O is JSON with schema version "v": 1.  Output is canonical (sorted
 keys, compact separators), so identical inputs give identical bytes.  Exit
 codes: 0 success, 1 a validation failure with a witness, 2 malformed or
-unsupported input.  --seed only randomizes test-harness data (random
-cochains in corpus-verify), never an invariant computation.
+unsupported input, 3 an internal error (its traceback on stderr).  --seed
+only randomizes test-harness data (random cochains in corpus-verify),
+never an invariant computation.
+
+Only what every command needs is imported up front: input digests
+(hashlib) are computed for --manifest alone, and corpus-verify imports
+its corpus and random generator when it runs.
 """
 
 import argparse
 import functools
-import hashlib
 import json
-import random
 import sys
 import time
 
 from . import __version__
-from . import corpus as corpus_pkg
 from .algebra import (CoeffGroup, IntUnit, Quandle, StructureError,
                       check_module, check_quandle, cyclic_shadow_module,
                       module_from_json, orbits, quandle_tables)
@@ -32,14 +34,20 @@ from .invariants import (FLAVORS, SHADOW, CocycleError, WeightMultiset,
                          weight_twisted)
 
 
+def _sha256(data):
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
 class _Inputs:
-    """Tracks files read, for the reproducibility manifest.
+    """Reads the input files, and with ``digest`` set records each one's
+    digest for the reproducibility manifest.
 
     Paths of the form ``corpus:<name>`` resolve to the shipped corpus.
     """
 
-    def __init__(self):
-        self.digests = {}
+    def __init__(self, digest):
+        self.digests = {} if digest else None
 
     def read_json(self, path):
         if path.startswith("corpus:"):
@@ -49,8 +57,14 @@ class _Inputs:
         else:
             with open(path, "rb") as fh:
                 raw = fh.read()
-        self.digests[path] = hashlib.sha256(raw).hexdigest()
-        return json.loads(raw)
+        if self.digests is not None:
+            self.digests[path] = _sha256(raw)
+        try:
+            return json.loads(raw)
+        except ValueError as exc:
+            # a syntax error, bytes in no JSON encoding, or an integer too
+            # long to convert: bad input all the same
+            raise StructureError(str(exc)) from None
 
 
 def _dump(payload):
@@ -94,10 +108,9 @@ def _parse_module(text, inputs, quandle):
     return module_from_json(inputs.read_json(text), quandle)
 
 
-def _parse_exterior(text, entries=1):
-    """The exterior color: one integer, or for orbitZ an integer vector
-    of the given length."""
-    parts = _ints(text, "--exterior", "integers like 0 or 1,2")
+def _exterior(parts, entries=1):
+    """The exterior color read from --exterior: one integer, or for orbitZ
+    an integer vector of the given length."""
     if len(parts) == entries:
         return parts
     raise StructureError("exterior color must be a single integer"
@@ -214,6 +227,8 @@ def cmd_invariant(args, inputs):
     alphas = (_ints(args.alpha_per_orbit, "--alpha-per-orbit",
                     "integer units like 2,3")
               if args.alpha_per_orbit else None)
+    exterior = _ints(args.exterior or "0", "--exterior",
+                     "integers like 0 or 1,2")
     kwargs = {"alpha": args.alpha, "alphas": alphas, "check": not args.force}
     payload = {"v": 1}
     if args.refine_orbits:
@@ -233,12 +248,11 @@ def cmd_invariant(args, inputs):
         flavor, units = (("twisted", [args.alpha]) if args.module == "Z"
                          else ("link_twisted", alphas))
         ms = invariant_multiset(d, q, flavor, omega, **kwargs)
-        for u, k in zip(units, _parse_exterior(args.exterior or "0",
-                                               len(units))):
+        for u, k in zip(units, _exterior(exterior, len(units))):
             ms = ms.scaled(IntUnit(omega.coeff, u), -k)
     else:
         if args.flavor in SHADOW:
-            kwargs["exterior"] = _parse_exterior(args.exterior or "0")[0]
+            kwargs["exterior"] = _exterior(exterior)[0]
         ms = invariant_multiset(d, q, args.flavor, omega, **kwargs)
     # flavor-specific arguments stay out of the payload so that flavors
     # that provably coincide produce identical bytes
@@ -263,6 +277,8 @@ def cmd_rmove(args, inputs):
 
 
 def cmd_corpus_verify(args, inputs):
+    import random
+    from . import corpus as corpus_pkg
     from .algebra import make_dihedral
     from .cohomology import cocycle_basis, differential
     rng = random.Random(args.seed)
@@ -408,19 +424,19 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    inputs = _Inputs()
+    inputs = _Inputs(args.manifest)
     start = time.monotonic()
     try:
         code, payload = args.fn(args, inputs)
         text = _dump(payload)
-        if getattr(args, "manifest", None):
+        if args.manifest:
             # written before the payload, so that an unwritable path is
             # exit 2 with nothing on stdout
             manifest = {"v": 1,
                         "command": argv if argv is not None else sys.argv[1:],
                         "inputs": inputs.digests,
                         "library_version": __version__,
-                        "output_sha256": hashlib.sha256(text.encode()).hexdigest(),
+                        "output_sha256": _sha256(text.encode()),
                         "wall_time_s": round(time.monotonic() - start, 6)}
             with open(args.manifest, "w") as fh:
                 fh.write(_dump(manifest))
@@ -430,10 +446,14 @@ def main(argv=None):
                      "witness": list(exc.report.witness)})
         sys.stdout.write(out)
         return 1
-    except (StructureError, KeyError, json.JSONDecodeError, OSError,
-            ValueError, TypeError) as exc:
+    except (StructureError, OSError) as exc:
         sys.stderr.write(_dump({"v": 1, "error": str(exc)}))
         return 2
+    except Exception:
+        # not bad input: a fault in qci itself, reported as such
+        import traceback
+        traceback.print_exc()
+        return 3
     sys.stdout.write(text)
     return code
 

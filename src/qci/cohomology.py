@@ -31,7 +31,6 @@ A piece's rows are built on its own coordinates only, and its vectors
 become cochains that are zero off them.
 """
 
-from dataclasses import dataclass
 from itertools import chain, compress, count, islice, product, repeat
 from operator import add, getitem, mod, mul, sub
 
@@ -167,6 +166,11 @@ class Cochain:
         raw = data.get("values")
         if not isinstance(raw, list):
             raise StructureError(f"values must be a list, not {raw!r}")
+        if quandle.n > 1 and degree >= len(raw).bit_length():
+            # n^degree >= 2^degree > len(raw) rows, so refuse before the
+            # power, which a huge degree makes unbounded
+            raise StructureError(f"degree {degree} needs more than the "
+                                 f"{len(raw)} values given")
         values = [tuple(v) if isinstance(v, list) else (v,) for v in raw]
         # a bare integer reads as a one-entry list, and type() keeps bool
         # out; the per-entry scan only locates an entry known to be bad
@@ -461,13 +465,17 @@ def _cochains(vectors, coords, quandle, module, coeff, degree):
     return out
 
 
-@dataclass
 class CohomologyBasis:
     """Cocycle/coboundary generating sets and the quotient's shape."""
-    cocycles: list
-    coboundaries: list
-    torsion: list
-    free_rank: int
+
+    def __init__(self, cocycles, coboundaries, torsion, free_rank):
+        self.cocycles = cocycles
+        self.coboundaries = coboundaries
+        self.torsion = torsion
+        self.free_rank = free_rank
+
+    def __eq__(self, other):
+        return type(other) is CohomologyBasis and vars(self) == vars(other)
 
 
 def cohomology_basis(spec, quandle, module, coeff, degree, quandle_flag=True):

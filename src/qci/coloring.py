@@ -13,9 +13,7 @@ other), and lists the crossings it completes as checks; the search is a
 plain recursion over the levels.
 """
 
-from dataclasses import dataclass, field
-
-from .algebra import StructureError
+from .algebra import Frozen, StructureError
 from .diagram import propagate_regions
 
 
@@ -141,12 +139,14 @@ def enumerate_colorings(diagram, quandle, preset=None):
     return found
 
 
-@dataclass(frozen=True)
-class ShadowColoring:
+class ShadowColoring(Frozen):
     """Arc colors plus compatible region colors in a module."""
-    arcs: tuple
-    regions: tuple
-    module: object = field(compare=False)
+
+    def __init__(self, arcs, regions, module):
+        self.__dict__.update(arcs=arcs, regions=regions, module=module)
+
+    def _key(self):
+        return self.arcs, self.regions
 
 
 def validate_shadow(diagram, quandle, shadow):

@@ -32,23 +32,18 @@ j is found by offset: it is arc n_crossing_arcs + j, region n_faces + j,
 and the j-th component after those that meet a crossing.
 """
 
-from dataclasses import dataclass
-
-from .algebra import StructureError, is_integer
+from .algebra import Frozen, StructureError, is_integer
 
 LEFT, RIGHT = "left", "right"
 
 
-@dataclass(frozen=True)
-class Crossing:
-    rot: tuple
-    over: int
-
-    def __post_init__(self):
-        if len(self.rot) != 4:
+class Crossing(Frozen):
+    def __init__(self, rot, over):
+        if len(rot) != 4:
             raise StructureError("crossing rot needs exactly 4 semi-arc ids")
-        if self.over not in (1, 3):
+        if over not in (1, 3):
             raise StructureError("crossing over slot must be 1 or 3")
+        self.__dict__.update(rot=rot, over=over)
 
     @property
     def sign(self):
@@ -67,22 +62,24 @@ class Crossing:
         return self.rot[(self.over + 2) % 4]
 
 
-@dataclass(frozen=True)
-class CrossingGeometry:
-    """Per-crossing data feeding the weight sums."""
-    sign: int
-    source_region: int
-    a_arc: int        # arc whose color sits in the first cocycle slot
-    b_arc: int        # over-strand arc
-    quadrants: tuple  # region ids of sectors (0-1, 1-2, 2-3, 3-0)
+class CrossingGeometry(Frozen):
+    """Per-crossing data feeding the weight sums: the sign, the source
+    region, the arc whose color sits in the first cocycle slot (a_arc),
+    the over-strand arc (b_arc) and the region ids of the sectors
+    (0-1, 1-2, 2-3, 3-0) as quadrants."""
+
+    def __init__(self, sign, source_region, a_arc, b_arc, quadrants):
+        self.__dict__.update(sign=sign, source_region=source_region,
+                             a_arc=a_arc, b_arc=b_arc, quadrants=quadrants)
 
 
-@dataclass(frozen=True)
-class IndexTable:
-    """Total and per-component region indices; exterior is all zero."""
-    totals: tuple
-    per_component: tuple  # per_component[region][component]
-    exterior: int
+class IndexTable(Frozen):
+    """Total and per-component region indices; exterior is all zero.
+    per_component[region][component]."""
+
+    def __init__(self, totals, per_component, exterior):
+        self.__dict__.update(totals=totals, per_component=per_component,
+                             exterior=exterior)
 
 
 class Diagram:
@@ -437,11 +434,14 @@ def checkerboard(diagram, indices=None):
     return tuple(t % 2 for t in indices.totals)
 
 
-@dataclass(frozen=True)
-class RewriteResult:
-    diagram: "Diagram"
-    arc_origin: dict  # new semi-arc (or loop) -> arc id in the old diagram
-    acted: frozenset = frozenset()  # new semi-arcs whose color the move acts on
+class RewriteResult(Frozen):
+    """The rewritten diagram; arc_origin maps each new semi-arc (or loop)
+    to its arc id in the old diagram, and acted holds the new semi-arcs
+    whose color the move acts on."""
+
+    def __init__(self, diagram, arc_origin, acted=frozenset()):
+        self.__dict__.update(diagram=diagram, arc_origin=arc_origin,
+                             acted=acted)
 
 
 def _fresh_ids(diagram, count):

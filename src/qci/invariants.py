@@ -27,10 +27,10 @@ exterior region color pinned for shadow flavors).
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul
 
-from .algebra import IntUnit, Scalar, StructureError, is_integer, orbits
+from .algebra import (Frozen, IntUnit, Scalar, StructureError, is_integer,
+                      orbits)
 from .cohomology import (DifferentialSpec, is_cocycle,
                          is_link_twisted_cocycle)
 from .coloring import (component_orbits, enumerate_colorings,
@@ -55,10 +55,12 @@ class CocycleError(ValueError):
             f"{flavor}: {report.axiom} fails at {report.witness}")
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
-    """Canonical multiset of coefficient-group elements."""
-    weights: tuple  # sorted ((element tuple, multiplicity), ...)
+class WeightMultiset(Frozen):
+    """Canonical multiset of coefficient-group elements: weights is
+    sorted ((element tuple, multiplicity), ...)."""
+
+    def __init__(self, weights):
+        self.__dict__["weights"] = weights
 
     @classmethod
     def from_values(cls, values):
@@ -90,13 +92,13 @@ class WeightMultiset:
 def validate_cocycle(flavor, omega, *, alpha=None, alphas=None,
                      orbit_map=None):
     """Raise CocycleError unless omega satisfies the flavor's condition."""
-    if flavor not in FLAVORS:
-        raise StructureError(f"unknown flavor {flavor!r}")
-    if flavor == "link_twisted":
+    unit, alphas, orbit_map = _twisting(flavor, omega, alpha, alphas,
+                                        orbit_map)
+    if alphas is not None:
         report = is_link_twisted_cocycle(omega, alphas, orbit_map)
     else:
-        spec = DifferentialSpec.twisted(omega.coeff, UNITS.get(flavor, alpha))
-        report = is_cocycle(spec, omega)
+        report = is_cocycle(DifferentialSpec.twisted(omega.coeff, unit),
+                            omega)
     if not report:
         raise CocycleError(flavor, report)
 
@@ -105,6 +107,30 @@ def _as_scalar(coeff, alpha):
     if isinstance(alpha, Scalar):
         return alpha
     return IntUnit(coeff, alpha)
+
+
+def _twisting(flavor, omega, alpha, alphas, orbit_map):
+    """(unit, alphas, orbit_map) of a flavor's sum: the one unit that
+    twists it (the integer 1 or -1 for the untwisted flavors) and no
+    alphas, or for link_twisted no unit and one unit scalar per orbit of
+    orbit_map (the quandle's orbits when not given).  Refuses an unknown
+    flavor and a missing alpha or alphas."""
+    if flavor not in FLAVORS:
+        raise StructureError(f"unknown flavor {flavor!r}")
+    if flavor == "link_twisted":
+        if orbit_map is None:
+            orbit_map = orbits(omega.quandle)
+        alphas = [_as_scalar(omega.coeff, a) for a in alphas or ()]
+        if len(alphas) != orbit_map.count:
+            raise StructureError("link_twisted needs alphas, one unit "
+                                 "per quandle orbit")
+        return None, alphas, orbit_map
+    unit = UNITS.get(flavor)
+    if unit is None:
+        if alpha is None:
+            raise StructureError(f"{flavor} needs a twisting unit alpha")
+        unit = _as_scalar(omega.coeff, alpha)
+    return unit, None, orbit_map
 
 
 # -- the compiled state sum -------------------------------------------------
@@ -147,23 +173,9 @@ class _Plan:
 
     def __init__(self, diagram, flavor, omega, check, *, alpha=None,
                  alphas=None, orbit_map=None, exterior=None):
-        if flavor not in FLAVORS:
-            raise StructureError(f"unknown flavor {flavor!r}")
-        coeff = omega.coeff
+        unit, self.alphas, orbit_map = _twisting(flavor, omega, alpha,
+                                                 alphas, orbit_map)
         self.shadow = flavor in SHADOW
-        self.alphas = None
-        unit = UNITS.get(flavor)
-        if flavor == "link_twisted":
-            if orbit_map is None:
-                orbit_map = orbits(omega.quandle)
-            self.alphas = [_as_scalar(coeff, a) for a in alphas or ()]
-            if len(self.alphas) != orbit_map.count:
-                raise StructureError("link_twisted needs alphas, one unit "
-                                     "per quandle orbit")
-        elif unit is None:
-            if alpha is None:
-                raise StructureError(f"{flavor} needs a twisting unit alpha")
-            unit = _as_scalar(coeff, alpha)
         # a plan reads omega(m, a, b); only the shadow flavors fill m
         if omega.degree != 2:
             raise StructureError(f"{flavor} weighs a degree-2 cochain, "
@@ -191,7 +203,7 @@ class _Plan:
         if self.alphas is None:
             self.weighed[()] = self._weighed(
                 () if unit == 1 else
-                (_as_scalar(coeff, unit),) * diagram.n_components)
+                (_as_scalar(omega.coeff, unit),) * diagram.n_components)
 
     def _weighed(self, units):
         """(coefficient, a_arc, b_arc, source region) per crossing."""

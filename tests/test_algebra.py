@@ -2,13 +2,17 @@
 
 import pytest
 
-from qci.algebra import (CoeffGroup, IntUnit, Quandle,
+from qci.algebra import (AxiomReport, CoeffGroup, IntUnit, OrbitMap, Quandle,
                          ShiftUnit, StructureError, TableModule,
                          check_module, check_quandle, cyclic_shadow_module,
                          make_conjugation, make_dihedral, make_trivial,
                          make_alexander, module_from_json,
                          orbit_shadow_module, orbits, quandle_as_module,
                          trivial_module)
+from qci.cohomology import CohomologyBasis
+from qci.coloring import ShadowColoring
+from qci.diagram import Crossing, RewriteResult
+from qci.invariants import WeightMultiset
 from tests.groups import all_groups_up_to_8, cyclic_group, symmetric_3
 
 
@@ -344,3 +348,35 @@ def test_alexander_quandle():
     q = make_alexander(5, 2)
     assert check_quandle(q.op)
     assert make_alexander(5, 4).op == make_dihedral(5).op
+
+
+def test_value_classes_compare_by_field_and_refuse_assignment():
+    # equal and hashed alike by their fields, less OrbitMap.index and
+    # ShadowColoring.module; never equal across classes; immutable
+    a = OrbitMap(2, ((0,), (1,)), {0: 0, 1: 1})
+    assert a == OrbitMap(count=2, orbits=((0,), (1,)))
+    assert hash(a) == hash(OrbitMap(2, ((0,), (1,))))
+    assert a != OrbitMap(1, ((0,), (1,)), a.index)
+    s = ShadowColoring((0, 1), (2,), None)
+    assert s == ShadowColoring((0, 1), (2,), module=object())
+    assert s != ShadowColoring((0, 1), (0,), None)
+    assert AxiomReport(True) == AxiomReport(True, "", ()) != (True, "", ())
+    assert bool(AxiomReport(True)) and not AxiomReport(False, "x", (1,))
+    assert WeightMultiset((((0,), 2),)) != AxiomReport((((0,), 2),))
+    assert RewriteResult(None, {}).acted == frozenset()
+    for obj in (a, s, AxiomReport(True), Crossing((0, 1, 2, 3), 1)):
+        first = next(iter(vars(obj)))
+        for name in (first, "new"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, first)
+    for rot, over in (((0, 1, 2), 1), ((0, 1, 2, 3), 2)):
+        with pytest.raises(StructureError):
+            Crossing(rot, over)
+    # the cohomology result stays a mutable, unhashable record
+    basis = CohomologyBasis([], [], [], 0)
+    basis.free_rank = 1
+    assert basis == CohomologyBasis([], [], [], 1)
+    with pytest.raises(TypeError):
+        hash(basis)

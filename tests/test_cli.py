@@ -69,12 +69,16 @@ def test_check_quandle_fail_witness(files):
 
 
 def test_check_structural_error_exit2(files):
+    # a malformed table, bytes in no JSON encoding, an integer too long
+    # for Python to convert
     path = files["tmp"] / "broken.json"
-    path.write_text("{\"op\": [[0, 1]]}")
-    code, _out, err = run_cli("check", "--kind", "quandle",
-                              "--file", str(path))
-    assert code == 2
-    assert "error" in json.loads(err)
+    for raw in (b"{\"op\": [[0, 1]]}", b"\xff\xfe\xfa",
+                b"{\"op\": [[" + b"9" * 5000 + b"]]}"):
+        path.write_bytes(raw)
+        code, _out, err = run_cli("check", "--kind", "quandle",
+                                  "--file", str(path))
+        assert code == 2
+        assert "error" in json.loads(err)
 
 
 def test_cohomology_over_product_module_is_exit2(files):
@@ -101,6 +105,22 @@ def test_check_module_out_of_range_inv_action_is_exit2(files):
                              "--quandle", str(files["quandle"]))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "inv_action: entry 99 out of range 0..2"
+
+
+def test_check_module_inv_action_must_invert_the_action(files):
+    # a valid table that is not the action's inverse once reached the
+    # region walk, which blamed the diagram
+    q = make_dihedral(3)
+    inv = [list(r) for r in q.inv]
+    inv[0], inv[1] = inv[1], inv[0]
+    record = dict(quandle_as_module(q).describe(), inv_action=inv)
+    path = files["tmp"] / "swapped_inv.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli("check", "--kind", "module", "--file", str(path),
+                             "--quandle", str(files["quandle"]))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == \
+        "inv_action is not the inverse of action at (m, a) = (0, 0)"
 
 
 def test_cyclic_shadow_module_record_cli(files, capsys):
@@ -238,12 +258,15 @@ def test_manifest_reproducibility(files):
     man2 = files["tmp"] / "m2.json"
     args = ("colorings", "--diagram", str(files["diagram"]),
             "--quandle", str(files["quandle"]))
-    run_cli(*args, "--manifest", str(man1))
+    _code, out, _err = run_cli(*args, "--manifest", str(man1))
     run_cli(*args, "--manifest", str(man2))
     m1 = json.loads(man1.read_text())
     m2 = json.loads(man2.read_text())
-    assert m1["output_sha256"] == m2["output_sha256"]
-    assert m1["inputs"] == m2["inputs"]
+    assert m1["output_sha256"] == m2["output_sha256"] == \
+        hashlib.sha256(out.encode()).hexdigest()
+    assert m1["inputs"] == m2["inputs"] == {
+        str(files[k]): hashlib.sha256(files[k].read_bytes()).hexdigest()
+        for k in ("diagram", "quandle")}
     assert m1["library_version"] == m2["library_version"]
 
 
@@ -999,6 +1022,10 @@ def test_cochain_entries_are_checked(files, capsys):
     cases += [(dict(record, degree=k),
                f"degree must be an integer >= 0, not {k!r}")
               for k in (-1, True, 2.0, "2")]
+    # a degree whose table outgrows the values, refused before n^degree
+    cases += [(dict(record, degree=k),
+               f"degree {k} needs more than the 9 values given")
+              for k in (4, 10 ** 6)]
     # a missing or mistyped envelope field is named, not met by Python's
     # own KeyError or TypeError message
     missing = {key: {k: v for k, v in record.items() if k != key}
@@ -1121,6 +1148,32 @@ def test_integer_flags_name_themselves(files, capsys, flag):
     assert json.loads(err)["error"] == f"{name} expects {FLAG_ROLES[flag]}"
 
 
+@pytest.mark.parametrize("flavor", invariants.FLAVORS)
+@pytest.mark.parametrize("flag", ["--exterior", "--alpha-per-orbit"])
+def test_invariant_integer_flags_are_read_on_every_flavor(files, capsys,
+                                                          flag, flavor):
+    # --exterior was read on the shadow flavors only, so a malformed value
+    # passed on the others while one of --alpha-per-orbit did not
+    code, out, err = _main_in_process(capsys, [
+        "invariant", "--flavor", flavor, "--diagram", str(files["diagram"]),
+        "--quandle", str(files["quandle"]), "--cocycle",
+        str(files["cocycle"]), flag, "x"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == f"{flag} expects {FLAG_ROLES[flag]}"
+
+
+def test_internal_error_is_exit_3_with_its_traceback(files, monkeypatch,
+                                                     capsys):
+    # a KeyError inside a command is a fault in qci, not bad input
+    def broken(quandle):
+        raise KeyError("internal")
+    monkeypatch.setattr(cli, "orbits", broken)
+    code, out, err = _main_in_process(
+        capsys, ["orbits", "--quandle", str(files["quandle"])])
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback") and "KeyError: 'internal'" in err
+
+
 # Each flavor-input refusal: the invariant flags after --flavor, the
 # cochain file ("plain" has no module, "module" is over D3 acting on
 # itself), the flavor and input the message names, and the library call
@@ -1204,6 +1257,11 @@ def test_flavor_input_refusals(files, monkeypatch, capsys, case):
                                 omegas[lib_cochain], **kwargs)
     assert str(exc.value) == message
     assert searches == []
+    if needed in ("alpha", "alphas"):
+        # the gate alone resolves the flavor's units as the plan does
+        with pytest.raises(cli.StructureError) as exc:
+            invariants.validate_cocycle(lib_flavor, omegas[lib_cochain])
+        assert str(exc.value) == message
 
 
 def test_cochain_module_record_is_read_with_module_flag(files, capsys):

@@ -1,12 +1,16 @@
-"""Every name a qci module imports is used in that module, and every
-function, class and method qci defines is named somewhere else.
+"""Every name a qci module imports is used in that module, every
+function, class and method qci defines is named somewhere else, and
+importing the command loads no module that only some commands need.
 
 No linter ships with the project, so these stdlib ``ast`` passes keep
 imports and definitions from outliving the code that needed them.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -138,3 +142,23 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# dataclasses pulls in inspect, ast and dis; hashlib serves --manifest,
+# importlib.resources corpus: paths, random corpus-verify and traceback an
+# internal error.  Each costs a one-shot command start-up time.
+NOT_AT_STARTUP = ("dataclasses", "inspect", "hashlib", "importlib.resources",
+                  "random", "traceback")
+
+
+def test_importing_the_command_loads_no_optional_module():
+    # against the interpreter's own start-up set: a site hook may load
+    # some of these before any user code, and that is not qci's doing
+    probe = ("import sys\nbefore = set(sys.modules)\nimport qci.cli\n"
+             "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    loaded = set(proc.stdout.split())
+    assert "qci.cli" in loaded
+    assert sorted(loaded.intersection(NOT_AT_STARTUP)) == []
