@@ -146,33 +146,30 @@ def _quandle_axioms(op, inv, clash=None):
     return AxiomReport(True)
 
 
-class Quandle:
-    """Finite quandle on 0..n-1 with dense op / inverse-op tables."""
+class Quandle(Frozen):
+    """Finite quandle on 0..n-1 with dense op / inverse-op tables.  Two
+    quandles are equal when their op tables are, whatever their labels."""
 
     def __init__(self, op, inv=None, labels=None):
-        self.op, self.inv, clash = _action_tables(op, inv, len(op),
-                                                  ("op", "inv"))
+        op, inv, clash = _action_tables(op, inv, len(op), ("op", "inv"))
         if clash is not None:
             raise StructureError(
                 f"op column {clash[2]} is not a bijection; cannot derive inverse")
-        self.n = len(self.op)
-        self.labels = tuple(labels) if labels else None
-        report = _quandle_axioms(self.op, self.inv)
+        report = _quandle_axioms(op, inv)
         if not report:
             raise StructureError(
                 f"not a quandle: {report.axiom} fails at {report.witness}")
+        self.__dict__.update(op=op, inv=inv, n=len(op),
+                             labels=tuple(labels) if labels else None)
+
+    def _key(self):
+        return self.op
 
     def apply(self, a, b):
         return self.op[a][b]
 
     def unapply(self, a, b):
         return self.inv[a][b]
-
-    def __eq__(self, other):
-        return isinstance(other, Quandle) and self.op == other.op
-
-    def __hash__(self):
-        return hash(self.op)
 
     def __repr__(self):
         return f"Quandle(n={self.n})"
@@ -268,22 +265,22 @@ def make_conjugation(mul):
     return Quandle(op)
 
 
-class TableModule:
+class TableModule(Frozen):
     """Finite quandle module: a dense size x n action table on 0..size-1."""
 
     def __init__(self, quandle, action, inv_action=None):
-        self.quandle = quandle
-        self.action, self.inv_action, clash = _action_tables(
-            action, inv_action, quandle.n, ("action", "inv_action"))
+        action, inv, clash = _action_tables(action, inv_action, quandle.n,
+                                            ("action", "inv_action"))
         if clash is not None:
             raise StructureError(f"action column {clash[2]} is not a bijection")
         if inv_action is not None:
-            for m, row in enumerate(self.action):
+            for m, row in enumerate(action):
                 for a, x in enumerate(row):
-                    if self.inv_action[x][a] != m:
+                    if inv[x][a] != m:
                         raise StructureError("inv_action is not the inverse "
                                              f"of action at (m, a) = {(m, a)}")
-        self.size = len(self.action)
+        self.__dict__.update(quandle=quandle, action=action, inv_action=inv,
+                             size=len(action))
 
     def act(self, m, a):
         return self.action[m][a]
@@ -297,13 +294,6 @@ class TableModule:
     def describe(self):
         return {"v": 1, "kind": "table", "size": self.size,
                 "action": [list(r) for r in self.action]}
-
-    def __eq__(self, other):
-        return (isinstance(other, TableModule) and self.action == other.action
-                and self.quandle == other.quandle)
-
-    def __hash__(self):
-        return hash((self.action, self.quandle))
 
 
 def quandle_as_module(q):
@@ -346,15 +336,14 @@ def cyclic_shadow_module(q, k):
 
 
 def check_module(module, quandle=None):
-    """Check the two action identities exhaustively on the table."""
+    """Check self-distributivity exhaustively on the table; a TableModule
+    is invertible by construction."""
     q = quandle if quandle is not None else module.quandle
     if quandle is not None and quandle.n != module.quandle.n:
         raise StructureError("module quandle size mismatch")
     for m in module.elements():
         for b in range(q.n):
             mb = module.act(m, b)
-            if module.unact(mb, b) != m or module.act(module.unact(m, b), b) != m:
-                return AxiomReport(False, "invertibility", (m, b))
             for c in range(q.n):
                 if module.act(mb, c) != module.act(module.act(m, c), q.apply(b, c)):
                     return AxiomReport(False, "self-distributivity", (m, b, c))
@@ -436,7 +425,7 @@ def module_from_json(data, quandle):
     raise StructureError(f"unknown module kind {kind!r}")
 
 
-class CoeffGroup:
+class CoeffGroup(Frozen):
     """Finite abelian group Z/n1 x ... x Z/nd; modulus 0 marks a free Z
     summand (allowed for cohomology ranks, rejected by twisted weights)."""
 
@@ -447,8 +436,7 @@ class CoeffGroup:
         for n in moduli:
             if not is_integer(n) or (n != 0 and n < 2):
                 raise StructureError(f"modulus {n!r} must be 0 or >= 2")
-        self.moduli = moduli
-        self.d = len(moduli)
+        self.__dict__.update(moduli=moduli, d=len(moduli))
 
     @property
     def is_finite(self):
@@ -505,21 +493,17 @@ class CoeffGroup:
                                  f"list, not {data!r}")
         return cls(data["moduli"])
 
-    def __eq__(self, other):
-        return isinstance(other, CoeffGroup) and self.moduli == other.moduli
-
-    def __hash__(self):
-        return hash(self.moduli)
-
     def __repr__(self):
         return f"CoeffGroup{self.moduli}"
 
 
 class Scalar:
-    """Invertible scalar acting on a coefficient group."""
+    """Invertible scalar acting on a coefficient group.  Open for custom
+    units: it stores group through __dict__, so a Frozen subclass can
+    call it, and it refuses no assignment itself."""
 
     def __init__(self, group):
-        self.group = group
+        self.__dict__["group"] = group
 
     def apply(self, x, power=1):
         """x times the scalar to the given power: its integer matrix
@@ -532,11 +516,10 @@ class Scalar:
         raise NotImplementedError
 
 
-class IntUnit(Scalar):
+class IntUnit(Frozen, Scalar):
     """Multiplication by an integer coprime to every modulus."""
 
     def __init__(self, group, value):
-        super().__init__(group)
         if not is_integer(value):
             raise StructureError("unit must be an integer")
         for n in group.moduli:
@@ -546,7 +529,8 @@ class IntUnit(Scalar):
                         f"{value} is not a unit on a free Z summand")
             elif gcd(value % n, n) != 1:
                 raise StructureError(f"{value} is not a unit mod {n}")
-        self.value = value
+        super().__init__(group)
+        self.__dict__["value"] = value
 
     def int_matrix(self, power=1):
         d = self.group.d
@@ -560,23 +544,16 @@ class IntUnit(Scalar):
     def __repr__(self):
         return f"IntUnit({self.value})"
 
-    def __eq__(self, other):
-        return (isinstance(other, IntUnit) and self.value == other.value
-                and self.group == other.group)
 
-    def __hash__(self):
-        return hash(("int_unit", self.value, self.group))
-
-
-class ShiftUnit(Scalar):
+class ShiftUnit(Frozen, Scalar):
     """Cyclic coordinate shift: multiplication by t on Z_n[t]/(t^d - 1)."""
 
     def __init__(self, group, step=1):
-        super().__init__(group)
         mods = set(group.moduli)
         if len(mods) != 1 or 0 in mods:
             raise StructureError("shift unit needs uniform finite moduli")
-        self.step = step % group.d
+        super().__init__(group)
+        self.__dict__["step"] = step % group.d
 
     def int_matrix(self, power=1):
         d = self.group.d
@@ -588,10 +565,3 @@ class ShiftUnit(Scalar):
 
     def __repr__(self):
         return f"ShiftUnit(step={self.step})"
-
-    def __eq__(self, other):
-        return (isinstance(other, ShiftUnit) and self.step == other.step
-                and self.group == other.group)
-
-    def __hash__(self):
-        return hash(("shift_unit", self.step, self.group))

@@ -139,14 +139,12 @@ def cmd_check(args, inputs):
         mod = module_from_json(data, q)
         report = check_module(mod, q)
         payload = {"v": 1, "kind": "module", "passed": report.passed}
-    elif args.kind == "cocycle":
+    else:
         q = Quandle.from_json(inputs.read_json(args.quandle))
         phi = Cochain.from_json(data, q)
         spec = _parse_spec(args.spec, phi.coeff)
         report = is_cocycle(spec, phi, quandle_flag=not args.no_quandle_flag)
         payload = {"v": 1, "kind": "cocycle", "passed": report.passed}
-    else:
-        raise StructureError(f"unknown check kind {args.kind!r}")
     if not report.passed:
         payload["axiom"] = report.axiom
         payload["witness"] = list(report.witness)
@@ -194,6 +192,14 @@ def cmd_cohomology(args, inputs):
     if args.module:
         module = _parse_module(args.module, inputs, q)
     spec = _parse_spec(args.spec, coeff)
+    if args.contains:
+        # a mismatched cochain is refused before the basis is computed
+        phi = Cochain.from_json(inputs.read_json(args.contains), q, module)
+        for field, value in (("coeff", coeff), ("module", module),
+                             ("degree", args.degree)):
+            if getattr(phi, field) != value:
+                raise StructureError(f"the --contains cochain's {field} "
+                                     "differs from the command's")
     basis = cohomology_basis(spec, q, module, coeff, args.degree,
                              quandle_flag=not args.no_quandle_flag)
     payload = {"v": 1, "degree": args.degree,
@@ -205,7 +211,6 @@ def cmd_cohomology(args, inputs):
                "coboundaries": [[list(v) for v in c.values]
                                 for c in basis.coboundaries]}
     if args.contains:
-        phi = Cochain.from_json(inputs.read_json(args.contains), q, module)
         payload["contains"] = {
             "cocycle": is_in_span(basis.cocycles, phi),
             "coboundary": is_in_span(basis.coboundaries, phi)}
@@ -266,13 +271,11 @@ def cmd_rmove(args, inputs):
     if args.move == "r1":
         res = r1_insert(d, _parse_target(args.target, "--target"),
                         args.chirality, args.side)
-    elif args.move == "r2":
+    else:
         if not args.target2:
             raise StructureError("r2 needs --target2")
         res = r2_insert(d, _parse_target(args.target, "--target"),
                         _parse_target(args.target2, "--target2"))
-    else:
-        raise StructureError(f"unknown move {args.move!r}")
     return 0, res.diagram.to_json()
 
 

@@ -34,9 +34,9 @@ become cochains that are zero off them.
 from itertools import chain, compress, count, islice, product, repeat
 from operator import add, getitem, mod, mul, sub
 
-from .algebra import (AxiomReport, CoeffGroup, IntUnit, Scalar,
+from .algebra import (AxiomReport, CoeffGroup, Frozen, IntUnit, Scalar,
                       StructureError, check_version, is_integer,
-                      orbit_shadow_module)
+                      module_from_json, orbit_shadow_module)
 from . import modlinalg
 
 
@@ -98,21 +98,23 @@ def _mod_size(module):
     return 1 if module is None else module.size
 
 
-class Cochain:
-    """Dense cochain table over a table module (or the trivial one, None)."""
+class Cochain(Frozen):
+    """Dense cochain table over a table module (or the trivial one, None):
+    a tuple of reduced values.  Cochains compare by degree, values and
+    coefficient group."""
 
     def __init__(self, quandle, module, coeff, degree, values):
         if degree < 0:
             raise StructureError("degree must be >= 0")
-        self.quandle = quandle
-        self.module = module
-        self.coeff = coeff
-        self.degree = degree
         size = _mod_size(module) * quandle.n ** degree
-        values = [coeff.reduce(tuple(v)) for v in values]
+        values = tuple(map(coeff.reduce, map(tuple, values)))
         if len(values) != size:
             raise StructureError(f"expected {size} values, got {len(values)}")
-        self.values = values
+        self.__dict__.update(quandle=quandle, module=module, coeff=coeff,
+                             degree=degree, values=values)
+
+    def _key(self):
+        return self.degree, self.values, self.coeff
 
     def index(self, m, args):
         return _flat_index(self.quandle, self.module, m, args)
@@ -147,7 +149,6 @@ class Cochain:
 
     @classmethod
     def from_json(cls, data, quandle, module=None):
-        from .algebra import module_from_json
         if not isinstance(data, dict):
             raise StructureError("cochain json must be an object")
         check_version(data)
@@ -181,10 +182,6 @@ class Cochain:
             raise StructureError(f"values[{i}] must be a list of "
                                  f"{coeff.d} integers, not {raw[i]!r}")
         return cls(quandle, module, coeff, degree, values)
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.degree == other.degree
-                and self.values == other.values and self.coeff == other.coeff)
 
 
 def zero_cochain(quandle, module, coeff, degree):
@@ -523,7 +520,14 @@ def cocycle_basis(spec, quandle, module, coeff, degree=2, quandle_flag=True):
 
 
 def is_in_span(basis_cochains, phi):
-    """Membership of phi in the Z-span of dense cochains (same shape)."""
+    """Membership of phi in the Z-span of dense cochains of its quandle,
+    module, coefficient group and degree; a cochain of another shape is
+    refused."""
+    shape = phi.quandle, phi.module, phi.coeff, phi.degree
+    if any((c.quandle, c.module, c.coeff, c.degree) != shape
+           for c in basis_cochains):
+        raise StructureError("span membership needs cochains of one "
+                             "quandle, module, coefficient group and degree")
     for coords, n in _blocks(phi.coeff):
         target, *rows = ([v[j] for v in c.values for j in coords]
                          for c in (phi, *basis_cochains))

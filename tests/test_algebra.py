@@ -3,13 +3,13 @@
 import pytest
 
 from qci.algebra import (AxiomReport, CoeffGroup, IntUnit, OrbitMap, Quandle,
-                         ShiftUnit, StructureError, TableModule,
+                         Scalar, ShiftUnit, StructureError, TableModule,
                          check_module, check_quandle, cyclic_shadow_module,
                          make_conjugation, make_dihedral, make_trivial,
                          make_alexander, module_from_json,
                          orbit_shadow_module, orbits, quandle_as_module,
                          trivial_module)
-from qci.cohomology import CohomologyBasis
+from qci.cohomology import Cochain, CohomologyBasis
 from qci.coloring import ShadowColoring
 from qci.diagram import Crossing, RewriteResult
 from qci.invariants import WeightMultiset
@@ -351,8 +351,9 @@ def test_alexander_quandle():
 
 
 def test_value_classes_compare_by_field_and_refuse_assignment():
-    # equal and hashed alike by their fields, less OrbitMap.index and
-    # ShadowColoring.module; never equal across classes; immutable
+    # equal and hashed alike by their fields, less OrbitMap.index,
+    # ShadowColoring.module, Quandle.labels and a Cochain's quandle and
+    # module; never equal across classes; immutable
     a = OrbitMap(2, ((0,), (1,)), {0: 0, 1: 1})
     assert a == OrbitMap(count=2, orbits=((0,), (1,)))
     assert hash(a) == hash(OrbitMap(2, ((0,), (1,))))
@@ -364,7 +365,19 @@ def test_value_classes_compare_by_field_and_refuse_assignment():
     assert bool(AxiomReport(True)) and not AxiomReport(False, "x", (1,))
     assert WeightMultiset((((0,), 2),)) != AxiomReport((((0,), 2),))
     assert RewriteResult(None, {}).acted == frozenset()
-    for obj in (a, s, AxiomReport(True), Crossing((0, 1, 2, 3), 1)):
+    q = make_dihedral(3)
+    named = Quandle(q.op, labels=["x", "y", "z"])
+    assert named == q and hash(named) == hash(q) and named.labels
+    A = CoeffGroup((5,))
+    assert IntUnit(A, 1) != ShiftUnit(A) and ShiftUnit(A) != IntUnit(A, 1)
+    assert IntUnit(A, 2) == IntUnit(CoeffGroup([5]), 2) != IntUnit(A, 3)
+    listed = Cochain(q, None, A, 1, [[0], [1], [7]])
+    tupled = Cochain(q, None, A, 1, ((0,), (1,), (2,)))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.values == ((0,), (1,), (2,))
+    values = (a, s, AxiomReport(True), Crossing((0, 1, 2, 3), 1), q,
+              quandle_as_module(q), A, IntUnit(A, 2), ShiftUnit(A), listed)
+    for obj in values:
         first = next(iter(vars(obj)))
         for name in (first, "new"):
             with pytest.raises(AttributeError):
@@ -374,6 +387,12 @@ def test_value_classes_compare_by_field_and_refuse_assignment():
     for rot, over in (((0, 1, 2), 1), ((0, 1, 2, 3), 2)):
         with pytest.raises(StructureError):
             Crossing(rot, over)
+    # Scalar stays open for custom units that keep their own state
+    class Open(Scalar):
+        pass
+    unit = Open(A)
+    unit.group, unit.matrix = CoeffGroup((7,)), [[3]]
+    del unit.matrix
     # the cohomology result stays a mutable, unhashable record
     basis = CohomologyBasis([], [], [], 0)
     basis.free_rank = 1

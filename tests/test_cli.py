@@ -195,6 +195,30 @@ def test_cohomology_command(files):
     assert payload["contains"] == {"cocycle": True, "coboundary": True}
 
 
+@pytest.mark.parametrize("cochain,flags,field", [
+    ("z3", ["--coeff", "5"], "coeff"),
+    ("cocycle", ["--coeff", "3"], "module"),
+    ("z3", ["--coeff", "3", "--degree", "1"], "degree"),
+    # a degree-3 basis once met the degree-2 cochain deep in the
+    # elimination, as an internal error (exit 3)
+    ("z3", ["--coeff", "3", "--degree", "3"], "degree")])
+def test_cohomology_contains_must_match_the_command(files, capsys, cochain,
+                                                    flags, field):
+    # a D3 cochain over Z/3 with trivial module, degree 2; "cocycle" is
+    # the same over the D3 self-module
+    q = make_dihedral(3)
+    A = CoeffGroup((3,))
+    phi = cocycle_basis(DifferentialSpec.quandle(A), q, None, A, 2)[0]
+    files["z3"] = files["tmp"] / "z3.json"
+    files["z3"].write_text(json.dumps(phi.to_json()))
+    code = cli.main(["cohomology", "--quandle", str(files["quandle"]),
+                     *flags, "--contains", str(files[cochain])])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == \
+        f"the --contains cochain's {field} differs from the command's"
+
+
 def test_invariant_shadow_and_determinism(files):
     args = ("invariant", "--flavor", "shadow",
             "--diagram", str(files["diagram"]),

@@ -433,6 +433,21 @@ def test_mixed_moduli_cohomology():
     assert not is_in_span(basis.coboundaries, phi)
 
 
+def test_is_in_span_refuses_a_cochain_of_another_shape():
+    q = make_dihedral(3)
+    A = CoeffGroup((3,))
+    cocycles = cocycle_basis(DifferentialSpec.quandle(A), q, None, A, 2)
+    phi = cocycles[0]
+    assert is_in_span(cocycles, phi)
+    others = (zero_cochain(q, None, CoeffGroup((5,)), 2),
+              zero_cochain(q, quandle_as_module(q), A, 2),
+              zero_cochain(q, None, A, 1),
+              zero_cochain(make_trivial(3), None, A, 2))
+    for other in others:
+        with pytest.raises(StructureError, match="one quandle, module"):
+            is_in_span([*cocycles, other], phi)
+
+
 class _Shear(Scalar):
     """(x, y) -> (x, 2x + y) on Z/2 x Z/4: a unit that mixes the two
     coordinates, so the pieces of the mixed moduli cannot be solved apart."""

@@ -8,15 +8,17 @@ from itertools import product
 import pytest
 
 from qci import corpus
-from qci.algebra import (StructureError, cyclic_shadow_module, make_alexander,
-                         make_conjugation, make_dihedral, make_trivial,
-                         orbit_shadow_module, orbits, quandle_as_module,
-                         trivial_module)
+from qci.algebra import (CoeffGroup, StructureError, cyclic_shadow_module,
+                         make_alexander, make_conjugation, make_dihedral,
+                         make_trivial, orbit_shadow_module, orbits,
+                         quandle_as_module, trivial_module)
 from qci.coloring import (ShadowColoring, _crossing_constraints, _search_plan,
                           act, component_orbits, enumerate_colorings,
                           is_coloring, propagate_shadow, transport_coloring,
                           validate_shadow)
+from qci.cohomology import zero_cochain
 from qci.diagram import compute_indices, r1_insert, r2_insert
+from qci.invariants import weight_link_twisted
 from tests.groups import symmetric_3
 from tests.oracle_utils import brute_force_colorings
 
@@ -175,6 +177,20 @@ def test_component_orbits_basic():
         assert len(component_orbits(d, col, om)) == 1
     hopf = corpus.load("unlink2")
     assert component_orbits(hopf, (1, 2), om) == (om.of(1), om.of(2))
+
+
+def test_component_with_colors_from_two_orbits_is_refused():
+    # D4's orbits are {0, 2} and {1, 3}; (0, 1, 0) puts both on the
+    # trefoil's one component, and only its second arc shows it
+    q = make_dihedral(4)
+    om = orbits(q)
+    assert om.orbits == ((0, 2), (1, 3))
+    d = corpus.load("trefoil")
+    omega = zero_cochain(q, None, CoeffGroup((5,)), 2)
+    with pytest.raises(StructureError, match="two orbits"):
+        component_orbits(d, (0, 1, 0), om)
+    with pytest.raises(StructureError, match="two orbits"):
+        weight_link_twisted(d, (0, 1, 0), omega, [2, 3], om)
 
 
 def test_component_orbit_pairs_trivial_quandle():

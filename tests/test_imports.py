@@ -1,6 +1,7 @@
 """Every name a qci module imports is used in that module, every
-function, class and method qci defines is named somewhere else, and
-importing the command loads no module that only some commands need.
+function, class and method qci defines is named somewhere else, value
+equality has one owner, and importing the command loads no module that
+only some commands need.
 
 No linter ships with the project, so these stdlib ``ast`` passes keep
 imports and definitions from outliving the code that needed them.
@@ -130,6 +131,40 @@ def test_every_definition_is_named():
                                 _layer_strings())
     assert [(defining[i].relative_to(ROOT).as_posix(), line, name)
             for i, line, name in found] == []
+
+
+# the value classes compare through Frozen._key; CohomologyBasis is the one
+# mutable record, so it compares by field and has no hash
+OWN_EQUALITY = {"Frozen", "CohomologyBasis"}
+
+
+def own_equality(source):
+    """(line, class, name) of every __eq__ or __hash__ that a class body
+    defines or assigns itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                names = ([item.name] if isinstance(item, ast.FunctionDef)
+                         else [t.id for t in getattr(item, "targets", ())
+                               if isinstance(t, ast.Name)])
+                found += [(node.lineno, node.name, name) for name in names
+                          if name in ("__eq__", "__hash__")]
+    return sorted(found)
+
+
+def test_own_equality_is_found():
+    source = ("class A:\n    def __eq__(self, other):\n        pass\n\n"
+              "class B(A):\n    __hash__ = None\n\n"
+              "class C:\n    def key(self):\n        pass\n")
+    assert own_equality(source) == [(1, "A", "__eq__"), (5, "B", "__hash__")]
+
+
+def test_only_frozen_and_the_cohomology_basis_define_equality():
+    found = [(path.name, *hit) for path in sorted(SRC.rglob("*.py"))
+             for hit in own_equality(path.read_text())
+             if hit[1] not in OWN_EQUALITY]
+    assert found == []
 
 
 def test_unused_imports_are_found():

@@ -64,16 +64,11 @@ def run_case(name, diagram_name, n_dihedral, moduli, flavor, **kw):
     out = []
     for omega in basis:
         values = []
-        for colors in cols:
-            if flavor in ("classical", "positive", "twisted", "link_twisted"):
-                def omega_at(ca, cb):
-                    return omega.at(0, (ca, cb))
-            else:
-                mod = omega.module
-                shadow = propagate_shadow(d, colors, mod, kw["exterior"])
 
-                def omega_at(ca, cb, _sh=shadow):
-                    return None  # replaced below per crossing
+        def omega_at(ca, cb):
+            return omega.at(0, (ca, cb))
+
+        for colors in cols:
             if flavor == "classical":
                 w = oracle_weight_sum(records, d.arc_of, colors, omega_at,
                                       A.add, A.zero(), A.neg)
