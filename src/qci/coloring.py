@@ -1,85 +1,71 @@
 """Arc colorings, their shadow extensions to regions, and the color action.
 
-An arc coloring is a tuple indexed by arc id.  At every crossing the
-under-strand color steps by the over color: outgoing = incoming |> over at
-a positive crossing and incoming = outgoing |> over at a negative one.
-Region colors extend an arc coloring uniquely once the exterior color is
-fixed; crossing a strand along its normal acts by the strand's arc color.
+An arc coloring is a tuple indexed by arc id.  Every crossing states one
+relation c = a |> b over arc ids (``Diagram.relations``): a is the under
+arc on the source side, b the over arc and c the other under arc, at
+either sign.  Region colors extend an arc coloring uniquely once the
+exterior color is fixed; crossing a strand along its normal acts by the
+strand's arc color.
 
 The coloring search is compiled once per call into a static plan of
 levels.  A level colors one free arc, derives every arc that color pins
-(a crossing that knows its over color and one under color pins the
-other), and lists the crossings it completes as checks; the search is a
-plain recursion over the levels.
+(a crossing that knows b and one of a, c pins the other), and lists the
+crossings it completes as checks; the search is a plain recursion over
+the levels.
 """
 
 from .algebra import Frozen, StructureError
 from .diagram import propagate_regions
 
 
-def _crossing_constraints(diagram):
-    """(under_in_arc, under_out_arc, over_arc, sign) per crossing."""
-    out = []
-    for x in diagram.crossings:
-        out.append((diagram.arc_of[x.rot[0]], diagram.arc_of[x.rot[2]],
-                    diagram.arc_of[x.rot[x.over]], x.sign))
-    return out
-
-
-def _relation_holds(q, cin, cout, cover, sign):
-    if sign > 0:
-        return cout == q.apply(cin, cover)
-    return cout == q.unapply(cin, cover)
-
-
 def is_coloring(diagram, quandle, colors):
-    """Check the crossing relation at every crossing."""
+    """Check c = a |> b at every crossing."""
     if len(colors) != diagram.n_arcs:
         return False
-    return all(_relation_holds(quandle, colors[ui], colors[uo], colors[b], s)
-               for ui, uo, b, s in _crossing_constraints(diagram))
+    return all(colors[c] == quandle.apply(colors[a], colors[b])
+               for a, b, c in diagram.relations)
 
 
-def _search_plan(n_arcs, constraints, first=()):
-    """The levels ``(arc, steps, checks)`` of a coloring search.
+def _search_plan(n_arcs, relations, first=()):
+    """The levels ``(arc, steps, checks)`` of a coloring search over the
+    crossing relations ``(a, b, c)``, c = a |> b.
 
     The arcs of ``first`` form the first levels, in order; every later
     level colors the free arc whose coloring pins the most further arcs
-    (ties to the lowest index).  An arc is pinned by a crossing that knows
-    its over color and its other under color; an arc of ``first`` is never
-    derived, because a level of its own fixes it.  Each level lists its
-    derivation steps in the order the closure found them, and as checks
-    the crossings it completes without using them.  Steps and checks are
-    ``(target, known_under, over, forward)``: a step sets target =
-    known_under |> over (forward) or known_under |>^-1 over, and a check
-    tests that equation.  Every crossing is used once, as a step or a
+    (ties to the lowest index).  A crossing that knows b and one of a, c
+    pins the other; an arc of ``first`` is never derived, because a level
+    of its own fixes it.  Each level lists its derivation steps in the
+    order the closure found them, and as checks the crossings it completes
+    without using them.  A step ``(target, source, b, forward)`` sets
+    c = a |> b (forward) or a = c |>^-1 b; a check is the relation
+    ``(a, b, c)`` itself.  Every crossing is used once, as a step or a
     check.
     """
     by_arc = [[] for _ in range(n_arcs)]
-    for idx, (ui, uo, b, _s) in enumerate(constraints):
-        for a in {ui, uo, b}:
-            by_arc[a].append(idx)
+    for idx, rel in enumerate(relations):
+        for arc in set(rel):
+            by_arc[arc].append(idx)
     pending = set(first)
 
     def closure(arc, known, settled):
         # fix arc; known (arcs) and settled (crossing ids) grow in place
         known.add(arc)
         steps, checks, queue = [], [], [arc]
-        for a in queue:
-            for idx in by_arc[a]:
-                ui, uo, b, s = constraints[idx]
+        for x in queue:
+            for idx in by_arc[x]:
+                a, b, c = relations[idx]
                 if idx in settled or b not in known:
                     continue
-                if ui in known and uo in known:
-                    checks.append((uo, ui, b, s > 0))
-                elif ui in known and uo not in pending:
-                    steps.append((uo, ui, b, s > 0))
-                    known.add(uo)
-                    queue.append(uo)
-                elif uo in known and ui not in pending:
-                    steps.append((ui, uo, b, s < 0))
-                    known.add(ui)
-                    queue.append(ui)
+                if a in known and c in known:
+                    checks.append((a, b, c))
+                elif a in known and c not in pending:
+                    steps.append((c, a, b, True))
+                    known.add(c)
+                    queue.append(c)
+                elif c in known and a not in pending:
+                    steps.append((a, c, b, False))
+                    known.add(a)
+                    queue.append(a)
                 else:
                     continue
                 settled.add(idx)
@@ -109,12 +95,11 @@ def enumerate_colorings(diagram, quandle, preset=None):
     color, and a crossing that would derive one checks it instead.
     """
     preset = preset or {}
-    plan = _search_plan(diagram.n_arcs, _crossing_constraints(diagram),
-                        sorted(preset))
-    ops = (quandle.unapply, quandle.apply)
+    plan = _search_plan(diagram.n_arcs, diagram.relations, sorted(preset))
+    apply = quandle.apply
+    ops = (quandle.unapply, apply)
     levels = [(arc, (preset[arc],) if arc in preset else range(quandle.n),
-               [(t, u, o, ops[f]) for t, u, o, f in steps],
-               [(t, u, o, ops[f]) for t, u, o, f in checks])
+               [(t, s, b, ops[f]) for t, s, b, f in steps], checks)
               for arc, steps, checks in plan]
     colors = [None] * diagram.n_arcs
     found = []
@@ -124,12 +109,12 @@ def enumerate_colorings(diagram, quandle, preset=None):
             found.append(tuple(colors))
             return
         arc, choices, steps, checks = levels[depth]
-        for c in choices:
-            colors[arc] = c
-            for target, under, over, op in steps:
-                colors[target] = op(colors[under], colors[over])
-            for target, under, over, op in checks:
-                if colors[target] != op(colors[under], colors[over]):
+        for color in choices:
+            colors[arc] = color
+            for target, source, over, op in steps:
+                colors[target] = op(colors[source], colors[over])
+            for a, b, c in checks:
+                if colors[c] != apply(colors[a], colors[b]):
                     break
             else:
                 descend(depth + 1)

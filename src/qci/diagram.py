@@ -14,6 +14,10 @@ Conventions, fixed once; all sign and index logic derives from them:
 - The source quadrant of a crossing is the one both strand normals point
   away from: the sector between slots 0 and 1 at a positive crossing and
   between slots 1 and 2 at a negative one.
+- Each crossing states one relation c = a |> b over arc ids
+  (``relations``): a is the under arc on the source side (slot 0 at a
+  positive crossing, slot 2 at a negative one), b the over arc and c the
+  other under arc.
 - Crossingless unknot components are carried as ``free_loops`` entries
   (+1 counterclockwise, -1 clockwise), always embedded in the exterior
   region.
@@ -249,6 +253,14 @@ class Diagram:
             frm, to = (ext, disk) if orient == 1 else (disk, ext)
             steps.append((frm, to, arc, self.arc_components[arc]))
         self._region_steps = tuple(steps)
+        # (a, b, c) per crossing, c = a |> b: the one place where the sign
+        # picks which under end is a
+        relations = []
+        for x in self.crossings:
+            a, c = (x.rot[0], x.rot[2]) if x.sign > 0 else (x.rot[2], x.rot[0])
+            relations.append((self.arc_of[a], self.arc_of[x.over_in],
+                              self.arc_of[c]))
+        self.relations = tuple(relations)
         # region -> ((neighbour, arc, forward), ...): the undirected view
         # of the steps that propagate_regions walks
         adj = {}
@@ -360,19 +372,6 @@ def parse_diagram(data):
     return diagram
 
 
-def compute_regions(crossings):
-    """Faces of a crossing rotation system as (semi-arc, side) incidence
-    lists, in canonical region order (side 0 = left, 1 = right)."""
-    d = Diagram(crossings, exterior=_any_exterior(crossings))
-    return [list(map(list, inc)) for inc in d.region_incidences]
-
-
-def _any_exterior(crossings):
-    first = crossings[0]
-    rot = first["rot"] if isinstance(first, dict) else first.rot
-    return (rot[0], LEFT)
-
-
 def propagate_regions(diagram, start, labels, forward, backward):
     """Region values by a walk from the exterior, which holds ``start``.
     Crossing the strand of arc a along its normal maps a value v to
@@ -410,20 +409,15 @@ def compute_indices(diagram):
 
 
 def crossing_geometry(diagram):
-    """Signs, source regions, cocycle color slots, and quadrant ids."""
+    """Signs, source regions, cocycle color slots (a and b of the crossing
+    relation), and quadrant ids."""
     out = []
-    for ci, x in enumerate(diagram.crossings):
+    for ci, (x, (a, b, _c)) in enumerate(zip(diagram.crossings,
+                                             diagram.relations)):
         quads = tuple(diagram.dart_region[(ci, (i + 1) % 4)] for i in range(4))
-        if x.sign > 0:
-            src = quads[0]
-            a_sa = x.rot[0]
-        else:
-            src = quads[1]
-            a_sa = x.rot[2]
-        out.append(CrossingGeometry(sign=x.sign, source_region=src,
-                                    a_arc=diagram.arc_of[a_sa],
-                                    b_arc=diagram.arc_of[x.rot[x.over]],
-                                    quadrants=quads))
+        out.append(CrossingGeometry(
+            sign=x.sign, source_region=quads[0] if x.sign > 0 else quads[1],
+            a_arc=a, b_arc=b, quadrants=quads))
     return out
 
 
@@ -475,11 +469,18 @@ def _is_loop(target):
     return isinstance(target, tuple) and target and target[0] == "loop"
 
 
-def _loop_side(diagram, j):
-    """The side of free loop j facing the exterior (ccw: interior left)."""
-    if not 0 <= j < len(diagram.free_loops):
-        raise StructureError(f"no free loop {j}")
-    return RIGHT if diagram.free_loops[j] == 1 else LEFT
+def _loop_sides(diagram, *loops):
+    """The side of each free loop facing the exterior (ccw: interior
+    left).  A loop beside crossings is refused: poking it would leave a
+    split diagram, which a Diagram cannot hold."""
+    for j in loops:
+        if not 0 <= j < len(diagram.free_loops):
+            raise StructureError(f"no free loop {j}")
+    if diagram.crossings:
+        raise StructureError(
+            f"free loop {loops[0]} lies beside crossings: poking it would "
+            "split the diagram, so loop pokes need a crossingless diagram")
+    return [RIGHT if diagram.free_loops[j] == 1 else LEFT for j in loops]
 
 
 _R1_TABLES = {
@@ -504,7 +505,7 @@ def r1_insert(diagram, target, chirality=1, side=LEFT):
     if _is_loop(target):
         # a free loop is a semi-arc whose head is the kink itself: t = s
         j = target[1]
-        outer = _loop_side(diagram, j)
+        outer, = _loop_sides(diagram, j)
         t, u = _fresh_ids(diagram, 2)
         s, heads, consumed, exterior = t, {}, (j,), (t, outer)
         old_arc = diagram.loop_arc(j)
@@ -524,7 +525,7 @@ def r1_insert(diagram, target, chirality=1, side=LEFT):
 def _r2_self_poke(diagram, j):
     """Poke one side of a crossingless loop over the other, through the
     loop's interior: the 2-crossing clasp diagram of the unknot."""
-    ext_side = _loop_side(diagram, j)
+    ext_side, = _loop_sides(diagram, j)
     a, b, c, dd = _fresh_ids(diagram, 4)
     if ext_side == RIGHT:
         # strands run west on top / east below; both face the interior left
@@ -557,7 +558,7 @@ def r2_insert(diagram, target1, target2):
         # two loops are two semi-arcs, each its own head: p2 = p0, q2 = q0;
         # both face the exterior, on the side opposite their interiors
         j1, j2 = target1[1], target2[1]
-        sigma1, sigma2 = _loop_side(diagram, j1), _loop_side(diagram, j2)
+        sigma1, sigma2 = _loop_sides(diagram, j1, j2)
         p0, p1, q0, q1 = _fresh_ids(diagram, 4)
         p2, q2 = p0, q0
         heads, consumed = {}, (j1, j2)

@@ -277,6 +277,24 @@ def test_rmove_roundtrip(files):
     assert len(payload["crossings"]) == 4
 
 
+def test_rmove_loop_poke_beside_crossings_is_refused(files):
+    # the trefoil with a free loop: poking the loop would split the
+    # diagram, so the refusal names that case, not a bad rotation system
+    data = dict(corpus.load_json("trefoil"), free_loops=[1])
+    path = files["tmp"] / "trefoil_loop.json"
+    path.write_text(json.dumps(data))
+    for extra in (["--move", "r1", "--target", "loop:0"],
+                  ["--move", "r2", "--target", "loop:0",
+                   "--target2", "loop:0"]):
+        code, out, err = run_cli("rmove", "--diagram", str(path), *extra)
+        assert (code, out) == (2, "")
+        assert "free loop 0 lies beside crossings" in err
+        assert "sphere" not in err
+    code, _out, err = run_cli("rmove", "--diagram", str(path), "--move",
+                              "r1", "--target", "loop:7")
+    assert code == 2 and "no free loop 7" in err
+
+
 def test_manifest_reproducibility(files):
     man1 = files["tmp"] / "m1.json"
     man2 = files["tmp"] / "m2.json"

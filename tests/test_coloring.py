@@ -12,15 +12,14 @@ from qci.algebra import (CoeffGroup, StructureError, cyclic_shadow_module,
                          make_alexander, make_conjugation, make_dihedral,
                          make_trivial, orbit_shadow_module, orbits,
                          quandle_as_module, trivial_module)
-from qci.coloring import (ShadowColoring, _crossing_constraints, _search_plan,
-                          act, component_orbits, enumerate_colorings,
-                          is_coloring, propagate_shadow, transport_coloring,
-                          validate_shadow)
+from qci.coloring import (ShadowColoring, _search_plan, act, component_orbits,
+                          enumerate_colorings, is_coloring, propagate_shadow,
+                          transport_coloring, validate_shadow)
 from qci.cohomology import zero_cochain
 from qci.diagram import compute_indices, r1_insert, r2_insert
 from qci.invariants import weight_link_twisted
 from tests.groups import symmetric_3
-from tests.oracle_utils import brute_force_colorings
+from tests.oracle_utils import arc_map_from_raw, brute_force_colorings
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "coloring_counts.json").read_text())
@@ -60,6 +59,30 @@ def test_every_enumerated_coloring_is_valid():
     q = make_dihedral(5)
     for col in enumerate_colorings(d, q):
         assert is_coloring(d, q, col)
+
+
+@pytest.mark.parametrize("qname", ["d3", "d4", "alex7_3"])
+@pytest.mark.parametrize("name", ["trefoil_mirror", "figure_eight",
+                                  "hopf_neg"])
+def test_is_coloring_matches_oracle_on_every_assignment(name, qname):
+    # diagrams with negative crossings, where a is the outgoing under arc;
+    # the oracle reads arcs and relations from the raw records.  Alex(7, 3)
+    # is not involutory, so it tells a |> b from a |>^-1 b.
+    d = corpus.load(name)
+    q = {"d3": make_dihedral(3), "d4": make_dihedral(4),
+         "alex7_3": make_alexander(7, 3)}[qname]
+    n = q.n
+    records = corpus.load_json(name)["crossings"]
+    arc_of, n_arcs = arc_map_from_raw(records)
+    assert n_arcs == d.n_arcs
+    good = set(brute_force_colorings(records, arc_of, n_arcs,
+                                     [list(r) for r in q.op],
+                                     [list(r) for r in q.inv]))
+    verdicts = {col: is_coloring(d, q, col)
+                for col in product(range(n), repeat=n_arcs)}
+    assert {col for col, ok in verdicts.items() if ok} == good
+    assert 0 < len(good) < len(verdicts)
+    assert not is_coloring(d, q, (0,) * (n_arcs + 1))
 
 
 def test_shadow_count_rule():
@@ -268,13 +291,12 @@ def test_preset_arc_pinned_by_earlier_presets():
     # derived but checked at its own level against its preset color
     d = corpus.load("trefoil")
     q = make_dihedral(3)
-    cons = _crossing_constraints(d)
-    plan = _search_plan(d.n_arcs, cons, [0, 1])
+    plan = _search_plan(d.n_arcs, d.relations, [0, 1])
     assert 2 in [t for _arc, steps, _checks in plan for t, *_ in steps]
-    plan = _search_plan(d.n_arcs, cons, [0, 1, 2])
+    plan = _search_plan(d.n_arcs, d.relations, [0, 1, 2])
     assert [arc for arc, _s, _c in plan] == [0, 1, 2]
     assert all(not steps for _arc, steps, _checks in plan)
-    assert len(plan[2][2]) == len(cons)
+    assert len(plan[2][2]) == len(d.relations)
     assert enumerate_colorings(d, q, {0: 0, 1: 1, 2: 2}) == [(0, 1, 2)]
     assert enumerate_colorings(d, q, {0: 0, 1: 1, 2: 1}) == []
     assert enumerate_colorings(d, q, {0: 0, 1: 0, 2: 1}) == []

@@ -1,0 +1,152 @@
+"""Hand mutants of qci, each run against tier-1 on a temporary copy.
+
+Each mutant is one ``(file, old, new, reason)`` text replacement that
+must apply exactly once; a mutant that matches zero or several places is
+refused before anything runs.  For each mutant the repository (without
+``.git``) is copied to a temporary directory, the replacement is made,
+and tier-1 runs there with ``-x``.  The mutant is killed when the run
+fails; the first failing test is named.  The result is printed as JSON.
+
+Run from anywhere (stdlib only):
+
+    python3 tools/mutants.py            # run every mutant (one tier-1 each)
+    python3 tools/mutants.py --check    # only check that each applies once
+
+This stays out of tier-1: a surviving mutant costs a full tier-1 run.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+MUTANTS = [
+    ("src/qci/invariants.py",
+     '"positive": -1}',
+     '"positive": 1}',
+     "the positive flavor twists by the unit 1 instead of -1"),
+    ("src/qci/invariants.py",
+     "tuple(-e for e in per[g.source_region])",
+     "tuple(e for e in per[g.source_region])",
+     "the twisting exponent is +e_j(x), not -e_j(x)"),
+    ("src/qci/invariants.py",
+     "sum(u[r][k] * coef[k][c] for k in range(d))",
+     "sum(coef[r][k] * u[k][c] for k in range(d))",
+     "the units compose in the reverse order"),
+    ("src/qci/cohomology.py",
+     "if v != zero and _degenerate_args(args):",
+     "if False and v != zero and _degenerate_args(args):",
+     "the cocycle gate skips the degenerate-entry check"),
+    ("src/qci/modlinalg.py",
+     "            syz[j] -= t\n            rels.append(syz)\n",
+     "            syz[j] -= t\n",
+     "the quotient drops the Howell basis's annihilator syzygies"),
+    ("src/qci/coloring.py",
+     "if colors[c] != apply(colors[a], colors[b]):",
+     "if False:",
+     "the search skips the crossings a level completes"),
+    ("src/qci/invariants.py",
+     "term = values[(regions[src] * n + arcs[a]) * n + arcs[b]]",
+     "term = values[(regions[src] * n + arcs[b]) * n + arcs[a]]",
+     "the weight reads the cocycle at (b, a) instead of (a, b)"),
+    ("src/qci/coloring.py",
+     "ids = {orbit_map.of(arc_colors[a]) for a in arcs}",
+     "ids = {orbit_map.of(arc_colors[a]) for a in arcs[:1]}",
+     "component_orbits reads only the first arc of each component"),
+    ("src/qci/diagram.py",
+     "else (x.rot[2], x.rot[0])",
+     "else (x.rot[0], x.rot[2])",
+     "a and c of the crossing relation swap at negative crossings"),
+    ("src/qci/coloring.py",
+     "ops = (quandle.unapply, apply)",
+     "ops = (apply, apply)",
+     "the search derives a = c |>^-1 b with |> instead"),
+    ("src/qci/diagram.py",
+     "source_region=quads[0] if x.sign > 0 else quads[1]",
+     "source_region=quads[0] if x.sign < 0 else quads[1]",
+     "the source quadrant is taken by the wrong sign"),
+    ("src/qci/coloring.py",
+     "colors[c] == quandle.apply(colors[a], colors[b])",
+     "colors[c] == quandle.unapply(colors[a], colors[b])",
+     "is_coloring tests c = a |>^-1 b"),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
+         "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
+
+
+def check(root, mutants):
+    """Refuse (with SystemExit) any mutant that does not apply exactly
+    once under ``root``; a missing file counts as zero matches."""
+    bad = []
+    for i, (path, old, _new, reason) in enumerate(mutants):
+        target = pathlib.Path(root) / path
+        found = target.read_text().count(old) if target.is_file() else 0
+        if found != 1:
+            bad.append(f"mutant {i} ({reason}): {path} matches "
+                       f"{found} times, not once")
+    if bad:
+        raise SystemExit("\n".join(bad))
+
+
+def run_one(root, mutant):
+    """Copy ``root``, apply one mutant and run tier-1 there with -x."""
+    path, old, new, reason = mutant
+    with tempfile.TemporaryDirectory(prefix="qci-mutant-") as tmp:
+        copy = pathlib.Path(tmp) / "repo"
+        shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".perfbench_out"))
+        target = copy / path
+        target.write_text(target.read_text().replace(old, new, 1))
+        env = dict(os.environ, PYTHONPATH="src",
+                   PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(TIER1, cwd=copy, env=env, text=True,
+                                  capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            killed, killer = True, f"timeout after {TIMEOUT_S} s"
+        else:
+            killed = proc.returncode != 0
+            first = FAILED.search(proc.stdout)
+            killer = (first.group(1) if first else
+                      f"exit {proc.returncode}") if killed else None
+    return {"file": path, "reason": reason,
+            "status": "killed" if killed else "survived",
+            "killed_by": killer,
+            "seconds": round(time.perf_counter() - start, 1)}
+
+
+def run(root, mutants):
+    """Check every mutant, then run each; returns the JSON report."""
+    check(root, mutants)
+    results = [dict(index=i, **run_one(root, m))
+               for i, m in enumerate(mutants)]
+    killed = sum(r["status"] == "killed" for r in results)
+    return {"killed": killed, "total": len(results), "mutants": results}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true",
+                    help="only check that every mutant applies exactly once")
+    args = ap.parse_args(argv)
+    if args.check:
+        check(ROOT, MUTANTS)
+        print(json.dumps({"mutants": len(MUTANTS), "apply_once": True}))
+        return
+    print(json.dumps(run(ROOT, MUTANTS), indent=2))
+
+
+if __name__ == "__main__":
+    main()
