@@ -306,16 +306,21 @@ def trivial_module(q):
     return TableModule(q, [[0] * q.n])
 
 
-def orbit_shadow_module(q, orders, orbit_map=None):
+def orbit_shadow_module(q, orders):
     """prod_O Z/k_O with m |> a = m + e_o(a): region colors counting, per
     orbit O of the colors crossed, the strands crossed modulo k_O =
     orders[O].  Elements are the digit tuples in itertools.product order
-    (the first orbit most significant).  With no orbit map every color is
-    in orbit 0, which makes it cyclic_shadow_module(q, k)."""
-    if orbit_map is None:
-        orbit_map = OrbitMap(count=1)
-    if len(orders) != orbit_map.count:
-        raise StructureError("need one shadow order per quandle orbit")
+    (the first orbit most significant).  One order puts every color in
+    orbit 0, which makes it cyclic_shadow_module(q, k); otherwise there is
+    one order per orbit of orbits(q)."""
+    if len(orders) == 1:
+        orbit_of = [0] * q.n
+    else:
+        om = orbits(q)
+        if len(orders) != om.count:
+            raise StructureError("need one shadow order or one per quandle "
+                                 f"orbit ({om.count}), not {len(orders)}")
+        orbit_of = om.index
     if any(k < 1 for k in orders):
         raise StructureError("shadow orders must be >= 1")
     digits = list(product(*(range(k) for k in orders)))
@@ -324,7 +329,7 @@ def orbit_shadow_module(q, orders, orbit_map=None):
     def bump(m, o):
         return position[m[:o] + ((m[o] + 1) % orders[o],) + m[o + 1:]]
 
-    return TableModule(q, [[bump(m, orbit_map.of(a)) for a in range(q.n)]
+    return TableModule(q, [[bump(m, orbit_of[a]) for a in range(q.n)]
                            for m in digits])
 
 
@@ -335,12 +340,10 @@ def cyclic_shadow_module(q, k):
     return orbit_shadow_module(q, (k,))
 
 
-def check_module(module, quandle=None):
-    """Check self-distributivity exhaustively on the table; a TableModule
-    is invertible by construction."""
-    q = quandle if quandle is not None else module.quandle
-    if quandle is not None and quandle.n != module.quandle.n:
-        raise StructureError("module quandle size mismatch")
+def check_module(module):
+    """Check self-distributivity exhaustively on the table over the
+    module's own quandle; a TableModule is invertible by construction."""
+    q = module.quandle
     for m in module.elements():
         for b in range(q.n):
             mb = module.act(m, b)
@@ -351,46 +354,35 @@ def check_module(module, quandle=None):
 
 
 class OrbitMap(Frozen):
-    """Partition of a carrier into orbits of the right action."""
-    def __init__(self, count, orbits=None, index=None):
-        self.__dict__.update(count=count, orbits=orbits, index=index)
+    """Partition of a carrier into orbits of the right action: orbits is a
+    tuple of sorted orbits, and count and index (element -> orbit id) are
+    read off it."""
+    def __init__(self, orbits):
+        index = {x: i for i, orbit in enumerate(orbits) for x in orbit}
+        self.__dict__.update(count=len(orbits), orbits=orbits, index=index)
 
     def _key(self):
-        return self.count, self.orbits
+        return self.orbits
 
     def of(self, x):
-        if self.index is None:
-            return 0
         return self.index[x]
 
 
 def _closure_orbits(table):
-    """Union-find closure of x ~ table[x][b]; deterministic orbit ids."""
-    elements = range(len(table))
-    parent = {x: x for x in elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in elements:
-        for y in table[x]:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-    classes = {}
-    for x in elements:
-        classes.setdefault(find(x), []).append(x)
-    ordered = sorted(classes.values(), key=lambda c: min(c))
-    index = {}
-    for i, cls in enumerate(ordered):
-        for x in cls:
-            index[x] = i
-    return OrbitMap(count=len(ordered),
-                    orbits=tuple(tuple(sorted(c)) for c in ordered),
-                    index=index)
+    """Orbits of x -> table[x][b], numbered by their least element.  Each
+    column of a quandle or module table is a bijection, so the colors
+    reached from x are its whole orbit."""
+    seen, found = [False] * len(table), []
+    for x in range(len(table)):
+        if not seen[x]:
+            seen[x], orbit = True, [x]
+            for y in orbit:
+                for z in table[y]:
+                    if not seen[z]:
+                        seen[z] = True
+                        orbit.append(z)
+            found.append(tuple(sorted(orbit)))
+    return OrbitMap(tuple(found))
 
 
 def orbits(obj):

@@ -137,7 +137,7 @@ def cmd_check(args, inputs):
     elif args.kind == "module":
         q = Quandle.from_json(inputs.read_json(args.quandle))
         mod = module_from_json(data, q)
-        report = check_module(mod, q)
+        report = check_module(mod)
         payload = {"v": 1, "kind": "module", "passed": report.passed}
     else:
         q = Quandle.from_json(inputs.read_json(args.quandle))
@@ -174,7 +174,7 @@ def cmd_indices(args, inputs):
     return 0, {"v": 1, "exterior": idx.exterior,
                "totals": list(idx.totals),
                "per_component": [list(v) for v in idx.per_component],
-               "checkerboard": list(checkerboard(d, idx))}
+               "checkerboard": list(checkerboard(d))}
 
 
 def cmd_colorings(args, inputs):

@@ -36,7 +36,7 @@ from operator import add, getitem, mod, mul, sub
 
 from .algebra import (AxiomReport, CoeffGroup, Frozen, IntUnit, Scalar,
                       StructureError, check_version, is_integer,
-                      module_from_json, orbit_shadow_module)
+                      module_from_json, orbit_shadow_module, orbits)
 from . import modlinalg
 
 
@@ -201,8 +201,15 @@ def _domain(quandle, module, degree):
             for args in product(range(quandle.n), repeat=degree))
 
 
+def _same_group(spec, coeff):
+    """Refuse a spec whose weights act on another group than coeff."""
+    if spec.group != coeff:
+        raise StructureError("spec and coefficient groups differ")
+
+
 def differential(spec, phi):
     """The spec differential of phi, dense."""
+    _same_group(spec, phi.coeff)
     values = list(zip(*_sums(spec, phi)))
     return Cochain(phi.quandle, phi.module, phi.coeff, phi.degree + 1, values)
 
@@ -237,8 +244,7 @@ def is_cocycle(spec, phi, quandle_flag=True):
     (when flagged), then the entries of the differential.  Returns an
     AxiomReport whose witness is the offending (m, a_1, ...) tuple.
     """
-    if spec.group != phi.coeff:
-        raise StructureError("spec and cochain coefficient groups differ")
+    _same_group(spec, phi.coeff)
     zero = phi.coeff.zero()
     if quandle_flag:
         for (m, args), v in zip(phi.domain(), phi.values):
@@ -256,26 +262,26 @@ def is_cocycle(spec, phi, quandle_flag=True):
     return AxiomReport(False, "cocycle", (m,) + args)
 
 
-def is_link_twisted_cocycle(phi, alphas, orbit_map, quandle_flag=True):
+def is_link_twisted_cocycle(phi, alphas, quandle_flag=True):
     """Cocycle condition for the orbit-indexed twisted theory.
 
-    ``alphas`` maps each quandle orbit id to a unit scalar; the condition
+    ``alphas`` holds a unit scalar per orbit of phi's quandle; the condition
     weights each term by the inverse unit of the acting color's orbit.
     The witness drops the trivial module's slot: (a, a) or (a, b, c).
     """
     if phi.degree != 2 or phi.module is not None:
         raise StructureError("orbit-twisted cocycles are degree-2 with trivial module")
-    report = is_cocycle(DifferentialSpec.link_twisted(alphas, orbit_map), phi,
-                        quandle_flag)
+    spec = DifferentialSpec.link_twisted(alphas, orbits(phi.quandle))
+    report = is_cocycle(spec, phi, quandle_flag)
     return AxiomReport(report.passed, report.axiom, report.witness[1:])
 
 
-def link_twisted_coboundary(theta, alphas, orbit_map):
+def link_twisted_coboundary(theta, alphas):
     """Degree-2 coboundary of theta: Q -> A in the orbit-twisted theory."""
     if theta.degree != 1 or theta.module is not None:
         raise StructureError("need a degree-1 cochain with trivial module")
-    return differential(DifferentialSpec.link_twisted(alphas, orbit_map),
-                        theta)
+    spec = DifferentialSpec.link_twisted(alphas, orbits(theta.quandle))
+    return differential(spec, theta)
 
 
 def _order(unit):
@@ -297,20 +303,20 @@ def _order(unit):
     return len(seen) + 1
 
 
-def transport_to_shadow(omega, alphas, orbit_map=None):
+def transport_to_shadow(omega, alphas):
     """The shadow cochain (m, args) -> prod_O u_O^(-m_O) omega(args) of a
-    trivial-module cochain, with u_O = alphas[O]: one unit and no orbit map
-    for a twisted cochain, one unit per orbit of orbit_map for a per-orbit
-    twisted one.  Each unit has a finite order k_O, so the values are
-    periodic in m and form a table over orbit_shadow_module(q, (k_O, ...),
-    orbit_map), where m |> a = m + e_o(a); with one unit and no orbit map
-    that is cyclic_shadow_module(q, k)."""
+    trivial-module cochain, with u_O = alphas[O]: one unit for a twisted
+    cochain, one unit per orbit of omega's quandle for a per-orbit twisted
+    one (any other count is refused).  Each unit has a finite order k_O,
+    so the values are periodic in m and form a table over
+    orbit_shadow_module(q, (k_O, ...)), where m |> a = m + e_o(a); with one
+    unit that is cyclic_shadow_module(q, k)."""
     if omega.module is not None:
         raise StructureError("transport starts from a trivial-module cochain")
     if not all(isinstance(u, Scalar) for u in alphas):
         raise StructureError("transport units must be unit scalars")
     orders = [_order(u) for u in alphas]
-    module = orbit_shadow_module(omega.quandle, orders, orbit_map)
+    module = orbit_shadow_module(omega.quandle, orders)
     values = []
     for digits in product(*(range(k) for k in orders)):
         for v in omega.values:
@@ -439,6 +445,7 @@ def _pieces(spec, quandle, module, coeff, degree, quandle_flag):
     flagged (one unit row per degenerate position and coordinate)."""
     if degree < 1:
         raise StructureError("cohomology is computed in degree >= 1")
+    _same_group(spec, coeff)
     size = _mod_size(module) * quandle.n ** degree
     degenerate = (_degenerate_positions(quandle, module, degree)
                   if quandle_flag else [])
@@ -537,8 +544,8 @@ def is_in_span(basis_cochains, phi):
     return True
 
 
-def link_twisted_cocycle_basis(quandle, coeff, alphas, orbit_map):
+def link_twisted_cocycle_basis(quandle, coeff, alphas):
     """Kernel basis of the orbit-twisted degree-2 condition (plus the
-    degeneracy rows); alphas maps orbit id -> unit scalar."""
-    return cocycle_basis(DifferentialSpec.link_twisted(alphas, orbit_map),
-                         quandle, None, coeff, 2)
+    degeneracy rows); alphas holds a unit scalar per orbit of quandle."""
+    spec = DifferentialSpec.link_twisted(alphas, orbits(quandle))
+    return cocycle_basis(spec, quandle, None, coeff, 2)

@@ -134,12 +134,12 @@ class ShadowColoring(Frozen):
         return self.arcs, self.regions
 
 
-def validate_shadow(diagram, quandle, shadow):
-    """Re-check the crossing relations, then compare the region colors with
-    the region walk from their exterior color."""
-    if not is_coloring(diagram, quandle, shadow.arcs):
-        raise StructureError("arc colors violate a crossing relation")
+def validate_shadow(diagram, shadow):
+    """Re-check the crossing relations in the module's quandle, then compare
+    the region colors with the region walk from their exterior color."""
     mod = shadow.module
+    if not is_coloring(diagram, mod.quandle, shadow.arcs):
+        raise StructureError("arc colors violate a crossing relation")
     regions = propagate_regions(diagram,
                                 shadow.regions[diagram.exterior_region],
                                 shadow.arcs, mod.act, mod.unact)
@@ -156,9 +156,10 @@ def propagate_shadow(diagram, arc_colors, module, exterior_color):
                           module=module)
 
 
-def act(diagram, quandle, shadow, c, sign=1):
+def act(diagram, shadow, c, sign=1):
     """Replace every employed color x by x |> c (or its inverse)."""
     mod = shadow.module
+    quandle = mod.quandle
     if sign == 1:
         arcs = tuple(quandle.apply(x, c) for x in shadow.arcs)
         regions = tuple(mod.act(m, c) for m in shadow.regions)
@@ -168,7 +169,7 @@ def act(diagram, quandle, shadow, c, sign=1):
     else:
         raise StructureError("sign must be +1 or -1")
     out = ShadowColoring(arcs=arcs, regions=regions, module=mod)
-    validate_shadow(diagram, quandle, out)
+    validate_shadow(diagram, out)
     return out
 
 

@@ -421,11 +421,9 @@ def crossing_geometry(diagram):
     return out
 
 
-def checkerboard(diagram, indices=None):
+def checkerboard(diagram):
     """Region parity: 0 = white (exterior), 1 = black."""
-    if indices is None:
-        indices = compute_indices(diagram)
-    return tuple(t % 2 for t in indices.totals)
+    return tuple(t % 2 for t in compute_indices(diagram).totals)
 
 
 class RewriteResult(Frozen):

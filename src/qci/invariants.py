@@ -89,13 +89,11 @@ class WeightMultiset(Frozen):
 
 # -- flavor-matched cocycle validation --------------------------------------
 
-def validate_cocycle(flavor, omega, *, alpha=None, alphas=None,
-                     orbit_map=None):
+def validate_cocycle(flavor, omega, *, alpha=None, alphas=None):
     """Raise CocycleError unless omega satisfies the flavor's condition."""
-    unit, alphas, orbit_map = _twisting(flavor, omega, alpha, alphas,
-                                        orbit_map)
+    unit, alphas = _twisting(flavor, omega, alpha, alphas)
     if alphas is not None:
-        report = is_link_twisted_cocycle(omega, alphas, orbit_map)
+        report = is_link_twisted_cocycle(omega, alphas)
     else:
         report = is_cocycle(DifferentialSpec.twisted(omega.coeff, unit),
                             omega)
@@ -109,28 +107,25 @@ def _as_scalar(coeff, alpha):
     return IntUnit(coeff, alpha)
 
 
-def _twisting(flavor, omega, alpha, alphas, orbit_map):
-    """(unit, alphas, orbit_map) of a flavor's sum: the one unit that
-    twists it (the integer 1 or -1 for the untwisted flavors) and no
-    alphas, or for link_twisted no unit and one unit scalar per orbit of
-    orbit_map (the quandle's orbits when not given).  Refuses an unknown
-    flavor and a missing alpha or alphas."""
+def _twisting(flavor, omega, alpha, alphas):
+    """(unit, alphas) of a flavor's sum: the one unit that twists it (the
+    integer 1 or -1 for the untwisted flavors) and no alphas, or for
+    link_twisted no unit and one unit scalar per orbit of omega's quandle.
+    Refuses an unknown flavor and a missing alpha or alphas."""
     if flavor not in FLAVORS:
         raise StructureError(f"unknown flavor {flavor!r}")
     if flavor == "link_twisted":
-        if orbit_map is None:
-            orbit_map = orbits(omega.quandle)
         alphas = [_as_scalar(omega.coeff, a) for a in alphas or ()]
-        if len(alphas) != orbit_map.count:
+        if len(alphas) != orbits(omega.quandle).count:
             raise StructureError("link_twisted needs alphas, one unit "
                                  "per quandle orbit")
-        return None, alphas, orbit_map
+        return None, alphas
     unit = UNITS.get(flavor)
     if unit is None:
         if alpha is None:
             raise StructureError(f"{flavor} needs a twisting unit alpha")
         unit = _as_scalar(omega.coeff, alpha)
-    return unit, None, orbit_map
+    return unit, None
 
 
 # -- the compiled state sum -------------------------------------------------
@@ -172,9 +167,8 @@ class _Plan:
     """
 
     def __init__(self, diagram, flavor, omega, check, *, alpha=None,
-                 alphas=None, orbit_map=None, exterior=None):
-        unit, self.alphas, orbit_map = _twisting(flavor, omega, alpha,
-                                                 alphas, orbit_map)
+                 alphas=None, exterior=None):
+        unit, self.alphas = _twisting(flavor, omega, alpha, alphas)
         self.shadow = flavor in SHADOW
         # a plan reads omega(m, a, b); only the shadow flavors fill m
         if omega.degree != 2:
@@ -191,10 +185,9 @@ class _Plan:
             raise StructureError(f"{flavor} needs an exterior color in its "
                                  f"cochain's module, not {exterior!r}")
         if check:
-            validate_cocycle(flavor, omega, alpha=unit, alphas=self.alphas,
-                             orbit_map=orbit_map)
+            validate_cocycle(flavor, omega, alpha=unit, alphas=self.alphas)
         self.diagram = diagram
-        self.orbit_map = orbit_map
+        self.orbit_map = orbits(omega.quandle)
         self.omega = omega
         # non-shadow flavors read omega at m = 0 for every source region
         self.no_regions = (0,) * diagram.n_regions
@@ -253,10 +246,10 @@ def weight_shadow(diagram, shadow, omega, check=True):
                  exterior=shadow.regions[diagram.exterior_region])(shadow)
 
 
-def positive_signs(diagram, indices=None):
+def positive_signs(diagram):
     """Checkerboard sign per crossing: + where the quadrant pair flanking
     the over-strand is white."""
-    colors = checkerboard(diagram, indices)
+    colors = checkerboard(diagram)
     return tuple(1 if colors[g.quadrants[0]] == 0 else -1
                  for g in crossing_geometry(diagram))
 
@@ -277,11 +270,10 @@ def weight_shadow_twisted(diagram, shadow, omega, alpha, check=True):
                  exterior=shadow.regions[diagram.exterior_region])(shadow)
 
 
-def weight_link_twisted(diagram, coloring, omega, alphas, orbit_map=None,
-                        check=True):
+def weight_link_twisted(diagram, coloring, omega, alphas, check=True):
     """Per-component twisted weight with one unit per quandle orbit."""
-    return _Plan(diagram, "link_twisted", omega, check, alphas=alphas,
-                 orbit_map=orbit_map)(coloring)
+    return _Plan(diagram, "link_twisted", omega, check,
+                 alphas=alphas)(coloring)
 
 
 # -- invariant multisets ------------------------------------------------------
@@ -319,8 +311,7 @@ def orbit_refined_multisets(diagram, quandle, flavor, omega, *, alpha=None,
                             alphas=None, check=True):
     """The flavor multiset split by the tuple of component color orbits."""
     check_refinable(flavor)
-    plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas,
-                 orbit_map=orbits(quandle))
+    plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas)
     buckets = {}
     for coloring in enumerate_colorings(diagram, quandle):
         key = plan.searched_orbits(coloring)

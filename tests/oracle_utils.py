@@ -516,6 +516,66 @@ def symbolic_shadow_weight(records, exterior, arc_of, colors, table, modulus,
                              lambda x: -x % modulus, regions=regions)
 
 
+def braid_closure(word, strands):
+    """Diagram JSON of the closure of a braid word (letters +-1..+-(k-1)).
+
+    Strands run downward, the strand entering a positive letter from the
+    right passes over, and the closure joins bottom back to top.  Each
+    semi-arc is a class of (level, position) segments joined where no
+    letter acts and from the bottom back to the top; classes are numbered
+    by their least segment.  The exterior lies right of the semi-arc at
+    the top of strand 1.
+    """
+    levels = len(word)
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+
+    for lv in range(levels + 1):
+        for p in range(1, strands + 1):
+            parent[(lv, p)] = (lv, p)
+    for lv, letter in enumerate(word):
+        i = abs(letter)
+        if not 1 <= i < strands:
+            raise ValueError(f"letter {letter} out of range")
+        for p in range(1, strands + 1):
+            if p not in (i, i + 1):
+                union((lv, p), (lv + 1, p))
+    for p in range(1, strands + 1):
+        union((levels, p), (0, p))
+
+    classes = {}
+    for lv in range(levels + 1):
+        for p in range(1, strands + 1):
+            classes.setdefault(find((lv, p)), set()).add((lv, p))
+    reps = sorted(classes, key=lambda r: min(classes[r]))
+    sa_id = {}
+    for idx, rep in enumerate(reps):
+        for seg in classes[rep]:
+            sa_id[seg] = idx
+
+    crossings = []
+    for lv, letter in enumerate(word):
+        i = abs(letter)
+        nw, ne = sa_id[(lv, i)], sa_id[(lv, i + 1)]
+        sw, se = sa_id[(lv + 1, i)], sa_id[(lv + 1, i + 1)]
+        if letter > 0:
+            crossings.append({"rot": [nw, sw, se, ne], "over": 3})
+        else:
+            crossings.append({"rot": [ne, nw, sw, se], "over": 1})
+    return {"v": 1, "crossings": crossings,
+            "exterior": [sa_id[(0, 1)], "right"]}
+
+
 def braid_push_colorings(word, strands, op, inv):
     """Colorings of a braid closure, found by pushing colors down the braid.
 

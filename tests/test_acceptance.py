@@ -12,8 +12,7 @@ import random
 from qci import corpus
 from qci.algebra import (CoeffGroup, IntUnit, Quandle,
                          check_quandle, cyclic_shadow_module, make_conjugation,
-                         make_dihedral, make_trivial, orbits,
-                         quandle_as_module)
+                         make_dihedral, make_trivial, quandle_as_module)
 from qci.cohomology import (DifferentialSpec, cocycle_basis,
                             cohomology_basis, d_left, d_right, differential,
                             is_cocycle, link_twisted_coboundary,
@@ -150,7 +149,6 @@ def test_criterion_3_coboundaries():
     rng = random.Random(99)
     q = make_dihedral(3)
     A = CoeffGroup((6,))
-    om = orbits(q)
     mod = quandle_as_module(q)
     zero = A.zero()
     thetas = [random_cochain(rng, q, None, A, 1) for _ in range(25)]
@@ -162,7 +160,7 @@ def test_criterion_3_coboundaries():
                      for t in thetas],
         "twisted": [differential(DifferentialSpec.twisted(A, 5), t)
                     for t in thetas],
-        "link_twisted": [link_twisted_coboundary(t, [IntUnit(A, 5)], om)
+        "link_twisted": [link_twisted_coboundary(t, [IntUnit(A, 5)])
                          for t in thetas],
         "shadow": [differential(DifferentialSpec.quandle(A), t)
                    for t in thetas_sh],
@@ -181,7 +179,7 @@ def test_criterion_3_coboundaries():
             for db in d_by_flavor["twisted"]:
                 assert weight_twisted(d, col, db, 5, check=False) == zero
             for db in d_by_flavor["link_twisted"]:
-                assert weight_link_twisted(d, col, db, [5], om,
+                assert weight_link_twisted(d, col, db, [5],
                                            check=False) == zero
             for db in d_by_flavor["shadow"]:
                 assert weight_shadow(d, sh, db, check=False) == zero
@@ -229,7 +227,7 @@ def test_criterion_5_positive():
     for name in corpus.names():
         d = corpus.load(name)
         idx = compute_indices(d)
-        pos = positive_signs(d, idx)
+        pos = positive_signs(d)
         for g, sp in zip(crossing_geometry(d), pos):
             assert g.sign * (-1) ** (idx.totals[g.source_region] % 2) == sp
     # full weight equality on every coloring
@@ -264,10 +262,9 @@ def _flavor_setups():
     out += [("shadow_twisted", q3, w, {"alpha": 2, "exterior": 0}) for w in
             cocycle_basis(DifferentialSpec.twisted(A5, 2), q3, mod, A5, 2)[:2]]
     q4 = make_dihedral(4)
-    om = orbits(q4)
     units = [IntUnit(A5, 2), IntUnit(A5, 3)]
     out += [("link_twisted", q4, w, {"alphas": [2, 3]}) for w in
-            link_twisted_cocycle_basis(q4, A5, units, om)[:2]]
+            link_twisted_cocycle_basis(q4, A5, units)[:2]]
     return out
 
 
@@ -370,9 +367,8 @@ def test_criterion_9_annihilation():
 def test_criterion_10_links():
     q = make_dihedral(4)
     A = CoeffGroup((5,))
-    om = orbits(q)
     units = [IntUnit(A, 2), IntUnit(A, 3)]
-    basis = link_twisted_cocycle_basis(q, A, units, om)
+    basis = link_twisted_cocycle_basis(q, A, units)
     assert basis
     for name in ("hopf_pos", "unlink2"):
         base = corpus.load(name)

@@ -17,11 +17,10 @@ from qci.algebra import (CoeffGroup, IntUnit, cyclic_shadow_module,
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             is_cocycle, link_twisted_cocycle_basis,
                             random_cochain)
-from qci.diagram import Diagram
+from qci.diagram import parse_diagram
 from qci.invariants import WeightMultiset, weight_link_twisted
-from tests.oracle_utils import (pointwise_differential, raw_orbit_ids,
-                                symbolic_shadow_weight)
-from tests.test_fuzz_braids import braid_closure_records
+from tests.oracle_utils import (braid_closure, pointwise_differential,
+                                raw_orbit_ids, symbolic_shadow_weight)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -346,8 +345,7 @@ def test_corpus_verify(capsys):
 def _two_component_d4_files(files):
     """D4 and a 3-strand, 2-component closure whose colorings tell the
     per-orbit units apart (see tests/test_fuzz_braids.py)."""
-    records, exterior = braid_closure_records([1, -2, -1, -1, -2], 3)
-    d = Diagram(records, (), exterior)
+    d = parse_diagram(braid_closure([1, -2, -1, -1, -2], 3))
     dfile = files["tmp"] / "closure.json"
     dfile.write_text(json.dumps(d.to_json()))
     q = make_dihedral(4)
@@ -396,8 +394,7 @@ def test_shadow_over_symbolic_module_cli(files, capsys):
           corpus.load("trefoil"), q, omega, [2], (0, 1, -2))
     # over the orbit-counting module of D4, which has two orbits
     d, q, dfile, qfile = _two_component_d4_files(files)
-    om = orbits(q)
-    basis = link_twisted_cocycle_basis(q, A, units, om)
+    basis = link_twisted_cocycle_basis(q, A, units)
     lt = basis[0].add(basis[-1])
     path.write_text(json.dumps(lt.to_json()))
     exteriors = ((0, 0), (1, -1), (2, 0))
@@ -620,7 +617,7 @@ def test_refine_orbits_reads_orbits_off_the_search(files, monkeypatch,
     d, q, dfile, qfile = _two_component_d4_files(files)
     A = CoeffGroup((5,))
     units = [IntUnit(A, 2), IntUnit(A, 3)]
-    lt = link_twisted_cocycle_basis(q, A, units, orbits(q))[0]
+    lt = link_twisted_cocycle_basis(q, A, units)[0]
     wfile = files["tmp"] / "lt.json"
     wfile.write_text(json.dumps(lt.to_json()))
     om = orbits(q)
@@ -628,7 +625,7 @@ def test_refine_orbits_reads_orbits_off_the_search(files, monkeypatch,
     for c in coloring.enumerate_colorings(d, q):
         key = list(coloring.component_orbits(d, c, om))
         expected.setdefault(json.dumps(key), []).append(
-            list(weight_link_twisted(d, c, lt, units, om, check=False)))
+            list(weight_link_twisted(d, c, lt, units, check=False)))
     calls = []
     find = invariants.component_orbits
 

@@ -238,15 +238,18 @@ def test_transport_basics():
     Z = CoeffGroup((0,))
     theta = random_cochain(rng, q, None, Z, 2)
     assert transport_to_shadow(theta, [IntUnit(Z, -1)]).module.size == 2
+    # on D4 (two orbits) one unit twists every color alike and three
+    # units match no orbit count
     q4 = make_dihedral(4)
-    om = orbits(q4)
     omega = random_cochain(rng, q4, None, A, 2)
-    both = transport_to_shadow(omega, [IntUnit(A, 4), IntUnit(A, 2)], om)
-    assert both.module == orbit_shadow_module(q4, (2, 4), om)
+    both = transport_to_shadow(omega, [IntUnit(A, 4), IntUnit(A, 2)])
+    assert both.module == orbit_shadow_module(q4, (2, 4))
     assert both.at(1 * 4 + 3, (1, 2)) == \
         IntUnit(A, 2).apply(A.neg(omega.at(0, (1, 2))), -3)
-    with pytest.raises(StructureError, match="one shadow order per"):
-        transport_to_shadow(omega, [IntUnit(A, 2)], om)
+    assert transport_to_shadow(omega, [IntUnit(A, 2)]).module == \
+        cyclic_shadow_module(q4, 4)
+    with pytest.raises(StructureError, match="one per quandle orbit"):
+        transport_to_shadow(omega, [IntUnit(A, 4)] * 3)
     with pytest.raises(StructureError, match="trivial-module"):
         transport_to_shadow(two, [IntUnit(A, 2)])
 
@@ -448,6 +451,28 @@ def test_is_in_span_refuses_a_cochain_of_another_shape():
             is_in_span([*cocycles, other], phi)
 
 
+def test_bases_refuse_a_spec_over_another_group():
+    # the spec's units act on their own group; solving for cochains in
+    # another one, or applying the differential to one, is refused, as
+    # is_cocycle refuses such a pair
+    q = make_dihedral(3)
+    Z3, Z3sq = CoeffGroup((3,)), CoeffGroup((3, 3))
+    for spec, coeff in ((DifferentialSpec.quandle(Z3), Z3sq),
+                        (DifferentialSpec.quandle(Z3sq), Z3),
+                        (DifferentialSpec.twisted(Z3, 2), CoeffGroup((5,)))):
+        for basis in (cohomology_basis, cocycle_basis):
+            with pytest.raises(StructureError,
+                               match="spec and coefficient groups differ"):
+                basis(spec, q, None, coeff, 2)
+        phi = zero_cochain(q, None, coeff, 1)
+        for gate_or_map in (is_cocycle, differential):
+            with pytest.raises(StructureError,
+                               match="spec and coefficient groups differ"):
+                gate_or_map(spec, phi)
+    with pytest.raises(StructureError, match="spec and coefficient groups"):
+        link_twisted_cocycle_basis(q, Z3sq, [IntUnit(Z3, 2)])
+
+
 class _Shear(Scalar):
     """(x, y) -> (x, 2x + y) on Z/2 x Z/4: a unit that mixes the two
     coordinates, so the pieces of the mixed moduli cannot be solved apart."""
@@ -588,7 +613,7 @@ def test_differential_rows_match_pointwise_differential(k):
         want = _oracle_image(theta, left, _scaled_identity(A.d, 1))
         assert matrix_image(spec, theta) == want, (q.n, moduli, k)
         if k == 1:
-            assert _flat(link_twisted_coboundary(theta, alphas, om)) == want
+            assert _flat(link_twisted_coboundary(theta, alphas)) == want
 
 
 def test_cyclotomic_truncation_mode():
@@ -610,22 +635,21 @@ def test_cyclotomic_truncation_mode():
 def test_link_twisted_cocycles():
     q = make_dihedral(4)  # two orbits
     A = CoeffGroup((5,))
-    om = orbits(q)
     alphas = [IntUnit(A, 2), IntUnit(A, 3)]
-    basis = link_twisted_cocycle_basis(q, A, alphas, om)
+    basis = link_twisted_cocycle_basis(q, A, alphas)
     assert basis
     for phi in basis:
-        assert is_link_twisted_cocycle(phi, alphas, om)
+        assert is_link_twisted_cocycle(phi, alphas)
     rng = random.Random(16)
     theta = random_cochain(rng, q, None, A, 1)
-    db = link_twisted_coboundary(theta, alphas, om)
-    assert is_link_twisted_cocycle(db, alphas, om)
+    db = link_twisted_coboundary(theta, alphas)
+    assert is_link_twisted_cocycle(db, alphas)
     # equal units reduce to the plain twisted theory
     same = [IntUnit(A, 2), IntUnit(A, 2)]
     spec = DifferentialSpec.twisted(A, 2)
     for _ in range(20):
         phi = random_cochain(rng, q, None, A, 2)
-        assert bool(is_link_twisted_cocycle(phi, same, om)) == bool(
+        assert bool(is_link_twisted_cocycle(phi, same)) == bool(
             is_cocycle(spec, phi))
 
 
@@ -697,7 +721,7 @@ def test_gate_witness_matches_oracle_first_failure():
         om = orbits(q)
         alphas = units(A)
         left = [_matrix(alphas[om.of(a)], -1) for a in range(q.n)]
-        basis = link_twisted_cocycle_basis(q, A, alphas, om)
+        basis = link_twisted_cocycle_basis(q, A, alphas)
         for trial in range(6):
             phi = random_cochain(rng, q, None, A, 2)
             if trial % 2:
@@ -708,7 +732,7 @@ def test_gate_witness_matches_oracle_first_failure():
                 want = first_failure(phi.at, lambda m, a: m, q.apply, left,
                                      _scaled_identity(A.d, 1), moduli, q.n, 1,
                                      2, flag)
-                compare(is_link_twisted_cocycle(phi, alphas, om, flag), want,
+                compare(is_link_twisted_cocycle(phi, alphas, flag), want,
                         strip=1)
     assert seen == {"pass", "cocycle", "degenerate-vanishing"}
 
@@ -749,11 +773,9 @@ def test_gates_and_dense_maps_read_the_condition_through_the_columns(
     assert is_cocycle(spec, differential(spec, theta))
     assert d_left(theta).quandle is q and d_right(theta).degree == 2
     assert built == [3, 1, 2, 1, 1]
-    om = orbits(q)
     alphas = [IntUnit(A, 3), IntUnit(A, 1)]
-    cob = link_twisted_coboundary(random_cochain(rng, q, None, A, 1), alphas,
-                                  om)
-    assert is_link_twisted_cocycle(cob, alphas, om, quandle_flag=False)
+    cob = link_twisted_coboundary(random_cochain(rng, q, None, A, 1), alphas)
+    assert is_link_twisted_cocycle(cob, alphas, quandle_flag=False)
 
 
 def test_dense_rejects_symbolic():

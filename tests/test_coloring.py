@@ -143,7 +143,7 @@ def test_orbit_shadow_counts_per_component():
     # per-orbit counts mod 5, the digit pair (i, j) at position 5i + j
     q = make_dihedral(4)
     om = orbits(q)
-    m = orbit_shadow_module(q, (5, 5), om)
+    m = orbit_shadow_module(q, (5, 5))
     for name in ("hopf_pos", "link_r3a", "trefoil"):
         d = corpus.load(name)
         idx = compute_indices(d)
@@ -164,7 +164,7 @@ def test_act_identity_on_trivial_quandle():
     m = trivial_module(q)
     for col in cols:
         s = propagate_shadow(d, col, m, 0)
-        assert act(d, q, s, 1) == s
+        assert act(d, s, 1) == s
 
 
 def test_act_constant_dihedral():
@@ -172,7 +172,7 @@ def test_act_constant_dihedral():
     d = corpus.load("unknot")
     m = quandle_as_module(q)
     s = propagate_shadow(d, (0,), m, 1)
-    out = act(d, q, s, 2)
+    out = act(d, s, 2)
     assert out.arcs == (q.apply(0, 2),)
     assert out.regions == tuple(q.apply(x, 2) for x in s.regions)
 
@@ -185,10 +185,10 @@ def test_act_inverse_and_module_law():
     for col in cols[:6]:
         s = propagate_shadow(d, col, m, 3)
         for c in range(q.n):
-            assert act(d, q, act(d, q, s, c, 1), c, -1) == s
+            assert act(d, act(d, s, c, 1), c, -1) == s
             for b in range(q.n):
-                left = act(d, q, act(d, q, s, b), c)
-                right = act(d, q, act(d, q, s, c), q.apply(b, c))
+                left = act(d, act(d, s, b), c)
+                right = act(d, act(d, s, c), q.apply(b, c))
                 assert left == right
 
 
@@ -213,7 +213,7 @@ def test_component_with_colors_from_two_orbits_is_refused():
     with pytest.raises(StructureError, match="two orbits"):
         component_orbits(d, (0, 1, 0), om)
     with pytest.raises(StructureError, match="two orbits"):
-        weight_link_twisted(d, (0, 1, 0), omega, [2, 3], om)
+        weight_link_twisted(d, (0, 1, 0), omega, [2, 3])
 
 
 def test_component_orbit_pairs_trivial_quandle():
@@ -322,7 +322,7 @@ def test_validate_shadow_rejects_corruption():
                          regions=(s.regions[0],) + s.regions[1:][::-1],
                          module=m)
     with pytest.raises(StructureError):
-        validate_shadow(d, q, bad)
+        validate_shadow(d, bad)
 
 
 def test_cyclic_shadow_parity():
@@ -343,6 +343,6 @@ def test_act_over_integer_shadow_module():
     d = corpus.load("figure_eight")
     for col in enumerate_colorings(d, q)[:3]:
         s = propagate_shadow(d, col, z, 0)
-        moved = act(d, q, s, 1)
+        moved = act(d, s, 1)
         assert moved.regions == tuple((m + 1) % 4 for m in s.regions)
-        assert act(d, q, moved, 1, -1) == s
+        assert act(d, moved, 1, -1) == s

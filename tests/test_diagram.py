@@ -180,7 +180,7 @@ def test_checkerboard():
     for name in corpus.BASE_DIAGRAMS:
         d = corpus.load(name)
         idx = compute_indices(d)
-        colors = checkerboard(d, idx)
+        colors = checkerboard(d)
         assert colors[d.exterior_region] == 0
         for r in range(d.n_regions):
             assert colors[r] == idx.totals[r] % 2

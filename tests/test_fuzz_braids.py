@@ -22,63 +22,17 @@ from qci.cohomology import DifferentialSpec, cocycle_basis, \
     link_twisted_cocycle_basis, random_cochain, transport_to_shadow
 from qci.coloring import enumerate_colorings, is_coloring, propagate_shadow
 from qci.diagram import (Diagram, checkerboard, compute_indices,
-                         crossing_geometry, r1_insert, r2_insert)
+                         crossing_geometry, parse_diagram, r1_insert,
+                         r2_insert)
 from qci.invariants import (FLAVORS, invariant_multiset, positive_signs,
                             weight_classical, weight_link_twisted,
                             weight_positive, weight_shadow,
                             weight_shadow_twisted, weight_twisted)
 from tests.groups import symmetric_3
-from tests.oracle_utils import (arc_map_from_raw, braid_push_colorings,
-                                brute_force_colorings,
+from tests.oracle_utils import (arc_map_from_raw, braid_closure,
+                                braid_push_colorings, brute_force_colorings,
                                 oracle_weight_sum, raw_orbit_ids,
                                 raw_source_colors, symbolic_shadow_weight)
-
-
-def braid_closure_records(word, strands):
-    """Crossing records of a braid closure (same recipe as the corpus)."""
-    levels = len(word)
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for lv in range(levels + 1):
-        for p in range(1, strands + 1):
-            parent[(lv, p)] = (lv, p)
-    for lv, letter in enumerate(word):
-        i = abs(letter)
-        for p in range(1, strands + 1):
-            if p not in (i, i + 1):
-                union((lv, p), (lv + 1, p))
-    for p in range(1, strands + 1):
-        union((levels, p), (0, p))
-    classes = {}
-    for lv in range(levels + 1):
-        for p in range(1, strands + 1):
-            classes.setdefault(find((lv, p)), set()).add((lv, p))
-    reps = sorted(classes, key=lambda r: min(classes[r]))
-    sa = {}
-    for idx, rep in enumerate(reps):
-        for seg in classes[rep]:
-            sa[seg] = idx
-    crossings = []
-    for lv, letter in enumerate(word):
-        i = abs(letter)
-        nw, ne = sa[(lv, i)], sa[(lv, i + 1)]
-        sw, se = sa[(lv + 1, i)], sa[(lv + 1, i + 1)]
-        if letter > 0:
-            crossings.append({"rot": [nw, sw, se, ne], "over": 3})
-        else:
-            crossings.append({"rot": [ne, nw, sw, se], "over": 1})
-    return crossings, (sa[(0, 1)], "right")
 
 
 def random_words(rng, count):
@@ -98,8 +52,7 @@ def diagrams():
     rng = random.Random(20250)
     out = []
     for word, strands in random_words(rng, 18):
-        records, exterior = braid_closure_records(word, strands)
-        out.append(Diagram(records, (), exterior))
+        out.append(parse_diagram(braid_closure(word, strands)))
     return out
 
 
@@ -110,14 +63,14 @@ def test_structural_invariants(diagrams):
         assert idx.totals[d.exterior_region] == 0
         for r in range(d.n_regions):
             assert sum(idx.per_component[r]) == idx.totals[r]
-        colors = checkerboard(d, idx)
+        colors = checkerboard(d)
         for frm, to, _a, _c in d.region_steps():
             assert colors[frm] != colors[to]
         for g in crossing_geometry(d):
             vals = sorted(idx.totals[qd] for qd in g.quadrants)
             s = idx.totals[g.source_region]
             assert vals == [s, s + 1, s + 1, s + 2]
-        pos = positive_signs(d, idx)
+        pos = positive_signs(d)
         for g, sp in zip(crossing_geometry(d), pos):
             assert g.sign * (-1) ** (idx.totals[g.source_region] % 2) == sp
 
@@ -187,24 +140,23 @@ def test_link_twisted_orbit_shadow_identity_on_random_diagrams(diagrams):
     # on the corpus links and most random ones every weight is the same
     # whichever orbit's unit twists which component; this 2-component
     # closure has colorings where the choice matters
-    records, exterior = braid_closure_records([1, -2, -1, -1, -2], 3)
+    closure = parse_diagram(braid_closure([1, -2, -1, -1, -2], 3))
     q = make_dihedral(4)
     A = CoeffGroup((5,))
-    om = orbits(q)
     alphas = [IntUnit(A, 2), IntUnit(A, 3)]
-    basis = link_twisted_cocycle_basis(q, A, alphas, om)
+    basis = link_twisted_cocycle_basis(q, A, alphas)
     orbit_of = raw_orbit_ids(q.op)
-    for d in [Diagram(records, (), exterior)] + diagrams:
+    for d in [closure] + diagrams:
         if d.n_components < 2:
             continue
         raw = d.to_json()
         cols = enumerate_colorings(d, q)
         for omega in basis:
-            shadow = transport_to_shadow(omega, alphas, om)
+            shadow = transport_to_shadow(omega, alphas)
             table = [v for v, in omega.values]
             for col in cols:
                 sh = propagate_shadow(d, col, shadow.module, 0)
-                w = weight_link_twisted(d, col, omega, alphas, om,
+                w = weight_link_twisted(d, col, omega, alphas,
                                         check=False)
                 assert w == weight_shadow(d, sh, shadow, check=False)
                 assert w == (symbolic_shadow_weight(
@@ -223,13 +175,14 @@ ORACLE_QUANDLES = {"trivial3": make_trivial(3), "D3": make_dihedral(3),
 def test_enumeration_matches_brute_force_on_small_closures(name):
     q = ORACLE_QUANDLES[name]
     rng = random.Random(1505)
-    cases = [(braid_closure_records([1], 2), ()),          # one kinked crossing
-             (braid_closure_records([1, 1, 1], 2), (1,))]  # trefoil, free loop
-    cases += [(braid_closure_records(word, strands), ())
+    cases = [(braid_closure([1], 2), ()),          # one kinked crossing
+             (braid_closure([1, 1, 1], 2), (1,))]  # trefoil, free loop
+    cases += [(braid_closure(word, strands), ())
               for word, strands in random_words(rng, 30) if strands >= 3]
     checked = 0
-    for (records, exterior), loops in cases:
-        d = Diagram(records, loops, exterior)
+    for closure, loops in cases:
+        records = closure["crossings"]
+        d = Diagram(records, loops, closure["exterior"])
         if d.n_arcs > 7 or q.n ** d.n_arcs > 50_000:
             continue
         want = brute_force_colorings(records, d.arc_of, d.n_arcs, q.op, q.inv)
@@ -243,8 +196,8 @@ def test_braid_push_oracle_matches_brute_force():
     # push oracle's crossing convention is the diagrams' one
     rng = random.Random(2)
     for word, strands in random_words(rng, 12):
-        records, exterior = braid_closure_records(word, strands)
-        d = Diagram(records, (), exterior)
+        closure = braid_closure(word, strands)
+        records, d = closure["crossings"], parse_diagram(closure)
         for q in (make_alexander(5, 2), ORACLE_QUANDLES["S3conj"]):
             if q.n ** d.n_arcs > 50_000:
                 continue
@@ -308,8 +261,7 @@ LONG_CLOSURES = {
 @pytest.mark.parametrize("name", sorted(LONG_CLOSURES))
 def test_long_closure_counts_match_braid_push(name):
     q, word = LONG_CLOSURES[name]
-    records, exterior = braid_closure_records(word, 5)
-    d = Diagram(records, (), exterior)
+    d = parse_diagram(braid_closure(word, 5))
     cols = enumerate_colorings(d, q)
     assert len(cols) == len(braid_push_colorings(word, 5, q.op, q.inv))
     assert len(cols) > q.n
@@ -329,8 +281,7 @@ def test_search_cost_per_coloring(monkeypatch):
             calls[0] += 1
             return _orig(self, a, b)
         monkeypatch.setattr(Quandle, op, counted)
-    records, exterior = braid_closure_records(word, 5)
-    cols = enumerate_colorings(Diagram(records, (), exterior),
+    cols = enumerate_colorings(parse_diagram(braid_closure(word, 5)),
                                make_alexander(8, 3))
     assert cols
     assert 0 < calls[0] < 50_000 * len(cols)
@@ -415,9 +366,10 @@ def test_weights_match_the_raw_oracle_for_every_flavor():
     module = quandle_as_module(q)
     diagrams = []
     for word, strands in random_words(rng, 7):
-        records, exterior = braid_closure_records(word, strands)
+        closure = braid_closure(word, strands)
+        records = closure["crossings"]
         side = rng.choice(["left", "right"])
-        sa = rng.choice(Diagram(records, (), exterior).semiarcs)
+        sa = rng.choice(parse_diagram(closure).semiarcs)
         diagrams.append((records, Diagram(records, (), (sa, side))))
     exponents, orders = set(), set()
     for name, (group, (alpha, alpha_raw), units) in _oracle_units().items():
@@ -478,7 +430,7 @@ def test_weights_match_the_raw_oracle_for_every_flavor():
                            "shadow_twisted": lambda: weight_shadow_twisted(
                                d, sh, omega, alpha, check=False),
                            "link_twisted": lambda: weight_link_twisted(
-                               d, col, omega, [u for u, _ in units], om,
+                               d, col, omega, [u for u, _ in units],
                                check=False)}[flavor]()
                     assert got == want, (name, flavor, records, col)
                 kw = {"exterior": exterior} if shadow else {}

@@ -6,8 +6,8 @@ import pytest
 
 from qci import corpus
 from qci.algebra import (CoeffGroup, IntUnit, ShiftUnit, cyclic_shadow_module,
-                         make_dihedral, make_trivial, orbits,
-                         quandle_as_module, trivial_module, Quandle)
+                         make_dihedral, make_trivial, quandle_as_module,
+                         trivial_module, Quandle)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             differential, link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
@@ -42,7 +42,6 @@ def test_coboundary_weights_vanish_all_flavors():
     q = make_dihedral(3)
     A = CoeffGroup((6,))
     alpha = IntUnit(A, 5)
-    om = orbits(q)
     mod = quandle_as_module(q)
     for name in ("trefoil", "figure_eight", "hopf_neg", "link_r3a"):
         d = corpus.load(name)
@@ -55,12 +54,12 @@ def test_coboundary_weights_vanish_all_flavors():
             dtw = differential(DifferentialSpec.twisted(A, 5), theta)
             dsh = differential(DifferentialSpec.quandle(A), theta_sh)
             dshtw = differential(DifferentialSpec.twisted(A, 5), theta_sh)
-            dlink = link_twisted_coboundary(theta, [alpha], om)
+            dlink = link_twisted_coboundary(theta, [alpha])
             for col in cols:
                 assert weight_classical(d, col, dcl) == A.zero()
                 assert weight_positive(d, col, dpos) == A.zero()
                 assert weight_twisted(d, col, dtw, 5) == A.zero()
-                assert weight_link_twisted(d, col, dlink, [5], om) == A.zero()
+                assert weight_link_twisted(d, col, dlink, [5]) == A.zero()
                 sh = propagate_shadow(d, col, mod, 0)
                 assert weight_shadow(d, sh, dsh) == A.zero()
                 assert weight_shadow_twisted(d, sh, dshtw, 5) == A.zero()
@@ -94,7 +93,7 @@ def test_positive_sign_identity_per_crossing():
     for name in CORPUS_WITH_CROSSINGS:
         d = corpus.load(name)
         idx = compute_indices(d)
-        pos = positive_signs(d, idx)
+        pos = positive_signs(d)
         for g, sp in zip(crossing_geometry(d), pos):
             assert g.sign * (-1) ** (idx.totals[g.source_region] % 2) == sp
 
@@ -125,7 +124,7 @@ def test_shadow_weight_respects_color_action():
                 sh = propagate_shadow(d, col, mod, 0)
                 w = weight_shadow(d, sh, omega, check=False)
                 for c in range(q.n):
-                    moved = act(d, q, sh, c)
+                    moved = act(d, sh, c)
                     assert weight_shadow(d, moved, omega, check=False) == w
 
 
@@ -205,16 +204,15 @@ def test_shadow_twisted_equals_shadow_over_product_module():
 def test_link_twisted_reductions_and_transport():
     q = make_dihedral(4)
     A = CoeffGroup((5,))
-    om = orbits(q)
     alphas = [IntUnit(A, 2), IntUnit(A, 3)]
-    basis = link_twisted_cocycle_basis(q, A, alphas, om)
+    basis = link_twisted_cocycle_basis(q, A, alphas)
     assert basis
     for name in ("hopf_pos", "unlink2", "link_r3a", "trefoil"):
         d = corpus.load(name)
         for omega in basis[:4]:
-            shadow = transport_to_shadow(omega, alphas, om)
+            shadow = transport_to_shadow(omega, alphas)
             for col in enumerate_colorings(d, q):
-                w = weight_link_twisted(d, col, omega, alphas, om, check=False)
+                w = weight_link_twisted(d, col, omega, alphas, check=False)
                 sh = propagate_shadow(d, col, shadow.module, 0)
                 assert weight_shadow(d, sh, shadow, check=False) == w
     # equal units reduce to the single-alpha twisted weight
@@ -224,7 +222,7 @@ def test_link_twisted_reductions_and_transport():
         d = corpus.load(name)
         for omega in tw_basis[:3]:
             for col in enumerate_colorings(d, q):
-                assert weight_link_twisted(d, col, omega, same, om,
+                assert weight_link_twisted(d, col, omega, same,
                                            check=False) == \
                     weight_twisted(d, col, omega, 2, check=False)
 
@@ -317,9 +315,8 @@ def test_positive_multiset_symmetric_about_zero():
 def test_orbit_refined_partition():
     q = make_dihedral(4)
     A = CoeffGroup((5,))
-    om = orbits(q)
     alphas = [2, 3]
-    basis = link_twisted_cocycle_basis(q, A, [IntUnit(A, 2), IntUnit(A, 3)], om)
+    basis = link_twisted_cocycle_basis(q, A, [IntUnit(A, 2), IntUnit(A, 3)])
     for name in ("hopf_pos", "unlink2"):
         d = corpus.load(name)
         omega = basis[0]

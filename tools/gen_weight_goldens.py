@@ -58,9 +58,8 @@ def run_case(name, diagram_name, n_dihedral, moduli, flavor, **kw):
         mod = quandle_as_module(q)
         basis = cocycle_basis(DifferentialSpec.quandle(A), q, mod, A, 2)
     elif flavor == "link_twisted":
-        om = orbits(q)
         units = [IntUnit(A, a) for a in kw["alphas"]]
-        basis = link_twisted_cocycle_basis(q, A, units, om)
+        basis = link_twisted_cocycle_basis(q, A, units)
     out = []
     for omega in basis:
         values = []

@@ -2,7 +2,8 @@
 
 Braid closures are the one systematic way to get trustworthy rotation
 systems: strands run downward, the strand entering a positive letter from
-the right passes over, and the closure joins bottom back to top.  The
+the right passes over, and the closure joins bottom back to top (the
+recipe is tests/oracle_utils.braid_closure, which the tests share).  The
 resulting records are validated by the Diagram constructor (Euler count,
 orientation consistency) before being written.
 """
@@ -11,63 +12,14 @@ import json
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from qci.diagram import Diagram, compute_indices, crossing_geometry  # noqa: E402
+from tests.oracle_utils import braid_closure  # noqa: E402
 
-OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "qci" / "corpus"
-
-
-def braid_closure(word, strands):
-    """Diagram JSON of the closure of a braid word (letters +-1..+-(k-1))."""
-    levels = len(word)
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for lv in range(levels + 1):
-        for p in range(1, strands + 1):
-            parent[(lv, p)] = (lv, p)
-    for lv, letter in enumerate(word):
-        i = abs(letter)
-        if not 1 <= i < strands:
-            raise ValueError(f"letter {letter} out of range")
-        for p in range(1, strands + 1):
-            if p not in (i, i + 1):
-                union((lv, p), (lv + 1, p))
-    for p in range(1, strands + 1):
-        union((levels, p), (0, p))
-
-    classes = {}
-    for lv in range(levels + 1):
-        for p in range(1, strands + 1):
-            classes.setdefault(find((lv, p)), set()).add((lv, p))
-    reps = sorted(classes, key=lambda r: min(classes[r]))
-    sa_id = {}
-    for idx, rep in enumerate(reps):
-        for seg in classes[rep]:
-            sa_id[seg] = idx
-
-    crossings = []
-    for lv, letter in enumerate(word):
-        i = abs(letter)
-        nw, ne = sa_id[(lv, i)], sa_id[(lv, i + 1)]
-        sw, se = sa_id[(lv + 1, i)], sa_id[(lv + 1, i + 1)]
-        if letter > 0:
-            crossings.append({"rot": [nw, sw, se, ne], "over": 3})
-        else:
-            crossings.append({"rot": [ne, nw, sw, se], "over": 1})
-    return {"v": 1, "crossings": crossings,
-            "exterior": [sa_id[(0, 1)], "right"]}
+OUT = ROOT / "src" / "qci" / "corpus"
 
 
 CORPUS = {

@@ -78,6 +78,19 @@ MUTANTS = [
      "colors[c] == quandle.apply(colors[a], colors[b])",
      "colors[c] == quandle.unapply(colors[a], colors[b])",
      "is_coloring tests c = a |>^-1 b"),
+    ("src/qci/algebra.py",
+     "orbit_of = om.index",
+     "orbit_of = [0] * q.n",
+     "orbit_shadow_module puts every color in orbit 0 whatever the number "
+     "of orders"),
+    ("src/qci/cohomology.py",
+     "link_twisted(alphas, orbits(phi.quandle))",
+     "link_twisted(alphas[::-1], orbits(phi.quandle))",
+     "the link-twisted gate pairs the units with the orbits in reverse"),
+    ("src/qci/cohomology.py",
+     "    if spec.group != coeff:",
+     "    if False:",
+     "the bases, gates and differentials take a spec over another group"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
