@@ -5,19 +5,20 @@ Every flavor is one signed, twisted sum over the crossings,
     sum_x  sign(x) * prod_j u_j^(-e_j(x)) * w(m(x), a, b),
 
 with a the under color on the source-region side, b the over color,
-e_j(x) the component-j index of the source region and i(x) = sum_j e_j(x)
-its index.  The flavors differ only in what fills the slots:
+e_j(x) the component-j index of the source region, i(x) = sum_j e_j(x)
+its index and u_j the unit of component j's color orbit.  Every flavor
+is a tuple of units, one per orbit of the quandle, and a choice of m:
 
-- classical:      e = i(x) with unit 1, m = 0
-- shadow:         e = i(x) with unit 1, m = the source-region color
-- positive:       e = i(x) with unit -1, m = 0
-- twisted:        e = i(x) with unit alpha, m = 0
+- classical:      unit 1 on every orbit, m = 0
+- shadow:         unit 1 on every orbit, m = the source-region color
+- positive:       unit -1 on every orbit, m = 0
+- twisted:        unit alpha on every orbit, m = 0
 - shadow_twisted: as twisted, with m = the source-region color
-- link_twisted:   e_j(x) with the unit of component j's color orbit, m = 0
+- link_twisted:   one given unit per orbit (alphas), m = 0
 
-One unit u on every component gives prod_j u^(-e_j(x)) = u^(-i(x)), and
-the unit 1 twists nothing, so classical and shadow plans skip the region
-walk.  A diagram is compiled once per flavor into a plan holding, per
+One unit u on every orbit gives prod_j u^(-e_j(x)) = u^(-i(x)), and when
+every unit is the identity nothing is twisted, so the plan skips the
+region walk.  A diagram is compiled once per flavor into a plan holding, per
 crossing, the two arc slots, the source region and one d x d integer
 coefficient matrix C_x = sign(x) * prod_j U_j^(e_j(x)) folded from the sign
 and the twisting units.  Weighing a coloring is then one linear loop,
@@ -29,17 +30,16 @@ exterior region color pinned for shadow flavors).
 from collections import Counter
 from operator import mul
 
-from .algebra import (Frozen, IntUnit, Scalar, StructureError, is_integer,
-                      orbits)
-from .cohomology import (DifferentialSpec, is_cocycle,
-                         is_link_twisted_cocycle)
+from .algebra import (AxiomReport, Frozen, IntUnit, Scalar, StructureError,
+                      is_integer, orbits)
+from .cohomology import DifferentialSpec, is_cocycle
 from .coloring import (component_orbits, enumerate_colorings,
                        propagate_shadow)
-from .diagram import checkerboard, compute_indices, crossing_geometry
+from .diagram import compute_indices, crossing_geometry
 
 FLAVORS = ("classical", "shadow", "positive", "twisted", "shadow_twisted",
            "link_twisted")
-# the fixed unit that twists each untwisted flavor's sum
+# the fixed unit that twists each untwisted flavor's sum on every orbit
 UNITS = {"classical": 1, "shadow": 1, "positive": -1}
 # the flavors that color regions from the cochain's module
 SHADOW = ("shadow", "shadow_twisted")
@@ -91,41 +91,51 @@ class WeightMultiset(Frozen):
 
 def validate_cocycle(flavor, omega, *, alpha=None, alphas=None):
     """Raise CocycleError unless omega satisfies the flavor's condition."""
-    unit, alphas = _twisting(flavor, omega, alpha, alphas)
-    if alphas is not None:
-        report = is_link_twisted_cocycle(omega, alphas)
-    else:
-        report = is_cocycle(DifferentialSpec.twisted(omega.coeff, unit),
-                            omega)
-    if not report:
-        raise CocycleError(flavor, report)
+    _gate(flavor, omega, _units(flavor, omega, alpha, alphas))
 
 
-def _as_scalar(coeff, alpha):
-    if isinstance(alpha, Scalar):
-        return alpha
-    return IntUnit(coeff, alpha)
-
-
-def _twisting(flavor, omega, alpha, alphas):
-    """(unit, alphas) of a flavor's sum: the one unit that twists it (the
-    integer 1 or -1 for the untwisted flavors) and no alphas, or for
-    link_twisted no unit and one unit scalar per orbit of omega's quandle.
-    Refuses an unknown flavor and a missing alpha or alphas."""
+def _units(flavor, omega, alpha, alphas):
+    """The flavor's twisting as one unit scalar per orbit of omega's
+    quandle: its fixed unit (UNITS) or alpha on every orbit, or
+    link_twisted's alphas.  Refuses an unknown flavor, a missing alpha or
+    alphas, and a cochain of another shape than the sum reads, omega(m, a,
+    b) with m filled by the shadow flavors only."""
     if flavor not in FLAVORS:
         raise StructureError(f"unknown flavor {flavor!r}")
-    if flavor == "link_twisted":
-        alphas = [_as_scalar(omega.coeff, a) for a in alphas or ()]
-        if len(alphas) != orbits(omega.quandle).count:
-            raise StructureError("link_twisted needs alphas, one unit "
-                                 "per quandle orbit")
-        return None, alphas
-    unit = UNITS.get(flavor)
-    if unit is None:
-        if alpha is None:
+    count = orbits(omega.quandle).count
+    if flavor != "link_twisted":
+        unit = UNITS.get(flavor, alpha)
+        if unit is None:
             raise StructureError(f"{flavor} needs a twisting unit alpha")
-        unit = _as_scalar(omega.coeff, alpha)
-    return unit, None
+        alphas = [unit] * count
+    units = tuple(a if isinstance(a, Scalar) else IntUnit(omega.coeff, a)
+                  for a in alphas or ())
+    if len(units) != count:
+        raise StructureError("link_twisted needs alphas, one unit "
+                             "per quandle orbit")
+    if omega.degree != 2:
+        raise StructureError(f"{flavor} weighs a degree-2 cochain, "
+                             f"not degree {omega.degree}")
+    if omega.module is not None and flavor not in SHADOW:
+        raise StructureError(f"{flavor} weighs a trivial-module cochain; "
+                             "only shadow flavors read a module")
+    if omega.module is None and flavor in SHADOW:
+        raise StructureError(f"{flavor} weighs a module cochain, "
+                             "not a trivial-module one")
+    return units
+
+
+def _gate(flavor, omega, units):
+    """The one cocycle gate, d_left weighted by the inverse unit of the
+    acting color's orbit: with one unit u on every orbit, u^-1 times the
+    (1, u) twisted differential, so the same kernel and first failure."""
+    spec = DifferentialSpec.link_twisted(units, orbits(omega.quandle))
+    report = is_cocycle(spec, omega)
+    if not report:
+        if flavor == "link_twisted":
+            # a per-orbit witness drops the trivial module's slot
+            report = AxiomReport(False, report.axiom, report.witness[1:])
+        raise CocycleError(flavor, report)
 
 
 # -- the compiled state sum -------------------------------------------------
@@ -158,71 +168,70 @@ class _Plan:
 
     Construction refuses a missing flavor input (alpha, alphas, a shadow
     flavor's exterior color) or a cochain of the wrong shape, then runs
-    the cocycle gate when ``check`` is set and compiles the diagram;
-    calling the plan weighs one coloring (a ShadowColoring for the shadow
-    flavors).  Each crossing's sign and twist fold into one integer
-    coefficient matrix (_coefficient), stored per tuple of component
-    orbits: under () for fixed units, built with the plan, and for
-    link_twisted the first time each tuple appears.
+    the cocycle gate when ``check`` is set and compiles the diagram,
+    walking the regions unless every unit is the identity; calling the
+    plan weighs one coloring (a ShadowColoring for the shadow flavors).
+    Each crossing's sign and twist fold into one integer coefficient
+    matrix (_coefficient).  The coefficients are stored per tuple of
+    component orbits, and compiled once per tuple of component units,
+    the first time one appears.
     """
 
     def __init__(self, diagram, flavor, omega, check, *, alpha=None,
                  alphas=None, exterior=None):
-        unit, self.alphas = _twisting(flavor, omega, alpha, alphas)
+        self.units = _units(flavor, omega, alpha, alphas)
         self.shadow = flavor in SHADOW
-        # a plan reads omega(m, a, b); only the shadow flavors fill m
-        if omega.degree != 2:
-            raise StructureError(f"{flavor} weighs a degree-2 cochain, "
-                                 f"not degree {omega.degree}")
-        if omega.module is not None and not self.shadow:
-            raise StructureError(f"{flavor} weighs a trivial-module cochain; "
-                                 "only shadow flavors read a module")
-        if omega.module is None and self.shadow:
-            raise StructureError(f"{flavor} weighs a module cochain, "
-                                 "not a trivial-module one")
         if self.shadow and not (is_integer(exterior)
                                 and exterior in omega.module.elements()):
             raise StructureError(f"{flavor} needs an exterior color in its "
                                  f"cochain's module, not {exterior!r}")
         if check:
-            validate_cocycle(flavor, omega, alpha=unit, alphas=self.alphas)
-        self.diagram = diagram
+            _gate(flavor, omega, self.units)
+        self.diagram, self.omega, self.exterior = diagram, omega, exterior
         self.orbit_map = orbits(omega.quandle)
-        self.omega = omega
+        self.orbit_of = [self.orbit_map.of(c) for c in range(omega.quandle.n)]
+        self.first_arcs = [arcs[0] for arcs in diagram.component_arcs]
         # non-shadow flavors read omega at m = 0 for every source region
         self.no_regions = (0,) * diagram.n_regions
-        self.terms = _compile(diagram, unit != 1)
-        self.weighed = {}
-        if self.alphas is None:
-            self.weighed[()] = self._weighed(
-                () if unit == 1 else
-                (_as_scalar(omega.coeff, unit),) * diagram.n_components)
+        identity = IntUnit(omega.coeff, 1).int_matrix()
+        self.terms = _compile(diagram, not all(
+            u.int_matrix() == identity for u in self.units))
+        self.weighed, self.compiled = {}, {}
 
-    def _weighed(self, units):
-        """(coefficient, a_arc, b_arc, source region) per crossing."""
-        d = self.omega.coeff.d
-        return tuple((_coefficient(sign, units, exps, d), a, b, src)
-                     for sign, a, b, src, exps in self.terms)
+    def _weighed(self, key):
+        """(coefficient, a_arc, b_arc, source region) per crossing for one
+        tuple of component orbits."""
+        units = tuple(self.units[o] for o in key)
+        weighed = self.compiled.get(units)
+        if weighed is None:
+            d = self.omega.coeff.d
+            weighed = self.compiled[units] = tuple(
+                (_coefficient(sign, units, exps, d), a, b, src)
+                for sign, a, b, src, exps in self.terms)
+        self.weighed[key] = weighed
+        return weighed
 
-    def searched_orbits(self, coloring):
-        """The component orbits of a coloring from the search, which keeps
-        each component in one orbit: one arc per component decides."""
-        return tuple(self.orbit_map.of(coloring[arcs[0]])
-                     for arcs in self.diagram.component_arcs)
+    def weighings(self, colorings):
+        """(component orbits, weight) per coloring from the search, which
+        keeps each component in one orbit: one arc per component decides."""
+        orbit_of, first = self.orbit_of, self.first_arcs
+        for coloring in colorings:
+            key = tuple([orbit_of[coloring[a]] for a in first])
+            if self.shadow:
+                coloring = propagate_shadow(self.diagram, coloring,
+                                            self.omega.module, self.exterior)
+            yield key, self(coloring, key)
 
     def __call__(self, coloring, key=None):
         """Weigh one coloring; key, if given, is its component orbits."""
         arcs, regions = coloring, self.no_regions
         if self.shadow:
             arcs, regions = coloring.arcs, coloring.regions
-        if self.alphas is None:
-            key = ()
-        elif key is None:
+        if key is None:
             key = component_orbits(self.diagram, arcs, self.orbit_map)
         weighed = self.weighed.get(key)
         if weighed is None:
-            weighed = self.weighed[key] = self._weighed(
-                tuple(self.alphas[o] for o in key))
+            weighed = self._weighed(key)
         coeff, values = self.omega.coeff, self.omega.values
         n = self.omega.quandle.n
         total = [0] * coeff.d
@@ -244,14 +253,6 @@ def weight_shadow(diagram, shadow, omega, check=True):
     """Signed sum of w(source color, a, b)."""
     return _Plan(diagram, "shadow", omega, check,
                  exterior=shadow.regions[diagram.exterior_region])(shadow)
-
-
-def positive_signs(diagram):
-    """Checkerboard sign per crossing: + where the quadrant pair flanking
-    the over-strand is white."""
-    colors = checkerboard(diagram)
-    return tuple(1 if colors[g.quadrants[0]] == 0 else -1
-                 for g in crossing_geometry(diagram))
 
 
 def weight_positive(diagram, coloring, omega, check=True):
@@ -289,15 +290,9 @@ def invariant_multiset(diagram, quandle, flavor, omega, *, alpha=None,
     """
     plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas,
                  exterior=exterior)
-    colorings = enumerate_colorings(diagram, quandle)
-    if plan.shadow:
-        weights = (plan(propagate_shadow(diagram, c, omega.module, exterior))
-                   for c in colorings)
-    elif plan.alphas is None:
-        weights = map(plan, colorings)
-    else:
-        weights = (plan(c, plan.searched_orbits(c)) for c in colorings)
-    return WeightMultiset.from_values(weights)
+    return WeightMultiset.from_values(
+        weight for _key, weight
+        in plan.weighings(enumerate_colorings(diagram, quandle)))
 
 
 def check_refinable(flavor):
@@ -313,8 +308,7 @@ def orbit_refined_multisets(diagram, quandle, flavor, omega, *, alpha=None,
     check_refinable(flavor)
     plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas)
     buckets = {}
-    for coloring in enumerate_colorings(diagram, quandle):
-        key = plan.searched_orbits(coloring)
-        buckets.setdefault(key, []).append(plan(coloring, key))
+    for key, weight in plan.weighings(enumerate_colorings(diagram, quandle)):
+        buckets.setdefault(key, []).append(weight)
     return {key: WeightMultiset.from_values(vals)
             for key, vals in sorted(buckets.items())}

@@ -430,22 +430,20 @@ def raw_orbit_ids(op):
     return ids
 
 
-def raw_source_colors(records, exterior, exterior_color, step):
-    """Each crossing's source-region color, from the raw records alone.
+def raw_face_colors(records, exterior, exterior_color, step):
+    """The color of the face arriving at each dart (crossing, slot), from
+    the raw records alone.
 
-    Faces are traced on the darts (crossing, slot): arriving at slot i, the
-    walk leaves by slot i - 1, keeping the face on its left.  A semi-arc
-    arrives at its head end (slot 0 or the over slot) with its left face on
-    the left, and at its tail end with its right face there.  Crossing a
-    semi-arc along its normal, right face to left face, adds the integer
-    vector step(semi-arc).  The face on the given side of the semi-arc
+    Faces are traced on the darts: arriving at slot i, the walk leaves by
+    slot i - 1, keeping the face on its left.  A semi-arc arrives at its
+    head end (slot 0 or the over slot) with its left face on the left, and
+    at its tail end with its right face there.  Crossing a semi-arc along
+    its normal, right face to left face, adds the integer vector
+    step(semi-arc).  The face on the given side of the semi-arc
     ``exterior = [semi-arc, "left" | "right"]`` has color exterior_color.
-    The source region of a crossing is its sector between slots 0 and 1
-    when positive (the face arriving at slot 1) and between slots 1 and 2
-    when negative (arriving at slot 2).
     """
     if not records:
-        return []
+        return {}
     ends = {}
     for ci, rec in enumerate(records):
         for slot, sa in enumerate(rec["rot"]):
@@ -481,8 +479,27 @@ def raw_source_colors(records, exterior, exterior_color, step):
     for right, left, vec in steps:
         if color[left] != tuple(x + y for x, y in zip(color[right], vec)):
             raise ValueError("region colors are inconsistent")
-    return [color[face[(ci, 1 if rec["over"] == 3 else 2)]]
+    return {dart: color[f] for dart, f in face.items()}
+
+
+def raw_source_colors(records, exterior, exterior_color, step):
+    """Each crossing's source-region color in the face coloring of
+    raw_face_colors.  The source region of a crossing is its sector
+    between slots 0 and 1 when positive (the face arriving at slot 1) and
+    between slots 1 and 2 when negative (arriving at slot 2).
+    """
+    colors = raw_face_colors(records, exterior, exterior_color, step)
+    return [colors[(ci, 1 if rec["over"] == 3 else 2)]
             for ci, rec in enumerate(records)]
+
+
+def raw_positive_signs(records, exterior):
+    """Checkerboard sign per crossing from the raw records alone: the faces
+    2-colored with the exterior white (each semi-arc flips the parity),
+    and + where the sector between slots 0 and 1 is white."""
+    colors = raw_face_colors(records, exterior, (0,), lambda sa: (1,))
+    return [1 if colors[(ci, 1)][0] % 2 == 0 else -1
+            for ci in range(len(records))]
 
 
 def symbolic_shadow_weight(records, exterior, arc_of, colors, table, modulus,

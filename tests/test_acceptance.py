@@ -22,13 +22,14 @@ from qci.coloring import enumerate_colorings, propagate_shadow
 from qci.diagram import (compute_indices, crossing_geometry, r1_insert,
                          r2_insert)
 from qci.invariants import (WeightMultiset, invariant_multiset,
-                            orbit_refined_multisets, positive_signs,
+                            orbit_refined_multisets,
                             weight_classical, weight_link_twisted,
                             weight_positive, weight_shadow,
                             weight_shadow_twisted, weight_twisted)
 from tests.groups import all_groups_up_to_8
 from tests.oracle_utils import (degenerate_rows, differential_rows,
-                                rref_rank_mod_p, symbolic_shadow_weight)
+                                raw_positive_signs, rref_rank_mod_p,
+                                symbolic_shadow_weight)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -227,7 +228,9 @@ def test_criterion_5_positive():
     for name in corpus.names():
         d = corpus.load(name)
         idx = compute_indices(d)
-        pos = positive_signs(d)
+        raw = corpus.load_json(name)
+        pos = raw_positive_signs(raw.get("crossings", []),
+                                 raw.get("exterior"))
         for g, sp in zip(crossing_geometry(d), pos):
             assert g.sign * (-1) ** (idx.totals[g.source_region] % 2) == sp
     # full weight equality on every coloring

@@ -24,7 +24,7 @@ from qci.coloring import enumerate_colorings, is_coloring, propagate_shadow
 from qci.diagram import (Diagram, checkerboard, compute_indices,
                          crossing_geometry, parse_diagram, r1_insert,
                          r2_insert)
-from qci.invariants import (FLAVORS, invariant_multiset, positive_signs,
+from qci.invariants import (FLAVORS, invariant_multiset,
                             weight_classical, weight_link_twisted,
                             weight_positive, weight_shadow,
                             weight_shadow_twisted, weight_twisted)
@@ -32,7 +32,8 @@ from tests.groups import symmetric_3
 from tests.oracle_utils import (arc_map_from_raw, braid_closure,
                                 braid_push_colorings, brute_force_colorings,
                                 oracle_weight_sum, raw_orbit_ids,
-                                raw_source_colors, symbolic_shadow_weight)
+                                raw_positive_signs, raw_source_colors,
+                                symbolic_shadow_weight)
 
 
 def random_words(rng, count):
@@ -70,7 +71,8 @@ def test_structural_invariants(diagrams):
             vals = sorted(idx.totals[qd] for qd in g.quadrants)
             s = idx.totals[g.source_region]
             assert vals == [s, s + 1, s + 1, s + 2]
-        pos = positive_signs(d)
+        raw = d.to_json()
+        pos = raw_positive_signs(raw["crossings"], raw["exterior"])
         for g, sp in zip(crossing_geometry(d), pos):
             assert g.sign * (-1) ** (idx.totals[g.source_region] % 2) == sp
 

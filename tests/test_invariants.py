@@ -5,9 +5,9 @@ import random
 import pytest
 
 from qci import corpus
-from qci.algebra import (CoeffGroup, IntUnit, ShiftUnit, cyclic_shadow_module,
-                         make_dihedral, make_trivial, quandle_as_module,
-                         trivial_module, Quandle)
+from qci.algebra import (CoeffGroup, IntUnit, ShiftUnit, StructureError,
+                         cyclic_shadow_module, make_dihedral, make_trivial,
+                         orbits, quandle_as_module, trivial_module, Quandle)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             differential, link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
@@ -16,12 +16,13 @@ from qci.coloring import (ShadowColoring, act, enumerate_colorings,
                           propagate_shadow)
 from qci.diagram import compute_indices, crossing_geometry
 from qci.invariants import (CocycleError, WeightMultiset, invariant_multiset,
-                            orbit_refined_multisets, positive_signs,
-                            weight_classical,
+                            orbit_refined_multisets, weight_classical,
                             weight_link_twisted, weight_positive,
-                            weight_shadow, weight_shadow_twisted,
-                            weight_twisted)
+                            validate_cocycle, weight_shadow,
+                            weight_shadow_twisted, weight_twisted)
+from tests.oracle_utils import first_failure, raw_positive_signs
 from tests.test_algebra import product_table_module
+from tests.test_cohomology import _matrix
 
 CORPUS_WITH_CROSSINGS = ("trefoil", "trefoil_mirror", "figure_eight",
                          "hopf_pos", "hopf_neg", "trefoil_r3a",
@@ -93,7 +94,8 @@ def test_positive_sign_identity_per_crossing():
     for name in CORPUS_WITH_CROSSINGS:
         d = corpus.load(name)
         idx = compute_indices(d)
-        pos = positive_signs(d)
+        raw = corpus.load_json(name)
+        pos = raw_positive_signs(raw["crossings"], raw["exterior"])
         for g, sp in zip(crossing_geometry(d), pos):
             assert g.sign * (-1) ** (idx.totals[g.source_region] % 2) == sp
 
@@ -407,6 +409,100 @@ def test_cocycle_gate():
     weight_classical(d, (0, 0, 0), bad, check=False)
 
 
+def _gate_cases(q, A, unit, per_orbit):
+    """(flavor, kwargs, module, left, right, coboundary) per flavor and
+    module: the flavor's own condition, d_left weighted by left[a] and
+    d_right by right, and the coboundary map of its own differential."""
+    om = orbits(q)
+    ident = _matrix(IntUnit(A, 1))
+    fixed = {"classical": IntUnit(A, 1), "shadow": IntUnit(A, 1),
+             "positive": IntUnit(A, -1), "twisted": unit,
+             "shadow_twisted": unit}
+    for flavor, u in fixed.items():
+        kwargs = {"alpha": u} if flavor.endswith("twisted") else {}
+        spec = DifferentialSpec(IntUnit(A, 1), u)
+        modules = ((trivial_module(q), quandle_as_module(q))
+                   if flavor.startswith("shadow") else (None,))
+        for module in modules:
+            yield (flavor, kwargs, module, [ident] * q.n, _matrix(u),
+                   lambda theta, spec=spec: differential(spec, theta))
+    yield ("link_twisted", {"alphas": per_orbit}, None,
+           [_matrix(per_orbit[om.of(a)], -1) for a in range(q.n)],
+           ident, lambda theta: link_twisted_coboundary(theta, per_orbit))
+
+
+def test_merged_gate_matches_each_flavors_own_first_failure():
+    # validate_cocycle gates every flavor through the per-orbit condition,
+    # d_left weighted by the inverse unit of the acting color's orbit.
+    # Its verdict and witness are the qci-free oracle's first failure of
+    # the flavor's own condition, (1, u) for one unit u: random tables,
+    # tables with the degenerate entries zeroed, coboundaries, and
+    # coboundaries with one entry moved.  Only link_twisted drops the
+    # trivial module's slot from its witness.
+    rng = random.Random(30)
+    seen = set()
+    d3, d4 = make_dihedral(3), make_dihedral(4)
+    for q, moduli, units in (
+            (d3, (0,), lambda A: (IntUnit(A, -1), [IntUnit(A, -1)])),
+            (d4, (0,), lambda A: (IntUnit(A, -1),
+                                  [IntUnit(A, 1), IntUnit(A, -1)])),
+            (d3, (2, 4), lambda A: (IntUnit(A, 3), [IntUnit(A, 3)])),
+            (d4, (2, 4), lambda A: (IntUnit(A, 3),
+                                    [IntUnit(A, 3), IntUnit(A, 1)])),
+            (d3, (3, 3, 3), lambda A: (ShiftUnit(A), [ShiftUnit(A, 2)])),
+            (d4, (3, 3, 3), lambda A: (ShiftUnit(A),
+                                       [ShiftUnit(A, 1), ShiftUnit(A, 2)]))):
+        A = CoeffGroup(moduli)
+        for flavor, kwargs, module, left, right, coboundary in _gate_cases(
+                q, A, *units(A)):
+            act = module.act if module is not None else (lambda m, a: m)
+            size = module.size if module is not None else 1
+            for trial in range(4):
+                theta = random_cochain(rng, q, module, A, 1 + (trial < 2))
+                phi = theta if trial < 2 else coboundary(theta)
+                degenerate = [a == b for _m, (a, b) in phi.domain()]
+                values = [A.zero() if trial == 1 and deg else v
+                          for v, deg in zip(phi.values, degenerate)]
+                if trial == 3:
+                    i = rng.choice([i for i, deg in enumerate(degenerate)
+                                    if not deg])
+                    values[i] = A.add(values[i], (1,) * A.d)
+                phi = Cochain(q, module, A, 2, values)
+                want = first_failure(phi.at, act, q.apply, left, right,
+                                     moduli, q.n, size, 2, True)
+                if want is None:
+                    validate_cocycle(flavor, phi, **kwargs)
+                    seen.add("pass")
+                    continue
+                with pytest.raises(CocycleError) as err:
+                    validate_cocycle(flavor, phi, **kwargs)
+                axiom, witness = want
+                if flavor == "link_twisted":
+                    witness = witness[1:]
+                assert (err.value.flavor, err.value.report.axiom,
+                        err.value.report.witness) == (flavor, axiom,
+                                                      witness), flavor
+                seen.add((flavor, axiom))
+    assert seen == {"pass"} | {(f, axiom) for f in (
+        "classical", "shadow", "positive", "twisted", "shadow_twisted",
+        "link_twisted") for axiom in ("cocycle", "degenerate-vanishing")}
+    # the gate refuses a cochain of another shape than its flavor weighs:
+    # a shadow cocycle is no classical cochain, whatever its condition
+    mod = quandle_as_module(d3)
+    A = CoeffGroup((3,))
+    shadow_cocycle = cocycle_basis(DifferentialSpec.quandle(A), d3, mod, A,
+                                   2)[0]
+    with pytest.raises(StructureError,
+                       match="classical weighs a trivial-module cochain"):
+        validate_cocycle("classical", shadow_cocycle)
+    with pytest.raises(StructureError,
+                       match="shadow weighs a module cochain"):
+        validate_cocycle("shadow", zero_cochain(d3, None, A, 2))
+    with pytest.raises(StructureError, match="twisted weighs a degree-2 "
+                       "cochain, not degree 3"):
+        validate_cocycle("twisted", zero_cochain(d3, None, A, 3), alpha=2)
+
+
 def test_multiset_json_roundtrip():
     q = make_dihedral(3)
     A = CoeffGroup((3,))
@@ -485,11 +581,11 @@ def test_positive_weights_have_order_two_with_central_element():
 
 
 def test_multiset_compiles_the_diagram_once(monkeypatch):
-    # classical and shadow are twisted at the unit 1, so their plans skip
-    # the region walk; no plan reads the checkerboard
+    # classical and shadow are twisted at the unit 1 on every orbit, so
+    # their plans skip the region walk
     import qci.invariants as inv
     calls = {}
-    for name in ("crossing_geometry", "compute_indices", "checkerboard"):
+    for name in ("crossing_geometry", "compute_indices"):
         def counted(*args, _orig=getattr(inv, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _orig(*args)

@@ -5,7 +5,8 @@ must apply exactly once; a mutant that matches zero or several places is
 refused before anything runs.  For each mutant the repository (without
 ``.git``) is copied to a temporary directory, the replacement is made,
 and tier-1 runs there with ``-x``.  The mutant is killed when the run
-fails; the first failing test is named.  The result is printed as JSON.
+fails; the first failing test is named.  The result is printed as JSON,
+and the run exits 1 when any mutant survives.
 
 Run from anywhere (stdlib only):
 
@@ -91,6 +92,23 @@ MUTANTS = [
      "    if spec.group != coeff:",
      "    if False:",
      "the bases, gates and differentials take a spec over another group"),
+    ("src/qci/invariants.py",
+     "DifferentialSpec.link_twisted(units, orbits(omega.quandle))",
+     "DifferentialSpec.link_twisted(units[::-1], orbits(omega.quandle))",
+     "the flavor gate pairs the units with the orbits in reverse"),
+    ("src/qci/invariants.py",
+     'if flavor == "link_twisted":\n            # a per-orbit witness',
+     'if True:\n            # a per-orbit witness',
+     "every flavor's witness drops the module slot"),
+    ("src/qci/invariants.py",
+     "_compile(diagram, not all(",
+     "_compile(diagram, not any(",
+     "the plan skips the region walk when any unit, not every unit, is "
+     "the identity"),
+    ("src/qci/invariants.py",
+     "weighed = self.compiled.get(units)",
+     "weighed = next(iter(self.compiled.values()), None)",
+     "the plan shares compiled sums between unit tuples that differ"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
@@ -158,8 +176,10 @@ def main(argv=None):
         check(ROOT, MUTANTS)
         print(json.dumps({"mutants": len(MUTANTS), "apply_once": True}))
         return
-    print(json.dumps(run(ROOT, MUTANTS), indent=2))
+    report = run(ROOT, MUTANTS)
+    print(json.dumps(report, indent=2))
+    return 0 if report["killed"] == report["total"] else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
