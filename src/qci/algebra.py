@@ -9,8 +9,10 @@ cyclic_shadow_module and orbit_shadow_module.
 
 A quandle's op table and a module's action table are both action tables
 on their own rows, and both are built by _action_tables: validated once,
-with the column inverse given or derived.  A unit scalar is its integer
-matrix; applying it is that matrix times the vector, reduced.
+with the column inverse given or derived.  Both are refused where they
+are built unless they pass the one self-distributivity check,
+_self_distributivity.  A unit scalar is its integer matrix; applying it
+is that matrix times the vector, reduced.
 """
 
 from itertools import product
@@ -137,12 +139,20 @@ def _quandle_axioms(op, inv, clash=None):
         for b in range(n):
             if inv[op[a][b]][b] != a or op[inv[a][b]][b] != a:
                 return AxiomReport(False, "invertibility", (a, b))
-    for a in range(n):
-        for b in range(n):
-            ab = op[a][b]
+    return _self_distributivity(op, op)
+
+
+def _self_distributivity(table, op):
+    """The first (x, b, c) with t[t[x][b]][c] != t[t[x][c]][op[b][c]], t
+    the table, as a failing report: the quandle axiom with t = op, the
+    module axiom with t a module's action over the quandle op."""
+    n = len(op)
+    for x, row in enumerate(table):
+        for b, ob in enumerate(op):
+            xb = table[row[b]]
             for c in range(n):
-                if op[ab][c] != op[op[a][c]][op[b][c]]:
-                    return AxiomReport(False, "self-distributivity", (a, b, c))
+                if xb[c] != table[row[c]][ob[c]]:
+                    return AxiomReport(False, "self-distributivity", (x, b, c))
     return AxiomReport(True)
 
 
@@ -265,20 +275,38 @@ def make_conjugation(mul):
     return Quandle(op)
 
 
+def _module_axioms(quandle, action, inv_action):
+    """A module's validated action and inverse tables over quandle, a given
+    inverse checked against the action, and the module axiom's report."""
+    action, inv, clash = _action_tables(action, inv_action, quandle.n,
+                                        ("action", "inv_action"))
+    if clash is not None:
+        raise StructureError(f"action column {clash[2]} is not a bijection")
+    if inv_action is not None:
+        for m, row in enumerate(action):
+            for a, x in enumerate(row):
+                if inv[x][a] != m:
+                    raise StructureError("inv_action is not the inverse "
+                                         f"of action at (m, a) = {(m, a)}")
+    return action, inv, _self_distributivity(action, quandle.op)
+
+
+def check_module(quandle, action, inv_action=None):
+    """Validate the module axiom for a dense action table over quandle;
+    malformed input raises.  Returns a passing report or the first
+    self-distributivity failure with its witness ``(m, b, c)``."""
+    return _module_axioms(quandle, action, inv_action)[2]
+
+
 class TableModule(Frozen):
-    """Finite quandle module: a dense size x n action table on 0..size-1."""
+    """Finite quandle module: a dense size x n action table on 0..size-1
+    that satisfies the module axiom."""
 
     def __init__(self, quandle, action, inv_action=None):
-        action, inv, clash = _action_tables(action, inv_action, quandle.n,
-                                            ("action", "inv_action"))
-        if clash is not None:
-            raise StructureError(f"action column {clash[2]} is not a bijection")
-        if inv_action is not None:
-            for m, row in enumerate(action):
-                for a, x in enumerate(row):
-                    if inv[x][a] != m:
-                        raise StructureError("inv_action is not the inverse "
-                                             f"of action at (m, a) = {(m, a)}")
+        action, inv, report = _module_axioms(quandle, action, inv_action)
+        if not report:
+            raise StructureError(
+                f"not a module: {report.axiom} fails at {report.witness}")
         self.__dict__.update(quandle=quandle, action=action, inv_action=inv,
                              size=len(action))
 
@@ -340,19 +368,6 @@ def cyclic_shadow_module(q, k):
     return orbit_shadow_module(q, (k,))
 
 
-def check_module(module):
-    """Check self-distributivity exhaustively on the table over the
-    module's own quandle; a TableModule is invertible by construction."""
-    q = module.quandle
-    for m in module.elements():
-        for b in range(q.n):
-            mb = module.act(m, b)
-            for c in range(q.n):
-                if module.act(mb, c) != module.act(module.act(m, c), q.apply(b, c)):
-                    return AxiomReport(False, "self-distributivity", (m, b, c))
-    return AxiomReport(True)
-
-
 class OrbitMap(Frozen):
     """Partition of a carrier into orbits of the right action: orbits is a
     tuple of sorted orbits, and count and index (element -> orbit id) are
@@ -396,6 +411,12 @@ def orbits(obj):
 
 def module_from_json(data, quandle):
     """Rebuild a module from its describe()/JSON form."""
+    return TableModule(quandle, *module_tables(data, quandle))
+
+
+def module_tables(data, quandle):
+    """The action and inv_action tables of a module record over quandle,
+    its envelope checked."""
     if not isinstance(data, dict) or "kind" not in data:
         raise StructureError("module json needs a 'kind'")
     check_version(data)
@@ -407,13 +428,14 @@ def module_from_json(data, quandle):
         if "size" in data and (not is_integer(size) or size != rows):
             raise StructureError(f"table module json 'size' {size!r} "
                                  f"disagrees with its {rows}-row action table")
-        return TableModule(quandle, data["action"], data.get("inv_action"))
+        return data["action"], data.get("inv_action")
     if kind == "cyclic_shadow":
         k = data.get("modulus")
         if not is_integer(k):
             raise StructureError(
                 "cyclic_shadow module json needs an integer 'modulus'")
-        return cyclic_shadow_module(quandle, k)
+        module = cyclic_shadow_module(quandle, k)
+        return module.action, module.inv_action
     raise StructureError(f"unknown module kind {kind!r}")
 
 

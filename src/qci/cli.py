@@ -21,7 +21,8 @@ import time
 from . import __version__
 from .algebra import (CoeffGroup, IntUnit, Quandle, StructureError,
                       check_module, check_quandle, cyclic_shadow_module,
-                      module_from_json, orbits, quandle_tables)
+                      module_from_json, module_tables, orbits,
+                      quandle_tables)
 from .cohomology import (Cochain, DifferentialSpec, cohomology_basis,
                          is_cocycle, is_in_span, random_cochain,
                          transport_to_shadow)
@@ -136,8 +137,7 @@ def cmd_check(args, inputs):
         payload = {"v": 1, "kind": "quandle", "passed": report.passed}
     elif args.kind == "module":
         q = Quandle.from_json(inputs.read_json(args.quandle))
-        mod = module_from_json(data, q)
-        report = check_module(mod)
+        report = check_module(q, *module_tables(data, q))
         payload = {"v": 1, "kind": "module", "passed": report.passed}
     else:
         q = Quandle.from_json(inputs.read_json(args.quandle))

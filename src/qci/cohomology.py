@@ -89,6 +89,8 @@ class DifferentialSpec:
         if len(alphas) != orbit_map.count:
             raise StructureError("need one unit per quandle orbit")
         group = alphas[0].group
+        if any(u.group != group for u in alphas):
+            raise StructureError("per-orbit units act on different groups")
         inverses = [u.int_matrix(-1) for u in alphas]
         return cls._of(group, lambda a: inverses[orbit_map.of(a)],
                        IntUnit(group, 1).int_matrix())

@@ -171,11 +171,8 @@ class Diagram:
             self.exterior_region = 0
             self.n_regions = 1 + len(self.free_loops)
             return
-        v = len(self.crossings)
-        e = len(self.semiarcs)
-        if e != 2 * v:
-            raise StructureError("semi-arc count must be twice the crossings")
-        if v - e + len(faces) != 2:
+        # each semi-arc has two ends, so E = 2V and V - E + F = 2 is F = V + 2
+        if len(faces) != len(self.crossings) + 2:
             raise StructureError(
                 "rotation system is not a connected sphere diagram")
         order = sorted(range(len(faces)), key=faces.__getitem__)
@@ -261,13 +258,30 @@ class Diagram:
             relations.append((self.arc_of[a], self.arc_of[x.over_in],
                               self.arc_of[c]))
         self.relations = tuple(relations)
-        # region -> ((neighbour, arc, forward), ...): the undirected view
-        # of the steps that propagate_regions walks
-        adj = {}
-        for frm, to, arc, _comp in steps:
-            adj.setdefault(frm, []).append((to, arc, True))
-            adj.setdefault(to, []).append((frm, arc, False))
-        self.region_adjacency = {r: tuple(nbrs) for r, nbrs in adj.items()}
+        # the region walk that every region coloring follows: a
+        # breadth-first tree of the steps from the exterior, each read from
+        # a region already reached, forward (along the normal) or backward;
+        # the steps off the tree are checks.  A region the walk misses lies
+        # on another piece, so the rotation system is not connected
+        nbrs = [[] for _ in range(self.n_regions)]
+        for i, (frm, to, arc, _comp) in enumerate(steps):
+            nbrs[frm].append((to, arc, True, i))
+            nbrs[to].append((frm, arc, False, i))
+        order, reached = [self.exterior_region], {self.exterior_region}
+        walk, taken = [], set()
+        for source in order:
+            for target, arc, forward, i in nbrs[source]:
+                if target not in reached:
+                    order.append(target)
+                    reached.add(target)
+                    taken.add(i)
+                    walk.append((target, source, arc, forward))
+        if len(order) != self.n_regions:
+            raise StructureError(
+                "rotation system is not a connected sphere diagram")
+        self.region_walk = tuple(walk)
+        self.region_checks = tuple((to, frm, arc) for i, (frm, to, arc, _c)
+                                   in enumerate(steps) if i not in taken)
 
     # -- queries -----------------------------------------------------------
 
@@ -373,28 +387,21 @@ def parse_diagram(data):
 
 
 def propagate_regions(diagram, start, labels, forward, backward):
-    """Region values by a walk from the exterior, which holds ``start``.
-    Crossing the strand of arc a along its normal maps a value v to
-    forward(v, labels[a]), against it to backward(v, labels[a]).  Every
-    region is popped once and checks each of its steps both ways, so an
-    inconsistent labelling cannot slip by."""
-    adj = diagram.region_adjacency
-    values = {diagram.exterior_region: start}
-    frontier = [diagram.exterior_region]
-    while frontier:
-        r = frontier.pop()
-        v = values[r]
-        for to, arc, fwd in adj.get(r, ()):
-            want = (forward if fwd else backward)(v, labels[arc])
-            if to in values:
-                if values[to] != want:
-                    raise StructureError("inconsistent region propagation")
-            else:
-                values[to] = want
-                frontier.append(to)
-    if len(values) != diagram.n_regions:
-        raise StructureError("region adjacency graph is disconnected")
-    return tuple(values[r] for r in range(diagram.n_regions))
+    """Region values along the diagram's region walk from the exterior,
+    which holds ``start``.  Crossing the strand of arc a along its normal
+    maps a value v to forward(v, labels[a]), against it to backward(v,
+    labels[a]).  Every step off the walk is then checked forward, so an
+    inconsistent labelling cannot slip by; backward must invert forward
+    exactly, as a module's unact and the index steps do."""
+    values = [None] * diagram.n_regions
+    values[diagram.exterior_region] = start
+    for target, source, arc, fwd in diagram.region_walk:
+        values[target] = (forward if fwd else backward)(values[source],
+                                                        labels[arc])
+    for target, source, arc in diagram.region_checks:
+        if values[target] != forward(values[source], labels[arc]):
+            raise StructureError("inconsistent region propagation")
+    return tuple(values)
 
 
 def compute_indices(diagram):

@@ -98,8 +98,9 @@ def _units(flavor, omega, alpha, alphas):
     """The flavor's twisting as one unit scalar per orbit of omega's
     quandle: its fixed unit (UNITS) or alpha on every orbit, or
     link_twisted's alphas.  Refuses an unknown flavor, a missing alpha or
-    alphas, and a cochain of another shape than the sum reads, omega(m, a,
-    b) with m filled by the shadow flavors only."""
+    alphas, a unit over another group than omega's coefficients, and a
+    cochain of another shape than the sum reads, omega(m, a, b) with m
+    filled by the shadow flavors only."""
     if flavor not in FLAVORS:
         raise StructureError(f"unknown flavor {flavor!r}")
     count = orbits(omega.quandle).count
@@ -110,6 +111,10 @@ def _units(flavor, omega, alpha, alphas):
         alphas = [unit] * count
     units = tuple(a if isinstance(a, Scalar) else IntUnit(omega.coeff, a)
                   for a in alphas or ())
+    for u in units:
+        if u.group != omega.coeff:
+            raise StructureError(f"unit {u!r} acts on {u.group!r}, not on "
+                                 f"the cochain's {omega.coeff!r}")
     if len(units) != count:
         raise StructureError("link_twisted needs alphas, one unit "
                              "per quandle orbit")

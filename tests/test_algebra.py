@@ -113,7 +113,7 @@ def test_inverse_table_derivation_and_roundtrip():
 
 def test_module_self_action_passes():
     q = make_dihedral(3)
-    assert check_module(quandle_as_module(q))
+    assert check_module(q, q.op, q.inv)
 
 
 def test_symbolic_module_kinds_are_refused():
@@ -133,7 +133,7 @@ def test_product_with_integer_module():
     # the integer shadow module counted mod 5, paired with the self-action
     q = make_dihedral(3)
     p = product_table_module(quandle_as_module(q), cyclic_shadow_module(q, 5))
-    assert check_module(p)
+    assert check_module(p.quandle, p.action)
     assert p.act(1 * 5 + 2, 2) == q.apply(1, 2) * 5 + 3
     assert p.act(1 * 5 + 4, 2) == q.apply(1, 2) * 5 + 0
 
@@ -143,7 +143,7 @@ def test_product_of_finite_modules():
     z2 = cyclic_shadow_module(q, 2)
     p = product_table_module(z2, z2)
     assert p.size == 4
-    assert check_module(p)
+    assert check_module(p.quandle, p.action)
     assert p.act(1, 0) == 2       # (0, 1) -> (1, 0)
 
 
@@ -180,7 +180,7 @@ def test_orbit_shadow_action():
     # orders is refused
     q = make_dihedral(4)
     m = orbit_shadow_module(q, (3, 2))
-    assert m.size == 6 and check_module(m)
+    assert m.size == 6 and check_module(m.quandle, m.action)
     assert m.act(0, 1) == 1                 # (0, 0) -> (0, 1)
     assert m.act(m.act(0, 0), 2) == 4       # (0, 0) -> (2, 0)
     assert m.act(4, 0) == 0                 # (2, 0) -> (0, 0)
@@ -225,19 +225,45 @@ def test_product_module_orbit_containment():
             assert om_m.of(y2) == om_m.of(y)
 
 
+def test_quandle_self_distributivity_failure_witness():
+    # idempotent, every column a bijection, and still no quandle:
+    # (1 |> 2) |> 3 = 3 |> 3 = 3, but (1 |> 3) |> (2 |> 3) = 2 |> 1 = 2
+    op = [[0, 0, 0, 0], [1, 1, 3, 2], [2, 2, 2, 1], [3, 3, 1, 3]]
+    rep = check_quandle(op)
+    assert (rep.passed, rep.axiom, rep.witness) == (
+        False, "self-distributivity", (1, 2, 3))
+    with pytest.raises(StructureError, match=r"not a quandle: "
+                       r"self-distributivity fails at \(1, 2, 3\)"):
+        Quandle(op)
+
+
 def test_module_axiom_failure_witness():
     q = make_trivial(2)
     # over a trivial quandle the actions must commute; two non-commuting
     # transpositions of a 3-point carrier violate self-distributivity
-    bad = TableModule(q, [[1, 0], [0, 2], [2, 1]])
-    rep = check_module(bad)
+    rep = check_module(q, [[1, 0], [0, 2], [2, 1]])
     assert not rep.passed and rep.axiom == "self-distributivity"
     # the check is exhaustive: these two transpositions fix 0 and clash
     # only from 1 on
-    bad = TableModule(q, [[0, 0], [2, 1], [1, 3], [3, 2]])
-    rep = check_module(bad)
+    rep = check_module(q, [[0, 0], [2, 1], [1, 3], [3, 2]])
     assert not rep.passed
     assert (rep.axiom, rep.witness) == ("self-distributivity", (1, 0, 1))
+
+
+def test_table_module_refuses_the_module_axiom_failure():
+    # the same failure check_module reports, refused where the module is
+    # built, naming the witness; the D3 action below reached the cohomology
+    # solver before and died there
+    q = make_trivial(2)
+    with pytest.raises(StructureError, match=r"not a module: "
+                       r"self-distributivity fails at \(1, 0, 1\)"):
+        TableModule(q, [[0, 0], [2, 1], [1, 3], [3, 2]])
+    d3, action = make_dihedral(3), [[1, 0, 0], [2, 1, 1], [0, 2, 2]]
+    assert check_module(d3, action).witness == (0, 0, 1)
+    with pytest.raises(StructureError, match=r"fails at \(0, 0, 1\)"):
+        TableModule(d3, action)
+    with pytest.raises(StructureError, match=r"fails at \(0, 0, 1\)"):
+        module_from_json({"v": 1, "kind": "table", "action": action}, d3)
 
 
 def test_module_json_roundtrip():
@@ -356,7 +382,7 @@ def test_unit_matrix_matches_apply():
 def test_one_element_module_accepted():
     q = make_dihedral(3)
     m = trivial_module(q)
-    assert m.size == 1 and check_module(m)
+    assert m.size == 1 and check_module(m.quandle, m.action)
 
 
 def test_alexander_quandle():

@@ -93,6 +93,56 @@ def test_cohomology_over_product_module_is_exit2(files):
     assert "unknown module kind 'product'" in json.loads(err)["error"]
 
 
+NOT_A_MODULE = {"v": 1, "kind": "table",
+                "action": [[1, 0, 0], [2, 1, 1], [0, 2, 2]]}
+
+
+def test_non_module_action_is_refused_with_its_witness(files):
+    # check reports the failing axiom (exit 1); every command that builds
+    # the module refuses it with the same witness (exit 2).  Before, the
+    # cohomology solver died on it (exit 3) and the shadow invariant blamed
+    # the region walk, without a witness
+    path = files["tmp"] / "not_a_module.json"
+    path.write_text(json.dumps(NOT_A_MODULE))
+    q = str(files["quandle"])
+    code, out, _ = run_cli("check", "--kind", "module", "--file", str(path),
+                           "--quandle", q)
+    assert code == 1
+    assert out.strip() == ('{"axiom":"self-distributivity","kind":"module",'
+                           '"passed":false,"v":1,"witness":[0,0,1]}')
+    cochain = files["tmp"] / "over_it.json"
+    cochain.write_text(json.dumps(
+        {"v": 1, "degree": 2, "module": NOT_A_MODULE,
+         "coeff": {"moduli": [3]}, "values": [[0]] * 27}))
+    message = "not a module: self-distributivity fails at (0, 0, 1)"
+    for argv in (["cohomology", "--quandle", q, "--coeff", "3", "--module",
+                  str(path)],
+                 ["invariant", "--flavor", "shadow", "--diagram",
+                  str(files["diagram"]), "--quandle", q, "--cocycle",
+                  str(cochain), "--exterior", "0"]):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert json.loads(err)["error"] == message
+
+
+def test_disconnected_rotation_system_is_exit2(files):
+    # a torus piece beside a sphere piece passes V - E + F = 2; every
+    # command that reads the diagram refuses it
+    path = files["tmp"] / "torus_and_sphere.json"
+    path.write_text(json.dumps(
+        {"v": 1, "crossings": [{"rot": [0, 1, 0, 1], "over": 3},
+                               {"rot": [2, 2, 3, 3], "over": 3}],
+         "exterior": [2, "left"]}))
+    for argv in (["regions", "--diagram", str(path)],
+                 ["indices", "--diagram", str(path)],
+                 ["colorings", "--diagram", str(path), "--quandle",
+                  str(files["quandle"])]):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert json.loads(err)["error"] == \
+            "rotation system is not a connected sphere diagram"
+
+
 def test_check_module_out_of_range_inv_action_is_exit2(files):
     q = make_dihedral(3)
     inv = [list(r) for r in q.inv]

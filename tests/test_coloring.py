@@ -112,16 +112,29 @@ def test_integer_shadow_reproduces_indices():
             assert s.regions == tuple(t % 7 for t in idx.totals)
 
 
+@pytest.mark.parametrize("name", corpus.BASE_DIAGRAMS)
+def test_region_walk_takes_every_step_once(name):
+    # the region walk is built once per diagram: it reaches every region
+    # but the exterior exactly once, from a region it reached before, and
+    # the walk plus the checks use each region step exactly once
+    d = corpus.load(name)
+    reached = [d.exterior_region]
+    for target, source, _arc, _fwd in d.region_walk:
+        assert source in reached and target not in reached
+        reached.append(target)
+    assert sorted(reached) == list(range(d.n_regions))
+    used = [(s, t, a) if fwd else (t, s, a)
+            for t, s, a, fwd in d.region_walk]
+    used += [(s, t, a) for t, s, a in d.region_checks]
+    assert sorted(used) == sorted((frm, to, arc)
+                                  for frm, to, arc, _c in d.region_steps())
+
+
 def test_propagation_rejects_non_colorings():
-    # the region adjacency is built once per diagram; propagating along it
-    # still catches every arc coloring that is not a quandle coloring
+    # propagating along the region walk, with its checks, catches every
+    # arc coloring that is not a quandle coloring
     q = make_dihedral(3)
     d = corpus.load("trefoil")
-    want = {}
-    for frm, to, arc, _comp in d.region_steps():
-        want.setdefault(frm, set()).add((to, arc, True))
-        want.setdefault(to, set()).add((frm, arc, False))
-    assert {r: set(v) for r, v in d.region_adjacency.items()} == want
     good = set(enumerate_colorings(d, q))
     m = quandle_as_module(q)
     for col in product(range(3), repeat=d.n_arcs):

@@ -56,6 +56,18 @@ def test_parse_errors():
         Diagram([], ())
 
 
+def test_torus_piece_beside_a_sphere_piece_is_refused():
+    # V - E + F = 0 + 2 = 2 although the torus curve is no sphere diagram:
+    # the region walk from the exterior never reaches its face
+    data = {"v": 1, "crossings": [{"rot": [0, 1, 0, 1], "over": 3},
+                                  {"rot": [2, 2, 3, 3], "over": 3}],
+            "exterior": [2, "left"]}
+    with pytest.raises(StructureError,
+                       match="^rotation system is not a connected sphere "
+                             "diagram$"):
+        parse_diagram(data)
+
+
 def _face_count(records):
     return len(Diagram(records, exterior=(records[0]["rot"][0], "left"))
                .region_incidences)

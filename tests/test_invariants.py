@@ -14,13 +14,16 @@ from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             transport_to_shadow, zero_cochain)
 from qci.coloring import (ShadowColoring, act, enumerate_colorings,
                           propagate_shadow)
-from qci.diagram import compute_indices, crossing_geometry
+from qci.diagram import compute_indices, crossing_geometry, parse_diagram
 from qci.invariants import (CocycleError, WeightMultiset, invariant_multiset,
                             orbit_refined_multisets, weight_classical,
                             weight_link_twisted, weight_positive,
                             validate_cocycle, weight_shadow,
                             weight_shadow_twisted, weight_twisted)
-from tests.oracle_utils import first_failure, raw_positive_signs
+from tests.oracle_utils import (arc_map_from_raw, braid_closure,
+                                brute_force_colorings, first_failure,
+                                oracle_weight_sum, raw_crossing_sign,
+                                raw_positive_signs)
 from tests.test_algebra import product_table_module
 from tests.test_cohomology import _matrix
 
@@ -613,3 +616,76 @@ def test_multiset_compiles_the_diagram_once(monkeypatch):
             orbit_refined_multisets(d, q, flavor, w, **units.get(flavor, {}))
             assert calls == expected, flavor
 
+
+
+def test_non_constant_anchor_on_a_six_crossing_torus_link():
+    # D4 over Z/4 on the 2-strand closure of s1^-3 s1 s1^-2, a 6-crossing
+    # diagram of the (2, 4) torus link: the first classical basis cocycle
+    # weighs half the 16 colorings 3, the rest 0.  The pin is checked
+    # against colorings and weights recomputed from the raw records, with
+    # no qci code; then positive against twisted at alpha = -1 on the
+    # positive basis, where basis vector 1 is non-constant too
+    q, A = make_dihedral(4), CoeffGroup((4,))
+    closure = braid_closure([-1, -1, -1, 1, -1, -1], 2)
+    records = closure["crossings"]
+    d = parse_diagram(closure)
+    assert (len(d.crossings), d.n_components) == (6, 2)
+    arc_of, n_arcs = arc_map_from_raw(records)
+    colorings = brute_force_colorings(records, arc_of, n_arcs,
+                                      [list(r) for r in q.op],
+                                      [list(r) for r in q.inv])
+    assert len(colorings) == 16
+
+    def add(x, y):
+        return ((x[0] + y[0]) % 4,)
+
+    def neg(x):
+        return ((-x[0]) % 4,)
+
+    def oracle(omega, twist=None):
+        return WeightMultiset.from_values(
+            oracle_weight_sum(records, arc_of, col,
+                              lambda a, b: omega.values[a * q.n + b],
+                              add, (0,), neg, twist)
+            for col in colorings)
+
+    omega = cocycle_basis(DifferentialSpec.quandle(A), q, None, A, 2)[0]
+    got = invariant_multiset(d, q, "classical", omega)
+    assert got == oracle(omega) == WeightMultiset.from_values(
+        [(0,)] * 8 + [(3,)] * 8)
+    signs = raw_positive_signs(records, closure["exterior"])
+
+    def checkerboard(term, ci):
+        return term if signs[ci] == raw_crossing_sign(records[ci]) \
+            else neg(term)
+
+    basis = cocycle_basis(DifferentialSpec.positive(A), q, None, A, 2)
+    for omega in basis:
+        assert invariant_multiset(d, q, "positive", omega) == \
+            invariant_multiset(d, q, "twisted", omega, alpha=-1) == \
+            oracle(omega, checkerboard)
+    assert invariant_multiset(d, q, "positive", basis[1]) == \
+        WeightMultiset.from_values([(0,)] * 8 + [(2,)] * 8)
+
+
+def test_units_over_another_group_are_refused():
+    # a unit acts on the cochain's coefficient group or nowhere: before, a
+    # Z/7 alpha weighed a Z/5 cochain silently, and per-orbit units of
+    # mixed groups reached the gate
+    q = make_dihedral(4)
+    z5, z7 = CoeffGroup((5,)), CoeffGroup((7,))
+    d = corpus.load("link_r3a")
+    omega = random_cochain(random.Random(7), q, None, z5, 2)
+    with pytest.raises(StructureError, match="acts on CoeffGroup\\(7,\\)"):
+        invariant_multiset(d, q, "twisted", omega, alpha=IntUnit(z7, 2),
+                           check=False)
+    with pytest.raises(StructureError, match="acts on CoeffGroup\\(7,\\)"):
+        validate_cocycle("link_twisted", omega,
+                         alphas=[IntUnit(z5, 2), IntUnit(z7, 3)])
+    with pytest.raises(StructureError, match="different groups"):
+        DifferentialSpec.link_twisted([IntUnit(z5, 2), IntUnit(z7, 3)],
+                                      orbits(q))
+    # the same units over the cochain's own group still weigh
+    assert invariant_multiset(d, q, "twisted", omega, alpha=IntUnit(z5, 2),
+                              check=False) == \
+        invariant_multiset(d, q, "twisted", omega, alpha=2, check=False)

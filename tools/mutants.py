@@ -109,6 +109,28 @@ MUTANTS = [
      "weighed = self.compiled.get(units)",
      "weighed = next(iter(self.compiled.values()), None)",
      "the plan shares compiled sums between unit tuples that differ"),
+    ("src/qci/diagram.py",
+     "for target, source, arc in diagram.region_checks:",
+     "for target, source, arc in ():",
+     "region propagation skips the steps off the walk"),
+    ("src/qci/diagram.py",
+     "(forward if fwd else backward)(values[source]",
+     "(forward if fwd else forward)(values[source]",
+     "a backward walk step is derived with the forward map"),
+    ("src/qci/diagram.py",
+     "        if len(order) != self.n_regions:",
+     "        if False:",
+     "a rotation system whose walk misses a region is accepted"),
+    ("src/qci/algebra.py",
+     "        if not report:\n            raise StructureError(\n"
+     '                f"not a module',
+     "        if False:\n            raise StructureError(\n"
+     '                f"not a module',
+     "TableModule skips the shared self-distributivity check"),
+    ("src/qci/algebra.py",
+     "    return _self_distributivity(op, op)",
+     "    return AxiomReport(True)",
+     "the quandle axioms skip the shared self-distributivity check"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
