@@ -10,9 +10,11 @@ strand's arc color.
 The coloring search is compiled once per call into a static plan of
 levels.  A level colors one free arc, derives every arc that color pins
 (a crossing that knows b and one of a, c pins the other), and lists the
-crossings it completes as checks; the search is a plain recursion over
-the levels.
+crossings it completes as checks; the search runs the levels as one loop
+over an explicit stack, so no plan is too deep for it.
 """
+
+from itertools import islice
 
 from .algebra import Frozen, StructureError
 from .diagram import propagate_regions
@@ -83,33 +85,26 @@ def _search_plan(n_arcs, relations, first=()):
     return plan
 
 
-def enumerate_colorings(diagram, quandle, preset=None):
-    """All arc colorings, in sorted (lexicographic) order.
-
-    The search is compiled once into a static plan (``_search_plan``): a
-    sequence of levels, each coloring one arc, then deriving the arcs that
-    color pins through straight-line quandle operations and checking the
-    crossings it completes.  The search recurses over the levels, trying
-    every color at each and descending only when its checks pass.
-    ``preset`` pins chosen arcs: they form the first levels with their one
-    color, and a crossing that would derive one checks it instead.
-    """
-    preset = preset or {}
+def _colorings(diagram, quandle, preset):
+    """Every arc coloring, in search order: the levels of ``_search_plan``
+    as one loop over a stack that holds, per entered level, its untried
+    colors.  A color whose checks pass enters the next level; a level with
+    no colors left is popped."""
     plan = _search_plan(diagram.n_arcs, diagram.relations, sorted(preset))
     apply = quandle.apply
     ops = (quandle.unapply, apply)
     levels = [(arc, (preset[arc],) if arc in preset else range(quandle.n),
                [(t, s, b, ops[f]) for t, s, b, f in steps], checks)
               for arc, steps, checks in plan]
+    if not levels:
+        yield ()
+        return
     colors = [None] * diagram.n_arcs
-    found = []
-
-    def descend(depth):
-        if depth == len(levels):
-            found.append(tuple(colors))
-            return
-        arc, choices, steps, checks = levels[depth]
-        for color in choices:
+    stack = [iter(levels[0][1])]
+    while stack:
+        depth = len(stack)
+        arc, _, steps, checks = levels[depth - 1]
+        for color in stack[-1]:
             colors[arc] = color
             for target, source, over, op in steps:
                 colors[target] = op(colors[source], colors[over])
@@ -117,11 +112,25 @@ def enumerate_colorings(diagram, quandle, preset=None):
                 if colors[c] != apply(colors[a], colors[b]):
                     break
             else:
-                descend(depth + 1)
+                if depth < len(levels):
+                    stack.append(iter(levels[depth][1]))
+                    break
+                yield tuple(colors)
+        else:
+            stack.pop()
 
-    descend(0)
-    found.sort()
-    return found
+
+def enumerate_colorings(diagram, quandle, preset=None):
+    """All arc colorings, in sorted (lexicographic) order.
+
+    The search is compiled once into a static plan (``_search_plan``): a
+    sequence of levels, each coloring one arc, then deriving the arcs that
+    color pins through straight-line quandle operations and checking the
+    crossings it completes; ``_colorings`` runs it.  ``preset`` pins
+    chosen arcs: they form the first levels with their one color, and a
+    crossing that would derive one checks it instead.
+    """
+    return sorted(_colorings(diagram, quandle, preset or {}))
 
 
 class ShadowColoring(Frozen):
@@ -184,33 +193,20 @@ def component_orbits(diagram, arc_colors, orbit_map):
     return tuple(out)
 
 
-def transport_coloring(result, coloring, quandle=None):
-    """Push an arc coloring of the source diagram through a rewrite.
-
-    Arcs descending from a source arc inherit its color; a freshly cut
-    piece whose color the move acts on (the middle strand of a poke) is
-    completed through the crossing relations, which pin it uniquely.
-    """
+def transport_coloring(result, coloring, quandle):
+    """Push an arc coloring of the source diagram through a rewrite: the
+    search over the new diagram with every arc pinned to the color of its
+    source arc, except a piece whose color the move acts on (the middle
+    strand of a poke), refused unless it completes exactly once."""
     new = result.diagram
     preset = {}
-    has_free = False
     for arc_id, arc in enumerate(new.arcs):
-        if arc:
-            origins = {result.arc_origin[sa] for sa in arc}
-            if len(origins) != 1:
-                raise StructureError("rewrite mixed two source arcs")
-            if all(sa in result.acted for sa in arc):
-                has_free = True
-                continue
-            preset[arc_id] = coloring[origins.pop()]
-        else:
+        if not arc:
             j = arc_id - new.n_crossing_arcs
             preset[arc_id] = coloring[result.arc_origin[("loop", j)]]
-    if not has_free:
-        return tuple(preset[a] for a in range(new.n_arcs))
-    if quandle is None:
-        raise StructureError("transport across this rewrite needs the quandle")
-    completions = enumerate_colorings(new, quandle, preset)
+        elif not all(sa in result.acted for sa in arc):
+            preset[arc_id] = coloring[result.arc_origin[arc[0]]]
+    completions = list(islice(_colorings(new, quandle, preset), 2))
     if len(completions) != 1:
         raise StructureError("rewrite transport is not unique")
     return completions[0]

@@ -90,8 +90,19 @@ class WeightMultiset(Frozen):
 # -- flavor-matched cocycle validation --------------------------------------
 
 def validate_cocycle(flavor, omega, *, alpha=None, alphas=None):
-    """Raise CocycleError unless omega satisfies the flavor's condition."""
-    _gate(flavor, omega, _units(flavor, omega, alpha, alphas))
+    """Raise CocycleError unless omega satisfies the flavor's condition.
+
+    The one cocycle gate, d_left weighted by the inverse unit of the
+    acting color's orbit: with one unit u on every orbit, u^-1 times the
+    (1, u) twisted differential, so the same kernel and first failure."""
+    units = _units(flavor, omega, alpha, alphas)
+    spec = DifferentialSpec.link_twisted(units, orbits(omega.quandle))
+    report = is_cocycle(spec, omega)
+    if not report:
+        if flavor == "link_twisted":
+            # a per-orbit witness drops the trivial module's slot
+            report = AxiomReport(False, report.axiom, report.witness[1:])
+        raise CocycleError(flavor, report)
 
 
 def _units(flavor, omega, alpha, alphas):
@@ -128,19 +139,6 @@ def _units(flavor, omega, alpha, alphas):
         raise StructureError(f"{flavor} weighs a module cochain, "
                              "not a trivial-module one")
     return units
-
-
-def _gate(flavor, omega, units):
-    """The one cocycle gate, d_left weighted by the inverse unit of the
-    acting color's orbit: with one unit u on every orbit, u^-1 times the
-    (1, u) twisted differential, so the same kernel and first failure."""
-    spec = DifferentialSpec.link_twisted(units, orbits(omega.quandle))
-    report = is_cocycle(spec, omega)
-    if not report:
-        if flavor == "link_twisted":
-            # a per-orbit witness drops the trivial module's slot
-            report = AxiomReport(False, report.axiom, report.witness[1:])
-        raise CocycleError(flavor, report)
 
 
 # -- the compiled state sum -------------------------------------------------
@@ -191,7 +189,7 @@ class _Plan:
             raise StructureError(f"{flavor} needs an exterior color in its "
                                  f"cochain's module, not {exterior!r}")
         if check:
-            _gate(flavor, omega, self.units)
+            validate_cocycle(flavor, omega, alpha=alpha, alphas=alphas)
         self.diagram, self.omega, self.exterior = diagram, omega, exterior
         self.orbit_map = orbits(omega.quandle)
         self.orbit_of = [self.orbit_map.of(c) for c in range(omega.quandle.n)]

@@ -432,15 +432,32 @@ def raw_orbit_ids(op):
 
 def raw_face_colors(records, exterior, exterior_color, step):
     """The color of the face arriving at each dart (crossing, slot), from
+    the raw records alone, with colors in Z^k: crossing a semi-arc along
+    its normal, right face to left face, adds the integer vector
+    step(semi-arc).  See raw_face_action_colors."""
+    def forward(color, sa):
+        return tuple(x + y for x, y in zip(color, step(sa)))
+
+    def backward(color, sa):
+        return tuple(x - y for x, y in zip(color, step(sa)))
+
+    return raw_face_action_colors(records, exterior, tuple(exterior_color),
+                                  forward, backward)
+
+
+def raw_face_action_colors(records, exterior, exterior_color, forward,
+                           backward):
+    """The color of the face arriving at each dart (crossing, slot), from
     the raw records alone.
 
     Faces are traced on the darts: arriving at slot i, the walk leaves by
     slot i - 1, keeping the face on its left.  A semi-arc arrives at its
     head end (slot 0 or the over slot) with its left face on the left, and
     at its tail end with its right face there.  Crossing a semi-arc along
-    its normal, right face to left face, adds the integer vector
-    step(semi-arc).  The face on the given side of the semi-arc
-    ``exterior = [semi-arc, "left" | "right"]`` has color exterior_color.
+    its normal, right face to left face, maps a color m to
+    forward(m, semi-arc); backward(m, semi-arc) is its inverse.  The face
+    on the given side of the semi-arc ``exterior = [semi-arc, "left" |
+    "right"]`` has color exterior_color.
     """
     if not records:
         return {}
@@ -457,39 +474,45 @@ def raw_face_colors(records, exterior, exterior_color, step):
                 leave = (dart[0], (dart[1] - 1) % 4)
                 sa = records[leave[0]]["rot"][leave[1]]
                 dart = next(e for e in ends[sa] if e != leave)
-    steps = []     # (right face, left face, vector) per semi-arc
+    steps = []     # (right face, left face, semi-arc) per semi-arc
     for sa, pair in ends.items():
         head = next(e for e in pair if e[1] in (0, records[e[0]]["over"]))
         tail = next(e for e in pair if e != head)
-        steps.append((face[tail], face[head], step(sa)))
+        steps.append((face[tail], face[head], sa))
     sa, side = exterior
     outside = next(e for e in ends[sa]
                    if (e[1] in (0, records[e[0]]["over"])) == (side == "left"))
-    color = {face[outside]: tuple(exterior_color)}
+    color = {face[outside]: exterior_color}
     grew = True
     while grew:
         grew = False
-        for right, left, vec in steps:
+        for right, left, sa in steps:
             if right in color and left not in color:
-                color[left] = tuple(x + y for x, y in zip(color[right], vec))
+                color[left] = forward(color[right], sa)
                 grew = True
             elif left in color and right not in color:
-                color[right] = tuple(x - y for x, y in zip(color[left], vec))
+                color[right] = backward(color[left], sa)
                 grew = True
-    for right, left, vec in steps:
-        if color[left] != tuple(x + y for x, y in zip(color[right], vec)):
+    for right, left, sa in steps:
+        if color[left] != forward(color[right], sa):
             raise ValueError("region colors are inconsistent")
     return {dart: color[f] for dart, f in face.items()}
 
 
 def raw_source_colors(records, exterior, exterior_color, step):
     """Each crossing's source-region color in the face coloring of
-    raw_face_colors.  The source region of a crossing is its sector
-    between slots 0 and 1 when positive (the face arriving at slot 1) and
-    between slots 1 and 2 when negative (arriving at slot 2).
+    raw_face_colors (see raw_sources)."""
+    return raw_sources(records, raw_face_colors(records, exterior,
+                                                exterior_color, step))
+
+
+def raw_sources(records, face_colors):
+    """Each crossing's source-region color in a face coloring by dart.
+    The source region of a crossing is its sector between slots 0 and 1
+    when positive (the face arriving at slot 1) and between slots 1 and 2
+    when negative (arriving at slot 2).
     """
-    colors = raw_face_colors(records, exterior, exterior_color, step)
-    return [colors[(ci, 1 if rec["over"] == 3 else 2)]
+    return [face_colors[(ci, 1 if rec["over"] == 3 else 2)]
             for ci, rec in enumerate(records)]
 
 

@@ -627,6 +627,44 @@ def test_shadow_over_orbitz_gates_the_link_twisted_source(files):
         assert code == 2 and "one unit per quandle orbit" in err
 
 
+def test_deep_plans_search_without_recursion(files):
+    # 1,000 free loops plan 1,000 levels; a search that recursed once per
+    # level died here with RecursionError (exit 3)
+    paths = {}
+    for key, data in (
+            ("diagram", {"v": 1, "free_loops": [1] * 1000}),
+            ("quandle", {"v": 1, "op": [[0]]}),
+            ("cocycle", {"v": 1, "degree": 2, "coeff": {"moduli": [2]},
+                         "values": [[0]]})):
+        paths[key] = files["tmp"] / f"deep_{key}.json"
+        paths[key].write_text(json.dumps(data))
+    code, out, err = run_cli("invariant", "--flavor", "classical",
+                             *(f"--{k}={p}" for k, p in paths.items()))
+    assert code == 0, err
+    assert json.loads(out)["total"] == 1
+
+
+def test_every_invariant_runs_the_gate_once(files, monkeypatch, capsys):
+    # the cocycle gate runs through validate_cocycle, once per command,
+    # and --force skips it
+    calls = []
+    gate = invariants.validate_cocycle
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return gate(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "validate_cocycle", counted)
+    base = ["invariant", "--flavor", "shadow", "--diagram",
+            str(files["diagram"]), "--quandle", str(files["quandle"]),
+            "--cocycle", str(files["cocycle"]), "--exterior", "0"]
+    for extra, expected in (([], ["shadow"]), (["--force"], [])):
+        calls.clear()
+        code, _, err = _main_in_process(capsys, base + extra)
+        assert code == 0, err
+        assert calls == expected
+
+
 def test_refine_orbits_colors_once(files, monkeypatch, capsys):
     # --refine-orbits weighs every coloring in one pass, and its whole
     # multiset is the one the plain command prints

@@ -23,7 +23,9 @@ from qci.invariants import (CocycleError, WeightMultiset, invariant_multiset,
 from tests.oracle_utils import (arc_map_from_raw, braid_closure,
                                 brute_force_colorings, first_failure,
                                 oracle_weight_sum, raw_crossing_sign,
-                                raw_positive_signs)
+                                raw_face_action_colors, raw_orbit_ids,
+                                raw_positive_signs, raw_source_colors,
+                                raw_sources, symbolic_shadow_weight)
 from tests.test_algebra import product_table_module
 from tests.test_cohomology import _matrix
 
@@ -666,6 +668,81 @@ def test_non_constant_anchor_on_a_six_crossing_torus_link():
             oracle(omega, checkerboard)
     assert invariant_multiset(d, q, "positive", basis[1]) == \
         WeightMultiset.from_values([(0,)] * 8 + [(2,)] * 8)
+
+
+def test_non_constant_anchors_for_the_other_flavors():
+    # the same torus link and D4 over Z/4: twisted, link_twisted, shadow
+    # and shadow_twisted each weigh half the 16 colorings apart from the
+    # rest.  Each pin is checked against weights recomputed from the raw
+    # records; then twisted and link_twisted against shadow over their
+    # transports, at both exteriors of the transport module
+    q, A = make_dihedral(4), CoeffGroup((4,))
+    closure = braid_closure([-1, -1, -1, 1, -1, -1], 2)
+    records, exterior = closure["crossings"], closure["exterior"]
+    d = parse_diagram(closure)
+    arc_of, n_arcs = arc_map_from_raw(records)
+    op, inv = [list(r) for r in q.op], [list(r) for r in q.inv]
+    colorings = brute_force_colorings(records, arc_of, n_arcs, op, inv)
+    assert len(colorings) == 16
+    index = [i for i, in raw_source_colors(records, exterior, (0,),
+                                           lambda sa: (1,))]
+
+    def pinned(*pairs):
+        return WeightMultiset.from_values(
+            [(w,) for w, m in pairs for _ in range(m)])
+
+    def symbolic(omega, units, exterior_color, orbit_of=None):
+        table = [v for v, in omega.values]
+        return WeightMultiset.from_values(
+            (symbolic_shadow_weight(records, exterior, arc_of, col, table, 4,
+                                    units, exterior_color, orbit_of),)
+            for col in colorings)
+
+    def shadow_oracle(omega, alpha=1, exterior_color=0):
+        def weights():
+            for col in colorings:
+                faces = raw_face_action_colors(
+                    records, exterior, exterior_color,
+                    lambda m, sa: op[m][col[arc_of[sa]]],
+                    lambda m, sa: inv[m][col[arc_of[sa]]])
+                yield oracle_weight_sum(
+                    records, arc_of, col,
+                    lambda m, a, b: omega.values[(m * q.n + a) * q.n + b],
+                    lambda x, y: ((x[0] + y[0]) % 4,), (0,),
+                    lambda x: ((-x[0]) % 4,),
+                    lambda t, ci: ((t[0] * pow(alpha, -index[ci], 4)) % 4,),
+                    raw_sources(records, faces))
+        return WeightMultiset.from_values(weights())
+
+    tw = cocycle_basis(DifferentialSpec.twisted(A, 3), q, None, A, 2)[1]
+    got = invariant_multiset(d, q, "twisted", tw, alpha=3)
+    assert got == symbolic(tw, [3], 0) == pinned((0, 8), (2, 8))
+    for e in (0, 1):
+        assert got == invariant_multiset(
+            d, q, "shadow", transport_to_shadow(tw, [IntUnit(A, 3)]),
+            exterior=e)
+    units = [IntUnit(A, 1), IntUnit(A, 3)]
+    lt = link_twisted_cocycle_basis(q, A, units)[0]
+    got = invariant_multiset(d, q, "link_twisted", lt, alphas=units)
+    assert got == symbolic(lt, [1, 3], (0, 0), raw_orbit_ids(op)) == \
+        pinned((0, 8), (2, 8))
+    for e in (0, 1):
+        assert got == invariant_multiset(
+            d, q, "shadow", transport_to_shadow(lt, units), exterior=e)
+    # at exterior 0 every source region of this diagram is colored 0, so
+    # exterior 1 is checked against the oracle too
+    mod = quandle_as_module(q)
+    sh = cocycle_basis(DifferentialSpec.quandle(A), q, mod, A, 2)[0]
+    assert invariant_multiset(d, q, "shadow", sh, exterior=0) == \
+        shadow_oracle(sh) == pinned((0, 8), (3, 8))
+    assert invariant_multiset(d, q, "shadow", sh, exterior=1) == \
+        shadow_oracle(sh, exterior_color=1)
+    sht = cocycle_basis(DifferentialSpec.twisted(A, 3), q, mod, A, 2)[0]
+    assert invariant_multiset(d, q, "shadow_twisted", sht, alpha=3,
+                              exterior=0) == \
+        shadow_oracle(sht, 3) == pinned((0, 8), (2, 8))
+    assert invariant_multiset(d, q, "shadow_twisted", sht, alpha=3,
+                              exterior=1) == shadow_oracle(sht, 3, 1)
 
 
 def test_units_over_another_group_are_refused():

@@ -10,10 +10,11 @@ from qci.cohomology import (DifferentialSpec, cocycle_basis,
                             link_twisted_cocycle_basis)
 from qci.coloring import (enumerate_colorings, propagate_shadow,
                           transport_coloring)
-from qci.diagram import r1_insert, r2_insert
+from qci.diagram import parse_diagram, r1_insert, r2_insert
 from qci.invariants import (weight_classical, weight_link_twisted,
                             weight_positive, weight_shadow,
                             weight_shadow_twisted, weight_twisted)
+from tests.oracle_utils import braid_closure
 
 
 def _moves(base):
@@ -101,3 +102,31 @@ def test_link_twisted_preserved_per_coloring(name):
                                            check=False) == \
                     weight_link_twisted(res.diagram, new_col, omega, units,
                                         check=False)
+
+
+def test_weights_that_vary_survive_transport():
+    # every case above weighs all its colorings alike, so a transport to
+    # the wrong completion would pass them.  On the 6-crossing (2, 4) torus
+    # link with D4 over Z/4 each cocycle takes two weights, and one of the
+    # three rewrites is an r2 whose acted arc the search completes
+    q, A = make_dihedral(4), CoeffGroup((4,))
+    base = parse_diagram(braid_closure([-1, -1, -1, 1, -1, -1], 2))
+    units = [IntUnit(A, 1), IntUnit(A, 3)]
+    cases = [
+        (weight_classical, cocycle_basis(DifferentialSpec.quandle(A), q,
+                                         None, A, 2)[0], ()),
+        (weight_twisted, cocycle_basis(DifferentialSpec.twisted(A, 3), q,
+                                       None, A, 2)[1], (3,)),
+        (weight_link_twisted, link_twisted_cocycle_basis(q, A, units)[0],
+         (units,))]
+    moves = _moves(base)
+    assert len(moves) == 3 and any(res.acted for res in moves)
+    cols = enumerate_colorings(base, q)
+    for res in moves:
+        moved = [transport_coloring(res, col, q) for col in cols]
+        assert sorted(moved) == enumerate_colorings(res.diagram, q)
+        for weigh, omega, extra in cases:
+            weights = [weigh(base, col, omega, *extra) for col in cols]
+            assert len(set(weights)) == 2
+            assert weights == [weigh(res.diagram, col, omega, *extra)
+                               for col in moved]

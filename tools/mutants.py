@@ -131,6 +131,18 @@ MUTANTS = [
      "    return _self_distributivity(op, op)",
      "    return AxiomReport(True)",
      "the quandle axioms skip the shared self-distributivity check"),
+    ("src/qci/coloring.py",
+     "            stack.pop()",
+     "            stack.clear()",
+     "the search clears the stack where it should pop one level"),
+    ("src/qci/coloring.py",
+     "elif not all(sa in result.acted for sa in arc):",
+     "elif True:",
+     "transport pins the arcs a move acts on as well"),
+    ("src/qci/invariants.py",
+     "        if check:\n            validate_cocycle(",
+     "        if False:\n            validate_cocycle(",
+     "the compiled state sum skips the cocycle gate"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
