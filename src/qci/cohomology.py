@@ -56,17 +56,15 @@ class DifferentialSpec:
         if alpha_l.group != alpha_r.group:
             raise StructureError("spec coefficients act on different groups")
         left = alpha_l.int_matrix()
-        self._weigh(alpha_l.group, lambda a: left, alpha_r.int_matrix())
-
-    def _weigh(self, group, left, right):
-        self.group, self.left, self.right = group, left, right
+        self.group, self.right = alpha_l.group, alpha_r.int_matrix()
+        self.left = lambda a: left
 
     @classmethod
     def _of(cls, group, left, right):
         """The spec with the weights left (a map from acting colors to
         d x d integer matrices) and right (one such matrix)."""
         spec = cls.__new__(cls)
-        spec._weigh(group, left, right)
+        spec.group, spec.left, spec.right = group, left, right
         return spec
 
     @classmethod
@@ -133,10 +131,6 @@ class Cochain(Frozen):
 
     def add(self, other):
         vals = [self.coeff.add(x, y) for x, y in zip(self.values, other.values)]
-        return Cochain(self.quandle, self.module, self.coeff, self.degree, vals)
-
-    def sub(self, other):
-        vals = [self.coeff.sub(x, y) for x, y in zip(self.values, other.values)]
         return Cochain(self.quandle, self.module, self.coeff, self.degree, vals)
 
     def scale(self, scalar, power=1):
@@ -276,14 +270,6 @@ def is_link_twisted_cocycle(phi, alphas, quandle_flag=True):
     spec = DifferentialSpec.link_twisted(alphas, orbits(phi.quandle))
     report = is_cocycle(spec, phi, quandle_flag)
     return AxiomReport(report.passed, report.axiom, report.witness[1:])
-
-
-def link_twisted_coboundary(theta, alphas):
-    """Degree-2 coboundary of theta: Q -> A in the orbit-twisted theory."""
-    if theta.degree != 1 or theta.module is not None:
-        raise StructureError("need a degree-1 cochain with trivial module")
-    spec = DifferentialSpec.link_twisted(alphas, orbits(theta.quandle))
-    return differential(spec, theta)
 
 
 def _order(unit):

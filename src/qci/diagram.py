@@ -337,10 +337,7 @@ def _integers(value, field):
 
 
 def parse_diagram(data):
-    """Validated Diagram from its JSON form (dict or JSON text)."""
-    import json as _json
-    if isinstance(data, (str, bytes)):
-        data = _json.loads(data)
+    """Validated Diagram from its JSON form, a dict."""
     if not isinstance(data, dict):
         raise StructureError("diagram json must be an object")
     if _integer(data.get("v", 1), "v") != 1:

@@ -75,10 +75,6 @@ class WeightMultiset(Frozen):
         return WeightMultiset.from_values(
             [image[v] for v, m in self.weights for _ in range(m)])
 
-    def negated(self, coeff):
-        return WeightMultiset.from_values(
-            [coeff.neg(v) for v, m in self.weights for _ in range(m)])
-
     def to_json(self):
         return {"v": 1, "weights": [[list(v), m] for v, m in self.weights]}
 

@@ -12,12 +12,12 @@ import random
 from qci import corpus
 from qci.algebra import (CoeffGroup, IntUnit, Quandle,
                          check_quandle, cyclic_shadow_module, make_conjugation,
-                         make_dihedral, make_trivial, quandle_as_module)
+                         make_dihedral, make_trivial, orbits,
+                         quandle_as_module)
 from qci.cohomology import (DifferentialSpec, cocycle_basis,
                             cohomology_basis, d_left, d_right, differential,
-                            is_cocycle, link_twisted_coboundary,
-                            link_twisted_cocycle_basis, random_cochain,
-                            transport_to_shadow)
+                            is_cocycle, link_twisted_cocycle_basis,
+                            random_cochain, transport_to_shadow)
 from qci.coloring import enumerate_colorings, propagate_shadow
 from qci.diagram import (compute_indices, crossing_geometry, r1_insert,
                          r2_insert)
@@ -154,6 +154,7 @@ def test_criterion_3_coboundaries():
     zero = A.zero()
     thetas = [random_cochain(rng, q, None, A, 1) for _ in range(25)]
     thetas_sh = [random_cochain(rng, q, mod, A, 1) for _ in range(25)]
+    link = DifferentialSpec.link_twisted([IntUnit(A, 5)], orbits(q))
     d_by_flavor = {
         "classical": [differential(DifferentialSpec.quandle(A), t)
                       for t in thetas],
@@ -161,8 +162,7 @@ def test_criterion_3_coboundaries():
                      for t in thetas],
         "twisted": [differential(DifferentialSpec.twisted(A, 5), t)
                     for t in thetas],
-        "link_twisted": [link_twisted_coboundary(t, [IntUnit(A, 5)])
-                         for t in thetas],
+        "link_twisted": [differential(link, t) for t in thetas],
         "shadow": [differential(DifferentialSpec.quandle(A), t)
                    for t in thetas_sh],
         "shadow_twisted": [differential(DifferentialSpec.twisted(A, 5), t)
@@ -340,7 +340,7 @@ def test_criterion_8_scaling():
         d = corpus.load(name)
         for omega in pos_basis:
             ms = invariant_multiset(d, q, "positive", omega, check=False)
-            assert ms.negated(A4).weights == ms.weights
+            assert ms.scaled(IntUnit(A4, -1)).weights == ms.weights
 
 
 @criterion(9, "annihilation by central elements")

@@ -1089,6 +1089,8 @@ def test_diagram_integers_refuse_bool_and_non_integers(files, capsys):
         (dict(trefoil, v="1"), "v must be an integer, not '1'"),
         ({"v": 1, "crossings": 5},
          "crossings must be a list, not 5"),
+        # JSON text inside a JSON string is not decoded a second time
+        (json.dumps(trefoil), "diagram json must be an object"),
     ]
     path = files["tmp"] / "bools.json"
     for data, message in cases:

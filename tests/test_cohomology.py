@@ -15,7 +15,6 @@ from qci.cohomology import (Cochain, DifferentialSpec,
                             cocycle_basis, cohomology_basis,
                             d_left, d_right, differential,
                             is_cocycle, is_in_span, is_link_twisted_cocycle,
-                            link_twisted_coboundary,
                             link_twisted_cocycle_basis, random_cochain,
                             transport_to_shadow, zero_cochain)
 from qci.coloring import enumerate_colorings, propagate_shadow
@@ -612,8 +611,7 @@ def test_differential_rows_match_pointwise_differential(k):
         theta = random_cochain(rng, q, None, A, k)
         want = _oracle_image(theta, left, _scaled_identity(A.d, 1))
         assert matrix_image(spec, theta) == want, (q.n, moduli, k)
-        if k == 1:
-            assert _flat(link_twisted_coboundary(theta, alphas)) == want
+        assert _flat(differential(spec, theta)) == want
 
 
 def test_cyclotomic_truncation_mode():
@@ -642,7 +640,8 @@ def test_link_twisted_cocycles():
         assert is_link_twisted_cocycle(phi, alphas)
     rng = random.Random(16)
     theta = random_cochain(rng, q, None, A, 1)
-    db = link_twisted_coboundary(theta, alphas)
+    db = differential(DifferentialSpec.link_twisted(alphas, orbits(q)),
+                      theta)
     assert is_link_twisted_cocycle(db, alphas)
     # equal units reduce to the plain twisted theory
     same = [IntUnit(A, 2), IntUnit(A, 2)]
@@ -774,7 +773,8 @@ def test_gates_and_dense_maps_read_the_condition_through_the_columns(
     assert d_left(theta).quandle is q and d_right(theta).degree == 2
     assert built == [3, 1, 2, 1, 1]
     alphas = [IntUnit(A, 3), IntUnit(A, 1)]
-    cob = link_twisted_coboundary(random_cochain(rng, q, None, A, 1), alphas)
+    cob = differential(DifferentialSpec.link_twisted(alphas, orbits(q)),
+                       random_cochain(rng, q, None, A, 1))
     assert is_link_twisted_cocycle(cob, alphas, quandle_flag=False)
 
 
@@ -892,11 +892,12 @@ def test_universal_coefficients_tie_z_to_z_p(name, degree):
                                 + t(degree + 1, p)), p
 
 
-def test_integral_degree4_anchor_dihedral3():
-    """H^4_Q(R_3; Z) has torsion Z/3, the Ext of H_3^Q(R_3; Z) = Z/3
-    (Niebrzydowski-Przytycki, J. Pure Appl. Algebra 213, 2009), and no free
-    part: R_3 is connected."""
-    assert _trivial_cohomology(make_dihedral(3), 0, 4) == ([3], 0)
+@pytest.mark.parametrize("n", [3, 5], ids=lambda n: f"D{n}")
+def test_integral_degree4_anchor_dihedral(n):
+    """H^4_Q(R_n; Z) has torsion Z/n for n = 3, 5, the Ext of
+    H_3^Q(R_n; Z) = Z/n (Niebrzydowski-Przytycki, J. Pure Appl. Algebra
+    213, 2009), and no free part: R_n is connected for odd n."""
+    assert _trivial_cohomology(make_dihedral(n), 0, 4) == ([n], 0)
 
 
 def test_quotients_over_z_n_stay_bounded(monkeypatch):

@@ -1,7 +1,8 @@
 """Every name a qci module imports is used in that module, every
 function, class and method qci defines is named somewhere else, value
-equality has one owner, and importing the command loads no module that
-only some commands need.
+equality has one owner, importing the command loads no module that only
+some commands need, and the oracles and the golden generator stay clear
+of the qci code they check.
 
 No linter ships with the project, so these stdlib ``ast`` passes keep
 imports and definitions from outliving the code that needed them.
@@ -131,6 +132,38 @@ def test_every_definition_is_named():
                                 _layer_strings())
     assert [(defining[i].relative_to(ROOT).as_posix(), line, name)
             for i, line, name in found] == []
+
+
+def qci_imports(source):
+    """The sorted qci modules a source imports: ``import qci.x``, ``from
+    qci.x import y`` and ``from qci import x``, read as qci.x."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "qci")
+        elif isinstance(node, ast.ImportFrom) and not node.level and \
+                (node.module or "").split(".")[0] == "qci":
+            found.update([node.module] if node.module != "qci" else
+                         (f"qci.{alias.name}" for alias in node.names))
+    return sorted(found)
+
+
+def test_qci_imports_are_found():
+    source = ("import json\nimport qci.cli\nfrom qci import corpus, algebra\n"
+              "from qci.diagram import parse_diagram\nfrom . import qci\n"
+              "from tests.oracle_utils import braid_closure\n")
+    assert qci_imports(source) == ["qci.algebra", "qci.cli", "qci.corpus",
+                                   "qci.diagram"]
+
+
+def test_the_oracles_import_no_qci_code_they_check():
+    # the oracles import no qci module at all; the golden generator takes
+    # the corpus, the quandles and the cocycle tables from qci, and every
+    # coloring and weight from the oracles
+    assert qci_imports((ROOT / "tests" / "oracle_utils.py").read_text()) == []
+    assert set(qci_imports((ROOT / "tools" / "gen_goldens.py").read_text())) \
+        <= {"qci.corpus", "qci.algebra", "qci.cohomology"}
 
 
 # the value classes compare through Frozen._key; CohomologyBasis is the one

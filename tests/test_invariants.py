@@ -9,9 +9,9 @@ from qci.algebra import (CoeffGroup, IntUnit, ShiftUnit, StructureError,
                          cyclic_shadow_module, make_dihedral, make_trivial,
                          orbits, quandle_as_module, trivial_module, Quandle)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
-                            differential, link_twisted_coboundary,
-                            link_twisted_cocycle_basis, random_cochain,
-                            transport_to_shadow, zero_cochain)
+                            differential, link_twisted_cocycle_basis,
+                            random_cochain, transport_to_shadow,
+                            zero_cochain)
 from qci.coloring import (ShadowColoring, act, enumerate_colorings,
                           propagate_shadow)
 from qci.diagram import compute_indices, crossing_geometry, parse_diagram
@@ -60,7 +60,8 @@ def test_coboundary_weights_vanish_all_flavors():
             dtw = differential(DifferentialSpec.twisted(A, 5), theta)
             dsh = differential(DifferentialSpec.quandle(A), theta_sh)
             dshtw = differential(DifferentialSpec.twisted(A, 5), theta_sh)
-            dlink = link_twisted_coboundary(theta, [alpha])
+            dlink = differential(
+                DifferentialSpec.link_twisted([alpha], orbits(q)), theta)
             for col in cols:
                 assert weight_classical(d, col, dcl) == A.zero()
                 assert weight_positive(d, col, dpos) == A.zero()
@@ -316,7 +317,7 @@ def test_positive_multiset_symmetric_about_zero():
         d = corpus.load(name)
         for omega in basis[:3]:
             ms = invariant_multiset(d, q, "positive", omega)
-            assert ms.negated(A).weights == ms.weights
+            assert ms.scaled(IntUnit(A, -1)).weights == ms.weights
 
 
 def test_orbit_refined_partition():
@@ -433,7 +434,8 @@ def _gate_cases(q, A, unit, per_orbit):
                    lambda theta, spec=spec: differential(spec, theta))
     yield ("link_twisted", {"alphas": per_orbit}, None,
            [_matrix(per_orbit[om.of(a)], -1) for a in range(q.n)],
-           ident, lambda theta: link_twisted_coboundary(theta, per_orbit))
+           ident, lambda theta: differential(
+               DifferentialSpec.link_twisted(per_orbit, om), theta))
 
 
 def test_merged_gate_matches_each_flavors_own_first_failure():

@@ -143,6 +143,15 @@ MUTANTS = [
      "        if check:\n            validate_cocycle(",
      "        if False:\n            validate_cocycle(",
      "the compiled state sum skips the cocycle gate"),
+    ("src/qci/invariants.py",
+     "image = {v: scalar.apply(v, power) for v, _ in self.weights}",
+     "image = {v: scalar.apply(v, -power) for v, _ in self.weights}",
+     "a scaled multiset applies the inverse power of the scalar"),
+    ("src/qci/cohomology.py",
+     "inverses = [u.int_matrix(-1) for u in alphas]",
+     "inverses = [u.int_matrix(1) for u in alphas]",
+     "the per-orbit twisted differential weights by each unit, not its "
+     "inverse"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
