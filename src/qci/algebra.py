@@ -158,7 +158,12 @@ def _self_distributivity(table, op):
 
 class Quandle(Frozen):
     """Finite quandle on 0..n-1 with dense op / inverse-op tables.  Two
-    quandles are equal when their op tables are, whatever their labels."""
+    quandles are equal when their op tables are, whatever their labels.
+
+    Its orbits are found once, with it (_closure_orbits): ``orbit_map``
+    holds the orbits of Inn(Q), and ``moves[x]`` is a composite g_x of
+    right translations, each an automorphism, that takes the least color
+    of x's orbit to x."""
 
     def __init__(self, op, inv=None, labels=None):
         op, inv, clash = _action_tables(op, inv, len(op), ("op", "inv"))
@@ -169,8 +174,10 @@ class Quandle(Frozen):
         if not report:
             raise StructureError(
                 f"not a quandle: {report.axiom} fails at {report.witness}")
+        orbit_map, moves = _closure_orbits(op)
         self.__dict__.update(op=op, inv=inv, n=len(op),
-                             labels=tuple(labels) if labels else None)
+                             labels=tuple(labels) if labels else None,
+                             orbit_map=orbit_map, moves=moves)
 
     def _key(self):
         return self.op
@@ -384,28 +391,32 @@ class OrbitMap(Frozen):
 
 
 def _closure_orbits(table):
-    """Orbits of x -> table[x][b], numbered by their least element.  Each
-    column of a quandle or module table is a bijection, so the colors
-    reached from x are its whole orbit."""
-    seen, found = [False] * len(table), []
+    """Orbits of x -> table[x][b], numbered by their least element, and
+    per element x a map g_x, as a tuple over the carrier, composed of
+    columns and taking the least element of x's orbit to x.  Each column
+    of a quandle or module table is a bijection, so the colors reached
+    from x are its whole orbit; the column b that first reaches z from y
+    gives g_z = (v -> table[v][b]) after g_y."""
+    moves, found = [None] * len(table), []
     for x in range(len(table)):
-        if not seen[x]:
-            seen[x], orbit = True, [x]
+        if moves[x] is None:
+            moves[x], orbit = tuple(range(len(table))), [x]
             for y in orbit:
-                for z in table[y]:
-                    if not seen[z]:
-                        seen[z] = True
+                g = moves[y]
+                for b, z in enumerate(table[y]):
+                    if moves[z] is None:
+                        moves[z] = tuple([table[v][b] for v in g])
                         orbit.append(z)
             found.append(tuple(sorted(orbit)))
-    return OrbitMap(tuple(found))
+    return OrbitMap(tuple(found)), tuple(moves)
 
 
 def orbits(obj):
     """Orbit decomposition of a quandle or of a table module's carrier."""
     if isinstance(obj, Quandle):
-        return _closure_orbits(obj.op)
+        return obj.orbit_map
     if isinstance(obj, TableModule):
-        return _closure_orbits(obj.action)
+        return _closure_orbits(obj.action)[0]
     raise StructureError(f"cannot take orbits of {type(obj).__name__}")
 
 

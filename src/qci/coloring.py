@@ -11,7 +11,10 @@ The coloring search is compiled once per call into a static plan of
 levels.  A level colors one free arc, derives every arc that color pins
 (a crossing that knows b and one of a, c pins the other), and lists the
 crossings it completes as checks; the search runs the levels as one loop
-over an explicit stack, so no plan is too deep for it.
+over an explicit stack, so no plan is too deep for it.  With no arc
+pinned, the first level tries one color per orbit of Inn(Q), and every
+coloring found is mapped to the rest of its orbit by the quandle's
+automorphisms (``Quandle.moves``) instead of being searched again.
 """
 
 from itertools import islice
@@ -89,16 +92,37 @@ def _colorings(diagram, quandle, preset):
     """Every arc coloring, in search order: the levels of ``_search_plan``
     as one loop over a stack that holds, per entered level, its untried
     colors.  A color whose checks pass enters the next level; a level with
-    no colors left is popped."""
+    no colors left is popped.
+
+    With no preset, the first level's arc (the root) tries only the least
+    color r of each orbit of Inn(Q), and each coloring C found with root
+    color r is yielded as is and as g_x . C for every other x in r's orbit
+    (``Quandle.moves``).  This is exact: g_x is a composite of right
+    translations y |-> y |> c, each an automorphism of the quandle,
+    so g_x . C satisfies every relation c = a |> b that C does, and g_x^-1,
+    a composite of the inverse translations, maps back.  So g_x is a
+    bijection from the colorings with root color r onto those with root
+    color x, and distinct x give disjoint sets: every coloring is yielded
+    once.  A preset pins colors that g_x would move, so it transports
+    nothing."""
     plan = _search_plan(diagram.n_arcs, diagram.relations, sorted(preset))
+    if not plan:
+        yield ()
+        return
     apply = quandle.apply
     ops = (quandle.unapply, apply)
     levels = [(arc, (preset[arc],) if arc in preset else range(quandle.n),
                [(t, s, b, ops[f]) for t, s, b, f in steps], checks)
               for arc, steps, checks in plan]
-    if not levels:
-        yield ()
-        return
+    root = plan[0][0]
+    # per root color: the g_x that carry its colorings to the rest of its
+    # orbit
+    transports = [()] * quandle.n
+    if not preset:
+        orbits, moves = quandle.orbit_map.orbits, quandle.moves
+        for orbit in orbits:
+            transports[orbit[0]] = [moves[x] for x in orbit[1:]]
+        levels[0] = (root, [orbit[0] for orbit in orbits], *levels[0][2:])
     colors = [None] * diagram.n_arcs
     stack = [iter(levels[0][1])]
     while stack:
@@ -115,7 +139,10 @@ def _colorings(diagram, quandle, preset):
                 if depth < len(levels):
                     stack.append(iter(levels[depth][1]))
                     break
-                yield tuple(colors)
+                found = tuple(colors)
+                yield found
+                for g in transports[found[root]]:
+                    yield tuple([g[x] for x in found])
         else:
             stack.pop()
 

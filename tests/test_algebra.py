@@ -90,6 +90,25 @@ def test_conjugation_s3_orbits():
     assert orbits(q).count == 3  # conjugacy classes of S3
 
 
+@pytest.mark.parametrize("q", [make_conjugation(symmetric_3()),
+                               make_trivial(3), make_dihedral(4),
+                               make_alexander(8, 3)],
+                         ids=["S3conj", "trivial3", "D4", "Alex8_3"])
+def test_orbit_moves_are_automorphisms_onto_each_color(q):
+    # the orbits and their moves come from one pass, kept on the quandle;
+    # g_x permutes the colors, commutes with |>, and takes the least color
+    # of x's orbit to x
+    om, moves = q.orbit_map, q.moves
+    assert orbits(q) is om
+    colors = range(q.n)
+    for orbit in om.orbits:
+        for x in orbit:
+            g = moves[x]
+            assert g[orbit[0]] == x and sorted(g) == list(colors)
+            assert all(g[q.op[a][b]] == q.op[g[a]][g[b]]
+                       for a in colors for b in colors)
+
+
 def test_conjugation_rejects_non_group():
     bad = [[0, 1], [0, 1]]  # no inverses / not a group
     with pytest.raises(StructureError):

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from qci import cli, cohomology, coloring, corpus, invariants
+from qci import algebra, cli, cohomology, coloring, corpus, invariants
 from qci.algebra import (CoeffGroup, IntUnit, cyclic_shadow_module,
                          make_alexander, make_dihedral, orbits,
                          quandle_as_module)
@@ -817,6 +817,30 @@ def test_repeated_main_calls_match_lone_calls(files, capsys):
             assert _main_in_process(capsys, argv) == want, argv
     for argv, want in zip(reversed(commands), reversed(lone)):
         assert _main_in_process(capsys, argv) == want, argv
+
+
+def test_one_invariant_command_finds_the_orbits_once(files, capsys,
+                                                     monkeypatch):
+    # the orbits are kept on the quandle: the unit step (run by the gate
+    # and by the plan), the gate, the plan and the search read one pass
+    q = make_dihedral(3)
+    A = CoeffGroup((3,))
+    omega = cocycle_basis(DifferentialSpec.quandle(A), q, None, A, 2)[0]
+    path = files["tmp"] / "cl.json"
+    path.write_text(json.dumps(omega.to_json()))
+    passes = []
+
+    def counted(table, _orig=algebra._closure_orbits):
+        passes.append(len(table))
+        return _orig(table)
+
+    monkeypatch.setattr(algebra, "_closure_orbits", counted)
+    code, out, _ = _main_in_process(capsys, [
+        "invariant", "--flavor", "classical", "--diagram",
+        str(files["diagram"]), "--quandle", str(files["quandle"]),
+        "--cocycle", str(path)])
+    assert code == 0 and json.loads(out)["total"] == 9
+    assert passes == [3]
 
 
 # sha256 of `qci cohomology` stdout, recorded before the Z/n elimination

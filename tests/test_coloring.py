@@ -4,6 +4,7 @@ import json
 import pathlib
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,10 +17,11 @@ from qci.coloring import (ShadowColoring, _search_plan, act, component_orbits,
                           enumerate_colorings, is_coloring, propagate_shadow,
                           transport_coloring, validate_shadow)
 from qci.cohomology import zero_cochain
-from qci.diagram import compute_indices, r1_insert, r2_insert
+from qci.diagram import Diagram, compute_indices, r1_insert, r2_insert
 from qci.invariants import weight_link_twisted
 from tests.groups import symmetric_3
-from tests.oracle_utils import arc_map_from_raw, brute_force_colorings
+from tests.oracle_utils import (arc_map_from_raw, braid_closure,
+                                brute_force_colorings)
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "coloring_counts.json").read_text())
@@ -52,6 +54,53 @@ def test_enumeration_matches_live_oracle(name, n):
                                  [list(r) for r in q.op],
                                  [list(r) for r in q.inv])
     assert sorted(sols) == enumerate_colorings(d, q)
+
+
+# orbits of Inn(Q) of unequal sizes or of size 1: S3 by conjugation (sizes
+# 1, 3 and 2), the trivial quandle (every orbit one color), D4 (2 and 2)
+# and Alex(8, 3) (4 and 4)
+TRANSPORT_QUANDLES = {"S3conj": make_conjugation(symmetric_3()),
+                      "trivial4": make_trivial(4), "D4": make_dihedral(4),
+                      "Alex8_3": make_alexander(8, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_QUANDLES))
+def test_orbit_transport_matches_brute_force(name):
+    # the search colors its first arc by one color per orbit and maps each
+    # coloring found to the rest of the orbit; the oracle tries every
+    # assignment on the raw records, with arcs from its own union-find
+    # and each free loop one more arc that no crossing constrains
+    q = TRANSPORT_QUANDLES[name]
+    rng = random.Random(3707)
+    checked, with_loops = 0, 0
+    while checked < 12:
+        strands = rng.randrange(2, 5)
+        word = [rng.choice([1, -1]) * rng.randrange(1, strands)
+                for _ in range(rng.randrange(strands, 7))]
+        if {abs(w) for w in word} != set(range(1, strands)):
+            continue
+        loops = rng.choice([(), (1,), (-1, 1)])
+        closure = braid_closure(word, strands)
+        records = closure["crossings"]
+        arc_of, count = arc_map_from_raw(records)
+        if q.n ** (count + len(loops)) > 20_000:
+            continue
+        want = brute_force_colorings(records, arc_of, count + len(loops),
+                                     q.op, q.inv)
+        d = Diagram(records, loops, closure["exterior"])
+        assert enumerate_colorings(d, q) == sorted(want)
+        checked += 1
+        with_loops += bool(loops)
+    assert with_loops >= 3
+
+
+def test_a_diagram_with_no_arcs_has_one_empty_coloring():
+    # Diagram refuses an empty diagram, but the search reads only the arc
+    # count and the relations: with no arc there is no first arc to
+    # transport from, and the one coloring is the empty one
+    empty = SimpleNamespace(n_arcs=0, relations=())
+    for q in TRANSPORT_QUANDLES.values():
+        assert enumerate_colorings(empty, q) == [()]
 
 
 def test_every_enumerated_coloring_is_valid():

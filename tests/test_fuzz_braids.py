@@ -274,7 +274,9 @@ def test_long_closure_counts_match_braid_push(name):
 def test_search_cost_per_coloring(monkeypatch):
     # an Alex(8,3) knot from the benchmark's slowest search stratum; a
     # search branching on the lowest unresolved arc spends about 154,000
-    # quandle operations per coloring on it
+    # quandle operations per coloring on it, the planned search 12,769,
+    # and the planned search run once per orbit of Inn(Q) and transported
+    # to the other 3 colors of each orbit 3,192.25, a quarter of that
     word = [3, -2, -1, -2, 2, 2, 1, 4, 4, 3, -3, 3, 3, -1, 2, 1, 1, 4, 4, 3,
             2, -3, -3, -4, -3, -1, 4, 2, -1, -4, 2, 4, -2, 2, -3, -4]
     calls = [0]
@@ -286,7 +288,7 @@ def test_search_cost_per_coloring(monkeypatch):
     cols = enumerate_colorings(parse_diagram(braid_closure(word, 5)),
                                make_alexander(8, 3))
     assert cols
-    assert 0 < calls[0] < 50_000 * len(cols)
+    assert 0 < calls[0] < 5_000 * len(cols)
 
 
 # -- every flavor's weight against the raw-record oracle ---------------------

@@ -152,6 +152,15 @@ MUTANTS = [
      "inverses = [u.int_matrix(1) for u in alphas]",
      "the per-orbit twisted differential weights by each unit, not its "
      "inverse"),
+    ("src/qci/coloring.py",
+     "levels[0] = (root, [orbit[0] for orbit in orbits], *levels[0][2:])",
+     "levels[0] = (root, range(quandle.n), *levels[0][2:])",
+     "the search tries every first-arc color and still transports, so it "
+     "yields colorings twice"),
+    ("src/qci/coloring.py",
+     "yield tuple([g[x] for x in found])",
+     "tuple([g[x] for x in found])",
+     "the search drops the colorings transported to the rest of an orbit"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
