@@ -242,9 +242,8 @@ def cmd_invariant(args, inputs):
         payload["refined"] = [
             {"orbits": list(key), "weights": part.to_json()["weights"]}
             for key, part in parts.items()]
-        ms = WeightMultiset.from_values(
-            v for part in parts.values() for v, m in part.weights
-            for _ in range(m))
+        ms = WeightMultiset.from_counts(
+            pair for part in parts.values() for pair in part.weights)
     elif symbolic:
         # the file holds a twisted (per-orbit twisted) cocycle w.  At
         # exterior color e, its shadow transport alpha^-m w weighs alpha^-e

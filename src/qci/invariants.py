@@ -24,7 +24,9 @@ coefficient matrix C_x = sign(x) * prod_j U_j^(e_j(x)) folded from the sign
 and the twisting units.  Weighing a coloring is then one linear loop,
 sum_x C_x . w(m(x), a, b) on plain integers, reduced once at the end.
 The invariant is the multiset of weights over all colorings (with the
-exterior region color pinned for shadow flavors).
+exterior region color pinned for shadow flavors).  Once its cocycle has
+passed the gate, an arc-coloring flavor weighs one coloring per orbit of
+Inn(Q) and counts its weight once per coloring of that orbit (_Plan).
 """
 
 from collections import Counter
@@ -66,14 +68,22 @@ class WeightMultiset(Frozen):
     def from_values(cls, values):
         return cls(tuple(sorted(Counter(values).items())))
 
+    @classmethod
+    def from_counts(cls, counts):
+        """From (element, multiplicity) pairs; an element may repeat, and
+        its multiplicities add."""
+        merged = Counter()
+        for v, m in counts:
+            merged[v] += m
+        return cls(tuple(sorted(merged.items())))
+
     def total(self):
         return sum(m for _, m in self.weights)
 
     def scaled(self, scalar, power=1):
         # one product per distinct weight, not per coloring
-        image = {v: scalar.apply(v, power) for v, _ in self.weights}
-        return WeightMultiset.from_values(
-            [image[v] for v, m in self.weights for _ in range(m)])
+        return WeightMultiset.from_counts(
+            (scalar.apply(v, power), m) for v, m in self.weights)
 
     def to_json(self):
         return {"v": 1, "weights": [[list(v), m] for v, m in self.weights]}
@@ -174,6 +184,35 @@ class _Plan:
     matrix (_coefficient).  The coefficients are stored per tuple of
     component orbits, and compiled once per tuple of component units,
     the first time one appears.
+
+    A gated plan of an arc-coloring flavor weighs one coloring per
+    Inn(Q)-orbit (``weighings``): those whose arc-0 color r is the least
+    of its orbit O, each weight counted |O| times.  This is exact.  The
+    colorings with arc-0 color x are g_x applied to those with color r
+    (``Quandle.moves``), and g_x is a composite of right translations
+    S_c(y) = y |> c, so it is enough that W(S_c C) = W(C) for every
+    coloring C of D and color c.  For a cocycle that passed its gate,
+    Reidemeister moves keep the weight of each coloring
+    (Carter-Elhamdadi-Saito for the twisted sums; the paper for one unit
+    per orbit).  Put a crossingless circle K of color c beside D, as the
+    last component: it adds no crossing, and every region of D lies
+    outside K, at index 0 on K, so D + K weighs W(C).  Let u be the unit
+    of c's orbit.
+
+    - Slide K under all of D until it encloses D.  D's colors stay, K's
+      stay in c's orbit, and every region of D gains the same index
+      e = +-1 on K, so every term gains the factor u^-e, applied last:
+      W(C) = u^-e W(C).  Every orbit unit fixes every weight.
+    - Slide K over D instead.  Every arc of D passes under K once, so
+      D's coloring becomes S_c^s C (s = +-1 with K's orientation), with
+      the same index shift: W(C) = u^-e W(S_c^s C) = W(S_c^s C), by the
+      first step applied to S_c^s C.
+
+    The component orbits, the keys of the refined multisets, are kept
+    too: g_x keeps every color in its orbit.  Without the gate
+    (``check=False``) the weight need not be invariant, and the argument
+    does not cover the shadow flavors, whose exterior color g_x would
+    move: both weigh every coloring.
     """
 
     def __init__(self, diagram, flavor, omega, check, *, alpha=None,
@@ -189,6 +228,12 @@ class _Plan:
         self.diagram, self.omega, self.exterior = diagram, omega, exterior
         self.orbit_map = orbits(omega.quandle)
         self.orbit_of = [self.orbit_map.of(c) for c in range(omega.quandle.n)]
+        # times each coloring's weight counts, by its arc-0 color
+        self.multiplicity = [1] * omega.quandle.n
+        if check and not self.shadow:
+            self.multiplicity = [0] * omega.quandle.n
+            for orbit in self.orbit_map.orbits:
+                self.multiplicity[orbit[0]] = len(orbit)
         self.first_arcs = [arcs[0] for arcs in diagram.component_arcs]
         # non-shadow flavors read omega at m = 0 for every source region
         self.no_regions = (0,) * diagram.n_regions
@@ -211,15 +256,22 @@ class _Plan:
         return weighed
 
     def weighings(self, colorings):
-        """(component orbits, weight) per coloring from the search, which
-        keeps each component in one orbit: one arc per component decides."""
+        """(component orbits, weight, multiplicity) per coloring from the
+        search that the plan weighs: with the gate, for an arc-coloring
+        flavor, one per Inn(Q)-orbit (see the class), else every one.
+        The search keeps each component in one orbit, so one arc per
+        component decides its orbit."""
         orbit_of, first = self.orbit_of, self.first_arcs
+        multiplicity = self.multiplicity
         for coloring in colorings:
+            count = multiplicity[coloring[0]]
+            if not count:
+                continue
             key = tuple([orbit_of[coloring[a]] for a in first])
             if self.shadow:
                 coloring = propagate_shadow(self.diagram, coloring,
                                             self.omega.module, self.exterior)
-            yield key, self(coloring, key)
+            yield key, self(coloring, key), count
 
     def __call__(self, coloring, key=None):
         """Weigh one coloring; key, if given, is its component orbits."""
@@ -289,8 +341,8 @@ def invariant_multiset(diagram, quandle, flavor, omega, *, alpha=None,
     """
     plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas,
                  exterior=exterior)
-    return WeightMultiset.from_values(
-        weight for _key, weight
+    return WeightMultiset.from_counts(
+        (weight, count) for _key, weight, count
         in plan.weighings(enumerate_colorings(diagram, quandle)))
 
 
@@ -307,7 +359,8 @@ def orbit_refined_multisets(diagram, quandle, flavor, omega, *, alpha=None,
     check_refinable(flavor)
     plan = _Plan(diagram, flavor, omega, check, alpha=alpha, alphas=alphas)
     buckets = {}
-    for key, weight in plan.weighings(enumerate_colorings(diagram, quandle)):
-        buckets.setdefault(key, []).append(weight)
-    return {key: WeightMultiset.from_values(vals)
-            for key, vals in sorted(buckets.items())}
+    for key, weight, count in plan.weighings(
+            enumerate_colorings(diagram, quandle)):
+        buckets.setdefault(key, []).append((weight, count))
+    return {key: WeightMultiset.from_counts(counts)
+            for key, counts in sorted(buckets.items())}

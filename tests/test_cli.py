@@ -666,8 +666,8 @@ def test_every_invariant_runs_the_gate_once(files, monkeypatch, capsys):
 
 
 def test_refine_orbits_colors_once(files, monkeypatch, capsys):
-    # --refine-orbits weighs every coloring in one pass, and its whole
-    # multiset is the one the plain command prints
+    # --refine-orbits runs one coloring search, and its whole multiset is
+    # the one the plain command prints
     q = make_dihedral(4)
     A = CoeffGroup((2,))
     omega = cocycle_basis(DifferentialSpec.quandle(A), q, None, A, 2)[0]
@@ -734,6 +734,46 @@ def test_refine_orbits_reads_orbits_off_the_search(files, monkeypatch,
         w for w, m in part["weights"] for _ in range(m))
         for part in refined["refined"]}
     assert got == {key: sorted(ws) for key, ws in expected.items()}
+
+
+def test_force_weighs_every_coloring(files, capsys):
+    # --force skips the gate, so a weight need not be constant on an orbit
+    # of Inn(Q), and every coloring is weighed.  A random Alex(8,3) cochain
+    # over Z/4 weighs this knot's 16 colorings {0: 5, 1: 5, 2: 3, 3: 3};
+    # one coloring per orbit, counted 4 times, would read {0: 4, 1: 4, 3: 8}
+    q, A = make_alexander(8, 3), CoeffGroup((4,))
+    d = parse_diagram(braid_closure([1, 1, 1, 2, 1, 1, -2], 3))
+    omega = random_cochain(random.Random(0), q, None, A, 2)
+    assert not is_cocycle(DifferentialSpec.quandle(A), omega)
+    cols = coloring.enumerate_colorings(d, q)
+    weights = [invariants.weight_classical(d, c, omega, check=False)
+               for c in cols]
+    lowest = {orbit[0]: len(orbit) for orbit in orbits(q).orbits}
+    by_orbit = {}
+    for c, (w,) in zip(cols, weights):
+        if c[0] in lowest:
+            by_orbit[w] = by_orbit.get(w, 0) + lowest[c[0]]
+    assert by_orbit == {0: 4, 1: 4, 3: 8}
+    full = WeightMultiset.from_values(weights)
+    assert full.to_json()["weights"] == [[[0], 5], [[1], 5], [[2], 3],
+                                         [[3], 3]]
+    assert invariants.invariant_multiset(d, q, "classical", omega,
+                                         check=False) == full
+    paths = {}
+    for name, data in (("d", d.to_json()), ("q", q.to_json()),
+                       ("w", omega.to_json())):
+        paths[name] = files["tmp"] / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    base = ["invariant", "--flavor", "classical", "--diagram",
+            str(paths["d"]), "--quandle", str(paths["q"]), "--cocycle",
+            str(paths["w"])]
+    assert _main_in_process(capsys, base)[0] == 1
+    for extra in ([], ["--refine-orbits"]):
+        code, out, err = _main_in_process(capsys, base + ["--force"] + extra)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["total"], payload["weights"]) == (
+            16, full.to_json()["weights"])
 
 
 def test_weights_refuse_cochains_of_the_wrong_shape(files, capsys):

@@ -1,19 +1,21 @@
 """Weight identities and multiset invariants across all flavors."""
 
+import math
 import random
 
 import pytest
 
 from qci import corpus
 from qci.algebra import (CoeffGroup, IntUnit, ShiftUnit, StructureError,
-                         cyclic_shadow_module, make_dihedral, make_trivial,
+                         cyclic_shadow_module, make_alexander,
+                         make_conjugation, make_dihedral, make_trivial,
                          orbits, quandle_as_module, trivial_module, Quandle)
 from qci.cohomology import (Cochain, DifferentialSpec, cocycle_basis,
                             differential, link_twisted_cocycle_basis,
                             random_cochain, transport_to_shadow,
                             zero_cochain)
-from qci.coloring import (ShadowColoring, act, enumerate_colorings,
-                          propagate_shadow)
+from qci.coloring import (ShadowColoring, act, component_orbits,
+                          enumerate_colorings, propagate_shadow)
 from qci.diagram import compute_indices, crossing_geometry, parse_diagram
 from qci.invariants import (CocycleError, WeightMultiset, invariant_multiset,
                             orbit_refined_multisets, weight_classical,
@@ -26,6 +28,7 @@ from tests.oracle_utils import (arc_map_from_raw, braid_closure,
                                 raw_face_action_colors, raw_orbit_ids,
                                 raw_positive_signs, raw_source_colors,
                                 raw_sources, symbolic_shadow_weight)
+from tests.groups import symmetric_3
 from tests.test_algebra import product_table_module
 from tests.test_cohomology import _matrix
 
@@ -768,3 +771,162 @@ def test_units_over_another_group_are_refused():
     assert invariant_multiset(d, q, "twisted", omega, alpha=IntUnit(z5, 2),
                               check=False) == \
         invariant_multiset(d, q, "twisted", omega, alpha=2, check=False)
+
+
+# -- one coloring weighed per orbit of Inn(Q) ----------------------------------
+
+def _arc_flavor_bases(rng, q, A):
+    """(flavor, keyword arguments, raw units, cocycle basis) per
+    arc-coloring flavor over Z/n: classical, positive, twisted at every
+    unit and link_twisted at seeded per-orbit units.  The raw units are
+    the ints that symbolic_shadow_weight twists by."""
+    n = A.moduli[0]
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    alphas = [rng.choice(units) for _ in range(orbits(q).count)]
+    flavors = [("classical", {}, [1], DifferentialSpec.quandle(A)),
+               ("positive", {}, [-1], DifferentialSpec.positive(A))]
+    flavors += [("twisted", {"alpha": u}, [u], DifferentialSpec.twisted(A, u))
+                for u in units]
+    flavors.append(("link_twisted", {"alphas": alphas}, alphas,
+                    DifferentialSpec.link_twisted(
+                        [IntUnit(A, u) for u in alphas], orbits(q))))
+    return [(flavor, kwargs, raw, cocycle_basis(spec, q, None, A, 2))
+            for flavor, kwargs, raw, spec in flavors]
+
+
+def _combination(rng, basis):
+    """A seeded combination of a nonempty cocycle basis over Z/n."""
+    q, A = basis[0].quandle, basis[0].coeff
+    n = A.moduli[0]
+    ks = [rng.randrange(n) for _ in basis]
+    values = [(sum(k * v for k, (v,) in zip(ks, point)) % n,)
+              for point in zip(*(vector.values for vector in basis))]
+    return Cochain(q, None, A, 2, values)
+
+
+def _weigh_one(d, col, flavor, omega, kwargs):
+    """One coloring's weight from the single-coloring entry point."""
+    weigh = {"classical": weight_classical, "positive": weight_positive,
+             "twisted": weight_twisted,
+             "link_twisted": weight_link_twisted}[flavor]
+    return weigh(d, col, omega, *kwargs.values(), check=False)
+
+
+def test_orbit_weighing_matches_full_weighing():
+    # a gated arc-coloring multiset weighs one coloring per orbit O of
+    # Inn(Q) and counts its weight |O| times (_Plan).  Against every
+    # coloring of the brute-force search weighed on its own, for the
+    # whole multiset and every bucket of the orbit refinement: the torus
+    # link of the anchors above and seeded 2-4-strand closures, with D4,
+    # Alex(8,3) (orbits of 4) and S3 by conjugation (orbits of 1, 2 and
+    # 3).  On the torus link every weight is also recomputed from the
+    # raw records, with no qci code
+    rng = random.Random(38)
+    d4, alex = make_dihedral(4), make_alexander(8, 3)
+    torus = braid_closure([-1, -1, -1, 1, -1, -1], 2)
+    bases = {(d4, 4): _arc_flavor_bases(rng, d4, CoeffGroup((4,)))}
+    inputs = [(d4, 4, torus)]
+    for q, n in ((d4, 4), (alex, 4), (alex, 8),
+                 (make_conjugation(symmetric_3()), 4)):
+        if (q, n) not in bases:
+            bases[q, n] = _arc_flavor_bases(rng, q, CoeffGroup((n,)))
+        found = 0
+        while found < 4:
+            strands = rng.randrange(2, 5)
+            word = [rng.choice([1, -1]) * rng.randrange(1, strands)
+                    for _ in range(rng.randrange(strands, 7))]
+            closure = braid_closure(word, strands)
+            count = arc_map_from_raw(closure["crossings"])[1]
+            if {abs(w) for w in word} == set(range(1, strands)) and \
+                    q.n ** count <= 5_000:
+                inputs.append((q, n, closure))
+                found += 1
+    varied, cases = set(), 0
+    for q, n, closure in inputs:
+        records = closure["crossings"]
+        arc_of, count = arc_map_from_raw(records)
+        colorings = brute_force_colorings(records, arc_of, count, q.op,
+                                          q.inv)
+        d, om = parse_diagram(closure), orbits(q)
+        for flavor, kwargs, raw, basis in bases[q, n]:
+            omega = _combination(rng, basis)
+            weights = [_weigh_one(d, col, flavor, omega, kwargs)
+                       for col in colorings]
+            if closure is torus:
+                per_orbit = flavor == "link_twisted"
+                assert weights == [(symbolic_shadow_weight(
+                    records, closure["exterior"], arc_of, col,
+                    [v for v, in omega.values], n, raw,
+                    (0,) * len(raw), raw_orbit_ids(q.op) if per_orbit
+                    else None),) for col in colorings]
+            parts = {}
+            for col, weight in zip(colorings, weights):
+                parts.setdefault(component_orbits(d, col, om), []).append(
+                    weight)
+            assert invariant_multiset(d, q, flavor, omega, **kwargs) == \
+                WeightMultiset.from_values(weights), (flavor, closure)
+            assert orbit_refined_multisets(d, q, flavor, omega,
+                                           **kwargs) == {
+                key: WeightMultiset.from_values(part)
+                for key, part in sorted(parts.items())}
+            cases += 1
+            if len(set(weights)) > 1:
+                varied.add(flavor)
+    assert cases == 93
+    assert varied == {"classical", "positive", "twisted", "link_twisted"}
+
+
+def test_weigh_cost_per_coloring(monkeypatch):
+    # the weighing analogue of test_search_cost_per_coloring: a gated
+    # arc-coloring multiset weighs exactly one coloring in |O|, a quarter
+    # of an Alex(8,3) link's colorings and half of a D4 link's.  Without
+    # the gate, and for the shadow flavors, it weighs every coloring
+    import qci.invariants as inv
+    calls = [0]
+
+    def counted(self, *args, _call=inv._Plan.__call__):
+        calls[0] += 1
+        return _call(self, *args)
+
+    monkeypatch.setattr(inv._Plan, "__call__", counted)
+    A = CoeffGroup((4,))
+    for q, word, strands, size in (
+            (make_alexander(8, 3), [1, 1, -2, 1, 1, -2], 3, 4),
+            (make_dihedral(4), [-1, -1, -1, 1, -1, -1], 2, 2)):
+        d = parse_diagram(braid_closure(word, strands))
+        colorings = len(enumerate_colorings(d, q))
+        assert d.n_components >= 2 and colorings % size == 0
+        omega = cocycle_basis(DifferentialSpec.quandle(A), q, None, A, 2)[0]
+        for check, weighed in ((True, colorings // size),
+                               (False, colorings)):
+            for multisets in (invariant_multiset, orbit_refined_multisets):
+                calls[0] = 0
+                multisets(d, q, "classical", omega, check=check)
+                assert calls[0] == weighed, (q, check, multisets)
+        calls[0] = 0
+        invariant_multiset(d, q, "shadow",
+                           zero_cochain(q, quandle_as_module(q), A, 2),
+                           exterior=1)
+        assert calls[0] == colorings
+
+
+def test_the_shadow_flavors_weigh_every_coloring():
+    # the shadow flavors pin the exterior color, which the maps between
+    # the colorings of one orbit move, so every coloring is weighed: the
+    # multisets equal every coloring's own weight at both exteriors
+    q, A = make_dihedral(4), CoeffGroup((4,))
+    mod = quandle_as_module(q)
+    d = parse_diagram(braid_closure([1, -2, -1, -1, -2], 3))
+    colorings = enumerate_colorings(d, q)
+    sh = cocycle_basis(DifferentialSpec.quandle(A), q, mod, A, 2)[1]
+    sht = cocycle_basis(DifferentialSpec.twisted(A, 3), q, mod, A, 2)[1]
+    for exterior in (0, 1):
+        shadows = [propagate_shadow(d, col, mod, exterior)
+                   for col in colorings]
+        assert invariant_multiset(d, q, "shadow", sh, exterior=exterior) \
+            == WeightMultiset.from_values(weight_shadow(d, s, sh)
+                                          for s in shadows)
+        assert invariant_multiset(d, q, "shadow_twisted", sht, alpha=3,
+                                  exterior=exterior) == \
+            WeightMultiset.from_values(weight_shadow_twisted(d, s, sht, 3)
+                                       for s in shadows)

@@ -144,8 +144,8 @@ MUTANTS = [
      "        if False:\n            validate_cocycle(",
      "the compiled state sum skips the cocycle gate"),
     ("src/qci/invariants.py",
-     "image = {v: scalar.apply(v, power) for v, _ in self.weights}",
-     "image = {v: scalar.apply(v, -power) for v, _ in self.weights}",
+     "(scalar.apply(v, power), m) for v, m in self.weights)",
+     "(scalar.apply(v, -power), m) for v, m in self.weights)",
      "a scaled multiset applies the inverse power of the scalar"),
     ("src/qci/cohomology.py",
      "inverses = [u.int_matrix(-1) for u in alphas]",
@@ -161,6 +161,19 @@ MUTANTS = [
      "yield tuple([g[x] for x in found])",
      "tuple([g[x] for x in found])",
      "the search drops the colorings transported to the rest of an orbit"),
+    ("src/qci/invariants.py",
+     "        if check and not self.shadow:",
+     "        if not self.shadow:",
+     "the plan weighs one coloring per orbit without the gate (--force)"),
+    ("src/qci/invariants.py",
+     "self.multiplicity[orbit[0]] = len(orbit)",
+     "self.multiplicity[orbit[0]] = 1",
+     "the plan counts one coloring's weight once, not once per coloring "
+     "of its orbit"),
+    ("src/qci/invariants.py",
+     "        if check and not self.shadow:",
+     "        if check:",
+     "the plan weighs one coloring per orbit for the shadow flavors too"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
