@@ -15,6 +15,12 @@ One elimination serves every ring.  It works on sparse rows, dicts from
 column to a nonzero value (mod n when n > 0): a cocycle condition touches
 a handful of table entries, so differential rows have a few nonzeros in
 hundreds of columns.  `howell`, `kernel_mod` and `snf_diagonal` share it.
+Differential systems are tall and mostly redundant, so the elimination
+keeps its pivot rows reduced against each other as it installs them: a
+redundant row then clears in a few row additions, one per pivot column
+in its support.  Over Z or a composite n that reduction is not canonical
+(a non-unit pivot leaves remainders, and an xgcd pivot replacement undoes
+earlier steps), so `_reduce_above` still makes the final form.
 The kernel of M is read off the Howell form of [H^T | I], where H are the
 echelon rows of M itself: H has the row span of M, hence its kernel, and
 at most `ncols` rows (one per pivot column), so the augmented matrix is
@@ -144,7 +150,18 @@ def _echelon(queue, n):
     its absolute value), and the annihilator row (n/pivot) * row is queued
     too, so every span vector supported on a column suffix is a combination
     of the rows pivoting in that suffix.  Over Z, n/pivot is 0 and no
-    annihilator is queued.  Entries above later pivots are left unreduced.
+    annihilator is queued.
+
+    The pivot rows are kept reduced against each other as they are
+    installed (incremental Gauss-Jordan): a new pivot row at column j is
+    reduced by floor division at every installed pivot column after j,
+    then column j is reduced the same way in every row pivoting before j.
+    A redundant row then meets only the pivot columns in its own support,
+    not the fill-in of the pivot rows it is reduced by.  The result is not
+    yet canonical: clearing column j from an earlier row also moves that
+    row's entries above later non-unit pivots, out of [0, pivot), and an
+    xgcd pivot replacement undoes what the replaced pivot reduced.
+    `_reduce_above` makes the final form.
     """
     piv = {}
 
@@ -152,8 +169,18 @@ def _echelon(queue, n):
         u = _unit_for(row[j], n)
         if u != 1:
             row = _scaled(row, u, n)
+        for c in sorted(c for c in piv if c > j):
+            q = row.get(c, 0) // piv[c][c]
+            if q:
+                _add_multiple(row, -q, piv[c], n)
+        p = row[j]
+        for c, other in piv.items():
+            if c < j:
+                q = other.get(j, 0) // p
+                if q:
+                    _add_multiple(other, -q, row, n)
         piv[j] = row
-        t = n // row[j]
+        t = n // p
         if t < n:   # zero for a unit pivot, and over Z (t == n == 0)
             queue.append(_scaled(row, t, n))
 

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from qci import modlinalg as ml
-from qci.algebra import make_dihedral
+from qci.algebra import make_alexander, make_dihedral
 from tests.oracle_utils import (brute_invariant_factors, brute_span,
                                 degenerate_rows, differential_rows,
                                 is_howell_basis, rref_rank_mod_p,
@@ -105,6 +105,98 @@ def test_kernel_mod_is_the_canonical_howell_basis(n):
         for other in (shuffled, mat + mat, scaled, mat + combos,
                       combos + shuffled):
             assert ml.kernel_mod(other, ncols, n) == kern
+
+
+def _sparse_redundant_system(rng, n, nrows, ncols):
+    """nrows rows over Z/n (over Z for n == 0), each a combination of one
+    to three of fewer than ncols sparse base rows: tall and redundant,
+    like a differential system."""
+    span = n or 4
+    base = [[rng.randrange(-span, span) if rng.random() < 0.3 else 0
+             for _ in range(ncols)]
+            for _ in range(rng.randrange(ncols // 2, ncols))]
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for b in rng.sample(base, rng.randrange(1, 4)):
+            q = rng.randrange(-3, 4)
+            row = [x + q * y for x, y in zip(row, b)]
+        rows.append([x % n for x in row] if n else row)
+    return rows
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 0])
+def test_larger_sparse_systems_are_canonical(n, monkeypatch):
+    # 20-40 rows in 10-16 columns: wide enough that an xgcd pivot
+    # replacement comes after earlier pivot rows were cleared against the
+    # pivot it replaces.  Every presentation of the same row span must
+    # give the same Howell form, kernel and Smith diagonal, byte for byte
+    replaced = [0]
+    xgcd = ml.xgcd
+
+    def counted(a, b):
+        replaced[0] += 1
+        return xgcd(a, b)
+
+    monkeypatch.setattr(ml, "xgcd", counted)
+    rng = random.Random(900 + n)
+    units = [u for u in range(1, n) if gcd(u, n) == 1] if n else [-1, 1]
+    canonical = (lambda rows, width: is_howell_basis(rows, n, width)) \
+        if n else (lambda rows, width: _is_hermite(rows))
+    for _ in range(10):
+        nrows, ncols = rng.randrange(20, 41), rng.randrange(10, 17)
+        mat = _sparse_redundant_system(rng, n, nrows, ncols)
+        basis = ml.howell(mat, n, ncols)
+        kern = ml.kernel_mod(mat, ncols, n)
+        diag = ml.snf_diagonal(mat, n)
+        assert canonical(basis, ncols) and canonical(kern, ncols)
+        assert ml.howell(basis, n, ncols) == basis
+        for r in mat:
+            for v in kern:
+                dot = sum(a * b for a, b in zip(r, v))
+                assert (dot % n if n else dot) == 0
+        shuffled = [list(r) for r in mat]
+        rng.shuffle(shuffled)
+        scaled = [[u * v for v in r] for u, r in
+                  zip(rng.choices(units, k=nrows), shuffled)]
+        combos = [[sum(q * r[c] for q, r in zip(coeffs, mat))
+                   for c in range(ncols)]
+                  for coeffs in ([rng.randrange(-3, 4) for _ in mat]
+                                 for _ in range(5))]
+        for other in (shuffled, scaled, mat + mat, mat + combos,
+                      combos + scaled):
+            assert ml.howell(other, n, ncols) == basis
+            assert ml.kernel_mod(other, ncols, n) == kern
+            assert ml.snf_diagonal(other, n) == diag
+    assert replaced[0]
+
+
+def test_kernel_mod_cost_on_a_tall_differential(monkeypatch):
+    # Alex(8,3) over Z/4 with the Z/2 module in degree 2: 1,040 rows with
+    # 112 echelon rows in 128 columns, so most rows are redundant.  With
+    # the pivots kept reduced as they are installed, a redundant row meets
+    # only the pivot columns in its own support: the kernel takes 6,971
+    # row additions, against 18,017 when a row was reduced at its leading
+    # entry only, against pivots that kept their fill-in
+    q = make_alexander(8, 3)
+    rows = differential_rows(q.op, [[[1]]] * 8, [[1]], 1, 2, module_size=2,
+                             act=lambda m, a: (m + 1) % 2)
+    rows += degenerate_rows(8, 1, 2, module_size=2)
+    assert (len(rows), len(rows[0])) == (1040, 128)
+    calls = [0]
+    add = ml._add_multiple
+
+    def counted(*args):
+        calls[0] += 1
+        return add(*args)
+
+    monkeypatch.setattr(ml, "_add_multiple", counted)
+    kern = ml.kernel_mod(rows, 128, 4)
+    assert kern and is_howell_basis(kern, 4, 128)
+    sparse = [[(j, v) for j, v in enumerate(r) if v] for r in rows]
+    for k in kern:
+        assert all(sum(v * k[j] for j, v in r) % 4 == 0 for r in sparse)
+    assert 0 < calls[0] < 10_000
 
 
 def test_hnf_and_solve():

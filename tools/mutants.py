@@ -174,6 +174,14 @@ MUTANTS = [
      "        if check and not self.shadow:",
      "        if check:",
      "the plan weighs one coloring per orbit for the shadow flavors too"),
+    ("src/qci/modlinalg.py",
+     "for c in sorted(c for c in piv if c > j):",
+     "for c in ():",
+     "the new row is not reduced against the installed pivots"),
+    ("src/qci/modlinalg.py",
+     "            if c < j:\n                q = other.get(j, 0) // p",
+     "            if False:\n                q = other.get(j, 0) // p",
+     "column j is not cleared from the earlier pivot rows"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
