@@ -19,14 +19,17 @@ is a tuple of units, one per orbit of the quandle, and a choice of m:
 One unit u on every orbit gives prod_j u^(-e_j(x)) = u^(-i(x)), and when
 every unit is the identity nothing is twisted, so the plan skips the
 region walk.  A diagram is compiled once per flavor into a plan holding, per
-crossing, the two arc slots, the source region and one d x d integer
-coefficient matrix C_x = sign(x) * prod_j U_j^(e_j(x)) folded from the sign
-and the twisting units.  Weighing a coloring is then one linear loop,
-sum_x C_x . w(m(x), a, b) on plain integers, reduced once at the end.
+crossing, the two arc slots, the source region and the product table of
+one d x d integer coefficient matrix C_x = sign(x) * prod_j U_j^(e_j(x))
+folded from the sign and the twisting units: the table holds C_x . w[i]
+by position i of w's table, each product computed the first time it is
+read.  Weighing a coloring is then one table lookup per crossing, the
+products summed per coordinate on plain integers and reduced once.
 The invariant is the multiset of weights over all colorings (with the
 exterior region color pinned for shadow flavors).  Once its cocycle has
-passed the gate, an arc-coloring flavor weighs one coloring per orbit of
-Inn(Q) and counts its weight once per coloring of that orbit (_Plan).
+passed the gate, every flavor weighs one coloring per orbit of Inn(Q)
+and counts its weight once per coloring of that orbit; the _Plan
+docstring proves this exact, for a pinned exterior color too.
 """
 
 from collections import Counter
@@ -172,6 +175,21 @@ def _coefficient(sign, units, exps, d):
     return tuple(map(tuple, coef))
 
 
+class _Products(dict):
+    """C . omega[i] by table position i for one coefficient matrix C, each
+    product computed the first time it is read."""
+
+    def __init__(self, coef, values):
+        super().__init__()
+        self.coef, self.values = coef, values
+
+    def __missing__(self, i):
+        term = self.values[i]
+        product = self[i] = tuple([sum(map(mul, row, term))
+                                   for row in self.coef])
+        return product
+
+
 class _Plan:
     """A flavor's state sum compiled once for one diagram and cochain.
 
@@ -181,38 +199,49 @@ class _Plan:
     walking the regions unless every unit is the identity; calling the
     plan weighs one coloring (a ShadowColoring for the shadow flavors).
     Each crossing's sign and twist fold into one integer coefficient
-    matrix (_coefficient).  The coefficients are stored per tuple of
-    component orbits, and compiled once per tuple of component units,
-    the first time one appears.
+    matrix C_x (_coefficient), and each distinct C_x gets one product
+    table (_Products) of C_x . omega[i] by table position i, shared by
+    every crossing with that matrix.  A product is computed the first
+    time it is read, so a coloring costs one table lookup per crossing
+    and the products are summed per coordinate and reduced once: the
+    same integers as C_x . omega[i] summed directly.  The tables are
+    stored per tuple of component orbits, and compiled once per tuple of
+    component units, the first time one appears.
 
-    A gated plan of an arc-coloring flavor weighs one coloring per
-    Inn(Q)-orbit (``weighings``): those whose arc-0 color r is the least
-    of its orbit O, each weight counted |O| times.  This is exact.  The
-    colorings with arc-0 color x are g_x applied to those with color r
-    (``Quandle.moves``), and g_x is a composite of right translations
-    S_c(y) = y |> c, so it is enough that W(S_c C) = W(C) for every
-    coloring C of D and color c.  For a cocycle that passed its gate,
-    Reidemeister moves keep the weight of each coloring
-    (Carter-Elhamdadi-Saito for the twisted sums; the paper for one unit
-    per orbit).  Put a crossingless circle K of color c beside D, as the
-    last component: it adds no crossing, and every region of D lies
-    outside K, at index 0 on K, so D + K weighs W(C).  Let u be the unit
-    of c's orbit.
+    A gated plan weighs one coloring per Inn(Q)-orbit (``weighings``):
+    those whose arc-0 color r is the least of its orbit O, each weight
+    counted |O| times.  This is exact.  The colorings with arc-0 color x
+    are g_x applied to those with color r (``Quandle.moves``), and g_x
+    is a composite of right translations S_c(z) = z |> c, so it is
+    enough that W(S_c C, y) = W(C, y) for every coloring C of D, color c
+    and exterior color y (the arc-coloring flavors read no region color,
+    so y does not change their weight).  For a cocycle that passed its
+    gate, Reidemeister moves keep the weight of each (shadow) coloring
+    (Carter-Elhamdadi-Saito for the twisted and shadow sums; the paper
+    for one unit per orbit).  Put a crossingless circle K of color c
+    beside D, as the last component: it adds no crossing, and every
+    region of D lies outside K, at index 0 on K, so D + K weighs
+    W(C, y).  Let u be the unit of c's orbit and s = +-1 the sign, set
+    by K's orientation, with which K acts on what passes under it.
 
-    - Slide K under all of D until it encloses D.  D's colors stay, K's
-      stay in c's orbit, and every region of D gains the same index
-      e = +-1 on K, so every term gains the factor u^-e, applied last:
-      W(C) = u^-e W(C).  Every orbit unit fixes every weight.
+    - Slide K under all of D until it encloses D.  D's arcs keep their
+      colors, D's regions are now colored from the exterior y |>^s c,
+      and every region of D gains the same index e = +-1 on K, so every
+      term gains the factor u^-e, applied last: D + K weighs
+      u^-e W(C, y |>^s c).
     - Slide K over D instead.  Every arc of D passes under K once, so
-      D's coloring becomes S_c^s C (s = +-1 with K's orientation), with
-      the same index shift: W(C) = u^-e W(S_c^s C) = W(S_c^s C), by the
-      first step applied to S_c^s C.
+      D's coloring becomes S_c^s C, with the same regions and the same
+      shift e: D + K weighs u^-e W(S_c^s C, y |>^s c).
+
+    Both paths end at the same diagram, K enclosing D, and each keeps
+    the weight W(C, y), so u^-e W(C, y |>^s c) = u^-e W(S_c^s C,
+    y |>^s c); u is invertible, and y -> y |>^s c is a bijection of the
+    module, so W(C, y) = W(S_c^s C, y) for every exterior color y.
 
     The component orbits, the keys of the refined multisets, are kept
     too: g_x keeps every color in its orbit.  Without the gate
-    (``check=False``) the weight need not be invariant, and the argument
-    does not cover the shadow flavors, whose exterior color g_x would
-    move: both weigh every coloring.
+    (``check=False``) the weight need not be invariant, and every
+    coloring is weighed.
     """
 
     def __init__(self, diagram, flavor, omega, check, *, alpha=None,
@@ -230,7 +259,7 @@ class _Plan:
         self.orbit_of = [self.orbit_map.of(c) for c in range(omega.quandle.n)]
         # times each coloring's weight counts, by its arc-0 color
         self.multiplicity = [1] * omega.quandle.n
-        if check and not self.shadow:
+        if check:
             self.multiplicity = [0] * omega.quandle.n
             for orbit in self.orbit_map.orbits:
                 self.multiplicity[orbit[0]] = len(orbit)
@@ -240,27 +269,32 @@ class _Plan:
         identity = IntUnit(omega.coeff, 1).int_matrix()
         self.terms = _compile(diagram, not all(
             u.int_matrix() == identity for u in self.units))
-        self.weighed, self.compiled = {}, {}
+        # one product table per distinct coefficient matrix, shared by
+        # every crossing and every tuple of component units that has it
+        self.weighed, self.compiled, self.tables = {}, {}, {}
 
     def _weighed(self, key):
-        """(coefficient, a_arc, b_arc, source region) per crossing for one
-        tuple of component orbits."""
+        """(product table, a_arc, b_arc, source region) per crossing for
+        one tuple of component orbits."""
         units = tuple(self.units[o] for o in key)
         weighed = self.compiled.get(units)
         if weighed is None:
-            d = self.omega.coeff.d
-            weighed = self.compiled[units] = tuple(
-                (_coefficient(sign, units, exps, d), a, b, src)
-                for sign, a, b, src, exps in self.terms)
+            d, values = self.omega.coeff.d, self.omega.values
+            weighed = []
+            for sign, a, b, src, exps in self.terms:
+                coef = _coefficient(sign, units, exps, d)
+                table = self.tables.setdefault(coef, _Products(coef, values))
+                weighed.append((table, a, b, src))
+            self.compiled[units] = weighed
         self.weighed[key] = weighed
         return weighed
 
     def weighings(self, colorings):
         """(component orbits, weight, multiplicity) per coloring from the
-        search that the plan weighs: with the gate, for an arc-coloring
-        flavor, one per Inn(Q)-orbit (see the class), else every one.
-        The search keeps each component in one orbit, so one arc per
-        component decides its orbit."""
+        search that the plan weighs: with the gate one per Inn(Q)-orbit
+        (see the class), else every one.  The search keeps each
+        component in one orbit, so one arc per component decides its
+        orbit."""
         orbit_of, first = self.orbit_of, self.first_arcs
         multiplicity = self.multiplicity
         for coloring in colorings:
@@ -283,14 +317,11 @@ class _Plan:
         weighed = self.weighed.get(key)
         if weighed is None:
             weighed = self._weighed(key)
-        coeff, values = self.omega.coeff, self.omega.values
         n = self.omega.quandle.n
-        total = [0] * coeff.d
-        for coef, a, b, src in weighed:
-            term = values[(regions[src] * n + arcs[a]) * n + arcs[b]]
-            for r, row in enumerate(coef):
-                total[r] += sum(map(mul, row, term))
-        return coeff.reduce(total)
+        terms = [table[(regions[src] * n + arcs[a]) * n + arcs[b]]
+                 for table, a, b, src in weighed]
+        coeff = self.omega.coeff
+        return coeff.reduce([sum(t) for t in zip(coeff.zero(), *terms)])
 
 
 # -- per-coloring weights ----------------------------------------------------

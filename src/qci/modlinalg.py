@@ -245,8 +245,9 @@ def _howell_coords(basis, v, n):
         if rem:
             return None
         coords.append(q)
-        v = ([(a - q * b) % n for a, b in zip(v, row)] if n
-             else [a - q * b for a, b in zip(v, row)])
+        if q:
+            v = ([(a - q * b) % n for a, b in zip(v, row)] if n
+                 else [a - q * b for a, b in zip(v, row)])
     return None if any(v) else coords
 
 

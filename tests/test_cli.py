@@ -494,13 +494,17 @@ def test_symbolic_shadow_propagates_no_region_colors(files, monkeypatch,
                                         ["--force"])
         assert code == 0, err
     assert calls == []
-    # a table-module shadow still propagates, so the counter is live
-    code, _, err = _main_in_process(
-        capsys, ["invariant", "--flavor", "shadow", "--diagram",
-                 str(files["diagram"]), "--quandle", str(files["quandle"]),
-                 "--cocycle", str(files["cocycle"]), "--exterior", "0"])
-    assert code == 0, err
-    assert len(calls) == 9
+    # a table-module shadow still propagates, so the counter is live:
+    # gated, only the trefoil's 3 colorings with arc-0 color 0 (D3 is one
+    # orbit of 3 colors), and under --force all 9
+    base = ["invariant", "--flavor", "shadow", "--diagram",
+            str(files["diagram"]), "--quandle", str(files["quandle"]),
+            "--cocycle", str(files["cocycle"]), "--exterior", "0"]
+    for extra, propagated in (([], 3), (["--force"], 9)):
+        calls.clear()
+        code, _, err = _main_in_process(capsys, base + extra)
+        assert code == 0, err
+        assert len(calls) == propagated
 
 
 def test_symbolic_module_words_are_shadow_only(files, capsys):

@@ -801,7 +801,23 @@ def _combination(rng, basis):
     ks = [rng.randrange(n) for _ in basis]
     values = [(sum(k * v for k, (v,) in zip(ks, point)) % n,)
               for point in zip(*(vector.values for vector in basis))]
-    return Cochain(q, None, A, 2, values)
+    return Cochain(q, basis[0].module, A, 2, values)
+
+
+def _seeded_closures(rng, q, wanted):
+    """wanted seeded 2-4-strand braid closures that use every generator
+    and have at most 5,000 arc assignments in q for the brute force."""
+    closures = []
+    while len(closures) < wanted:
+        strands = rng.randrange(2, 5)
+        word = [rng.choice([1, -1]) * rng.randrange(1, strands)
+                for _ in range(rng.randrange(strands, 7))]
+        closure = braid_closure(word, strands)
+        count = arc_map_from_raw(closure["crossings"])[1]
+        if {abs(w) for w in word} == set(range(1, strands)) and \
+                q.n ** count <= 5_000:
+            closures.append(closure)
+    return closures
 
 
 def _weigh_one(d, col, flavor, omega, kwargs):
@@ -830,17 +846,7 @@ def test_orbit_weighing_matches_full_weighing():
                  (make_conjugation(symmetric_3()), 4)):
         if (q, n) not in bases:
             bases[q, n] = _arc_flavor_bases(rng, q, CoeffGroup((n,)))
-        found = 0
-        while found < 4:
-            strands = rng.randrange(2, 5)
-            word = [rng.choice([1, -1]) * rng.randrange(1, strands)
-                    for _ in range(rng.randrange(strands, 7))]
-            closure = braid_closure(word, strands)
-            count = arc_map_from_raw(closure["crossings"])[1]
-            if {abs(w) for w in word} == set(range(1, strands)) and \
-                    q.n ** count <= 5_000:
-                inputs.append((q, n, closure))
-                found += 1
+        inputs += [(q, n, closure) for closure in _seeded_closures(rng, q, 4)]
     varied, cases = set(), 0
     for q, n, closure in inputs:
         records = closure["crossings"]
@@ -876,11 +882,59 @@ def test_orbit_weighing_matches_full_weighing():
     assert varied == {"classical", "positive", "twisted", "link_twisted"}
 
 
+def test_orbit_weighing_matches_full_weighing_for_shadow_flavors():
+    # a gated shadow multiset also weighs one coloring per orbit O of
+    # Inn(Q) and counts its weight |O| times: the exterior color stays
+    # pinned, and the circle argument in the _Plan docstring holds at
+    # every exterior color.  Against every coloring of the brute-force
+    # search extended to its region coloring and weighed on its own, at
+    # every exterior color: seeded combinations of the shadow and
+    # shadow_twisted (alpha = 3) bases over Z/4 with the quandle acting on
+    # itself, on seeded 2-4-strand closures, with D4, S3 by conjugation
+    # and Alex(8,3).  Each flavor's weight varies somewhere with nonzero
+    # colors on source regions, where m reads more than the color 0
+    rng = random.Random(40)
+    A = CoeffGroup((4,))
+    varied, cases = set(), 0
+    for q in (make_dihedral(4), make_conjugation(symmetric_3()),
+              make_alexander(8, 3)):
+        mod = quandle_as_module(q)
+        flavors = (
+            (weight_shadow, "shadow", {},
+             cocycle_basis(DifferentialSpec.quandle(A), q, mod, A, 2)),
+            (weight_shadow_twisted, "shadow_twisted", {"alpha": 3},
+             cocycle_basis(DifferentialSpec.twisted(A, 3), q, mod, A, 2)))
+        for closure in _seeded_closures(rng, q, 4):
+            records = closure["crossings"]
+            arc_of, count = arc_map_from_raw(records)
+            colorings = brute_force_colorings(records, arc_of, count, q.op,
+                                              q.inv)
+            d = parse_diagram(closure)
+            sources = [g.source_region for g in crossing_geometry(d)]
+            for weigh, flavor, kwargs, basis in flavors:
+                omega = _combination(rng, basis)
+                for exterior in mod.elements():
+                    shadows = [propagate_shadow(d, col, mod, exterior)
+                               for col in colorings]
+                    weights = [weigh(d, sh, omega, *kwargs.values(),
+                                     check=False) for sh in shadows]
+                    assert invariant_multiset(
+                        d, q, flavor, omega, exterior=exterior,
+                        **kwargs) == WeightMultiset.from_values(weights), \
+                        (flavor, closure, exterior)
+                    cases += 1
+                    if len(set(weights)) > 1 and any(
+                            sh.regions[r] for sh in shadows for r in sources):
+                        varied.add(flavor)
+    assert cases == 144
+    assert varied == {"shadow", "shadow_twisted"}
+
+
 def test_weigh_cost_per_coloring(monkeypatch):
     # the weighing analogue of test_search_cost_per_coloring: a gated
-    # arc-coloring multiset weighs exactly one coloring in |O|, a quarter
-    # of an Alex(8,3) link's colorings and half of a D4 link's.  Without
-    # the gate, and for the shadow flavors, it weighs every coloring
+    # multiset weighs exactly one coloring in |O|, a quarter of an
+    # Alex(8,3) link's colorings and half of a D4 link's, for the shadow
+    # flavors too.  Without the gate it weighs every coloring
     import qci.invariants as inv
     calls = [0]
 
@@ -903,17 +957,21 @@ def test_weigh_cost_per_coloring(monkeypatch):
                 calls[0] = 0
                 multisets(d, q, "classical", omega, check=check)
                 assert calls[0] == weighed, (q, check, multisets)
-        calls[0] = 0
-        invariant_multiset(d, q, "shadow",
-                           zero_cochain(q, quandle_as_module(q), A, 2),
-                           exterior=1)
-        assert calls[0] == colorings
+        shadow = zero_cochain(q, quandle_as_module(q), A, 2)
+        for check, weighed in ((True, colorings // size),
+                               (False, colorings)):
+            calls[0] = 0
+            invariant_multiset(d, q, "shadow", shadow, exterior=1,
+                               check=check)
+            assert calls[0] == weighed, (q, check, "shadow")
 
 
-def test_the_shadow_flavors_weigh_every_coloring():
-    # the shadow flavors pin the exterior color, which the maps between
-    # the colorings of one orbit move, so every coloring is weighed: the
-    # multisets equal every coloring's own weight at both exteriors
+def test_the_shadow_flavors_weigh_one_coloring_per_orbit():
+    # the shadow flavors pin the exterior color; a gated one still weighs
+    # one coloring per orbit of Inn(Q), since the maps between the
+    # colorings of one orbit keep every weight at a fixed exterior color
+    # (_Plan): the multisets equal every coloring's own weight at both
+    # exteriors
     q, A = make_dihedral(4), CoeffGroup((4,))
     mod = quandle_as_module(q)
     d = parse_diagram(braid_closure([1, -2, -1, -1, -2], 3))

@@ -56,8 +56,8 @@ MUTANTS = [
      "if False:",
      "the search skips the crossings a level completes"),
     ("src/qci/invariants.py",
-     "term = values[(regions[src] * n + arcs[a]) * n + arcs[b]]",
-     "term = values[(regions[src] * n + arcs[b]) * n + arcs[a]]",
+     "table[(regions[src] * n + arcs[a]) * n + arcs[b]]",
+     "table[(regions[src] * n + arcs[b]) * n + arcs[a]]",
      "the weight reads the cocycle at (b, a) instead of (a, b)"),
     ("src/qci/coloring.py",
      "ids = {orbit_map.of(arc_colors[a]) for a in arcs}",
@@ -162,8 +162,8 @@ MUTANTS = [
      "tuple([g[x] for x in found])",
      "the search drops the colorings transported to the rest of an orbit"),
     ("src/qci/invariants.py",
-     "        if check and not self.shadow:",
-     "        if not self.shadow:",
+     "        if check:\n            self.multiplicity",
+     "        if True:\n            self.multiplicity",
      "the plan weighs one coloring per orbit without the gate (--force)"),
     ("src/qci/invariants.py",
      "self.multiplicity[orbit[0]] = len(orbit)",
@@ -171,9 +171,15 @@ MUTANTS = [
      "the plan counts one coloring's weight once, not once per coloring "
      "of its orbit"),
     ("src/qci/invariants.py",
-     "        if check and not self.shadow:",
-     "        if check:",
-     "the plan weighs one coloring per orbit for the shadow flavors too"),
+     "self.tables.setdefault(coef, _Products(coef, values))",
+     "self.tables.setdefault(sign, _Products(coef, values))",
+     "the plan keys its product tables by the crossing sign alone, so "
+     "crossings with different twists share one table"),
+    ("src/qci/invariants.py",
+     "zip(coeff.zero(), *terms)",
+     "zip(*terms)",
+     "the per-coordinate sum does not start from zero, so a diagram with "
+     "no crossings weighs the empty tuple"),
     ("src/qci/modlinalg.py",
      "for c in sorted(c for c in piv if c > j):",
      "for c in ():",
