@@ -21,13 +21,17 @@ redundant row then clears in a few row additions, one per pivot column
 in its support.  Over Z or a composite n that reduction is not canonical
 (a non-unit pivot leaves remainders, and an xgcd pivot replacement undoes
 earlier steps), so `_reduce_above` still makes the final form.
-The kernel of M is read off the Howell form of [H^T | I], where H are the
-echelon rows of M itself: H has the row span of M, hence its kernel, and
-at most `ncols` rows (one per pivot column), so the augmented matrix is
-len(H) + ncols wide instead of nrows + ncols.  Only the rows whose pivot
-lies in the identity part reach the output, so only those are reduced
-above their pivots.  The Howell form is canonical, so the kernel basis
-does not depend on this route.
+
+The kernel of M is read off H, the echelon rows of M, through its unit
+pivots (structured Gaussian elimination, as in LaMacchia-Odlyzko, CRYPTO
+'90).  A unit pivot column of H is zero in every other row of H, so its
+kernel coordinate is minus that row's combination of the columns F
+without a unit pivot.  Only the few rows with a non-unit pivot are left:
+their kernel on F comes from the Howell form of their [R^T | I], and it
+is lifted back to all columns through the unit rows (over a prime
+modulus every pivot is a unit and the residual system is empty).  The
+Howell form of the lifted rows (Storjohann-Mulders, ESA 1998) is
+canonical, so the kernel basis does not depend on this route.
 
 Quotients (invariant factors of cohomology groups) present the kernel span
 on its Howell rows and take a Smith form.  Its diagonal comes from the same
@@ -260,19 +264,48 @@ def kernel_mod(rows, ncols, n):
     """Basis of {x in (Z/n)^ncols : M x == 0} for the matrix with `rows`;
     over Z (n == 0) the saturated lattice {x in Z^ncols : M x == 0}.
 
-    The Howell basis of the kernel: the rows of the Howell form of
-    [H^T | I] that vanish on the H^T part, for H the echelon rows of M.
+    H, the echelon rows of M, has M's row span, hence its kernel.  A unit
+    pivot is normalized to 1 (over Z, after its sign), and a unit pivot
+    column j of H is zero in every row but its own without
+    `_reduce_above`: `_echelon` never replaces a unit pivot (b % 1 == 0);
+    a new row is floor-reduced to 0 at every installed unit pivot column
+    after its own, and is 0 before its own pivot, so adding it to another
+    row puts nothing there; and once its own pivot is a unit, its column
+    is reduced to 0 in every earlier row.  So with U the unit pivot
+    columns and F the rest, row j in U reads x_j = -sum_c H[j][c] x_c over
+    c in F, and the rows R with a non-unit pivot touch F only: ker M is
+    the lift x_F -> sum_c x_c (e_c - A[:, c]) of the kernel of R on F, for
+    A the unit rows' F-entries.
+
+    That residual kernel is read off the Howell form of [R^T | I], R^T in
+    columns 0..len(R)-1 and then column len(R) + c for each c in F: its
+    rows that vanish on R^T span the kernel of R (over a prime modulus R
+    is empty and they are the identity).  The Howell form of their lifts
+    is the canonical basis returned: it depends on the kernel only.
     """
     _check_modulus(n)
-    h = _echelon([_sparse(r, n) for r in rows], n).values()
-    left = len(h)   # columns 0..left-1 hold H^T, the rest the identity
-    aug = [{left + c: 1} for c in range(ncols)]
-    for k, row in enumerate(h):
+    h = _echelon([_sparse(r, n) for r in rows], n)
+    unit = {j for j, row in h.items() if row[j] == 1}
+    lift = {c: {c: 1} for c in range(ncols) if c not in unit}
+    for j in unit:
+        for c, v in h[j].items():
+            if c != j:
+                lift[c][j] = n - v if n else -v
+    rest = [row for j, row in h.items() if j not in unit]
+    left = len(rest)
+    aug = {c: {left + c: 1} for c in lift}
+    for k, row in enumerate(rest):
         for c, v in row.items():
             aug[c][k] = v
-    piv = _echelon(aug, n)
-    tail = {j: row for j, row in piv.items() if j >= left}
-    return [_dense(tail[j], ncols, left) for j in _reduce_above(tail, n)]
+    lifted = []
+    for j, row in _echelon(list(aug.values()), n).items():
+        if j >= left:
+            x = {}
+            for c, v in row.items():
+                _add_multiple(x, v, lift[c - left], n)
+            lifted.append(x)
+    piv = _echelon(lifted, n)
+    return [_dense(piv[j], ncols) for j in _reduce_above(piv, n)]
 
 
 def merge_factors(factors):

@@ -188,6 +188,15 @@ MUTANTS = [
      "            if c < j:\n                q = other.get(j, 0) // p",
      "            if False:\n                q = other.get(j, 0) // p",
      "column j is not cleared from the earlier pivot rows"),
+    ("src/qci/modlinalg.py",
+     "lift[c][j] = n - v if n else -v",
+     "lift[c][j] = v",
+     "the kernel lifts through the unit rows with the wrong sign"),
+    ("src/qci/modlinalg.py",
+     "unit = {j for j, row in h.items() if row[j] == 1}",
+     "unit = {j for j, row in h.items() if row[j] in (1, 2)}",
+     "the kernel reads a pivot 2 as a unit: its row is lifted through, "
+     "not solved in the residual system"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
