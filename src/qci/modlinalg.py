@@ -26,12 +26,15 @@ The kernel of M is read off H, the echelon rows of M, through its unit
 pivots (structured Gaussian elimination, as in LaMacchia-Odlyzko, CRYPTO
 '90).  A unit pivot column of H is zero in every other row of H, so its
 kernel coordinate is minus that row's combination of the columns F
-without a unit pivot.  Only the few rows with a non-unit pivot are left:
-their kernel on F comes from the Howell form of their [R^T | I], and it
-is lifted back to all columns through the unit rows (over a prime
-modulus every pivot is a unit and the residual system is empty).  The
-Howell form of the lifted rows (Storjohann-Mulders, ESA 1998) is
-canonical, so the kernel basis does not depend on this route.
+without a unit pivot.  Only the few rows R with a non-unit pivot are
+left, and one more Howell form (Storjohann-Mulders, ESA 1998) gives
+their kernel on F and its lift to all columns together: that of the
+rows [R^T | L], L the lift of each column of F through the unit rows.
+Its rows that vanish on R^T are the canonical kernel basis, since the
+rows of a Howell form pivoting in a column suffix are the Howell form of
+the span's vectors supported there.  With no unit pivot L is the
+identity and this is the textbook [M^T | I]; over a prime modulus every
+pivot is a unit and R is empty.
 
 Quotients (invariant factors of cohomology groups) present the kernel span
 on its Howell rows and take a Smith form.  Its diagonal comes from the same
@@ -77,13 +80,6 @@ def _unit_for(a, n):
         if u and gcd(u, n) == 1:
             return u
     raise AssertionError("unit lift must exist")
-
-
-def _first_nonzero(row):
-    for j, v in enumerate(row):
-        if v:
-            return j
-    return None
 
 
 # -- sparse rows: {column: value}, every value nonzero (in 1..n-1 over Z/n) --
@@ -238,26 +234,29 @@ def howell(rows, n, width):
     return [_dense(piv[j], width) for j in _reduce_above(piv, n)]
 
 
-def _howell_coords(basis, v, n):
-    """Coefficients of v over the rows of a Howell basis, or None when v
-    lies outside their span."""
-    v = [x % n for x in v] if n else list(v)
+def _pivoted(basis, n):
+    """A Howell basis as (pivot column, sparse row) pairs in pivot order."""
+    rows = [_sparse(r, n) for r in basis]
+    return [(min(r), r) for r in rows]
+
+
+def _coords(basis, v, n):
+    """Coefficients of the sparse row v (which it consumes) over the
+    `_pivoted` rows of a Howell basis, or None when v lies outside their
+    span.  A remainder left at a pivot stays in v, since the later rows
+    are zero there, so only the leftover decides membership."""
     coords = []
-    for row in basis:
-        j = _first_nonzero(row)
-        q, rem = divmod(v[j], row[j])
-        if rem:
-            return None
+    for j, row in basis:
+        q = v.get(j, 0) // row[j]
         coords.append(q)
         if q:
-            v = ([(a - q * b) % n for a, b in zip(v, row)] if n
-                 else [a - q * b for a, b in zip(v, row)])
-    return None if any(v) else coords
+            _add_multiple(v, -q, row, n)
+    return None if v else coords
 
 
 def howell_member(basis, v, n):
     """True iff v lies in the span described by a Howell basis."""
-    return _howell_coords(basis, v, n) is not None
+    return _coords(_pivoted(basis, n), _sparse(v, n), n) is not None
 
 
 def kernel_mod(rows, ncols, n):
@@ -277,35 +276,36 @@ def kernel_mod(rows, ncols, n):
     the lift x_F -> sum_c x_c (e_c - A[:, c]) of the kernel of R on F, for
     A the unit rows' F-entries.
 
-    That residual kernel is read off the Howell form of [R^T | I], R^T in
-    columns 0..len(R)-1 and then column len(R) + c for each c in F: its
-    rows that vanish on R^T span the kernel of R (over a prime modulus R
-    is empty and they are the identity).  The Howell form of their lifts
-    is the canonical basis returned: it depends on the kernel only.
+    One more Howell form gives that kernel and its lift together.  Its
+    rows are [R^T | L]: for each c in F, row c of R^T in columns
+    0..left-1 (left = len(R)), then L_c = e_c - A[:, c] shifted by left.
+    The span's vectors that vanish on columns 0..left-1 are the
+    sum_c x_c (0 | L_c) with R x_F == 0, which is ker M shifted by left
+    (x_F -> sum_c x_c L_c is one to one, as L_c is e_c on F).  The Howell
+    rows pivoting at or past left are the Howell form of exactly those
+    vectors (the strong echelon property, with `_reduce_above` reducing
+    each row by later rows only), so read from column left on they are
+    the canonical basis returned: it depends on the kernel only.  With no
+    unit pivot L is the identity, and this is the textbook [M^T | I].
     """
     _check_modulus(n)
     h = _echelon([_sparse(r, n) for r in rows], n)
     unit = {j for j, row in h.items() if row[j] == 1}
-    lift = {c: {c: 1} for c in range(ncols) if c not in unit}
+    rest = [row for j, row in h.items() if j not in unit]
+    left = len(rest)
+    # _echelon pops from the end, so it takes the columns in increasing order
+    aug = {c: {left + c: 1} for c in range(ncols - 1, -1, -1)
+           if c not in unit}
     for j in unit:
         for c, v in h[j].items():
             if c != j:
-                lift[c][j] = n - v if n else -v
-    rest = [row for j, row in h.items() if j not in unit]
-    left = len(rest)
-    aug = {c: {left + c: 1} for c in lift}
+                aug[c][left + j] = n - v if n else -v
     for k, row in enumerate(rest):
         for c, v in row.items():
             aug[c][k] = v
-    lifted = []
-    for j, row in _echelon(list(aug.values()), n).items():
-        if j >= left:
-            x = {}
-            for c, v in row.items():
-                _add_multiple(x, v, lift[c - left], n)
-            lifted.append(x)
-    piv = _echelon(lifted, n)
-    return [_dense(piv[j], ncols) for j in _reduce_above(piv, n)]
+    piv = _echelon(list(aug.values()), n)
+    return [_dense(piv[j], ncols, left) for j in _reduce_above(piv, n)
+            if j >= left]
 
 
 def merge_factors(factors):
@@ -361,16 +361,16 @@ def quotient_invariant_factors(ker_rows, im_rows, n, dim):
     Each image generator adds its own coordinates as one more relation.
     Over Z the Hermite rows are independent, so there are no syzygies.
     """
-    basis = howell(ker_rows, n, dim)
+    basis = _pivoted(howell(ker_rows, n, dim), n)
     rels = []
-    for j, row in enumerate(basis):
-        t = n // row[_first_nonzero(row)]
+    for j, (c, row) in enumerate(basis):
+        t = n // row[c]
         if t < n:   # zero for a unit pivot, and over Z
-            syz = _howell_coords(basis, [t * v for v in row], n)
+            syz = _coords(basis, _scaled(row, t, n), n)
             syz[j] -= t
             rels.append(syz)
     for g in im_rows:
-        coords = _howell_coords(basis, _dense(_sparse(g, n), dim), n)
+        coords = _coords(basis, _sparse(g, n), n)
         if coords is None:
             raise ValueError("image vector outside the kernel span")
         rels.append(coords)
@@ -388,7 +388,7 @@ def hnf(rows, width):
 def solve_in_hnf(basis, v):
     """Coefficients of v over HNF basis rows; ValueError outside their
     lattice."""
-    coords = _howell_coords(basis, v, 0)
+    coords = _coords(_pivoted(basis, 0), _sparse(v, 0), 0)
     if coords is None:
         raise ValueError("vector not in lattice")
     return coords

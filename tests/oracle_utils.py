@@ -430,6 +430,57 @@ def raw_orbit_ids(op):
     return ids
 
 
+def small_quandles(n):
+    """Every quandle op table on 0..n-1 (op[a][b] = a |> b), found column
+    by column with backtracking.  Column b, the map a -> a |> b, is a
+    permutation fixing b (a bijection, and b |> b = b).  Right
+    self-distributivity (x |> y) |> z = (x |> z) |> (y |> z) is checked
+    for each pair (y, z) at the first column by which y, z and y |> z are
+    all chosen."""
+    choices = [[p for p in permutations(range(n)) if p[b] == b]
+               for b in range(n)]
+    cols, found = [], []
+
+    def fits(b):
+        for z in range(b + 1):
+            for y in range(b + 1):
+                w = cols[z][y]
+                if max(y, z, w) == b and any(
+                        cols[z][cols[y][x]] != cols[w][cols[z][x]]
+                        for x in range(n)):
+                    return False
+        return True
+
+    def extend(b):
+        if b == n:
+            found.append(tuple(tuple(c[a] for c in cols) for a in range(n)))
+            return
+        for p in choices[b]:
+            cols.append(p)
+            if fits(b):
+                extend(b + 1)
+            cols.pop()
+
+    extend(0)
+    return found
+
+
+def canonical_table(op):
+    """The least relabelling of an op table: two quandles are isomorphic
+    exactly when their canonical tables are equal."""
+    n = len(op)
+    best = None
+    for pi in permutations(range(n)):
+        table = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[pi[a]][pi[b]] = pi[op[a][b]]
+        table = tuple(map(tuple, table))
+        if best is None or table < best:
+            best = table
+    return best
+
+
 def raw_face_colors(records, exterior, exterior_color, step):
     """The color of the face arriving at each dart (crossing, slot), from
     the raw records alone, with colors in Z^k: crossing a semi-arc along

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from qci import corpus, modlinalg
-from qci.algebra import (CoeffGroup, IntUnit, Scalar, ShiftUnit,
+from qci.algebra import (CoeffGroup, IntUnit, Quandle, Scalar, ShiftUnit,
                          StructureError, cyclic_shadow_module,
                          make_alexander, make_dihedral, make_trivial,
                          orbit_shadow_module, orbits, quandle_as_module)
@@ -19,11 +19,12 @@ from qci.cohomology import (Cochain, DifferentialSpec,
                             transport_to_shadow, zero_cochain)
 from qci.coloring import enumerate_colorings, propagate_shadow
 from qci.invariants import weight_shadow
-from tests.oracle_utils import (classical_condition_holds, degenerate_rows,
-                                differential_rows,
+from tests.oracle_utils import (canonical_table, classical_condition_holds,
+                                degenerate_rows, differential_rows,
                                 enumerate_classical_cocycles, first_failure,
                                 pointwise_differential,
-                                positive_condition_holds, rref_rank_mod_p,
+                                positive_condition_holds, raw_orbit_ids,
+                                rref_rank_mod_p, small_quandles,
                                 twisted_condition_holds)
 
 
@@ -893,6 +894,45 @@ def test_universal_coefficients_tie_z_to_z_p(name, degree):
         assert free_rank == 0
         assert torsion == [f for f in modlinalg.merge_factors(pieces)
                            if f != 1], m
+
+
+def test_every_small_quandle_as_an_input_class():
+    """Every quandle of order 1 to 5, one per isomorphism class, found by
+    a qci-free enumerator: 1, 1, 5, 36 and 404 labelled quandles in 1, 1,
+    3, 7 and 22 classes (OEIS A181771).
+
+    For each class, H^d(Z) has free rank k(k-1)^(d-1) in degrees 1 to 3,
+    with k the number of Inn(Q)-orbits (Litherland-Nelson, "The Betti
+    numbers of some finite racks", J. Pure Appl. Algebra 178, 2003; the
+    statement was not confirmed against the paper offline).  The universal coefficient theorem of
+    `test_universal_coefficients_tie_z_to_z_p` ties H^d(Z/m) to H^d(Z)
+    and H^(d+1)(Z) at m = 2, 3, 4, 6 and d = 1, 2.  Each of these 34
+    inputs runs the kernel and the quotient over Z and four moduli.
+    """
+    classes = []
+    for order, labelled, count in zip(range(1, 6), (1, 1, 5, 36, 404),
+                                      (1, 1, 3, 7, 22)):
+        tables = small_quandles(order)
+        canon = sorted({canonical_table(t) for t in tables})
+        assert (len(tables), len(canon)) == (labelled, count), order
+        classes += canon
+    wrong = []
+    for table in classes:
+        q = Quandle([list(r) for r in table])
+        k = len(set(raw_orbit_ids(table)))
+        over_z = [_trivial_cohomology(q, 0, d) for d in (1, 2, 3)]
+        ranks = [free for _, free in over_z]
+        if ranks != [k * (k - 1) ** (d - 1) for d in (1, 2, 3)]:
+            wrong.append((table, "free ranks", ranks))
+        for d in (1, 2):
+            (torsion_d, free_d), (torsion_next, _) = over_z[d - 1:d + 1]
+            for m in (2, 3, 4, 6):
+                pieces = [m] * free_d + [math.gcd(f, m)
+                                         for f in torsion_d + torsion_next]
+                want = [f for f in modlinalg.merge_factors(pieces) if f != 1]
+                if _trivial_cohomology(q, m, d) != (want, 0):
+                    wrong.append((table, d, m))
+    assert wrong == []
 
 
 @pytest.mark.parametrize("n", [3, 5], ids=lambda n: f"D{n}")

@@ -16,7 +16,8 @@ from qci.invariants import invariant_multiset
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 CASES = ["classical_trefoil_d3_z3", "shadow_trefoil_d3_z3",
-         "shadow_mirror_d3_z3", "positive_trefoil_d3_z4",
+         "shadow_mirror_d3_z3", "shadow_trefoil_d3_z3_ext1",
+         "positive_trefoil_d3_z4",
          "twisted_trefoil_d3_z5_a2", "link_hopf_d4_z5"]
 
 

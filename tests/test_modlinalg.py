@@ -276,10 +276,11 @@ def test_kernel_mod_cost_on_a_tall_differential(monkeypatch):
     # the pivots kept reduced as they are installed, a redundant row meets
     # only the pivot columns in its own support: the first elimination
     # takes 5,788 row additions.  109 of the 112 pivots are units, so the
-    # kernel is read through them: the 3 other rows on the 19 columns
-    # without a unit pivot take 26 more, lifting their kernel 29 and its
-    # Howell form 188, 6,031 in all.  A second elimination on [H^T | I]
-    # took 1,183 where these take 243
+    # kernel is read through them: the Howell form of [R^T | L], the 3
+    # other rows' transpose beside the lift of each of the 19 columns
+    # without a unit pivot, takes 257 more and its final reduction 10,
+    # 6,055 in all.  A second elimination on [H^T | I] took 1,183 where
+    # this one takes 267
     q = make_alexander(8, 3)
     rows = differential_rows(q.op, [[[1]]] * 8, [[1]], 1, 2, module_size=2,
                              act=lambda m, a: (m + 1) % 2)

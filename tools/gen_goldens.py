@@ -40,6 +40,8 @@ WEIGHTS = (
     ("shadow_trefoil_d3_z3", "trefoil", 3, 3, "shadow", {"exterior": 0}),
     ("shadow_mirror_d3_z3", "trefoil_mirror", 3, 3, "shadow",
      {"exterior": 0}),
+    ("shadow_trefoil_d3_z3_ext1", "trefoil", 3, 3, "shadow",
+     {"exterior": 1}),
     ("positive_trefoil_d3_z4", "trefoil", 3, 4, "positive", {}),
     ("twisted_trefoil_d3_z5_a2", "trefoil", 3, 5, "twisted", {"alpha": 2}),
     ("link_hopf_d4_z5", "hopf_pos", 4, 5, "link_twisted",

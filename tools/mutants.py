@@ -189,14 +189,24 @@ MUTANTS = [
      "            if False:\n                q = other.get(j, 0) // p",
      "column j is not cleared from the earlier pivot rows"),
     ("src/qci/modlinalg.py",
-     "lift[c][j] = n - v if n else -v",
-     "lift[c][j] = v",
+     "aug[c][left + j] = n - v if n else -v",
+     "aug[c][left + j] = v",
      "the kernel lifts through the unit rows with the wrong sign"),
     ("src/qci/modlinalg.py",
      "unit = {j for j, row in h.items() if row[j] == 1}",
      "unit = {j for j, row in h.items() if row[j] in (1, 2)}",
      "the kernel reads a pivot 2 as a unit: its row is lifted through, "
      "not solved in the residual system"),
+    ("src/qci/modlinalg.py",
+     "aug = {c: {left + c: 1} for c in",
+     "aug = {c: {} for c in",
+     "the kernel's lift block drops its identity entries, so it keeps "
+     "only the unit rows' part of each kernel vector"),
+    ("src/qci/modlinalg.py",
+     "return None if v else coords",
+     "return coords",
+     "coordinates over a Howell basis ignore the leftover, so a vector "
+     "outside the span reads as a member"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
